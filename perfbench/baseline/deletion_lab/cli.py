@@ -1,0 +1,456 @@
+"""Command-line front end: parameters, codec pipeline, experiments, verify.
+
+Exit statuses: 0 ok, 1 oracle violations found, 2 usage error.  All stochastic
+subcommands take --seed; identical config plus seed reproduces byte-identical
+output files.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+from . import __version__
+from . import rng as rngmod
+from .construction import (
+    InnerCodebook,
+    ParamsError,
+    derive_params,
+    encode_outer,
+    json_int,
+    params_from_json,
+    params_to_json,
+    rate_info,
+    read_outer_words,
+    toy_params,
+)
+from .matching import exact_sqrt, match_count_dominance, worst_sets
+from .oblivious import (
+    SamplingPlan,
+    build_confusability_graph,
+    oblivious_experiment,
+    read_patterns,
+    standard_pattern_family,
+    unique_decode,
+    uniform_pattern,
+)
+from .online import (
+    OnlineConfig,
+    make_first_superstring_decoder,
+    make_unique_decoder,
+    simulate_online,
+)
+from .oracles import (
+    OracleReport,
+    alternating_absorption,
+    delete_ones_pattern,
+    delete_zeros_pattern,
+    levenshtein_equivalence,
+    oblivious_bitflip_demo,
+    verify_corruption_cost,
+    verify_geom_bounds,
+    verify_matching_decay,
+    verify_matching_implication,
+)
+from .reporting import atomic_write_text
+from .words import DeletionPattern, Word, apply_pattern, read_codebook, write_codebook
+
+
+def _params_from_args(parser, args):
+    try:
+        if args.config:
+            return params_from_json(json.loads(Path(args.config).read_text()))
+        if args.toy:
+            if None in (args.K, args.R, args.lam, args.delta, args.n):
+                parser.error("toy mode needs --K --R --lambda --delta --n")
+            return toy_params(args.K, args.R, args.lam, Fraction(args.delta), args.n)
+        if args.p is None or args.n is None:
+            parser.error("paper mode needs --p and --n (or use --toy / --config)")
+        return derive_params(Fraction(args.p), args.n)
+    except (ParamsError, ValueError, ZeroDivisionError) as exc:
+        parser.error(str(exc))
+
+
+def _add_params_options(sub):
+    sub.add_argument("--config", help="JSON file with {mode,p,n,K,R,lambda,delta}")
+    sub.add_argument("--toy", action="store_true")
+    sub.add_argument("--p", type=str, default=None)
+    sub.add_argument("--n", type=int, default=None)
+    sub.add_argument("--K", type=int, default=None)
+    sub.add_argument("--R", type=int, default=None)
+    sub.add_argument("--lambda", dest="lam", type=int, default=None)
+    sub.add_argument("--delta", type=str, default=None)
+
+
+def _render(obj):
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, int):
+        return json_int(obj)
+    if isinstance(obj, dict):
+        return {k: _render(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_render(v) for v in obj]
+    return obj
+
+
+def cmd_params(parser, args) -> int:
+    params = _params_from_args(parser, args)
+    payload = params_to_json(params)
+    payload["rate"] = _render(rate_info(params))
+    print(json.dumps(payload, indent=2, sort_keys=True))
+    return 0
+
+
+def cmd_encode(parser, args) -> int:
+    params = _params_from_args(parser, args)
+    params.require_executable()
+    book = InnerCodebook(params)
+    outers = read_outer_words(args.infile)
+    words = [encode_outer(X, params, book) for X in outers]
+    write_codebook(args.out, words)
+    return 0
+
+
+def _family_pattern(name: str, w: Word, weight: int | None, rng) -> DeletionPattern:
+    if name == "delete-zeros":
+        return delete_zeros_pattern(w)
+    if name == "delete-ones":
+        return delete_ones_pattern(w)
+    if name == "uniform":
+        if weight is None:
+            raise ValueError("--weight required for the uniform family")
+        return uniform_pattern(len(w), weight, rng)
+    raise ValueError(f"unknown family {name!r}")
+
+
+def cmd_corrupt(parser, args) -> int:
+    words = read_codebook(args.infile)
+    if not words:
+        parser.error("no input words")
+    if (args.pattern is None) == (args.family is None):
+        parser.error("pass exactly one of --pattern / --family")
+    out_lines = []
+    rng = rngmod.py_rng(args.seed if args.seed is not None else 0, "corrupt")
+    if args.pattern is not None:
+        deleted = tuple(int(t) for t in args.pattern.split(",") if t)
+        for w in words:
+            pat = DeletionPattern(len(w), deleted)
+            out_lines.append(apply_pattern(pat, w).to01())
+    else:
+        for w in words:
+            pat = _family_pattern(args.family, w, args.weight, rng)
+            out_lines.append(apply_pattern(pat, w).to01())
+    atomic_write_text(args.out, "\n".join(out_lines) + "\n")
+    return 0
+
+
+def _read_received(path) -> list[Word]:
+    # received words come from deletions, so line lengths legitimately vary
+    out = []
+    with open(path, "r", encoding="ascii") as fh:
+        for raw in fh:
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                out.append(Word(line))
+    return out
+
+
+def cmd_decode(parser, args) -> int:
+    codebook = read_codebook(args.codebook)
+    received = _read_received(args.infile)
+    lines = []
+    for s in received:
+        hit = unique_decode(s, codebook)
+        lines.append(hit.to01() if hit is not None else "FAIL")
+    atomic_write_text(args.out, "\n".join(lines) + "\n")
+    return 0
+
+
+def _master_seed(args) -> int:
+    if args.seed is not None:
+        return args.seed
+    seed = rngmod.fresh_master_seed()
+    print(f"# master seed drawn from entropy: {seed}", file=sys.stderr)
+    return seed
+
+
+def cmd_experiment_oblivious(parser, args) -> int:
+    cfg = json.loads(Path(args.config).read_text())
+    params = params_from_json(cfg["params"])
+    params.require_executable()
+    seed = args.seed if args.seed is not None else cfg.get("master_seed")
+    if seed is None:
+        seed = rngmod.fresh_master_seed()
+        print(f"# master seed drawn from entropy: {seed}", file=sys.stderr)
+    pool_cfg = cfg.get("pool", {"random": 128})
+    rng = rngmod.py_rng(seed, "pool")
+    pool: list[tuple[int, ...]] = []
+    if "file" in pool_cfg:
+        pool = [tuple(X) for X in read_outer_words(pool_cfg["file"])]
+    elif pool_cfg.get("all"):
+        from itertools import product
+
+        pool = [tuple(X) for X in product(range(1, params.K + 1), repeat=params.n)]
+    else:
+        count = min(int(pool_cfg.get("random", 128)), params.K**params.n)
+        seen = set()
+        while len(seen) < count:
+            seen.add(tuple(rng.randrange(1, params.K + 1) for _ in range(params.n)))
+        pool = sorted(seen)
+    if pool_cfg.get("structured", True):
+        for sym in range(1, params.K + 1):
+            const = tuple([sym] * params.n)
+            if const not in pool:
+                pool.append(const)
+    plan = SamplingPlan.from_params(params, target_size=cfg.get("target_size"))
+    book = InnerCodebook(params)
+    weight = int(cfg.get("pattern_weight", params.N // 2))
+    refs = [encode_outer(pool[0], params, book)]
+    if len(pool) > 1:
+        refs.append(encode_outer(pool[-1], params, book))
+    patterns = standard_pattern_family(params, weight, refs, master_seed=seed)
+    if "pattern_file" in cfg:
+        patterns = read_patterns(cfg["pattern_file"], params.N)
+    seeds = cfg.get("seeds", list(range(int(cfg.get("seed_count", 10)))))
+    report = oblivious_experiment(
+        params,
+        pool,
+        plan,
+        patterns,
+        seeds,
+        master_seed=seed,
+        use_filter=cfg.get("use_filter", True),
+        f_exact=cfg.get("f_exact", True),
+        f_trials=int(cfg.get("f_trials", 4000)),
+        version=__version__,
+    )
+    out = Path(args.out)
+    report.write(out, out.with_suffix(".summary.json"))
+    print(json.dumps(_render(report.summary()), indent=2, sort_keys=True))
+    return 0
+
+
+def cmd_experiment_online(parser, args) -> int:
+    code = read_codebook(args.code)
+    if len(code) < 2:
+        parser.error("online experiments need at least two codewords")
+    cfg = OnlineConfig(p=Fraction(args.p), p0_adv=Fraction(args.p0_adv))
+    seed = _master_seed(args)
+    decoder = (
+        make_unique_decoder(code)
+        if args.decoder == "unique"
+        else make_first_superstring_decoder(code)
+    )
+    report = simulate_online(
+        code, cfg, decoder, trials=args.trials, master_seed=seed, version=__version__
+    )
+    out = Path(args.out)
+    report.write(out, out.with_suffix(".summary.json"))
+    print(json.dumps(_render(report.summary()), indent=2, sort_keys=True))
+    return 0
+
+
+def cmd_graph(parser, args) -> int:
+    params = _params_from_args(parser, args)
+    params.require_executable()
+    from itertools import product
+
+    if params.K**params.n > 1 << 16:
+        parser.error("pool K^n too large for graph enumeration")
+    pool = [tuple(X) for X in product(range(1, params.K + 1), repeat=params.n)]
+    dn = params.delta_n
+    sigma = DeletionPattern(params.n, tuple(range(dn + 1, params.n + 1)))
+    graph = build_confusability_graph(
+        pool, sigma, worst_sets(dn, params.lam), s=2**params.lam, t=exact_sqrt(params.R)
+    )
+    print(json.dumps(graph.stats(), indent=2, sort_keys=True))
+    return 0
+
+
+def _verify_runners(samples: int, seed: int, exhaustive: bool) -> dict:
+    def run_levenshtein() -> OracleReport:
+        rng = rngmod.py_rng(seed, "verify-levenshtein")
+        codes = []
+        if exhaustive:
+            from itertools import combinations
+
+            universe = [Word(format(v, "04b")) for v in range(16)]
+            codes = [list(pair) for pair in combinations(universe, 2)]
+        else:
+            for _ in range(max(1, samples // 100)):
+                size = rng.choice((2, 3, 4))
+                codes.append(
+                    [Word([rng.randrange(2) for _ in range(6)]) for _ in range(size)]
+                )
+        return levenshtein_equivalence(codes, t=1)
+
+    def run_corruption() -> OracleReport:
+        if exhaustive:
+            return verify_corruption_cost(
+                toy_params(3, 2, 2, Fraction(1, 2), 4), mode="exhaustive"
+            )
+        return verify_corruption_cost(
+            toy_params(2, 16, 2, Fraction(1, 2), 4),
+            mode="sampled",
+            samples=samples,
+            master_seed=seed,
+        )
+
+    def run_matching_implication() -> OracleReport:
+        return verify_matching_implication(
+            toy_params(2, 16, 2, Fraction(1, 2), 8),
+            instances=min(samples, 10_000),
+            master_seed=seed,
+        )
+
+    def run_dominance() -> OracleReport:
+        report = OracleReport(name="worst-sets-dominance", mode="random-configs")
+        rng = rngmod.py_rng(seed, "verify-dominance")
+        K, m, lam = 3, 4, 2
+        for _ in range(100):
+            Y = [rng.randrange(1, K + 1) for _ in range(8)]
+            sets = tuple(
+                frozenset(rng.sample(range(1, K + 1), lam - 1)) for _ in range(m)
+            )
+            count_s, count_worst = match_count_dominance(Y, sets, s=4, t=2, K=K, m=m)
+            report.instances += 1
+            if count_s > count_worst:
+                report.record_violation({"Y": Y, "sets": sets})
+        return report
+
+    def run_decay() -> OracleReport:
+        return verify_matching_decay(trials=min(samples, 100_000), master_seed=seed)
+
+    def run_alternating() -> OracleReport:
+        # reporting-only estimator: the asymptotic claim has no finite-n
+        # threshold here, thresholds live in the acceptance suite
+        return alternating_absorption(200, trials=samples, master_seed=seed)
+
+    def run_bitflip() -> OracleReport:
+        return oblivious_bitflip_demo(master_seed=seed)
+
+    return {
+        "levenshtein": run_levenshtein,
+        "corruption-cost": run_corruption,
+        "matching-implication": run_matching_implication,
+        "worst-sets-dominance": run_dominance,
+        "matching-decay": run_decay,
+        "geometric-bounds": verify_geom_bounds,
+        "alternating-absorption": run_alternating,
+        "bitflip-code": run_bitflip,
+    }
+
+
+def cmd_verify(parser, args) -> int:
+    samples = int(float(args.samples)) if args.samples else 10_000
+    runners = _verify_runners(samples, args.seed or 0, args.exhaustive)
+    ids = list(runners) if "all" in args.lemmas else args.lemmas
+    unknown = [lem for lem in ids if lem not in runners]
+    if unknown:
+        parser.error(f"unknown lemma ids: {', '.join(unknown)}")
+    reports = []
+    for lem in ids:
+        report = runners[lem]()
+        reports.append(report)
+        print(report.summary(), file=sys.stderr)
+    print(json.dumps([r.to_json() for r in reports], indent=2, sort_keys=True))
+    return 0 if all(r.ok for r in reports) else 1
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="deletion-lab",
+        description="Deletion-channel coding laboratory",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    parser.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="worker hint; results are seed-deterministic regardless "
+        "(current implementation runs single-process)",
+    )
+    subs = parser.add_subparsers(dest="command", required=True)
+
+    sp = subs.add_parser("params", help="derive and print code parameters")
+    _add_params_options(sp)
+
+    sp = subs.add_parser("encode", help="concatenate inner codewords for outer words")
+    _add_params_options(sp)
+    sp.add_argument("--in", dest="infile", required=True)
+    sp.add_argument("--out", required=True)
+
+    sp = subs.add_parser("corrupt", help="apply deletion patterns to codewords")
+    sp.add_argument("--in", dest="infile", required=True)
+    sp.add_argument("--out", required=True)
+    sp.add_argument("--pattern", help="comma-separated 1-based deleted indices")
+    sp.add_argument("--family", choices=("delete-zeros", "delete-ones", "uniform"))
+    sp.add_argument("--weight", type=int, default=None)
+    sp.add_argument("--seed", type=int, default=None)
+
+    sp = subs.add_parser("decode", help="unique decoding against a codebook")
+    sp.add_argument("--codebook", required=True)
+    sp.add_argument("--in", dest="infile", required=True)
+    sp.add_argument("--out", required=True)
+
+    sp = subs.add_parser("experiment", help="run a reproducible experiment")
+    exp = sp.add_subparsers(dest="experiment", required=True)
+    spo = exp.add_parser("oblivious", help="fixed-pattern average-case errors")
+    spo.add_argument("--config", required=True)
+    spo.add_argument("--out", required=True)
+    spo.add_argument("--seed", type=int, default=None)
+    spn = exp.add_parser("online", help="wait-push adversary simulation")
+    spn.add_argument("--code", required=True)
+    spn.add_argument("--p", required=True)
+    spn.add_argument("--p0-adv", dest="p0_adv", required=True)
+    spn.add_argument("--trials", type=int, default=1000)
+    spn.add_argument("--seed", type=int, default=None)
+    spn.add_argument("--decoder", choices=("unique", "ml"), default="unique")
+    spn.add_argument("--out", required=True)
+
+    sp = subs.add_parser("graph", help="confusability graph statistics")
+    _add_params_options(sp)
+
+    sp = subs.add_parser("verify", help="run lemma oracles")
+    sp.add_argument("lemmas", nargs="+")
+    sp.add_argument("--exhaustive", action="store_true")
+    sp.add_argument("--samples", default=None)
+    sp.add_argument("--seed", type=int, default=None)
+
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        if args.command == "params":
+            return cmd_params(parser, args)
+        if args.command == "encode":
+            return cmd_encode(parser, args)
+        if args.command == "corrupt":
+            return cmd_corrupt(parser, args)
+        if args.command == "decode":
+            return cmd_decode(parser, args)
+        if args.command == "experiment":
+            if args.experiment == "oblivious":
+                return cmd_experiment_oblivious(parser, args)
+            return cmd_experiment_online(parser, args)
+        if args.command == "graph":
+            return cmd_graph(parser, args)
+        if args.command == "verify":
+            return cmd_verify(parser, args)
+    except (ParamsError, ValueError) as exc:
+        parser.error(str(exc))
+    parser.error(f"unknown command {args.command!r}")
+    return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main())

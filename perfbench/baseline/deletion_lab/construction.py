@@ -1,0 +1,421 @@
+"""Concatenated-code construction: parameters, inner codewords, signatures.
+
+Parameter rules (paper mode) blow up double-exponentially, so anything that
+would materialize an inner codeword is guarded: toy mode carries exact small
+integers, paper mode carries exact log2 forms only.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterable, Sequence, Union
+
+from .words import (
+    DeletionPattern,
+    Word,
+    apply_pattern,
+    join_patterns,
+    run_count,
+    split_pattern,
+)
+
+OuterWord = tuple[int, ...]
+FractionLike = Union[Fraction, float, int, str]
+
+
+class ParamsError(ValueError):
+    pass
+
+
+class NotExecutableError(RuntimeError):
+    """Raised when an operation would materialize paper-scale objects."""
+
+
+def as_fraction(x: FractionLike) -> Fraction:
+    # str() round-trips decimal literals exactly; Fraction(float) would not.
+    if isinstance(x, float):
+        return Fraction(str(x))
+    return Fraction(x)
+
+
+@dataclass(frozen=True)
+class CodeParams:
+    mode: str  # "paper" | "toy"
+    p: Fraction | None
+    lam: int
+    delta: Fraction
+    K: int
+    R: int
+    n: int
+    L: int | None  # None when not materializable (paper mode)
+    log2_K: int
+    log2_R: int
+    log2_L: int
+
+    @property
+    def N(self) -> int | None:
+        return None if self.L is None else self.n * self.L
+
+    @property
+    def delta_n(self) -> int:
+        dn = self.delta * self.n
+        if dn.denominator != 1:
+            raise ParamsError(f"delta*n = {dn} is not an integer")
+        return int(dn)
+
+    @property
+    def executable(self) -> bool:
+        return self.L is not None
+
+    def require_executable(self) -> None:
+        if not self.executable:
+            raise NotExecutableError(
+                "paper-scale parameters not executable: "
+                f"inner block length has log2 size {self.log2_L}"
+            )
+
+
+def smallest_lambda(p: FractionLike, relaxed: bool = False) -> int:
+    """Smallest integer lam with (1+p)/2 < 1 - 2^-lam (strict rule).
+
+    The relaxed rule only needs p < 1 - 2^-lam, which admits lam=1 for p<1/2.
+    """
+    p = as_fraction(p)
+    target = p if relaxed else (1 + p) / 2
+    lam = 1
+    while not (target < 1 - Fraction(1, 2**lam)):
+        lam += 1
+    return lam
+
+
+def derive_params(p: FractionLike, n: int, materialize_limit: int = 1 << 22) -> CodeParams:
+    """Paper-mode parameter derivation for deletion fraction p."""
+    p = as_fraction(p)
+    if not (0 < p < 1):
+        raise ParamsError(f"p must lie in (0,1), got {p}")
+    if n < 1:
+        raise ParamsError("n must be positive")
+    lam = smallest_lambda(p)
+    delta = 1 - Fraction(1, 2**lam) - p
+    assert delta > 0
+    log2_K = math.ceil(Fraction(2 ** (lam + 5)) / delta)
+    K = 2**log2_K
+    log2_R = 2 + 4 * log2_K
+    R = 4 * K**4
+    log2_L = 1 + K * log2_R
+    # paper-mode L is double-exponential; only materialize in the (unreachable
+    # in practice) case it fits the same limit toy mode uses
+    L = 2 * R**K if log2_L <= max(1, materialize_limit).bit_length() + 20 else None
+    return CodeParams(
+        mode="paper",
+        p=p,
+        lam=lam,
+        delta=delta,
+        K=K,
+        R=R,
+        n=n,
+        L=L,
+        log2_K=log2_K,
+        log2_R=log2_R,
+        log2_L=log2_L,
+    )
+
+
+def toy_params(
+    K: int,
+    R: int,
+    lam: int,
+    delta: FractionLike,
+    n: int,
+    max_length: int = 1 << 20,
+) -> CodeParams:
+    """Small-scale parameters with the structural invariants enforced."""
+    if K < 2:
+        raise ParamsError("K must be at least 2")
+    if R < 2 or R % 2 != 0:
+        raise ParamsError(f"R must be even and >= 2, got {R}")
+    if lam < 1:
+        raise ParamsError("lambda must be at least 1")
+    delta = as_fraction(delta)
+    if not (0 < delta < 1):
+        raise ParamsError(f"delta must lie in (0,1), got {delta}")
+    if n < 1:
+        raise ParamsError("n must be positive")
+    dn = delta * n
+    if dn.denominator != 1 or int(dn) <= 0 or int(dn) % 2 != 0:
+        raise ParamsError(
+            f"delta*n must be a positive even integer, got {dn}; "
+            "pick a conforming delta instead of relying on silent adjustment"
+        )
+    L = 2 * R**K
+    if L > max_length:
+        raise ParamsError(f"L = 2*R^K = {L} exceeds the configured limit {max_length}")
+    # log2 fields are floors; exact whenever the value is a power of two
+    return CodeParams(
+        mode="toy",
+        p=None,
+        lam=lam,
+        delta=delta,
+        K=K,
+        R=R,
+        n=n,
+        L=L,
+        log2_K=K.bit_length() - 1,
+        log2_R=R.bit_length() - 1,
+        log2_L=L.bit_length() - 1,
+    )
+
+
+def inner_codeword(i: int, params: CodeParams) -> Word:
+    """g_i: alternating 0/1 blocks of width R^(i-1), total length L."""
+    params.require_executable()
+    if not 1 <= i <= params.K:
+        raise ParamsError(f"inner symbol must lie in [1,{params.K}], got {i}")
+    width = params.R ** (i - 1)
+    reps = params.L // (2 * width)
+    return Word((bytes(width) + bytes([1]) * width) * reps)
+
+
+class InnerCodebook:
+    """The K inner codewords g_1..g_K, materialized once."""
+
+    def __init__(self, params: CodeParams):
+        params.require_executable()
+        self.params = params
+        self.words = tuple(inner_codeword(i, params) for i in range(1, params.K + 1))
+
+    def __getitem__(self, i: int) -> Word:
+        return self.words[i - 1]
+
+    def __len__(self) -> int:
+        return self.params.K
+
+
+def check_outer(X: Sequence[int], params: CodeParams) -> OuterWord:
+    X = tuple(int(s) for s in X)
+    for s in X:
+        if not 1 <= s <= params.K:
+            raise ParamsError(f"outer symbol {s} outside [1,{params.K}]")
+    return X
+
+
+def encode_outer(X: Sequence[int], params: CodeParams, book: InnerCodebook | None = None) -> Word:
+    """psi(X): concatenation of the inner codewords named by X."""
+    X = check_outer(X, params)
+    if book is None:
+        book = InnerCodebook(params)
+    return Word(b"".join(book[s].bits for s in X))
+
+
+def weight_within_bound(weight: int, L: int, exp2: int, R: int) -> bool:
+    """weight <= L*(1 - 2^-exp2 - 1/sqrt(R)), decided in exact arithmetic.
+
+    Comparisons against the irrational 1/sqrt(R) are done in squared integer
+    form, so the predicate is exact for every even R.
+    """
+    scale = 2**exp2
+    margin = L * (scale - 1) - scale * weight
+    if margin < 0:
+        return False
+    return (scale * L) ** 2 <= margin * margin * R
+
+
+def weight_admissible(weight: int, ell: int, params: CodeParams) -> bool:
+    """Would an inner pattern of this weight be ell-admissible?"""
+    params.require_executable()
+    return weight_within_bound(weight, params.L, ell + 1, params.R)
+
+
+def preserves(sigma: DeletionPattern, i: int, params: CodeParams, book: InnerCodebook | None = None) -> bool:
+    """True iff sigma(g_i) keeps at least 2*R^(K+1-i)/sqrt(R) runs."""
+    params.require_executable()
+    if sigma.word_length != params.L:
+        raise ParamsError(
+            f"inner pattern length {sigma.word_length} != L = {params.L}"
+        )
+    g = book[i] if book is not None else inner_codeword(i, params)
+    r = run_count(apply_pattern(sigma, g))
+    # r >= 2 R^(K+1-i) / sqrt(R)  <=>  r^2 >= 4 R^(2K+1-2i), exactly
+    return r * r >= 4 * params.R ** (2 * params.K + 1 - 2 * i)
+
+
+def is_admissible(sigma: DeletionPattern, ell: int, params: CodeParams) -> bool:
+    """ell-admissible: at most L*(1 - 2^-(ell+1) - 1/sqrt(R)) deletions."""
+    params.require_executable()
+    if sigma.word_length != params.L:
+        raise ParamsError(
+            f"inner pattern length {sigma.word_length} != L = {params.L}"
+        )
+    if ell < 0:
+        raise ParamsError("admissibility level must be nonnegative")
+    return weight_within_bound(sigma.weight, params.L, ell + 1, params.R)
+
+
+class SignatureError(ValueError):
+    """Fewer admissible inner patterns than delta*n.
+
+    Guaranteed not to happen while the total weight stays at or below
+    N*(1 - 2^-lambda - 1/sqrt(R) - delta/2); heavier patterns delete too
+    much for a signature to exist."""
+
+
+@dataclass(frozen=True)
+class Signature:
+    """(outer pattern, corruption sets) summary of a full deletion pattern."""
+
+    n: int
+    kept_indices: tuple[int, ...]
+    corruption_sets: tuple[frozenset[int], ...]
+    inner_patterns: tuple[DeletionPattern, ...]
+
+    @property
+    def outer_pattern(self) -> DeletionPattern:
+        kept = set(self.kept_indices)
+        return DeletionPattern(
+            self.n, tuple(i for i in range(1, self.n + 1) if i not in kept)
+        )
+
+    @property
+    def tau_prime(self) -> DeletionPattern:
+        return join_patterns(self.inner_patterns)
+
+    def select(self, X: Sequence[int]) -> OuterWord:
+        """sigma(X): the outer symbols at the kept positions."""
+        if len(X) != self.n:
+            raise ValueError(f"outer word has length {len(X)}, expected {self.n}")
+        return tuple(X[i - 1] for i in self.kept_indices)
+
+
+def extract_signature(tau: DeletionPattern, params: CodeParams, book: InnerCodebook | None = None) -> Signature:
+    """Retain the first delta*n (lambda-1)-admissible inner patterns of tau.
+
+    Kept indices are the lexicographically first admissible ones, and each
+    corruption set is padded with the smallest unused symbols up to size
+    lambda-1, so the output is deterministic.
+    """
+    params.require_executable()
+    if tau.word_length != params.N:
+        raise ParamsError(f"pattern length {tau.word_length} != N = {params.N}")
+    if book is None:
+        book = InnerCodebook(params)
+    blocks = split_pattern(tau, params.n, params.L)
+    dn = params.delta_n
+    kept: list[int] = []
+    for idx, block in enumerate(blocks, start=1):
+        if is_admissible(block, params.lam - 1, params):
+            kept.append(idx)
+            if len(kept) == dn:
+                break
+    if len(kept) < dn:
+        raise SignatureError(
+            f"only {len(kept)} admissible inner patterns, need {dn}: "
+            "the pattern deletes too much for signature extraction"
+        )
+    sets: list[frozenset[int]] = []
+    inner: list[DeletionPattern] = []
+    for idx in kept:
+        block = blocks[idx - 1]
+        corrupted = {j for j in range(1, params.K + 1) if not preserves(block, j, params, book)}
+        if len(corrupted) > params.lam - 1:
+            raise AssertionError(
+                f"admissible pattern corrupts {len(corrupted)} > lambda-1 codewords"
+            )
+        pad = (j for j in range(1, params.K + 1) if j not in corrupted)
+        while len(corrupted) < params.lam - 1:
+            corrupted.add(next(pad))
+        sets.append(frozenset(corrupted))
+        inner.append(block)
+    return Signature(
+        n=params.n,
+        kept_indices=tuple(kept),
+        corruption_sets=tuple(sets),
+        inner_patterns=tuple(inner),
+    )
+
+
+def rate_info(params: CodeParams) -> dict:
+    """Sampling exponent beta, outer exponent gamma = beta/4, and rate gamma/L.
+
+    Exact fractions when K is a power of two and L is materialized; otherwise
+    log2 values (floats for the small parts, exact ints where integral).
+    """
+    power_of_two = params.K & (params.K - 1) == 0
+    if params.executable and power_of_two:
+        beta = Fraction(params.log2_K, 16 * params.R)
+        gamma = beta / 4
+        return {"beta": beta, "gamma": gamma, "rate": gamma / params.L}
+    log2K = params.log2_K if power_of_two else math.log2(params.K)
+    log2_beta = math.log2(log2K) - 4 - params.log2_R
+    log2_gamma = log2_beta - 2
+    if params.executable:
+        return {
+            "log2_beta": log2_beta,
+            "log2_gamma": log2_gamma,
+            "log2_rate": log2_gamma - math.log2(params.L),
+        }
+    # log2(L) dwarfs the float part; keep the exact integer dominant term.
+    return {
+        "log2_beta": log2_beta,
+        "log2_gamma": log2_gamma,
+        "log2_rate_floor": math.floor(log2_gamma) - params.log2_L,
+    }
+
+
+def json_int(value: int):
+    """Arbitrary-size integers for JSON: hex text once decimal gets silly."""
+    return value if value.bit_length() <= 256 else hex(value)
+
+
+def params_to_json(params: CodeParams) -> dict:
+    out = {
+        "mode": params.mode,
+        "n": params.n,
+        "K": params.K if params.K.bit_length() <= 64 else None,
+        "R": params.R if params.R.bit_length() <= 64 else None,
+        "lambda": params.lam,
+        "delta": str(params.delta),
+        "log2_K": json_int(params.log2_K),
+        "log2_R": json_int(params.log2_R),
+        "log2_L": json_int(params.log2_L),
+        "L": params.L,
+        "N": params.N,
+    }
+    if params.p is not None:
+        out["p"] = str(params.p)
+    return out
+
+
+def params_from_json(obj: dict) -> CodeParams:
+    mode = obj.get("mode", "toy")
+    if mode == "paper":
+        return derive_params(Fraction(obj["p"]), int(obj["n"]))
+    return toy_params(
+        K=int(obj["K"]),
+        R=int(obj["R"]),
+        lam=int(obj.get("lambda", obj.get("lam", 1))),
+        delta=Fraction(str(obj["delta"])),
+        n=int(obj["n"]),
+    )
+
+
+def read_outer_words(path) -> list[OuterWord]:
+    """Comma-separated integers, one outer word per line; '#' comments."""
+    out: list[OuterWord] = []
+    with open(path, "r", encoding="ascii") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                out.append(tuple(int(tok) for tok in line.split(",")))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    return out
+
+
+def write_outer_words(path, words: Iterable[Sequence[int]]) -> None:
+    with open(path, "w", encoding="ascii") as fh:
+        for X in words:
+            fh.write(",".join(str(s) for s in X) + "\n")

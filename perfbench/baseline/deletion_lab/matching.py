@@ -1,0 +1,225 @@
+"""Deterministic matching of outer words: the A-move/B-move procedure.
+
+The matching relation approximates "tau(psi(X)) is a subsequence of psi(Y)"
+using only a deletion pattern's signature.  ``run_matching`` is the scalar
+reference implementation; ``batch_matchable`` is a vectorized twin used by
+the Monte-Carlo harnesses and is cross-checked against the scalar one in the
+test suite.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+
+Sets = tuple[frozenset[int], ...]
+
+
+def exact_sqrt(R: int) -> int:
+    """Integer square root of a perfect square; error otherwise.
+
+    The B-move cap is sqrt(R) and the move rules need an integer cap, so
+    matching-engine work requires R to be a perfect square.
+    """
+    t = math.isqrt(R)
+    if t * t != R:
+        raise ValueError(f"R = {R} is not a perfect square; sqrt(R) cap undefined")
+    return t
+
+
+def worst_sets(m: int, lam: int) -> Sets:
+    """m copies of [lambda-1], the worst corruption sets."""
+    base = frozenset(range(1, lam))
+    return tuple(base for _ in range(m))
+
+
+@dataclass(frozen=True)
+class MatchConfig:
+    s: int  # A-move cap, paper value 2^lambda
+    t: int  # B-move cap, paper value sqrt(R)
+    sets: Sets
+
+    def __post_init__(self):
+        if self.s < 1 or self.t < 1:
+            raise ValueError("move caps must be positive")
+        object.__setattr__(self, "sets", tuple(frozenset(S) for S in self.sets))
+
+    @classmethod
+    def paper(cls, lam: int, R: int, sets: Sequence[frozenset[int]]) -> "MatchConfig":
+        return cls(s=2**lam, t=exact_sqrt(R), sets=tuple(sets))
+
+
+def pair_type(i: int, j: int, X: Sequence[int], Y: Sequence[int], sets: Sequence[frozenset[int]]) -> str:
+    """'A' iff X_i is in S_i or X_i >= Y_j (indices 1-based)."""
+    if not 1 <= i <= len(X):
+        raise IndexError(f"i = {i} outside [1,{len(X)}]")
+    if not 1 <= j <= len(Y):
+        raise IndexError(f"j = {j} outside [1,{len(Y)}]")
+    return "A" if X[i - 1] in sets[i - 1] or X[i - 1] >= Y[j - 1] else "B"
+
+
+@dataclass(frozen=True)
+class MatchTrace:
+    states: tuple[tuple[int, int], ...]  # starts at (1,1)
+    moves: tuple[tuple[str, str], ...]  # (move, reason), reason in A|B|forced
+    success: bool
+
+    def dump(self) -> str:
+        lines = []
+        for k, ((a, b), (move, reason)) in enumerate(zip(self.states, self.moves), start=1):
+            lines.append(f"step {k}: ({a},{b}) move={move} type={reason}")
+        return "\n".join(lines)
+
+
+def run_matching(X: Sequence[int], Y: Sequence[int], cfg: MatchConfig) -> MatchTrace:
+    """Execute the move rules until one word is exhausted.
+
+    Rule priority per step: forced B after s consecutive A-moves, forced A
+    after t consecutive B-moves, else the pair's type decides.  Success means
+    the X coordinate reached |X|.
+    """
+    m, n = len(X), len(Y)
+    if m < 1 or n < 1:
+        raise ValueError("matching needs nonempty words")
+    if len(cfg.sets) != m:
+        raise ValueError(f"got {len(cfg.sets)} sets for |X| = {m}")
+    a = b = 1
+    run_a = run_b = 0
+    states = [(1, 1)]
+    moves: list[tuple[str, str]] = []
+    while a != m and b != n:
+        if run_a == cfg.s:
+            move, reason = "B", "forced"
+        elif run_b == cfg.t:
+            move, reason = "A", "forced"
+        else:
+            ptype = pair_type(a, b, X, Y, cfg.sets)
+            move, reason = ptype, ptype
+        if move == "A":
+            a, run_a, run_b = a + 1, run_a + 1, 0
+        else:
+            b, run_b, run_a = b + 1, run_b + 1, 0
+        states.append((a, b))
+        moves.append((move, reason))
+    return MatchTrace(tuple(states), tuple(moves), a == m)
+
+
+def is_matchable(X: Sequence[int], Y: Sequence[int], cfg: MatchConfig) -> bool:
+    return run_matching(X, Y, cfg).success
+
+
+def batch_matchable(
+    Xs: np.ndarray,
+    Y: Sequence[int] | np.ndarray,
+    s: int,
+    t: int,
+    lam: int | None = None,
+    in_sets: np.ndarray | None = None,
+) -> np.ndarray:
+    """Vectorized matching of many X rows against Y (shared, or one per row).
+
+    ``lam`` selects the worst sets [lambda-1] for every position; otherwise
+    ``in_sets`` must hold the precomputed "X_i in S_i" booleans per row.
+    Semantics are identical to run_matching.
+    """
+    Xs = np.asarray(Xs, dtype=np.int64)
+    if Xs.ndim != 2:
+        raise ValueError("Xs must be a 2-d array of outer words")
+    T, m = Xs.shape
+    Yv = np.asarray(Y, dtype=np.int64)
+    per_row_y = Yv.ndim == 2
+    n = Yv.shape[-1]
+    if per_row_y and Yv.shape[0] != T:
+        raise ValueError("per-row Y needs one row per X")
+    if m < 1 or n < 1:
+        raise ValueError("matching needs nonempty words")
+    if (lam is None) == (in_sets is None):
+        raise ValueError("pass exactly one of lam, in_sets")
+    a = np.zeros(T, dtype=np.int64)  # 0-based
+    b = np.zeros(T, dtype=np.int64)
+    run_a = np.zeros(T, dtype=np.int64)
+    run_b = np.zeros(T, dtype=np.int64)
+    done = (a == m - 1) | (b == n - 1)
+    while True:
+        idx = np.nonzero(~done)[0]
+        if idx.size == 0:
+            break
+        ai = a[idx]
+        xa = Xs[idx, ai]
+        ins = xa <= lam - 1 if lam is not None else in_sets[idx, ai]
+        yb = Yv[idx, b[idx]] if per_row_y else Yv[b[idx]]
+        type_a = ins | (xa >= yb)
+        forced_b = run_a[idx] == s
+        forced_a = run_b[idx] == t
+        move_a = ~forced_b & (forced_a | type_a)
+        a[idx] += move_a
+        b[idx] += ~move_a
+        run_a[idx] = np.where(move_a, run_a[idx] + 1, 0)
+        run_b[idx] = np.where(move_a, 0, run_b[idx] + 1)
+        done[idx] = (a[idx] == m - 1) | (b[idx] == n - 1)
+    return a == m - 1
+
+
+def remap_bijection(A: frozenset[int], lam: int, K: int) -> dict[int, int]:
+    """The involution h_A: swap A \\ [lam-1] with [lam-1] \\ A, ascending pairs.
+
+    h maps A into [lam-1] and never decreases symbols outside A.
+    """
+    if len(A) != lam - 1:
+        raise ValueError(f"|A| = {len(A)} != lambda-1 = {lam - 1}")
+    if A and (min(A) < 1 or max(A) > K):
+        raise ValueError("set elements outside [K]")
+    base = set(range(1, lam))
+    uppers = sorted(A - base)
+    lowers = sorted(base - A)
+    h: dict[int, int] = {}
+    for x, y in zip(uppers, lowers):
+        h[x], h[y] = y, x
+    return h
+
+
+def worst_case_remap(X: Sequence[int], sets: Sequence[frozenset[int]], K: int) -> tuple[int, ...]:
+    """Coordinatewise h_{S_i}(X_i); bijective on [K]^|X|."""
+    if len(sets) != len(X):
+        raise ValueError("need one set per coordinate")
+    sizes = {len(S) for S in sets}
+    if len(sizes) != 1:
+        raise ValueError("all sets must share size lambda-1")
+    lam = sizes.pop() + 1
+    out = []
+    for x, S in zip(X, sets):
+        h = remap_bijection(frozenset(S), lam, K)
+        out.append(h.get(x, x))
+    return tuple(out)
+
+
+def match_count_dominance(
+    Y: Sequence[int],
+    sets: Sequence[frozenset[int]],
+    s: int,
+    t: int,
+    K: int,
+    m: int,
+    limit: int = 2_000_000,
+) -> tuple[int, int]:
+    """Exhaustive (#matchable under sets, #matchable under worst sets).
+
+    The first count never exceeds the second; both are exact enumerations
+    over [K]^m.
+    """
+    if K**m > limit:
+        raise ValueError(f"K^m = {K**m} exceeds enumeration limit {limit}")
+    lam = len(sets[0]) + 1
+    grids = np.meshgrid(*[np.arange(1, K + 1)] * m, indexing="ij")
+    Xs = np.stack([g.reshape(-1) for g in grids], axis=1)
+    in_sets = np.zeros(Xs.shape, dtype=bool)
+    for i, S in enumerate(sets):
+        if S:
+            in_sets[:, i] = np.isin(Xs[:, i], sorted(S))
+    count_s = int(batch_matchable(Xs, Y, s, t, in_sets=in_sets).sum())
+    count_worst = int(batch_matchable(Xs, Y, s, t, lam=lam).sum())
+    assert count_s <= count_worst, "worst-set dominance violated"
+    return count_s, count_worst

@@ -1,0 +1,437 @@
+"""Code assembly against fixed deletion patterns.
+
+The pipeline: score candidate outer words by how easily other words disguise
+themselves inside them (the matchability probability f), drop the worst,
+sample a random outer code from the rest, concatenate, and measure the
+average-case error under families of fixed deletion patterns.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterable, Sequence
+
+import numpy as np
+
+from . import rng as rngmod
+from .construction import CodeParams, InnerCodebook, OuterWord, encode_outer
+from .matching import batch_matchable, exact_sqrt
+from .oracles import delete_ones_pattern, delete_zeros_pattern
+from .reporting import ExperimentReport
+from .words import DeletionPattern, Word, apply_pattern, is_subsequence
+
+ENUM_LIMIT = 1 << 21
+
+
+@dataclass(frozen=True)
+class SamplingPlan:
+    """Exponents and targets for the random outer-code drawing.
+
+    beta is the matchability exponent log2(K)/(16 R); gamma = beta/4 drives
+    the formula code size 2^(gamma n) and tolerance 2^(-gamma n / 2).  Toy
+    scales make the formula size degenerate (about one codeword), so the
+    target size may be overridden while keeping the formula exponents.
+    """
+
+    beta: float
+    gamma: float
+    formula_size: float
+    epsilon: float
+    target_size: float
+
+    @classmethod
+    def from_params(cls, params: CodeParams, target_size: float | None = None) -> "SamplingPlan":
+        beta = math.log2(params.K) / (16 * params.R)
+        gamma = beta / 4
+        formula = 2.0 ** (gamma * params.n)
+        eps = 2.0 ** (-gamma * params.n / 2)
+        return cls(
+            beta=beta,
+            gamma=gamma,
+            formula_size=formula,
+            epsilon=eps,
+            target_size=formula if target_size is None else float(target_size),
+        )
+
+    def inclusion_prob(self, pool_size: int) -> float:
+        if pool_size <= 0:
+            return 0.0
+        return min(1.0, self.target_size / pool_size)
+
+    def f_threshold(self, n: int) -> float:
+        return 2.0 * 2.0 ** (-self.beta * n)
+
+
+@dataclass(frozen=True)
+class FEstimate:
+    word: OuterWord
+    value: Fraction | float
+    trials: int | str  # trial count, or "exact"
+    half_width: float  # 0 for exact mode
+
+    @property
+    def exact(self) -> bool:
+        return self.trials == "exact"
+
+
+def _all_outer_words(K: int, m: int) -> np.ndarray:
+    if K**m > ENUM_LIMIT:
+        raise ValueError(f"K^m = {K**m} exceeds enumeration limit {ENUM_LIMIT}")
+    grids = np.meshgrid(*[np.arange(1, K + 1)] * m, indexing="ij")
+    return np.stack([g.reshape(-1) for g in grids], axis=1).astype(np.int64)
+
+
+def estimate_f(
+    Y: Sequence[int],
+    params: CodeParams,
+    exact: bool = True,
+    trials: int = 4000,
+    master_seed: int = 0,
+    zlen: int | None = None,
+) -> FEstimate:
+    """Pr over uniform Z of length delta*n that Z is matchable in Y.
+
+    Matching runs with the worst corruption sets [lambda-1] and the caps
+    (2^lambda, sqrt(R)).  Exact mode enumerates [K]^zlen; Monte-Carlo mode
+    reports a 95% half-width alongside the estimate.
+    """
+    K = params.K
+    s, t = 2**params.lam, exact_sqrt(params.R)
+    m = params.delta_n if zlen is None else zlen
+    Yv = tuple(Y)
+    if exact:
+        Zs = _all_outer_words(K, m)
+        wins = int(batch_matchable(Zs, Yv, s, t, lam=params.lam).sum())
+        return FEstimate(Yv, Fraction(wins, K**m), "exact", 0.0)
+    gen = rngmod.np_rng(master_seed, "estimate-f", hash(Yv) & 0xFFFFFFFF)
+    Zs = gen.integers(1, K + 1, size=(trials, m))
+    wins = int(batch_matchable(Zs, Yv, s, t, lam=params.lam).sum())
+    p_hat = wins / trials
+    half = 1.96 * math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / trials) + 0.5 / trials
+    return FEstimate(Yv, p_hat, trials, half)
+
+
+@dataclass
+class FilterOutcome:
+    kept: list[OuterWord]
+    discarded: list[OuterWord]
+    borderline: list[OuterWord]
+    threshold: float
+    estimates: dict[OuterWord, FEstimate]
+
+    @property
+    def discarded_fraction(self) -> float:
+        total = len(self.kept) + len(self.discarded)
+        return len(self.discarded) / total if total else 0.0
+
+
+def filter_candidates(
+    pool: Sequence[OuterWord],
+    params: CodeParams,
+    plan: SamplingPlan,
+    exact: bool = True,
+    trials: int = 4000,
+    master_seed: int = 0,
+    threshold: float | None = None,
+) -> FilterOutcome:
+    """Keep the pool members whose disguise probability stays under threshold.
+
+    The default threshold is the plan's 2 * 2^(-beta n).  In Monte-Carlo mode
+    a word whose estimate lands within two half-widths of the threshold is
+    classified by its point estimate but reported as borderline.
+    """
+    thr = plan.f_threshold(params.n) if threshold is None else threshold
+    kept: list[OuterWord] = []
+    discarded: list[OuterWord] = []
+    borderline: list[OuterWord] = []
+    estimates: dict[OuterWord, FEstimate] = {}
+    for Y in pool:
+        est = estimate_f(Y, params, exact=exact, trials=trials, master_seed=master_seed)
+        estimates[est.word] = est
+        (kept if est.value < thr else discarded).append(est.word)
+        if not est.exact and abs(float(est.value) - thr) < 2 * est.half_width:
+            borderline.append(est.word)
+    return FilterOutcome(kept, discarded, borderline, thr, estimates)
+
+
+def sample_outer_code(
+    W: Sequence[OuterWord], plan: SamplingPlan, rng
+) -> list[OuterWord]:
+    """Include each candidate independently with probability target/|W|."""
+    prob = plan.inclusion_prob(len(W))
+    return [X for X in W if rng.random() < prob]
+
+
+@dataclass
+class ConfusabilityGraph:
+    """Directed graph on outer words: an edge Y -> X means the selected part
+    of X is matchable in Y (self-loops excluded)."""
+
+    vertices: list[OuterWord]
+    edges: list[tuple[int, int]]  # (y_index, x_index)
+
+    @property
+    def edge_count(self) -> int:
+        return len(self.edges)
+
+    def out_degrees(self) -> list[int]:
+        out = [0] * len(self.vertices)
+        for y, _ in self.edges:
+            out[y] += 1
+        return out
+
+    def in_degrees(self) -> list[int]:
+        ind = [0] * len(self.vertices)
+        for _, x in self.edges:
+            ind[x] += 1
+        return ind
+
+    def stats(self) -> dict:
+        outs, ins = self.out_degrees(), self.in_degrees()
+        return {
+            "vertices": len(self.vertices),
+            "edges": self.edge_count,
+            "max_outdegree": max(outs, default=0),
+            "max_indegree": max(ins, default=0),
+        }
+
+    def sampled_positive_indegree(self, inclusion_prob: float, rng) -> tuple[int, int]:
+        """(sample size, #sampled vertices with an in-edge from the sample)."""
+        chosen = [i for i in range(len(self.vertices)) if rng.random() < inclusion_prob]
+        chosen_set = set(chosen)
+        hit = {x for y, x in self.edges if y in chosen_set and x in chosen_set}
+        return len(chosen), len(hit)
+
+
+def build_confusability_graph(
+    pool: Sequence[OuterWord],
+    sigma: DeletionPattern,
+    sets: Sequence[frozenset[int]],
+    s: int,
+    t: int,
+) -> ConfusabilityGraph:
+    """Evaluate the matchability relation between every ordered pool pair."""
+    n = sigma.word_length
+    if pool and len(pool[0]) != n:
+        raise ValueError("sigma must act on outer words of the pool's length")
+    kept = [i for i in range(1, n + 1) if i not in set(sigma.deleted)]
+    if len(sets) != len(kept):
+        raise ValueError(f"need {len(kept)} corruption sets, got {len(sets)}")
+    selected = np.array([[X[i - 1] for i in kept] for X in pool], dtype=np.int64)
+    in_sets = np.zeros(selected.shape, dtype=bool)
+    for col, S in enumerate(sets):
+        if S:
+            in_sets[:, col] = np.isin(selected[:, col], sorted(S))
+    edges: list[tuple[int, int]] = []
+    for y_idx, Y in enumerate(pool):
+        wins = batch_matchable(selected, tuple(Y), s, t, in_sets=in_sets)
+        for x_idx in np.nonzero(wins)[0]:
+            if int(x_idx) != y_idx:
+                edges.append((y_idx, int(x_idx)))
+    return ConfusabilityGraph(list(pool), edges)
+
+
+def unique_decode(s: Word, C: Sequence[Word]) -> Word | None:
+    """The codeword containing s as a subsequence, if there is exactly one."""
+    found = None
+    for c in C:
+        if is_subsequence(s, c):
+            if found is not None:
+                return None
+            found = c
+    return found
+
+
+def average_case_error(C: Sequence[Word], tau: DeletionPattern) -> Fraction:
+    """Fraction of codewords whose deleted form fits inside another codeword."""
+    words = [Word(c) for c in C]
+    if len(set(words)) != len(words):
+        raise ValueError("codewords must be distinct")
+    if not words:
+        return Fraction(0)
+    bad = 0
+    for x in words:
+        tx = apply_pattern(tau, x)
+        if any(y != x and is_subsequence(tx, y) for y in words):
+            bad += 1
+    return Fraction(bad, len(words))
+
+
+@dataclass
+class StochasticCode:
+    """Messages mapped to disjoint codeword groups; encoding picks uniformly."""
+
+    groups: tuple[tuple[Word, ...], ...]
+
+    @property
+    def codewords(self) -> list[Word]:
+        return [c for g in self.groups for c in g]
+
+    @property
+    def messages(self) -> int:
+        return len(self.groups)
+
+    def encode(self, message: int, rng) -> Word:
+        return rng.choice(self.groups[message])
+
+    def decode(self, s: Word) -> int | None:
+        hit = unique_decode(s, self.codewords)
+        if hit is None:
+            return None
+        for m, group in enumerate(self.groups):
+            if hit in group:
+                return m
+        raise AssertionError("decoded word missing from its own group")
+
+
+def make_stochastic(C: Sequence[Word], group_size: int, rng) -> StochasticCode:
+    """Draw floor(|C| / (2 group_size)) disjoint groups without replacement."""
+    if group_size < 1:
+        raise ValueError("group_size must be positive")
+    n_groups = len(C) // (2 * group_size)
+    if n_groups < 1:
+        raise ValueError(
+            f"insufficient codewords: need at least {2 * group_size}, have {len(C)}"
+        )
+    chosen = rng.sample(list(C), n_groups * group_size)
+    groups = tuple(
+        tuple(chosen[g * group_size : (g + 1) * group_size]) for g in range(n_groups)
+    )
+    return StochasticCode(groups)
+
+
+# ---------------------------------------------------------------------------
+# fixed deletion-pattern families
+
+
+def uniform_pattern(N: int, weight: int, rng) -> DeletionPattern:
+    return DeletionPattern(N, tuple(sorted(rng.sample(range(1, N + 1), weight))))
+
+
+def _pad_to_weight(positions: Iterable[int], N: int, weight: int, rng) -> DeletionPattern:
+    pos = sorted(set(positions))
+    if len(pos) > weight:
+        pos = pos[:weight]
+    elif len(pos) < weight:
+        rest = [i for i in range(1, N + 1) if i not in set(pos)]
+        pos += rng.sample(rest, weight - len(pos))
+    return DeletionPattern(N, tuple(sorted(pos)))
+
+
+def delete_bit_pattern(ref: Word, bit: int, weight: int, rng) -> DeletionPattern:
+    """Delete the positions carrying ``bit`` in the reference word."""
+    base = delete_zeros_pattern(ref) if bit == 0 else delete_ones_pattern(ref)
+    return _pad_to_weight(base.deleted, len(ref), weight, rng)
+
+
+def blockwise_periodic_pattern(
+    N: int, L: int, weight: int, rng
+) -> DeletionPattern:
+    """Delete every other bit inside randomly chosen length-L blocks."""
+    if N % L != 0:
+        raise ValueError("N must be a multiple of the block length")
+    blocks = list(range(N // L))
+    rng.shuffle(blocks)
+    positions: list[int] = []
+    for blk in blocks:
+        if len(positions) >= weight:
+            break
+        positions.extend(blk * L + off for off in range(1, L + 1, 2))
+    return _pad_to_weight(positions, N, weight, rng)
+
+
+def standard_pattern_family(
+    params: CodeParams,
+    weight: int,
+    refs: Sequence[Word],
+    master_seed: int = 0,
+    uniform_count: int = 3,
+) -> list[tuple[str, DeletionPattern]]:
+    """The experiment family: uniform, delete-all-of-bit-b, and blockwise."""
+    N = params.N
+    rng = rngmod.py_rng(master_seed, "pattern-family")
+    fam: list[tuple[str, DeletionPattern]] = []
+    for k in range(uniform_count):
+        fam.append((f"uniform-{k}", uniform_pattern(N, weight, rng)))
+    for r, ref in enumerate(refs):
+        fam.append((f"zeros-of-ref{r}", delete_bit_pattern(ref, 0, weight, rng)))
+        fam.append((f"ones-of-ref{r}", delete_bit_pattern(ref, 1, weight, rng)))
+    fam.append(("blockwise", blockwise_periodic_pattern(N, params.L, weight, rng)))
+    return fam
+
+
+def read_patterns(path, word_length: int) -> list[tuple[str, DeletionPattern]]:
+    """One pattern per line: comma-separated deleted indices ('' = empty)."""
+    out = []
+    with open(path, "r", encoding="ascii") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if line.startswith("#"):
+                continue
+            deleted = tuple(int(tok) for tok in line.split(",") if tok)
+            out.append((f"line{lineno}", DeletionPattern(word_length, deleted)))
+    return out
+
+
+def write_patterns(path, patterns: Iterable[DeletionPattern]) -> None:
+    with open(path, "w", encoding="ascii") as fh:
+        for pat in patterns:
+            fh.write(",".join(str(i) for i in pat.deleted) + "\n")
+
+
+def oblivious_experiment(
+    params: CodeParams,
+    pool: Sequence[OuterWord],
+    plan: SamplingPlan,
+    patterns: Sequence[tuple[str, DeletionPattern]],
+    seeds: Sequence[int],
+    master_seed: int = 0,
+    use_filter: bool = True,
+    f_exact: bool = True,
+    f_trials: int = 4000,
+    version: str = "0",
+) -> ExperimentReport:
+    """Assemble codes per seed and measure average-case error per pattern."""
+    params.require_executable()
+    book = InnerCodebook(params)
+    if use_filter:
+        outcome = filter_candidates(
+            pool, params, plan, exact=f_exact, trials=f_trials, master_seed=master_seed
+        )
+        candidates = outcome.kept
+        discarded_fraction = outcome.discarded_fraction
+    else:
+        candidates = list(pool)
+        discarded_fraction = 0.0
+    report = ExperimentReport(
+        kind="oblivious",
+        columns=("seed", "pattern_id", "pattern_weight", "code_size", "error_fraction"),
+        config={
+            "n": params.n,
+            "K": params.K,
+            "R": params.R,
+            "lambda": params.lam,
+            "delta": str(params.delta),
+            "pool_size": len(pool),
+            "use_filter": use_filter,
+            "discarded_fraction": discarded_fraction,
+            "plan_target_size": plan.target_size,
+            "plan_beta": plan.beta,
+        },
+        master_seed=master_seed,
+        version=version,
+    )
+    encoded: dict[OuterWord, Word] = {}
+    for seed in seeds:
+        rng = rngmod.py_rng(master_seed, "outer-sample", seed)
+        chosen = sample_outer_code(candidates, plan, rng)
+        for X in chosen:
+            if X not in encoded:
+                encoded[X] = encode_outer(X, params, book)
+        C = [encoded[X] for X in chosen]
+        for pid, tau in patterns:
+            err = average_case_error(C, tau) if C else Fraction(0)
+            report.add(seed, pid, tau.weight, len(C), float(err))
+    return report

@@ -1,0 +1,504 @@
+"""Online deletion adversaries: causal per-bit channels and wait-push attacks.
+
+The channel sees bits one at a time and may delete the current bit based only
+on the prefix received so far.  The wait-push adversary deletes one bit value
+while narrowing down the codeword, then steers the suffix onto a common
+subsequence shared with a partner codeword, so paired codewords produce
+bit-identical outputs.
+"""
+
+from __future__ import annotations
+
+import warnings
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Callable, Sequence
+
+from . import rng as rngmod
+from .construction import FractionLike, as_fraction
+from .oblivious import unique_decode
+from .reporting import ExperimentReport
+from .words import Word, lcs
+
+Decoder = Callable[[Word], Word | None]
+
+
+@dataclass(frozen=True)
+class OnlineConfig:
+    p: Fraction
+    p0_adv: Fraction
+
+    def __post_init__(self):
+        object.__setattr__(self, "p", as_fraction(self.p))
+        object.__setattr__(self, "p0_adv", as_fraction(self.p0_adv))
+        if not 0 < self.p < 1:
+            raise ValueError("p must lie in (0,1)")
+        if not 0 < self.p0_adv < Fraction(1, 2):
+            raise ValueError("p0_adv must lie in (0, 1/2)")
+        if not self.in_regime:
+            warnings.warn(
+                f"p = {self.p} is outside the regime p > 1/(3-2*p0_adv) = "
+                f"{self.regime_bound}; pushes may exceed the budget",
+                stacklevel=2,
+            )
+
+    @property
+    def regime_bound(self) -> Fraction:
+        return 1 / (3 - 2 * self.p0_adv)
+
+    @property
+    def in_regime(self) -> bool:
+        return self.p > self.regime_bound
+
+    def budget(self, n: int) -> int:
+        return int(self.p * n)  # floor
+
+
+def _common_prefix_len(x: Word, y: Word) -> int:
+    k = 0
+    for a, b in zip(x.bits, y.bits):
+        if a != b:
+            break
+        k += 1
+    return k
+
+
+def wait_length(x: Word, C: Sequence[Word]) -> int:
+    """Smallest prefix length that pins down x among the codewords."""
+    words = [Word(c) for c in C]
+    x = Word(x)
+    if x not in words:
+        raise ValueError("wait length is defined for codewords only")
+    if len(words) < 2:
+        return 0
+    return 1 + max(_common_prefix_len(x, y) for y in words if y != x)
+
+
+@dataclass(frozen=True)
+class WaitProfile:
+    wait_len: int
+    n: int
+    r0: int  # zeros within the wait prefix
+    r1: int
+    b: int  # majority bit, ties to 0
+
+    @property
+    def q(self) -> Fraction:
+        return Fraction(self.wait_len, self.n)
+
+    @property
+    def r_majority(self) -> int:
+        return self.r0 if self.b == 0 else self.r1
+
+
+def wait_profile(x: Word, C: Sequence[Word]) -> WaitProfile:
+    x = Word(x)
+    ell = wait_length(x, C)
+    prefix = x.bits[:ell]
+    r1 = sum(prefix)
+    r0 = ell - r1
+    return WaitProfile(wait_len=ell, n=len(x), r0=r0, r1=r1, b=0 if r0 >= r1 else 1)
+
+
+@dataclass(frozen=True)
+class ConfusablePair:
+    """Two codewords with a shared wait profile and a long common suffix part.
+
+    ``pushed`` is the common channel output b^r ++ s_star; the keep sets are
+    absolute 0-based positions realizing s_star inside each suffix.
+    """
+
+    x: Word
+    y: Word
+    profile: WaitProfile
+    s_star: Word
+    x_keep: frozenset[int]
+    y_keep: frozenset[int]
+
+    @property
+    def pushed(self) -> Word:
+        return Word(bytes([self.profile.b]) * self.profile.r_majority) + self.s_star
+
+    def keep_for(self, w: Word) -> frozenset[int]:
+        if w == self.x:
+            return self.x_keep
+        if w == self.y:
+            return self.y_keep
+        raise KeyError("word is not a member of this pair")
+
+
+@dataclass
+class PairingTable:
+    pairs: list[ConfusablePair]
+    unpaired: list[Word]
+    profiles: dict[Word, WaitProfile]
+
+    def partner_of(self, w: Word) -> ConfusablePair | None:
+        for pair in self.pairs:
+            if w == pair.x or w == pair.y:
+                return pair
+        return None
+
+    @property
+    def paired_fraction(self) -> float:
+        total = 2 * len(self.pairs) + len(self.unpaired)
+        return 2 * len(self.pairs) / total if total else 0.0
+
+
+def build_pairs(C: Sequence[Word], cfg: OnlineConfig) -> PairingTable:
+    """Greedy disjoint pairing within each (wait length, counts, bit) class.
+
+    Only classes with relative wait length at most 1-p are eligible, and a
+    pair forms only when the suffix LCS strictly exceeds
+    (1-q)(1-p0_adv)n.  Pairs with the largest suffix LCS are taken first.
+    """
+    words = [Word(c) for c in C]
+    if len(set(words)) != len(words):
+        raise ValueError("codewords must be distinct")
+    n = len(words[0]) if words else 0
+    profiles = {x: wait_profile(x, words) for x in words}
+    classes: dict[tuple[int, int, int], list[Word]] = {}
+    for x in words:
+        prof = profiles[x]
+        classes.setdefault((prof.wait_len, prof.b, prof.r_majority), []).append(x)
+    pairs: list[ConfusablePair] = []
+    unpaired: list[Word] = []
+    for (ell, _b, _r), members in classes.items():
+        if Fraction(ell, n) > 1 - cfg.p:
+            unpaired.extend(members)
+            continue
+        threshold = (1 - Fraction(ell, n)) * (1 - cfg.p0_adv) * n
+        candidates = []
+        for i in range(len(members)):
+            for j in range(i + 1, len(members)):
+                res = lcs(members[i][ell:], members[j][ell:])
+                if res.length > threshold:
+                    candidates.append((res.length, i, j, res))
+        candidates.sort(key=lambda item: (-item[0], item[1], item[2]))
+        used: set[int] = set()
+        for _, i, j, res in candidates:
+            if i in used or j in used:
+                continue
+            used.update((i, j))
+            x, y = members[i], members[j]
+            pairs.append(
+                ConfusablePair(
+                    x=x,
+                    y=y,
+                    profile=profiles[x],
+                    s_star=res.witness,
+                    x_keep=frozenset(ell + p for p in res.a_positions),
+                    y_keep=frozenset(ell + p for p in res.b_positions),
+                )
+            )
+        unpaired.extend(members[i] for i in range(len(members)) if i not in used)
+    return PairingTable(pairs=pairs, unpaired=unpaired, profiles=profiles)
+
+
+# ---------------------------------------------------------------------------
+# adversaries
+
+
+class OnlineAdversary:
+    """Per-bit causal channel: decide(state, x, i) may read x[0..i] only."""
+
+    def begin(self, n: int, rng) -> dict:
+        raise NotImplementedError
+
+    def decide(self, state: dict, x: Word, i: int) -> bool:
+        raise NotImplementedError
+
+
+class IdentityAdversary(OnlineAdversary):
+    def begin(self, n, rng):
+        return {}
+
+    def decide(self, state, x, i):
+        return False
+
+
+class NonCausalProbeAdversary(OnlineAdversary):
+    """Planted causality violation: peeks one bit ahead."""
+
+    def __init__(self, budget_fraction: FractionLike = Fraction(1, 2)):
+        self.budget_fraction = as_fraction(budget_fraction)
+
+    def begin(self, n, rng):
+        return {"dels": 0, "budget": int(self.budget_fraction * n)}
+
+    def decide(self, state, x, i):
+        if state["dels"] >= state["budget"] or i + 1 >= len(x):
+            return False
+        if x[i + 1] == 1:  # reads the future
+            state["dels"] += 1
+            return True
+        return False
+
+
+class WaitPushAdversary(OnlineAdversary):
+    """Delete one bit value while identifying the codeword, then steer the
+    suffix onto the partner's common subsequence.
+
+    A coin picks between the wait-push strategy and plain truncation (delete
+    the last budget bits); ``force_strategy`` / ``force_bit`` pin the draws
+    for certificate-style runs.  All decisions are functions of the received
+    prefix, the codebook, and the begin()-time randomness.
+    """
+
+    def __init__(
+        self,
+        C: Sequence[Word],
+        cfg: OnlineConfig,
+        pairs: PairingTable | None = None,
+        force_strategy: int | None = None,
+        force_bit: int | None = None,
+    ):
+        self.C = [Word(c) for c in C]
+        self.cfg = cfg
+        self.pairs = pairs if pairs is not None else build_pairs(self.C, cfg)
+        self.force_strategy = force_strategy
+        self.force_bit = force_bit
+
+    def begin(self, n, rng):
+        strategy = self.force_strategy or (1 if rng.random() < 0.5 else 2)
+        bit = self.force_bit if self.force_bit is not None else rng.randrange(2)
+        state = {
+            "strategy": strategy,
+            "bit": bit,
+            "budget": self.cfg.budget(n),
+            "dels": 0,
+            "phase": "wait",
+            "candidates": list(range(len(self.C))),
+            "keep": None,  # push-phase keep set; None = transmit everything
+            "paired": False,
+            "believed": None,
+        }
+        if len(self.C) < 2:
+            # degenerate code: wait length 0, nothing to push toward
+            state["phase"] = "push"
+            state["believed"] = 0 if self.C else None
+        return state
+
+    def _resolve_push(self, state) -> None:
+        state["phase"] = "push"
+        cands = state["candidates"]
+        if len(cands) != 1:
+            return  # received word is no codeword: give up, transmit the rest
+        believed = self.C[cands[0]]
+        state["believed"] = cands[0]
+        pair = self.pairs.partner_of(believed)
+        prof = self.pairs.profiles[believed]
+        if pair is None or prof.b != state["bit"]:
+            return  # wrong coin or no partner: give up
+        state["keep"] = pair.keep_for(believed)
+        state["paired"] = True
+
+    def decide(self, state, x, i):
+        if state["dels"] >= state["budget"]:
+            return False  # budget exhausted: transmit the remaining bits
+        n = len(x)
+        delete = False
+        if state["strategy"] == 2:
+            delete = i >= n - state["budget"]
+        elif state["phase"] == "wait":
+            v = x[i]
+            delete = v == 1 - state["bit"]
+            state["candidates"] = [
+                c for c in state["candidates"] if self.C[c][i] == v
+            ]
+            if len(state["candidates"]) <= 1:
+                self._resolve_push(state)
+        else:
+            keep = state["keep"]
+            delete = keep is not None and i not in keep
+        if delete:
+            state["dels"] += 1
+        return delete
+
+
+@dataclass(frozen=True)
+class TransmitResult:
+    output: Word
+    deletions: int
+    decisions: tuple[bool, ...]
+    strategy: int | None = None
+    bit: int | None = None
+    paired: bool = False
+    believed: int | None = None
+
+
+def transmit(x: Word, adversary: OnlineAdversary, rng) -> TransmitResult:
+    """Run one word through the channel; enforces the deletion budget."""
+    x = Word(x)
+    state = adversary.begin(len(x), rng)
+    kept = bytearray()
+    decisions = []
+    dels = 0
+    for i in range(len(x)):
+        delete = adversary.decide(state, x, i)
+        decisions.append(delete)
+        if delete:
+            dels += 1
+        else:
+            kept.append(x[i])
+    budget = state.get("budget")
+    if budget is not None and dels > budget:
+        raise AssertionError(f"adversary deleted {dels} > budget {budget}")
+    return TransmitResult(
+        output=Word(bytes(kept)),
+        deletions=dels,
+        decisions=tuple(decisions),
+        strategy=state.get("strategy"),
+        bit=state.get("bit"),
+        paired=bool(state.get("paired")),
+        believed=state.get("believed"),
+    )
+
+
+def run_wait_push(
+    C: Sequence[Word],
+    x: Word,
+    cfg: OnlineConfig,
+    pairs: PairingTable | None = None,
+    rng=None,
+    force_strategy: int | None = None,
+    force_bit: int | None = None,
+) -> TransmitResult:
+    if Word(x) not in [Word(c) for c in C]:
+        raise ValueError("x must be a codeword")
+    adv = WaitPushAdversary(C, cfg, pairs, force_strategy, force_bit)
+    return transmit(x, adv, rng if rng is not None else rngmod.py_rng(0, "wait-push"))
+
+
+# ---------------------------------------------------------------------------
+# decoders and simulation
+
+
+def make_unique_decoder(C: Sequence[Word]) -> Decoder:
+    words = [Word(c) for c in C]
+    return lambda s: unique_decode(s, words)
+
+
+def make_first_superstring_decoder(C: Sequence[Word]) -> Decoder:
+    """Deterministic tie-breaking decoder: first codeword containing s."""
+    from .words import is_subsequence
+
+    words = [Word(c) for c in C]
+
+    def decode(s: Word) -> Word | None:
+        for c in words:
+            if is_subsequence(s, c):
+                return c
+        return None
+
+    return decode
+
+
+def simulate_online(
+    C: Sequence[Word],
+    cfg: OnlineConfig,
+    decoder: Decoder,
+    trials: int,
+    master_seed: int = 0,
+    pairs: PairingTable | None = None,
+    adversary_factory: Callable[[int | None, int | None], OnlineAdversary] | None = None,
+    force_strategy: int | None = None,
+    force_bit: int | None = None,
+    version: str = "0",
+) -> ExperimentReport:
+    """Uniform random codeword per trial; reports decode errors and confusion.
+
+    A trial is confused when some other codeword, sent through the channel
+    with the same strategy/bit draw, produces a bit-identical output; half
+    the confusion mass lower-bounds any decoder's error on these trials.
+    """
+    words = [Word(c) for c in C]
+    if pairs is None:
+        pairs = build_pairs(words, cfg)
+
+    def factory(strategy, bit) -> OnlineAdversary:
+        if adversary_factory is not None:
+            return adversary_factory(strategy, bit)
+        return WaitPushAdversary(words, cfg, pairs, strategy, bit)
+
+    report = ExperimentReport(
+        kind="online",
+        columns=(
+            "trial",
+            "codeword_index",
+            "strategy",
+            "coin_bit",
+            "deletions_used",
+            "output_len",
+            "decoded_ok",
+            "confused",
+        ),
+        config={
+            "code_size": len(words),
+            "n": len(words[0]) if words else 0,
+            "p": str(cfg.p),
+            "p0_adv": str(cfg.p0_adv),
+            "paired_fraction": pairs.paired_fraction,
+            "trials": trials,
+        },
+        master_seed=master_seed,
+        version=version,
+    )
+    for trial in range(trials):
+        rng = rngmod.py_rng(master_seed, "online-trial", trial)
+        idx = rng.randrange(len(words))
+        x = words[idx]
+        draw_rng = rngmod.py_rng(master_seed, "online-draw", trial)
+        strategy = force_strategy or (1 if draw_rng.random() < 0.5 else 2)
+        bit = force_bit if force_bit is not None else draw_rng.randrange(2)
+        result = transmit(x, factory(strategy, bit), rng)
+        decoded = decoder(result.output)
+        confused = False
+        for j, y in enumerate(words):
+            if j == idx:
+                continue
+            other = transmit(y, factory(strategy, bit), rngmod.py_rng(master_seed, "online-trial", trial))
+            if other.output == result.output:
+                confused = True
+                break
+        report.add(
+            trial,
+            idx,
+            result.strategy if result.strategy is not None else strategy,
+            result.bit if result.bit is not None else bit,
+            result.deletions,
+            len(result.output),
+            int(decoded == x),
+            int(confused),
+        )
+    return report
+
+
+def causality_check(
+    make_adversary: Callable[[], OnlineAdversary],
+    n: int,
+    trials: int = 200,
+    master_seed: int = 0,
+) -> dict:
+    """Behavioral causality test: identical prefixes must force identical
+    decisions up to the shared length, under identical begin() randomness."""
+    violations = 0
+    witness = None
+    for trial in range(trials):
+        word_rng = rngmod.py_rng(master_seed, "causality-words", trial)
+        share = word_rng.randrange(1, n)
+        prefix = [word_rng.randrange(2) for _ in range(share)]
+        w1 = Word(prefix + [word_rng.randrange(2) for _ in range(n - share)])
+        w2 = Word(prefix + [1 - b for b in w1.bits[share:]])
+        r1 = transmit(w1, make_adversary(), rngmod.py_rng(master_seed, "causality-adv", trial))
+        r2 = transmit(w2, make_adversary(), rngmod.py_rng(master_seed, "causality-adv", trial))
+        if r1.decisions[:share] != r2.decisions[:share]:
+            violations += 1
+            if witness is None:
+                witness = {
+                    "trial": trial,
+                    "shared_prefix_len": share,
+                    "w1": w1.to01(),
+                    "w2": w2.to01(),
+                }
+    return {"trials": trials, "violations": violations, "passed": violations == 0, "witness": witness}

@@ -1,0 +1,74 @@
+"""Experiment reports: deterministic CSV rows plus a JSON config echo.
+
+Re-running with the same config and master seed must reproduce the CSV
+byte-for-byte, so rows are emitted in trial order and all values are
+rendered with repr-stable formatting.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import json
+import os
+import statistics
+from dataclasses import dataclass, field
+
+
+@dataclass
+class ExperimentReport:
+    kind: str
+    columns: tuple[str, ...]
+    config: dict
+    master_seed: int
+    version: str
+    rows: list[tuple] = field(default_factory=list)
+
+    def add(self, *row) -> None:
+        if len(row) != len(self.columns):
+            raise ValueError(f"row arity {len(row)} != {len(self.columns)}")
+        self.rows.append(tuple(row))
+
+    def csv_text(self) -> str:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(self.columns)
+        for row in self.rows:
+            writer.writerow(row)
+        return buf.getvalue()
+
+    def summary(self) -> dict:
+        out = {
+            "kind": self.kind,
+            "config": self.config,
+            "master_seed": self.master_seed,
+            "version": self.version,
+            "rows": len(self.rows),
+        }
+        for col in ("error_fraction", "decoded_ok", "confused"):
+            if col in self.columns:
+                i = self.columns.index(col)
+                vals = [float(r[i]) for r in self.rows]
+                if vals:
+                    out[f"{col}_mean"] = statistics.fmean(vals)
+                    out[f"{col}_stdev"] = (
+                        statistics.pstdev(vals) if len(vals) > 1 else 0.0
+                    )
+        return out
+
+    def write(self, csv_path, summary_path=None) -> None:
+        _atomic_write(csv_path, self.csv_text())
+        if summary_path is not None:
+            _atomic_write(summary_path, json.dumps(self.summary(), indent=2, sort_keys=True) + "\n")
+
+
+def atomic_write_text(path, text: str) -> None:
+    """Write via a temp file and rename: errors never leave partial output."""
+    path = os.fspath(path)
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="ascii") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
+_atomic_write = atomic_write_text

@@ -1,0 +1,297 @@
+"""Binary words, runs, deletion patterns, and subsequence/LCS primitives.
+
+Everything here is pure and immutable; positions in deletion patterns are
+1-based (set-of-deleted-indices convention), Python-level indexing of word
+bits is 0-based.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from itertools import combinations
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
+
+WordLike = Union["Word", str, bytes, Sequence[int]]
+
+
+class Word:
+    """An immutable binary word. Bits are stored one byte per bit (0/1)."""
+
+    __slots__ = ("_bits",)
+
+    def __init__(self, bits: WordLike = b""):
+        if isinstance(bits, Word):
+            self._bits = bits._bits
+        elif isinstance(bits, str):
+            if bits and set(bits) - {"0", "1"}:
+                raise ValueError(f"word text must be over 0/1, got {bits!r}")
+            self._bits = bytes(1 if c == "1" else 0 for c in bits)
+        elif isinstance(bits, bytes):
+            if bits and set(bits) - {0, 1}:
+                raise ValueError("byte values must be 0 or 1")
+            self._bits = bits
+        else:
+            vals = bytes(int(b) for b in bits)
+            if vals and set(vals) - {0, 1}:
+                raise ValueError("bit values must be 0 or 1")
+            self._bits = vals
+
+    @property
+    def bits(self) -> bytes:
+        return self._bits
+
+    def to01(self) -> str:
+        return "".join("1" if b else "0" for b in self._bits)
+
+    def __len__(self) -> int:
+        return len(self._bits)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._bits)
+
+    def __getitem__(self, idx):
+        if isinstance(idx, slice):
+            return Word(self._bits[idx])
+        return self._bits[idx]
+
+    def __add__(self, other: "Word") -> "Word":
+        return Word(self._bits + Word(other)._bits)
+
+    def __mul__(self, k: int) -> "Word":
+        return Word(self._bits * k)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Word) and self._bits == other._bits
+
+    def __hash__(self) -> int:
+        return hash(self._bits)
+
+    def __repr__(self) -> str:
+        if len(self) <= 40:
+            return f"Word({self.to01()!r})"
+        return f"Word({self.to01()[:37]!r}..., len={len(self)})"
+
+
+class Run(NamedTuple):
+    symbol: int
+    start: int  # 1-based index of the first bit of the run
+    length: int
+
+
+def run_decompose(w: WordLike) -> list[Run]:
+    """Maximal single-symbol intervals partitioning ``w``, in order."""
+    bits = Word(w).bits
+    runs: list[Run] = []
+    i = 0
+    n = len(bits)
+    while i < n:
+        j = i
+        while j < n and bits[j] == bits[i]:
+            j += 1
+        runs.append(Run(bits[i], i + 1, j - i))
+        i = j
+    return runs
+
+
+def run_count(w: WordLike) -> int:
+    bits = Word(w).bits
+    if not bits:
+        return 0
+    return 1 + sum(1 for i in range(1, len(bits)) if bits[i] != bits[i - 1])
+
+
+@dataclass(frozen=True)
+class DeletionPattern:
+    """A fixed set of 1-based positions to delete from words of one length."""
+
+    word_length: int
+    deleted: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.word_length < 0:
+            raise ValueError("word_length must be nonnegative")
+        object.__setattr__(self, "deleted", tuple(sorted(set(self.deleted))))
+        if self.deleted:
+            if self.deleted[0] < 1 or self.deleted[-1] > self.word_length:
+                raise ValueError(
+                    f"deleted indices must lie in [1, {self.word_length}]"
+                )
+
+    @property
+    def weight(self) -> int:
+        return len(self.deleted)
+
+    def issubset(self, other: "DeletionPattern") -> bool:
+        if self.word_length != other.word_length:
+            raise ValueError("patterns compare only at equal word_length")
+        return set(self.deleted) <= set(other.deleted)
+
+    def __call__(self, w: WordLike) -> Word:
+        return apply_pattern(self, w)
+
+
+def apply_pattern(tau: DeletionPattern, w: WordLike) -> Word:
+    """Delete the bits of ``w`` at the pattern's positions, keeping order."""
+    word = Word(w)
+    if len(word) != tau.word_length:
+        raise ValueError(
+            f"pattern is for length {tau.word_length}, word has length {len(word)}"
+        )
+    if len(word) >= 512:
+        import numpy as np
+
+        keep = np.ones(len(word), dtype=bool)
+        if tau.deleted:
+            keep[np.array(tau.deleted, dtype=np.int64) - 1] = False
+        return Word(np.frombuffer(word.bits, dtype=np.uint8)[keep].tobytes())
+    dead = set(tau.deleted)
+    return Word(bytes(b for i, b in enumerate(word.bits, start=1) if i not in dead))
+
+
+def is_subsequence(a: WordLike, b: WordLike) -> bool:
+    # same greedy walk as greedy_match_positions, but on bytes.find
+    aa, bb = Word(a).bits, Word(b).bits
+    j = 0
+    for sym in aa:
+        j = bb.find(sym, j)
+        if j < 0:
+            return False
+        j += 1
+    return True
+
+
+def greedy_match_positions(a: WordLike, b: WordLike) -> list[int] | None:
+    """0-based positions in ``b`` of the greedy left-to-right embedding of ``a``.
+
+    Returns None when ``a`` is not a subsequence of ``b``.  Greedy matching is
+    exact for the subsequence test; the positions feed matching-engine
+    diagnostics.
+    """
+    aa, bb = Word(a).bits, Word(b).bits
+    positions: list[int] = []
+    j = 0
+    for sym in aa:
+        while j < len(bb) and bb[j] != sym:
+            j += 1
+        if j == len(bb):
+            return None
+        positions.append(j)
+        j += 1
+    return positions
+
+
+class LcsResult(NamedTuple):
+    length: int
+    witness: Word
+    a_positions: tuple[int, ...]  # 0-based, strictly increasing
+    b_positions: tuple[int, ...]
+
+
+def lcs(a: WordLike, b: WordLike) -> LcsResult:
+    """Longest common subsequence with one deterministic witness.
+
+    Tie-break: among optimal alignments, the one with lexicographically
+    smallest a-positions, then smallest b-positions.
+    """
+    aa, bb = Word(a).bits, Word(b).bits
+    m, n = len(aa), len(bb)
+    # suffix[i][j] = LCS length of aa[i:], bb[j:]
+    suffix = [[0] * (n + 1) for _ in range(m + 1)]
+    for i in range(m - 1, -1, -1):
+        row, below = suffix[i], suffix[i + 1]
+        for j in range(n - 1, -1, -1):
+            if aa[i] == bb[j]:
+                row[j] = below[j + 1] + 1
+            else:
+                row[j] = max(below[j], row[j + 1])
+    a_pos: list[int] = []
+    b_pos: list[int] = []
+    i = j = 0
+    need = suffix[0][0]
+    while need > 0:
+        taken = False
+        for i2 in range(i, m):
+            if suffix[i2][j] < need:
+                break  # no optimal completion starts at or after i2
+            j2 = next(
+                (
+                    jj
+                    for jj in range(j, n)
+                    if bb[jj] == aa[i2] and suffix[i2 + 1][jj + 1] >= need - 1
+                ),
+                None,
+            )
+            if j2 is not None:
+                a_pos.append(i2)
+                b_pos.append(j2)
+                i, j = i2 + 1, j2 + 1
+                need -= 1
+                taken = True
+                break
+        if not taken:
+            raise AssertionError("lcs walk lost optimality")
+    witness = Word(bytes(aa[p] for p in a_pos))
+    return LcsResult(len(a_pos), witness, tuple(a_pos), tuple(b_pos))
+
+
+def lcs_length(a: WordLike, b: WordLike) -> int:
+    return lcs(a, b).length
+
+
+def split_pattern(tau: DeletionPattern, n: int, L: int) -> list[DeletionPattern]:
+    """Split a pattern on words of length n*L into n blockwise patterns."""
+    if tau.word_length != n * L:
+        raise ValueError(f"pattern length {tau.word_length} != {n}*{L}")
+    blocks: list[list[int]] = [[] for _ in range(n)]
+    for j in tau.deleted:
+        i = (j - 1) // L
+        blocks[i].append(j - i * L)
+    return [DeletionPattern(L, tuple(blk)) for blk in blocks]
+
+
+def join_patterns(parts: Sequence[DeletionPattern]) -> DeletionPattern:
+    """Inverse of split_pattern: concatenate blockwise patterns."""
+    L = None
+    deleted: list[int] = []
+    for i, part in enumerate(parts):
+        if L is None:
+            L = part.word_length
+        elif part.word_length != L:
+            raise ValueError("all blocks must share one word_length")
+        deleted.extend(j + i * L for j in part.deleted)
+    total = (L or 0) * len(parts)
+    return DeletionPattern(total, tuple(deleted))
+
+
+def enumerate_patterns(n: int, m: int) -> Iterator[DeletionPattern]:
+    """All patterns in D(n, m), lazily, in lexicographic order."""
+    if m < 0 or m > n:
+        raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
+    for combo in combinations(range(1, n + 1), m):
+        yield DeletionPattern(n, combo)
+
+
+def read_codebook(path) -> list[Word]:
+    """One codeword per line over '0'/'1'; '#'-prefixed comment lines ignored."""
+    words: list[Word] = []
+    with open(path, "r", encoding="ascii") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                words.append(Word(line))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    if words and len({len(w) for w in words}) != 1:
+        raise ValueError(f"{path}: codewords must all have equal length")
+    return words
+
+
+def write_codebook(path, words: Iterable[WordLike], header: str | None = None) -> None:
+    with open(path, "w", encoding="ascii") as fh:
+        if header:
+            for line in header.splitlines():
+                fh.write(f"# {line}\n")
+        for w in words:
+            fh.write(Word(w).to01() + "\n")

@@ -1,0 +1,115 @@
+"""Byte-for-byte output of the experiment and verify commands at fixed seeds.
+
+The expected bytes under ``tests/golden/`` are a frozen copy of earlier
+output.  A refactor must reproduce them exactly; regenerate them (with
+``write_golden``) only for a deliberate change of results.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from deletion_lab.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+SMALL = {"mode": "toy", "K": 2, "R": 4, "lambda": 1, "delta": "1/2", "n": 4}
+# criterion-11 style: L = 2 R^K = 512, N = 4096, delta n = 6
+CRIT11 = {"mode": "toy", "K": 4, "R": 4, "lambda": 1, "delta": "3/4", "n": 8}
+ONLINE = ["--p", "1/2", "--p0-adv", "2/5", "--trials", "60", "--seed", "11"]
+
+# name -> (config or None, argv after the command); "{dir}" is the work dir
+CASES = {
+    "oblivious_pool": (
+        {
+            "params": CRIT11,
+            "pool": {"file": "{golden}/pool.txt", "structured": False},
+            "target_size": 8,
+            "f_exact": False,
+            "f_trials": 200,
+            "seeds": [0, 1, 2],
+        },
+        ["experiment", "oblivious", "--seed", "7"],
+    ),
+    "oblivious_all": (
+        {"params": SMALL, "pool": {"all": True}, "target_size": 6,
+         "pattern_weight": 16, "seed_count": 3},
+        ["experiment", "oblivious", "--seed", "4"],
+    ),
+    "oblivious_pattern_file": (
+        {"params": SMALL, "pool": {"random": 9}, "target_size": 5,
+         "pattern_file": "{golden}/patterns.txt", "seeds": [3, 5], "use_filter": False},
+        ["experiment", "oblivious", "--seed", "9"],
+    ),
+    "online_unique": (
+        None,
+        ["experiment", "online", "--code", "{golden}/code.txt", *ONLINE, "--decoder", "unique"],
+    ),
+    "online_ml": (
+        None,
+        ["experiment", "online", "--code", "{golden}/code.txt", *ONLINE, "--decoder", "ml"],
+    ),
+}
+# stdout-only commands
+STDOUT_CASES = {
+    "graph": ["graph", "--toy", "--K", "2", "--R", "16", "--lambda", "1",
+              "--delta", "1/2", "--n", "8"],
+    "verify": ["verify", "corruption-cost", "matching-implication", "worst-sets-dominance",
+               "matching-decay", "--samples", "300", "--seed", "5"],
+}
+
+
+def _fill(obj, golden: Path):
+    if isinstance(obj, str):
+        return obj.replace("{golden}", str(golden))
+    if isinstance(obj, dict):
+        return {k: _fill(v, golden) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_fill(v, golden) for v in obj]
+    return obj
+
+
+def run_case(name: str, workdir: Path, golden: Path = GOLDEN) -> dict[str, bytes]:
+    """Run one file-writing case in workdir; file suffix -> bytes written."""
+    config, argv = CASES[name]
+    argv = _fill(argv, golden)
+    if config is not None:
+        cfg = workdir / "config.json"
+        cfg.write_text(json.dumps(_fill(config, golden)))
+        argv += ["--config", str(cfg)]
+    out = workdir / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    return {".csv": out.read_bytes(), ".summary.json": (workdir / "out.summary.json").read_bytes()}
+
+
+def run_stdout_case(name: str) -> tuple[int, bytes]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(STDOUT_CASES[name])
+    return code, buf.getvalue().encode()
+
+
+def write_golden(workdir: Path) -> None:
+    """Rewrite every expected file from the current program."""
+    for name in CASES:
+        for suffix, data in run_case(name, workdir).items():
+            (GOLDEN / f"{name}{suffix}").write_bytes(data)
+    for name in STDOUT_CASES:
+        code, data = run_stdout_case(name)
+        (GOLDEN / f"{name}.exit{code}.json").write_bytes(data)
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_experiment_output_matches_golden_bytes(name, tmp_path, capsys):
+    for suffix, data in run_case(name, tmp_path).items():
+        assert data == (GOLDEN / f"{name}{suffix}").read_bytes(), suffix
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", list(STDOUT_CASES))
+def test_stdout_matches_golden_bytes(name):
+    code, data = run_stdout_case(name)
+    assert data == (GOLDEN / f"{name}.exit{code}.json").read_bytes()

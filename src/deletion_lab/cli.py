@@ -27,7 +27,7 @@ from .construction import (
     read_outer_words,
     toy_params,
 )
-from .matching import exact_sqrt, match_count_dominance, worst_sets
+from .matching import all_outer_words, exact_sqrt, match_count_dominance, worst_sets
 from .oblivious import (
     SamplingPlan,
     build_confusability_graph,
@@ -46,8 +46,6 @@ from .online import (
 from .oracles import (
     OracleReport,
     alternating_absorption,
-    delete_ones_pattern,
-    delete_zeros_pattern,
     levenshtein_equivalence,
     oblivious_bitflip_demo,
     verify_corruption_cost,
@@ -56,7 +54,14 @@ from .oracles import (
     verify_matching_implication,
 )
 from .reporting import atomic_write_text
-from .words import DeletionPattern, Word, apply_pattern, read_codebook, write_codebook
+from .words import (
+    DeletionPattern,
+    Word,
+    apply_pattern,
+    bit_deletion_pattern,
+    read_codebook,
+    write_codebook,
+)
 
 
 def _params_from_args(parser, args):
@@ -119,9 +124,9 @@ def cmd_encode(parser, args) -> int:
 
 def _family_pattern(name: str, w: Word, weight: int | None, rng) -> DeletionPattern:
     if name == "delete-zeros":
-        return delete_zeros_pattern(w)
+        return bit_deletion_pattern(w, 0)
     if name == "delete-ones":
-        return delete_ones_pattern(w)
+        return bit_deletion_pattern(w, 1)
     if name == "uniform":
         if weight is None:
             raise ValueError("--weight required for the uniform family")
@@ -194,9 +199,7 @@ def cmd_experiment_oblivious(parser, args) -> int:
     if "file" in pool_cfg:
         pool = [tuple(X) for X in read_outer_words(pool_cfg["file"])]
     elif pool_cfg.get("all"):
-        from itertools import product
-
-        pool = [tuple(X) for X in product(range(1, params.K + 1), repeat=params.n)]
+        pool = [tuple(X) for X in all_outer_words(params.K, params.n).tolist()]
     else:
         count = min(int(pool_cfg.get("random", 128)), params.K**params.n)
         seen = set()
@@ -208,15 +211,19 @@ def cmd_experiment_oblivious(parser, args) -> int:
             const = tuple([sym] * params.n)
             if const not in pool:
                 pool.append(const)
+    if not pool:
+        parser.error("the pool holds no outer words")
     plan = SamplingPlan.from_params(params, target_size=cfg.get("target_size"))
-    book = InnerCodebook(params)
-    weight = int(cfg.get("pattern_weight", params.N // 2))
-    refs = [encode_outer(pool[0], params, book)]
-    if len(pool) > 1:
-        refs.append(encode_outer(pool[-1], params, book))
-    patterns = standard_pattern_family(params, weight, refs, master_seed=seed)
     if "pattern_file" in cfg:
         patterns = read_patterns(cfg["pattern_file"], params.N)
+        if not patterns:
+            parser.error(f"pattern file {cfg['pattern_file']} holds no patterns")
+    else:
+        book = InnerCodebook(params)
+        ends = (pool[0], pool[-1])[: len(pool)]  # one reference word per pool end
+        refs = [encode_outer(X, params, book) for X in ends]
+        weight = int(cfg.get("pattern_weight", params.N // 2))
+        patterns = standard_pattern_family(params, weight, refs, master_seed=seed)
     seeds = cfg.get("seeds", list(range(int(cfg.get("seed_count", 10)))))
     report = oblivious_experiment(
         params,
@@ -259,11 +266,9 @@ def cmd_experiment_online(parser, args) -> int:
 def cmd_graph(parser, args) -> int:
     params = _params_from_args(parser, args)
     params.require_executable()
-    from itertools import product
-
     if params.K**params.n > 1 << 16:
         parser.error("pool K^n too large for graph enumeration")
-    pool = [tuple(X) for X in product(range(1, params.K + 1), repeat=params.n)]
+    pool = [tuple(X) for X in all_outer_words(params.K, params.n).tolist()]
     dn = params.delta_n
     sigma = DeletionPattern(params.n, tuple(range(dn + 1, params.n + 1)))
     graph = build_confusability_graph(
@@ -369,13 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Deletion-channel coding laboratory",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker hint; results are seed-deterministic regardless "
-        "(current implementation runs single-process)",
-    )
     subs = parser.add_subparsers(dest="command", required=True)
 
     sp = subs.add_parser("params", help="derive and print code parameters")

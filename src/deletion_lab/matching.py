@@ -2,9 +2,10 @@
 
 The matching relation approximates "tau(psi(X)) is a subsequence of psi(Y)"
 using only a deletion pattern's signature.  ``run_matching`` is the scalar
-reference implementation; ``batch_matchable`` is a vectorized twin used by
-the Monte-Carlo harnesses and is cross-checked against the scalar one in the
-test suite.
+reference implementation; ``batch_matchable`` is a vectorized twin that
+takes the same ``MatchConfig``, is used by the Monte-Carlo harnesses and is
+cross-checked against the scalar one in the test suite.  ``all_outer_words``
+is the one exhaustive enumerator of [K]^m.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from typing import Sequence
 import numpy as np
 
 Sets = tuple[frozenset[int], ...]
+
+ENUM_LIMIT = 1 << 21  # largest [K]^m that exhaustive enumeration materializes
 
 
 def exact_sqrt(R: int) -> int:
@@ -111,19 +114,10 @@ def is_matchable(X: Sequence[int], Y: Sequence[int], cfg: MatchConfig) -> bool:
     return run_matching(X, Y, cfg).success
 
 
-def batch_matchable(
-    Xs: np.ndarray,
-    Y: Sequence[int] | np.ndarray,
-    s: int,
-    t: int,
-    lam: int | None = None,
-    in_sets: np.ndarray | None = None,
-) -> np.ndarray:
+def batch_matchable(Xs: np.ndarray, Y: Sequence[int] | np.ndarray, cfg: MatchConfig) -> np.ndarray:
     """Vectorized matching of many X rows against Y (shared, or one per row).
 
-    ``lam`` selects the worst sets [lambda-1] for every position; otherwise
-    ``in_sets`` must hold the precomputed "X_i in S_i" booleans per row.
-    Semantics are identical to run_matching.
+    Semantics are identical to run_matching under the same config.
     """
     Xs = np.asarray(Xs, dtype=np.int64)
     if Xs.ndim != 2:
@@ -136,8 +130,13 @@ def batch_matchable(
         raise ValueError("per-row Y needs one row per X")
     if m < 1 or n < 1:
         raise ValueError("matching needs nonempty words")
-    if (lam is None) == (in_sets is None):
-        raise ValueError("pass exactly one of lam, in_sets")
+    if len(cfg.sets) != m:
+        raise ValueError(f"got {len(cfg.sets)} sets for |X| = {m}")
+    # member[i, x - lo] answers "x in S_i" for every symbol that occurs in Xs
+    lo, hi = int(Xs.min(initial=0)), int(Xs.max(initial=0))
+    member = np.zeros((m, hi - lo + 1), dtype=bool)
+    for i, S in enumerate(cfg.sets):
+        member[i, [x - lo for x in S if lo <= x <= hi]] = True
     a = np.zeros(T, dtype=np.int64)  # 0-based
     b = np.zeros(T, dtype=np.int64)
     run_a = np.zeros(T, dtype=np.int64)
@@ -149,11 +148,10 @@ def batch_matchable(
             break
         ai = a[idx]
         xa = Xs[idx, ai]
-        ins = xa <= lam - 1 if lam is not None else in_sets[idx, ai]
         yb = Yv[idx, b[idx]] if per_row_y else Yv[b[idx]]
-        type_a = ins | (xa >= yb)
-        forced_b = run_a[idx] == s
-        forced_a = run_b[idx] == t
+        type_a = member[ai, xa - lo] | (xa >= yb)
+        forced_b = run_a[idx] == cfg.s
+        forced_a = run_b[idx] == cfg.t
         move_a = ~forced_b & (forced_a | type_a)
         a[idx] += move_a
         b[idx] += ~move_a
@@ -196,6 +194,14 @@ def worst_case_remap(X: Sequence[int], sets: Sequence[frozenset[int]], K: int) -
     return tuple(out)
 
 
+def all_outer_words(K: int, m: int) -> np.ndarray:
+    """Every word of [K]^m as one int64 row each, in lexicographic order."""
+    if K**m > ENUM_LIMIT:
+        raise ValueError(f"K^m = {K**m} exceeds enumeration limit {ENUM_LIMIT}")
+    grids = np.meshgrid(*[np.arange(1, K + 1, dtype=np.int64)] * m, indexing="ij")
+    return np.stack([g.reshape(-1) for g in grids], axis=1)
+
+
 def match_count_dominance(
     Y: Sequence[int],
     sets: Sequence[frozenset[int]],
@@ -203,23 +209,15 @@ def match_count_dominance(
     t: int,
     K: int,
     m: int,
-    limit: int = 2_000_000,
 ) -> tuple[int, int]:
     """Exhaustive (#matchable under sets, #matchable under worst sets).
 
-    The first count never exceeds the second; both are exact enumerations
-    over [K]^m.
+    The paper's dominance lemma says the first count never exceeds the
+    second; both are exact enumerations over [K]^m, and callers check the
+    inequality.
     """
-    if K**m > limit:
-        raise ValueError(f"K^m = {K**m} exceeds enumeration limit {limit}")
+    Xs = all_outer_words(K, m)
     lam = len(sets[0]) + 1
-    grids = np.meshgrid(*[np.arange(1, K + 1)] * m, indexing="ij")
-    Xs = np.stack([g.reshape(-1) for g in grids], axis=1)
-    in_sets = np.zeros(Xs.shape, dtype=bool)
-    for i, S in enumerate(sets):
-        if S:
-            in_sets[:, i] = np.isin(Xs[:, i], sorted(S))
-    count_s = int(batch_matchable(Xs, Y, s, t, in_sets=in_sets).sum())
-    count_worst = int(batch_matchable(Xs, Y, s, t, lam=lam).sum())
-    assert count_s <= count_worst, "worst-set dominance violated"
+    count_s = int(batch_matchable(Xs, Y, MatchConfig(s, t, tuple(sets))).sum())
+    count_worst = int(batch_matchable(Xs, Y, MatchConfig(s, t, worst_sets(m, lam))).sum())
     return count_s, count_worst

@@ -17,12 +17,9 @@ import numpy as np
 
 from . import rng as rngmod
 from .construction import CodeParams, InnerCodebook, OuterWord, encode_outer
-from .matching import batch_matchable, exact_sqrt
-from .oracles import delete_ones_pattern, delete_zeros_pattern
+from .matching import MatchConfig, all_outer_words, batch_matchable, worst_sets
 from .reporting import ExperimentReport
-from .words import DeletionPattern, Word, apply_pattern, is_subsequence
-
-ENUM_LIMIT = 1 << 21
+from .words import DeletionPattern, Word, apply_pattern, bit_deletion_pattern, is_subsequence
 
 
 @dataclass(frozen=True)
@@ -76,13 +73,6 @@ class FEstimate:
         return self.trials == "exact"
 
 
-def _all_outer_words(K: int, m: int) -> np.ndarray:
-    if K**m > ENUM_LIMIT:
-        raise ValueError(f"K^m = {K**m} exceeds enumeration limit {ENUM_LIMIT}")
-    grids = np.meshgrid(*[np.arange(1, K + 1)] * m, indexing="ij")
-    return np.stack([g.reshape(-1) for g in grids], axis=1).astype(np.int64)
-
-
 def estimate_f(
     Y: Sequence[int],
     params: CodeParams,
@@ -98,16 +88,15 @@ def estimate_f(
     reports a 95% half-width alongside the estimate.
     """
     K = params.K
-    s, t = 2**params.lam, exact_sqrt(params.R)
     m = params.delta_n if zlen is None else zlen
+    cfg = MatchConfig.paper(params.lam, params.R, worst_sets(m, params.lam))
     Yv = tuple(Y)
     if exact:
-        Zs = _all_outer_words(K, m)
-        wins = int(batch_matchable(Zs, Yv, s, t, lam=params.lam).sum())
+        wins = int(batch_matchable(all_outer_words(K, m), Yv, cfg).sum())
         return FEstimate(Yv, Fraction(wins, K**m), "exact", 0.0)
     gen = rngmod.np_rng(master_seed, "estimate-f", hash(Yv) & 0xFFFFFFFF)
     Zs = gen.integers(1, K + 1, size=(trials, m))
-    wins = int(batch_matchable(Zs, Yv, s, t, lam=params.lam).sum())
+    wins = int(batch_matchable(Zs, Yv, cfg).sum())
     p_hat = wins / trials
     half = 1.96 * math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / trials) + 0.5 / trials
     return FEstimate(Yv, p_hat, trials, half)
@@ -220,13 +209,10 @@ def build_confusability_graph(
     if len(sets) != len(kept):
         raise ValueError(f"need {len(kept)} corruption sets, got {len(sets)}")
     selected = np.array([[X[i - 1] for i in kept] for X in pool], dtype=np.int64)
-    in_sets = np.zeros(selected.shape, dtype=bool)
-    for col, S in enumerate(sets):
-        if S:
-            in_sets[:, col] = np.isin(selected[:, col], sorted(S))
+    cfg = MatchConfig(s, t, tuple(sets))
     edges: list[tuple[int, int]] = []
     for y_idx, Y in enumerate(pool):
-        wins = batch_matchable(selected, tuple(Y), s, t, in_sets=in_sets)
+        wins = batch_matchable(selected, tuple(Y), cfg)
         for x_idx in np.nonzero(wins)[0]:
             if int(x_idx) != y_idx:
                 edges.append((y_idx, int(x_idx)))
@@ -322,8 +308,7 @@ def _pad_to_weight(positions: Iterable[int], N: int, weight: int, rng) -> Deleti
 
 def delete_bit_pattern(ref: Word, bit: int, weight: int, rng) -> DeletionPattern:
     """Delete the positions carrying ``bit`` in the reference word."""
-    base = delete_zeros_pattern(ref) if bit == 0 else delete_ones_pattern(ref)
-    return _pad_to_weight(base.deleted, len(ref), weight, rng)
+    return _pad_to_weight(bit_deletion_pattern(ref, bit).deleted, len(ref), weight, rng)
 
 
 def blockwise_periodic_pattern(

@@ -25,12 +25,14 @@ from .construction import (
     encode_outer,
     preserves,
     weight_admissible,
+    weight_within_bound,
 )
-from .matching import MatchConfig, batch_matchable, exact_sqrt, is_matchable
+from .matching import MatchConfig, batch_matchable, exact_sqrt, is_matchable, worst_sets
 from .words import (
     DeletionPattern,
     Word,
     apply_pattern,
+    bit_deletion_pattern,
     is_subsequence,
     join_patterns,
     lcs_length,
@@ -199,27 +201,6 @@ def _count_corrupted(gs: list[np.ndarray], kept: np.ndarray, thresholds: list[in
     return corrupted
 
 
-def _cost_bound_violated(weight: int, corrupted: int, L: int, R: int) -> bool:
-    # corrupting c codewords must cost more than L(1 - 2^-c - 1/sqrt(R));
-    # i.e. weight <= that bound together with c >= 1 is a violation
-    if corrupted == 0:
-        return False
-    scale = 2**corrupted
-    margin = L * (scale - 1) - scale * weight
-    if margin < 0:
-        return False
-    return (scale * L) ** 2 <= margin * margin * R
-
-
-def delete_zeros_pattern(w: Word) -> DeletionPattern:
-    """The fixed pattern deleting every 0-position of w."""
-    return DeletionPattern(len(w), tuple(i for i, b in enumerate(w.bits, 1) if b == 0))
-
-
-def delete_ones_pattern(w: Word) -> DeletionPattern:
-    return DeletionPattern(len(w), tuple(i for i, b in enumerate(w.bits, 1) if b == 1))
-
-
 def structured_inner_patterns(params: CodeParams) -> list[tuple[str, DeletionPattern]]:
     """Adversarial inner patterns: cumulative delete-all-zeros chains.
 
@@ -243,8 +224,8 @@ def structured_inner_patterns(params: CodeParams) -> list[tuple[str, DeletionPat
             )
     for i in range(1, params.K + 1):
         # delete every other run of g_i (all its zeros), one codeword at a time
-        out.append((f"zeros-of-{i}", delete_zeros_pattern(book[i])))
-        out.append((f"ones-of-{i}", delete_ones_pattern(book[i])))
+        out.append((f"zeros-of-{i}", bit_deletion_pattern(book[i], 0)))
+        out.append((f"ones-of-{i}", bit_deletion_pattern(book[i], 1)))
     return out
 
 
@@ -273,7 +254,8 @@ def verify_corruption_cost(
         report.instances += 1
         weight = L - int(kept.sum())
         corrupted = _count_corrupted(gs, kept, thresholds)
-        if _cost_bound_violated(weight, corrupted, L, R):
+        # corrupting c >= 1 codewords must cost more than L(1 - 2^-c - 1/sqrt(R))
+        if corrupted and weight_within_bound(weight, L, corrupted, R):
             report.record_violation(
                 {"pattern": label, "weight": weight, "corrupted": corrupted}
             )
@@ -334,7 +316,7 @@ def _random_admissible_block(params: CodeParams, cap: int, gen, book: InnerCodeb
     if kind == 2:
         # delete all zeros of some inner codeword when that stays admissible
         for i in gen.permutation(params.K) + 1:
-            pat = delete_zeros_pattern(book[int(i)])
+            pat = bit_deletion_pattern(book[int(i)], 0)
             if pat.weight <= cap:
                 return pat
         return DeletionPattern(L, ())
@@ -411,14 +393,13 @@ def matchability_estimates(
     master_seed: int = 0,
 ) -> dict[int, float]:
     """Monte-Carlo Pr[X matchable in Y] for uniform X in [K]^(delta n), Y in [K]^n."""
-    s, t = 2**lam, exact_sqrt(R)
     out: dict[int, float] = {}
     for n in ns:
         dn = int(Fraction(delta) * n)
         gen = rngmod.np_rng(master_seed, "matching-decay", n)
         Xs = gen.integers(1, K + 1, size=(trials, dn))
         Ys = gen.integers(1, K + 1, size=(trials, n))
-        wins = batch_matchable(Xs, Ys, s, t, lam=lam)
+        wins = batch_matchable(Xs, Ys, MatchConfig.paper(lam, R, worst_sets(dn, lam)))
         out[n] = float(wins.mean())
     return out
 
@@ -558,9 +539,11 @@ def verify_geom_bounds(
                     )
             # prefix-sum sweep must agree with the direct formula
             spot = min(lam + 3, K)
-            assert (prefix[spot] - prefix[lam - 1]) / (spot - lam + 1) == geom2_expectation(
-                K, R, lam, spot
-            )
+            swept = (prefix[spot] - prefix[lam - 1]) / (spot - lam + 1)
+            if swept != geom2_expectation(K, R, lam, spot):
+                report.record_violation(
+                    {"K": K, "lam": lam, "lam_prime": spot, "which": "prefix-sum-sweep"}
+                )
     return report
 
 

@@ -57,9 +57,9 @@ class ExperimentReport:
         return out
 
     def write(self, csv_path, summary_path=None) -> None:
-        _atomic_write(csv_path, self.csv_text())
+        atomic_write_text(csv_path, self.csv_text())
         if summary_path is not None:
-            _atomic_write(summary_path, json.dumps(self.summary(), indent=2, sort_keys=True) + "\n")
+            atomic_write_text(summary_path, json.dumps(self.summary(), indent=2, sort_keys=True) + "\n")
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -70,5 +70,3 @@ def atomic_write_text(path, text: str) -> None:
         fh.write(text)
     os.replace(tmp, path)
 
-
-_atomic_write = atomic_write_text

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
+import numpy as np
+
 WordLike = Union["Word", str, bytes, Sequence[int]]
 
 
@@ -137,19 +139,19 @@ def apply_pattern(tau: DeletionPattern, w: WordLike) -> Word:
         raise ValueError(
             f"pattern is for length {tau.word_length}, word has length {len(word)}"
         )
-    if len(word) >= 512:
-        import numpy as np
+    keep = np.ones(len(word), dtype=bool)
+    keep[np.array(tau.deleted, dtype=np.int64) - 1] = False
+    return Word(np.frombuffer(word.bits, dtype=np.uint8)[keep].tobytes())
 
-        keep = np.ones(len(word), dtype=bool)
-        if tau.deleted:
-            keep[np.array(tau.deleted, dtype=np.int64) - 1] = False
-        return Word(np.frombuffer(word.bits, dtype=np.uint8)[keep].tobytes())
-    dead = set(tau.deleted)
-    return Word(bytes(b for i, b in enumerate(word.bits, start=1) if i not in dead))
+
+def bit_deletion_pattern(w: WordLike, bit: int) -> DeletionPattern:
+    """The fixed pattern deleting every position of ``w`` that carries ``bit``."""
+    bits = Word(w).bits
+    return DeletionPattern(len(bits), tuple(i for i, b in enumerate(bits, 1) if b == bit))
 
 
 def is_subsequence(a: WordLike, b: WordLike) -> bool:
-    # same greedy walk as greedy_match_positions, but on bytes.find
+    """Greedy left-to-right embedding of ``a`` in ``b``; exact for subsequences."""
     aa, bb = Word(a).bits, Word(b).bits
     j = 0
     for sym in aa:
@@ -158,26 +160,6 @@ def is_subsequence(a: WordLike, b: WordLike) -> bool:
             return False
         j += 1
     return True
-
-
-def greedy_match_positions(a: WordLike, b: WordLike) -> list[int] | None:
-    """0-based positions in ``b`` of the greedy left-to-right embedding of ``a``.
-
-    Returns None when ``a`` is not a subsequence of ``b``.  Greedy matching is
-    exact for the subsequence test; the positions feed matching-engine
-    diagnostics.
-    """
-    aa, bb = Word(a).bits, Word(b).bits
-    positions: list[int] = []
-    j = 0
-    for sym in aa:
-        while j < len(bb) and bb[j] != sym:
-            j += 1
-        if j == len(bb):
-            return None
-        positions.append(j)
-        j += 1
-    return positions
 
 
 class LcsResult(NamedTuple):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from deletion_lab import cli
 from deletion_lab.cli import main
 
 
@@ -171,7 +172,64 @@ def test_missing_seed_is_drawn_and_echoed(tmp_path, capsys):
     assert "master seed" in captured.err
 
 
-def test_threads_flag_accepted(capsys):
-    assert main(["--threads", "4", "params", "--toy", "--K", "2", "--R", "2",
-                 "--lambda", "1", "--delta", "0.5", "--n", "4"]) == 0
+def _oblivious_config(tmp_path, **extra):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({
+        "params": {"mode": "toy", "K": 2, "R": 4, "lambda": 1, "delta": "0.5", "n": 4},
+        "seeds": [0],
+        "use_filter": False,
+        **extra,
+    }))
+    return ["experiment", "oblivious", "--config", str(cfg),
+            "--out", str(tmp_path / "o.csv"), "--seed", "1"]
+
+
+def test_experiment_oblivious_rejects_empty_pool(tmp_path, capsys):
+    pool = tmp_path / "pool.txt"
+    pool.write_text("# no words\n")
+    argv = _oblivious_config(tmp_path, pool={"file": str(pool), "structured": False})
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "no outer words" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_experiment_oblivious_rejects_empty_pattern_file(tmp_path, capsys):
+    patterns = tmp_path / "patterns.txt"
+    patterns.write_text("# comments only\n")
+    argv = _oblivious_config(tmp_path, pool={"random": 4}, pattern_file=str(patterns))
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "holds no patterns" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_pattern_file_replaces_the_standard_family(tmp_path, capsys, monkeypatch):
+    def unused(*args, **kwargs):
+        raise AssertionError("standard family built although a pattern file is given")
+
+    monkeypatch.setattr(cli, "standard_pattern_family", unused)
+    monkeypatch.setattr(cli, "encode_outer", unused)
+    patterns = tmp_path / "patterns.txt"
+    patterns.write_text("1,2,3\n\n")
+    argv = _oblivious_config(tmp_path, pool={"random": 4}, pattern_file=str(patterns))
+    assert main(argv) == 0
     capsys.readouterr()
+    rows = (tmp_path / "o.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[1:3] for r in rows] == [["line1", "3"], ["line2", "0"]]
+
+
+def test_dominance_violation_is_recorded_with_witness(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "match_count_dominance", lambda *a, **k: (2, 1))
+    assert main(["verify", "worst-sets-dominance", "--seed", "3"]) == 1
+    (report,) = json.loads(capsys.readouterr().out)
+    assert report["violations"] == report["instances"] == 100
+    assert "'Y'" in report["witnesses"][0] and "'sets'" in report["witnesses"][0]
+
+
+def test_threads_flag_is_gone():
+    with pytest.raises(SystemExit) as err:
+        main(["--threads", "4", "params", "--p", "0.9", "--n", "10"])
+    assert err.value.code == 2

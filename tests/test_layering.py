@@ -1,0 +1,75 @@
+"""Imports inside the package run one way.
+
+    words -> construction -> matching -> oblivious -> online -> oracles -> cli
+
+Each module may import only modules to its left (``online`` uses
+``oblivious``'s decoder, never the reverse).  ``rng`` and ``reporting`` are
+leaves: they import nothing from the package and anyone may import them.
+Only ``cli`` imports ``oracles``.
+"""
+
+import ast
+from pathlib import Path
+
+import deletion_lab
+
+PACKAGE = Path(deletion_lab.__file__).resolve().parent
+LAYERS = ["words", "construction", "matching", "oblivious", "online", "oracles", "cli"]
+LEAVES = {"rng", "reporting"}
+
+ALLOWED = {mod: set(LAYERS[:i]) | LEAVES for i, mod in enumerate(LAYERS)}
+ALLOWED.update({leaf: set() for leaf in LEAVES})
+ALLOWED["__init__"] = set(LAYERS[: LAYERS.index("oracles")]) | LEAVES  # the public API
+ALLOWED["__main__"] = {"cli"}
+ALLOWED["cli"] |= {"__init__"}  # for __version__
+
+
+def package_imports(path: Path) -> set[str]:
+    """Package modules a source file imports, at any nesting depth."""
+    modules = {p.stem for p in PACKAGE.glob("*.py")}
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                head, _, rest = alias.name.partition(".")
+                if head == "deletion_lab":
+                    found.add(rest.split(".")[0] or "__init__")
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0 and (node.module or "").split(".")[0] != "deletion_lab":
+                continue
+            sub = (node.module or "").removeprefix("deletion_lab").lstrip(".")
+            if sub:
+                found.add(sub.split(".")[0])
+            else:  # from . import x: x is a module or a name from __init__
+                found |= {a.name if a.name in modules else "__init__" for a in node.names}
+    return found
+
+
+def test_every_module_has_a_layer():
+    assert {p.stem for p in PACKAGE.glob("*.py")} == set(ALLOWED)
+
+
+def test_imports_follow_the_layer_order():
+    wrong = {
+        path.stem: sorted(package_imports(path) - ALLOWED[path.stem])
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {mod: bad for mod, bad in wrong.items() if bad} == {}
+
+
+def test_only_the_cli_imports_oracles():
+    importers = [p.stem for p in sorted(PACKAGE.glob("*.py")) if "oracles" in package_imports(p)]
+    assert importers == ["cli"]
+
+
+def test_import_scanner_sees_every_form(tmp_path):
+    src = tmp_path / "probe.py"
+    src.write_text(
+        "import deletion_lab.words\n"
+        "from deletion_lab import oracles\n"
+        "from . import rng, __version__\n"
+        "def f():\n"
+        "    from .matching import is_matchable\n"
+        "import numpy\n"
+    )
+    assert package_imports(src) == {"words", "oracles", "rng", "__init__", "matching"}

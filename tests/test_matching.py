@@ -92,7 +92,7 @@ def test_batch_matches_scalar():
         X = tuple(r.randrange(1, K + 1) for _ in range(m))
         Y = tuple(r.randrange(1, K + 1) for _ in range(n))
         scalar = is_matchable(X, Y, cfg_of(s, t, m, lam))
-        batched = bool(batch_matchable(np.array([X]), Y, s, t, lam=lam)[0])
+        batched = bool(batch_matchable(np.array([X]), Y, cfg_of(s, t, m, lam))[0])
         assert scalar == batched
 
 
@@ -100,9 +100,10 @@ def test_batch_per_row_hosts():
     rng = np.random.default_rng(2)
     Xs = rng.integers(1, 4, size=(50, 4))
     Ys = rng.integers(1, 4, size=(50, 7))
-    joint = batch_matchable(Xs, Ys, 2, 2, lam=1)
+    cfg = cfg_of(2, 2, 4, 1)
+    joint = batch_matchable(Xs, Ys, cfg)
     singly = [
-        bool(batch_matchable(Xs[i : i + 1], tuple(Ys[i]), 2, 2, lam=1)[0])
+        bool(batch_matchable(Xs[i : i + 1], tuple(Ys[i]), cfg)[0])
         for i in range(50)
     ]
     assert list(joint) == singly
@@ -203,9 +204,9 @@ def test_batch_in_sets_mode_matches_scalar():
             frozenset(r.sample(range(1, K + 1), r.randrange(0, K)))
             for _ in range(m)
         )
-        scalar = is_matchable(X, Y, MatchConfig(s=s, t=t, sets=sets))
-        in_sets = np.array([[X[i] in sets[i] for i in range(m)]])
-        batched = bool(batch_matchable(np.array([X]), Y, s, t, in_sets=in_sets)[0])
+        cfg = MatchConfig(s=s, t=t, sets=sets)
+        scalar = is_matchable(X, Y, cfg)
+        batched = bool(batch_matchable(np.array([X]), Y, cfg)[0])
         assert scalar == batched
 
 
@@ -235,3 +236,13 @@ def test_outer_count_factorizes_through_selected_symbols():
             if is_matchable(Z, Y, MatchConfig(s=s, t=t, sets=sets))
         )
         assert full == K ** (n - m) * part
+
+
+def test_dominance_counts_are_returned_not_asserted(monkeypatch):
+    # a (broken) kernel that favours the given sets over the worst ones must
+    # surface as counts the caller can record, not as an assertion error
+    from deletion_lab import matching
+
+    calls = iter([np.ones(8, dtype=bool), np.zeros(8, dtype=bool)])
+    monkeypatch.setattr(matching, "batch_matchable", lambda *args: next(calls))
+    assert match_count_dominance((1, 2), (frozenset(),) * 3, s=2, t=2, K=2, m=3) == (8, 0)

@@ -7,7 +7,7 @@ import pytest
 
 from deletion_lab import rng as rngmod
 from deletion_lab.construction import CodeParams, encode_outer, toy_params
-from deletion_lab.matching import batch_matchable, worst_sets
+from deletion_lab.matching import MatchConfig, batch_matchable, worst_sets
 from deletion_lab.oblivious import (
     SamplingPlan,
     average_case_error,
@@ -101,7 +101,8 @@ def test_graph_outdegree_identity_full_pool():
     for y_idx, Y in enumerate(pool):
         fc = estimate_f(Y, params, exact=True)
         expected = 2 ** (6 - dn) * int(fc.value * 2**dn)
-        selfedge = bool(batch_matchable(np.array([Y[:dn]]), Y, 2, 2, lam=1)[0])
+        cfg = MatchConfig(2, 2, worst_sets(dn, 1))
+        selfedge = bool(batch_matchable(np.array([Y[:dn]]), Y, cfg)[0])
         assert outs[y_idx] == expected - (1 if selfedge else 0)
 
 

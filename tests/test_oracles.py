@@ -12,7 +12,6 @@ from deletion_lab.oracles import (
     alternating_absorption,
     alternating_word,
     binary_entropy,
-    delete_zeros_pattern,
     deletion_ball,
     exhaustive_decodable,
     geom1_expectation,
@@ -27,10 +26,11 @@ from deletion_lab.oracles import (
     oblivious_bitflip_demo,
     structured_inner_patterns,
     verify_corruption_cost,
+    verify_geom_bounds,
     verify_matching_decay,
     verify_matching_implication,
 )
-from deletion_lab.words import Word, is_subsequence
+from deletion_lab.words import Word, bit_deletion_pattern, is_subsequence
 
 
 def test_decodable_examples():
@@ -88,7 +88,7 @@ def test_corruption_cost_sampled():
 def test_delete_zeros_is_the_extremal_pattern():
     params = toy_params(2, 16, 2, Fraction(1, 2), 4)
     book = InnerCodebook(params)
-    dz = delete_zeros_pattern(book[1])
+    dz = bit_deletion_pattern(book[1], 0)
     assert dz.weight == params.L // 2
     assert not preserves(dz, 1, params, book)
     assert preserves(dz, 2, params, book)
@@ -209,3 +209,13 @@ def test_four_way_equivalence_on_longer_words():
             seen.add(tuple(r.randrange(2) for _ in range(8)))
         codes.append([Word(bytes(w)) for w in seen])
     assert levenshtein_equivalence(codes, 1).ok
+
+
+def test_geom_prefix_sweep_disagreement_is_a_violation(monkeypatch):
+    from deletion_lab import oracles
+
+    assert verify_geom_bounds(Ks=(16,), lams=(1,)).ok
+    monkeypatch.setattr(oracles, "geom2_expectation", lambda *args: Fraction(-1))
+    rep = verify_geom_bounds(Ks=(16,), lams=(1,))
+    assert rep.violations == 1
+    assert rep.witnesses[0]["which"] == "prefix-sum-sweep"

@@ -1,0 +1,96 @@
+"""Property-based differential tests of the fast kernels against references."""
+
+import random
+from itertools import product
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from deletion_lab.matching import ENUM_LIMIT, MatchConfig, all_outer_words, batch_matchable, run_matching
+from deletion_lab.words import (
+    DeletionPattern,
+    Word,
+    apply_pattern,
+    bit_deletion_pattern,
+    join_patterns,
+    split_pattern,
+)
+
+PROPS = settings(deadline=None, derandomize=True, max_examples=150)
+
+
+@st.composite
+def batch_instances(draw):
+    K = draw(st.integers(2, 5))
+    m, n, T = draw(st.integers(1, 6)), draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    symbol = st.integers(1, K)
+    sets = tuple(draw(st.frozensets(symbol)) for _ in range(m))
+    cfg = MatchConfig(s=draw(st.integers(1, 4)), t=draw(st.integers(1, 4)), sets=sets)
+    Xs = [tuple(draw(st.lists(symbol, min_size=m, max_size=m))) for _ in range(T)]
+    Ys = [tuple(draw(st.lists(symbol, min_size=n, max_size=n))) for _ in range(T)]
+    return cfg, Xs, Ys
+
+
+@PROPS
+@given(batch_instances())
+def test_batch_matchable_agrees_with_run_matching(inst):
+    cfg, Xs, Ys = inst
+    per_row = batch_matchable(np.array(Xs), np.array(Ys), cfg)
+    shared = batch_matchable(np.array(Xs), Ys[0], cfg)
+    for i, X in enumerate(Xs):
+        assert per_row[i] == run_matching(X, Ys[i], cfg).success
+        assert shared[i] == run_matching(X, Ys[0], cfg).success
+
+
+def test_batch_matchable_needs_one_set_per_position():
+    cfg = MatchConfig(s=2, t=2, sets=(frozenset(),) * 2)
+    with pytest.raises(ValueError, match="sets"):
+        batch_matchable(np.ones((4, 3), dtype=np.int64), (1, 2, 3), cfg)
+
+
+@PROPS
+@given(
+    st.one_of(st.integers(0, 40), st.integers(500, 530), st.integers(1000, 1100)),
+    st.integers(0, 2**32 - 1),
+)
+def test_apply_pattern_agrees_with_bytewise_reference(length, seed):
+    rng = random.Random(seed)
+    bits = bytes(rng.randrange(2) for _ in range(length))
+    dead = set(rng.sample(range(1, length + 1), rng.randrange(0, length + 1)))
+    tau = DeletionPattern(length, tuple(dead))
+    expected = bytes(b for i, b in enumerate(bits, start=1) if i not in dead)
+    assert apply_pattern(tau, bits).bits == expected
+
+
+@PROPS
+@given(st.lists(st.integers(0, 1), max_size=64), st.integers(0, 1))
+def test_bit_deletion_pattern_leaves_only_the_other_bit(bits, bit):
+    w = Word(bits)
+    assert apply_pattern(bit_deletion_pattern(w, bit), w).bits == bytes(b for b in bits if b != bit)
+
+
+@PROPS
+@given(st.integers(1, 5), st.integers(1, 6))
+def test_all_outer_words_is_itertools_product(K, m):
+    words = all_outer_words(K, m)
+    assert words.dtype == np.int64
+    assert [tuple(X) for X in words.tolist()] == list(product(range(1, K + 1), repeat=m))
+
+
+def test_all_outer_words_refuses_past_the_limit():
+    m = ENUM_LIMIT.bit_length()  # 2^m > ENUM_LIMIT
+    with pytest.raises(ValueError, match="enumeration limit"):
+        all_outer_words(2, m)
+
+
+@PROPS
+@given(st.integers(1, 6), st.integers(1, 8), st.data())
+def test_split_join_round_trip(n, L, data):
+    deleted = data.draw(st.frozensets(st.integers(1, n * L)))
+    tau = DeletionPattern(n * L, tuple(deleted))
+    parts = split_pattern(tau, n, L)
+    assert len(parts) == n and all(p.word_length == L for p in parts)
+    assert sum(p.weight for p in parts) == tau.weight
+    assert join_patterns(parts) == tau

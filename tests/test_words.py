@@ -7,7 +7,6 @@ from deletion_lab.words import (
     Word,
     apply_pattern,
     enumerate_patterns,
-    greedy_match_positions,
     is_subsequence,
     join_patterns,
     lcs,
@@ -91,12 +90,6 @@ def test_subsequence_matches_exhaustive_enumeration():
             for tau in enumerate_patterns(nb, k)
         }
         assert is_subsequence(a, b) == (a.bits in subseqs)
-
-
-def test_greedy_positions_exposed():
-    assert greedy_match_positions("01", "0011") == [0, 2]
-    assert greedy_match_positions("01", "1100") is None
-    assert greedy_match_positions("", "1100") == []
 
 
 def test_lcs_examples():

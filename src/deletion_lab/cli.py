@@ -64,10 +64,22 @@ from .words import (
 )
 
 
+def _read_input(parser, read, path, *rest):
+    """``read(path, *rest)``, with a missing or unreadable input file as a usage error."""
+    try:
+        return read(path, *rest)
+    except OSError as exc:
+        parser.error(f"cannot read {path}: {exc.strerror or exc}")
+
+
+def _read_json(path):
+    return json.loads(Path(path).read_text())
+
+
 def _params_from_args(parser, args):
     try:
         if args.config:
-            return params_from_json(json.loads(Path(args.config).read_text()))
+            return params_from_json(_read_input(parser, _read_json, args.config))
         if args.toy:
             if None in (args.K, args.R, args.lam, args.delta, args.n):
                 parser.error("toy mode needs --K --R --lambda --delta --n")
@@ -116,7 +128,7 @@ def cmd_encode(parser, args) -> int:
     params = _params_from_args(parser, args)
     params.require_executable()
     book = InnerCodebook(params)
-    outers = read_outer_words(args.infile)
+    outers = _read_input(parser, read_outer_words, args.infile)
     words = [encode_outer(X, params, book) for X in outers]
     write_codebook(args.out, words)
     return 0
@@ -135,7 +147,7 @@ def _family_pattern(name: str, w: Word, weight: int | None, rng) -> DeletionPatt
 
 
 def cmd_corrupt(parser, args) -> int:
-    words = read_codebook(args.infile)
+    words = _read_input(parser, read_codebook, args.infile)
     if not words:
         parser.error("no input words")
     if (args.pattern is None) == (args.family is None):
@@ -167,8 +179,8 @@ def _read_received(path) -> list[Word]:
 
 
 def cmd_decode(parser, args) -> int:
-    codebook = read_codebook(args.codebook)
-    received = _read_received(args.infile)
+    codebook = _read_input(parser, read_codebook, args.codebook)
+    received = _read_input(parser, _read_received, args.infile)
     lines = []
     for s in received:
         hit = unique_decode(s, codebook)
@@ -186,7 +198,9 @@ def _master_seed(args) -> int:
 
 
 def cmd_experiment_oblivious(parser, args) -> int:
-    cfg = json.loads(Path(args.config).read_text())
+    cfg = _read_input(parser, _read_json, args.config)
+    if not isinstance(cfg, dict) or "params" not in cfg:
+        raise ValueError(f"{args.config}: the config must be a JSON object with a 'params' key")
     params = params_from_json(cfg["params"])
     params.require_executable()
     seed = args.seed if args.seed is not None else cfg.get("master_seed")
@@ -197,7 +211,7 @@ def cmd_experiment_oblivious(parser, args) -> int:
     rng = rngmod.py_rng(seed, "pool")
     pool: list[tuple[int, ...]] = []
     if "file" in pool_cfg:
-        pool = [tuple(X) for X in read_outer_words(pool_cfg["file"])]
+        pool = [tuple(X) for X in _read_input(parser, read_outer_words, pool_cfg["file"])]
     elif pool_cfg.get("all"):
         pool = [tuple(X) for X in all_outer_words(params.K, params.n).tolist()]
     else:
@@ -215,7 +229,7 @@ def cmd_experiment_oblivious(parser, args) -> int:
         parser.error("the pool holds no outer words")
     plan = SamplingPlan.from_params(params, target_size=cfg.get("target_size"))
     if "pattern_file" in cfg:
-        patterns = read_patterns(cfg["pattern_file"], params.N)
+        patterns = _read_input(parser, read_patterns, cfg["pattern_file"], params.N)
         if not patterns:
             parser.error(f"pattern file {cfg['pattern_file']} holds no patterns")
     else:
@@ -244,7 +258,7 @@ def cmd_experiment_oblivious(parser, args) -> int:
 
 
 def cmd_experiment_online(parser, args) -> int:
-    code = read_codebook(args.code)
+    code = _read_input(parser, read_codebook, args.code)
     if len(code) < 2:
         parser.error("online experiments need at least two codewords")
     cfg = OnlineConfig(p=Fraction(args.p), p0_adv=Fraction(args.p0_adv))

@@ -99,7 +99,8 @@ def derive_params(p: FractionLike, n: int, materialize_limit: int = 1 << 22) -> 
         raise ParamsError("n must be positive")
     lam = smallest_lambda(p)
     delta = 1 - Fraction(1, 2**lam) - p
-    assert delta > 0
+    if delta <= 0:
+        raise ParamsError(f"lambda = {lam} leaves delta = {delta} <= 0 for p = {p}")
     log2_K = math.ceil(Fraction(2 ** (lam + 5)) / delta)
     K = 2**log2_K
     log2_R = 2 + 4 * log2_K
@@ -388,7 +389,13 @@ def params_to_json(params: CodeParams) -> dict:
 
 
 def params_from_json(obj: dict) -> CodeParams:
+    if not isinstance(obj, dict):
+        raise ParamsError("parameters must be a JSON object")
     mode = obj.get("mode", "toy")
+    required = ("p", "n") if mode == "paper" else ("K", "R", "delta", "n")
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise ParamsError(f"{mode} parameters lack key(s): {', '.join(missing)}")
     if mode == "paper":
         return derive_params(Fraction(obj["p"]), int(obj["n"]))
     return toy_params(

@@ -63,10 +63,19 @@ class ExperimentReport:
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write via a temp file and rename: errors never leave partial output."""
+    """Write via a temp file and rename: errors never leave partial output.
+
+    The temp file gets a fresh name beside ``path``, so runs writing the same
+    output never share one, and it is removed when the write fails.
+    """
     path = os.fspath(path)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="ascii") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fh = open(tmp, "x", encoding="ascii")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 

@@ -13,17 +13,21 @@ from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
+from .reporting import atomic_write_text
+
 WordLike = Union["Word", str, bytes, Sequence[int]]
 
 
 class Word:
     """An immutable binary word. Bits are stored one byte per bit (0/1)."""
 
-    __slots__ = ("_bits",)
+    __slots__ = ("_bits", "_runs")
 
     def __init__(self, bits: WordLike = b""):
+        self._runs = None
         if isinstance(bits, Word):
             self._bits = bits._bits
+            self._runs = bits._runs
         elif isinstance(bits, str):
             if bits and set(bits) - {"0", "1"}:
                 raise ValueError(f"word text must be over 0/1, got {bits!r}")
@@ -41,6 +45,16 @@ class Word:
     @property
     def bits(self) -> bytes:
         return self._bits
+
+    @property
+    def runs(self) -> tuple[int, ...]:
+        """Run lengths in order, computed once per word; the first run holds ``bits[0]``."""
+        if self._runs is None:
+            b = np.frombuffer(self._bits, dtype=np.uint8)
+            cut = np.ones(len(b) + 1, dtype=bool)  # run boundaries, both ends included
+            np.not_equal(b[1:], b[:-1], out=cut[1:-1])
+            self._runs = tuple(np.diff(np.flatnonzero(cut)).tolist())
+        return self._runs
 
     def to01(self) -> str:
         return "".join("1" if b else "0" for b in self._bits)
@@ -74,6 +88,11 @@ class Word:
         return f"Word({self.to01()[:37]!r}..., len={len(self)})"
 
 
+def _word(w: WordLike) -> Word:
+    """``w`` itself when it is already a ``Word``, so its runs are cached on it."""
+    return w if isinstance(w, Word) else Word(w)
+
+
 class Run(NamedTuple):
     symbol: int
     start: int  # 1-based index of the first bit of the run
@@ -82,24 +101,17 @@ class Run(NamedTuple):
 
 def run_decompose(w: WordLike) -> list[Run]:
     """Maximal single-symbol intervals partitioning ``w``, in order."""
-    bits = Word(w).bits
+    word = _word(w)
     runs: list[Run] = []
-    i = 0
-    n = len(bits)
-    while i < n:
-        j = i
-        while j < n and bits[j] == bits[i]:
-            j += 1
-        runs.append(Run(bits[i], i + 1, j - i))
-        i = j
+    start = 1
+    for k, length in enumerate(word.runs):
+        runs.append(Run(word.bits[0] ^ (k & 1), start, length))
+        start += length
     return runs
 
 
 def run_count(w: WordLike) -> int:
-    bits = Word(w).bits
-    if not bits:
-        return 0
-    return 1 + sum(1 for i in range(1, len(bits)) if bits[i] != bits[i - 1])
+    return len(_word(w).runs)
 
 
 @dataclass(frozen=True)
@@ -151,14 +163,30 @@ def bit_deletion_pattern(w: WordLike, bit: int) -> DeletionPattern:
 
 
 def is_subsequence(a: WordLike, b: WordLike) -> bool:
-    """Greedy left-to-right embedding of ``a`` in ``b``; exact for subsequences."""
-    aa, bb = Word(a).bits, Word(b).bits
-    j = 0
-    for sym in aa:
-        j = bb.find(sym, j)
-        if j < 0:
+    """Greedy left-to-right embedding of ``a`` in ``b``; exact for subsequences.
+
+    The walk goes run by run: each run of ``a`` takes its bits from the
+    b-runs of its symbol, two b-runs apart, so it gives the bitwise greedy
+    answer in O(runs(a) + runs(b)) steps.
+    """
+    a, b = _word(a), _word(b)
+    ra, rb = a.runs, b.runs
+    if not ra:
+        return True
+    if not rb:
+        return False
+    j = 0 if a.bits[0] == b.bits[0] else 1  # first b-run holding a's first symbol
+    for need in ra:
+        if j >= len(rb):
             return False
-        j += 1
+        left = rb[j]
+        while need > left:
+            need -= left
+            j += 2
+            if j >= len(rb):
+                return False
+            left = rb[j]
+        j += 1  # the rest of b-run j has the wrong symbol for a's next run
     return True
 
 
@@ -271,9 +299,6 @@ def read_codebook(path) -> list[Word]:
 
 
 def write_codebook(path, words: Iterable[WordLike], header: str | None = None) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        if header:
-            for line in header.splitlines():
-                fh.write(f"# {line}\n")
-        for w in words:
-            fh.write(Word(w).to01() + "\n")
+    lines = [f"# {line}" for line in (header or "").splitlines()]
+    lines += [Word(w).to01() for w in words]
+    atomic_write_text(path, "".join(line + "\n" for line in lines))

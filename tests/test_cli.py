@@ -4,6 +4,8 @@ import pytest
 
 from deletion_lab import cli
 from deletion_lab.cli import main
+from deletion_lab.reporting import atomic_write_text
+from deletion_lab.words import Word
 
 
 def run_cli(args, capsys):
@@ -233,3 +235,69 @@ def test_threads_flag_is_gone():
     with pytest.raises(SystemExit) as err:
         main(["--threads", "4", "params", "--p", "0.9", "--n", "10"])
     assert err.value.code == 2
+
+
+def test_config_without_params_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"pool": {"random": 3}}))
+    with pytest.raises(SystemExit) as err:
+        main(["experiment", "oblivious", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+    assert err.value.code == 2
+    assert "'params'" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("case", ["params", "oblivious", "pool", "patterns", "encode",
+                                  "corrupt", "codebook", "received", "online"])
+def test_missing_input_file_is_usage_error(case, tmp_path, capsys):
+    missing = str(tmp_path / "missing.txt")
+    book = tmp_path / "book.txt"
+    book.write_text("0011\n1100\n")
+    out = str(tmp_path / "out.txt")
+    toy = ["--toy", "--K", "2", "--R", "2", "--lambda", "1", "--delta", "0.5", "--n", "4"]
+    argv = {
+        "params": ["params", "--config", missing],
+        "oblivious": ["experiment", "oblivious", "--config", missing, "--out", out],
+        "pool": _oblivious_config(tmp_path, pool={"file": missing}),
+        "patterns": _oblivious_config(tmp_path, pool={"random": 4}, pattern_file=missing),
+        "encode": ["encode", *toy, "--in", missing, "--out", out],
+        "corrupt": ["corrupt", "--in", missing, "--out", out, "--pattern", "1"],
+        "codebook": ["decode", "--codebook", missing, "--in", str(book), "--out", out],
+        "received": ["decode", "--codebook", str(book), "--in", missing, "--out", out],
+        "online": ["experiment", "online", "--code", missing, "--p", "1/2",
+                   "--p0-adv", "2/5", "--out", out],
+    }[case]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert f"cannot read {missing}" in capsys.readouterr().err
+
+
+def test_failed_write_leaves_no_output_and_no_temp_file(tmp_path):
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write_text(tmp_path / "out.txt", "01\u00e9\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_atomic_write_leaves_a_foreign_tmp_file_alone(tmp_path):
+    other = tmp_path / "out.txt.tmp"
+    other.write_text("another run's data\n")
+    atomic_write_text(tmp_path / "out.txt", "0101\n")
+    assert (tmp_path / "out.txt").read_text() == "0101\n"
+    assert other.read_text() == "another run's data\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", "out.txt.tmp"]
+
+
+def test_failed_encode_keeps_the_old_codebook(tmp_path, monkeypatch, capsys):
+    outer = tmp_path / "outer.txt"
+    outer.write_text("1,2,1,2\n2,1,2,1\n")
+    out = tmp_path / "code.txt"
+    out.write_text("0101\n")
+    encoded = iter([Word("01"), "0x"])  # the second codeword cannot be written
+    monkeypatch.setattr(cli, "encode_outer", lambda X, params, book: next(encoded))
+    with pytest.raises(SystemExit) as err:
+        main(["encode", "--toy", "--K", "2", "--R", "2", "--lambda", "1", "--delta", "0.5",
+              "--n", "4", "--in", str(outer), "--out", str(out)])
+    assert err.value.code == 2
+    assert out.read_text() == "0101\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["code.txt", "outer.txt"]

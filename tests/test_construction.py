@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from deletion_lab import construction
 from deletion_lab.construction import (
     InnerCodebook,
     NotExecutableError,
@@ -47,6 +48,21 @@ def test_derive_params_rejects_bad_p():
     for bad in ("0", "1", "1.2", "-0.1"):
         with pytest.raises(ParamsError):
             derive_params(bad, 10)
+
+
+def test_derive_params_rejects_nonpositive_delta(monkeypatch):
+    monkeypatch.setattr(construction, "smallest_lambda", lambda p: 1)
+    with pytest.raises(ParamsError, match="delta = -1/4"):
+        derive_params("0.75", 10)
+
+
+def test_params_from_json_names_missing_keys():
+    with pytest.raises(ParamsError, match="R, delta"):
+        params_from_json({"K": 2, "n": 4})
+    with pytest.raises(ParamsError, match="lack key.*: p"):
+        params_from_json({"mode": "paper", "n": 4})
+    with pytest.raises(ParamsError, match="JSON object"):
+        params_from_json([2, 2])
 
 
 def test_paper_mode_refuses_to_materialize():

@@ -1,7 +1,7 @@
 """Property-based differential tests of the fast kernels against references."""
 
 import random
-from itertools import product
+from itertools import groupby, product
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from deletion_lab.words import (
     Word,
     apply_pattern,
     bit_deletion_pattern,
+    is_subsequence,
     join_patterns,
     split_pattern,
 )
@@ -94,3 +95,69 @@ def test_split_join_round_trip(n, L, data):
     assert len(parts) == n and all(p.word_length == L for p in parts)
     assert sum(p.weight for p in parts) == tau.weight
     assert join_patterns(parts) == tau
+
+
+def bytewise_is_subsequence(a, b) -> bool:
+    """Reference: the bitwise greedy embedding, one ``bytes.find`` per bit of ``a``."""
+    aa, bb = Word(a).bits, Word(b).bits
+    j = 0
+    for sym in aa:
+        j = bb.find(sym, j)
+        if j < 0:
+            return False
+        j += 1
+    return True
+
+
+def from_runs(first: int, lengths) -> bytes:
+    """The word whose k-th run holds ``first ^ (k & 1)``; zero lengths merge neighbours."""
+    return b"".join(bytes([first ^ (k & 1)]) * n for k, n in enumerate(lengths))
+
+
+bit_lists = st.lists(st.integers(0, 1), max_size=64)
+run_lengths = st.lists(st.integers(1, 300), max_size=24)
+
+
+@PROPS
+@given(bit_lists, bit_lists)
+def test_is_subsequence_agrees_with_bytewise_greedy(a, b):
+    assert is_subsequence(a, b) == bytewise_is_subsequence(a, b)
+
+
+@PROPS
+@given(st.integers(0, 1), run_lengths, st.integers(0, 1), run_lengths, st.integers(0, 2**32 - 1))
+def test_is_subsequence_agrees_on_long_runs(a_first, a_runs, b_first, b_runs, seed):
+    rng = random.Random(seed)
+    b = from_runs(b_first, b_runs)
+    # shrinking b's runs, some to nothing, gives a subsequence whose runs span several b-runs
+    shrunk = from_runs(b_first, [rng.randint(0, n) for n in b_runs])
+    assert is_subsequence(shrunk, b)
+    for a in (from_runs(a_first, a_runs), shrunk, shrunk + bytes([rng.randrange(2)])):
+        assert is_subsequence(a, b) == bytewise_is_subsequence(a, b)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [("", ""), ("", "01"), ("0", ""), ("1", "0000"), ("10", "0110"), ("01", "10"),
+     ("0011", "001"), ("000", "010101"), ("0000", "010101"), ("111", "0101011")],
+)
+def test_is_subsequence_edge_cases(a, b):
+    assert is_subsequence(a, b) == bytewise_is_subsequence(a, b)
+
+
+@PROPS
+@given(bit_lists)
+def test_word_runs_are_groupby_lengths(bits):
+    assert Word(bits).runs == tuple(len(list(g)) for _, g in groupby(bits))
+
+
+def test_word_runs_are_cached_and_carried_over():
+    assert Word().runs == ()
+    w = Word("0011101")
+    runs = w.runs
+    assert runs == (2, 3, 1, 1)
+    assert w.runs is runs
+    assert Word(w).runs is runs
+    a, b = Word("0110"), Word("010110")
+    assert is_subsequence(a, b)
+    assert a._runs == (1, 2, 1) and b._runs == (1, 1, 1, 2, 1)  # filled on the callers' words

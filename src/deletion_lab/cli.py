@@ -20,6 +20,7 @@ from .construction import (
     ParamsError,
     derive_params,
     encode_outer,
+    json_field,
     json_int,
     params_from_json,
     params_to_json,
@@ -208,6 +209,8 @@ def cmd_experiment_oblivious(parser, args) -> int:
         seed = rngmod.fresh_master_seed()
         print(f"# master seed drawn from entropy: {seed}", file=sys.stderr)
     pool_cfg = cfg.get("pool", {"random": 128})
+    if not isinstance(pool_cfg, dict):
+        raise ValueError(f"{args.config}: 'pool' must be a JSON object, got {json.dumps(pool_cfg)}")
     rng = rngmod.py_rng(seed, "pool")
     pool: list[tuple[int, ...]] = []
     if "file" in pool_cfg:
@@ -215,7 +218,7 @@ def cmd_experiment_oblivious(parser, args) -> int:
     elif pool_cfg.get("all"):
         pool = [tuple(X) for X in all_outer_words(params.K, params.n).tolist()]
     else:
-        count = min(int(pool_cfg.get("random", 128)), params.K**params.n)
+        count = min(json_field(pool_cfg, "random", int, 128), params.K**params.n)
         seen = set()
         while len(seen) < count:
             seen.add(tuple(rng.randrange(1, params.K + 1) for _ in range(params.n)))
@@ -236,9 +239,14 @@ def cmd_experiment_oblivious(parser, args) -> int:
         book = InnerCodebook(params)
         ends = (pool[0], pool[-1])[: len(pool)]  # one reference word per pool end
         refs = [encode_outer(X, params, book) for X in ends]
-        weight = int(cfg.get("pattern_weight", params.N // 2))
+        weight = json_field(cfg, "pattern_weight", int, params.N // 2)
         patterns = standard_pattern_family(params, weight, refs, master_seed=seed)
-    seeds = cfg.get("seeds", list(range(int(cfg.get("seed_count", 10)))))
+    if "seeds" in cfg:
+        seeds = cfg["seeds"]
+        if not isinstance(seeds, list) or not all(isinstance(s, int) for s in seeds):
+            raise ValueError(f"{args.config}: 'seeds' must be a list of integers")
+    else:
+        seeds = list(range(json_field(cfg, "seed_count", int, 10)))
     report = oblivious_experiment(
         params,
         pool,
@@ -248,7 +256,7 @@ def cmd_experiment_oblivious(parser, args) -> int:
         master_seed=seed,
         use_filter=cfg.get("use_filter", True),
         f_exact=cfg.get("f_exact", True),
-        f_trials=int(cfg.get("f_trials", 4000)),
+        f_trials=json_field(cfg, "f_trials", int, 4000),
         version=__version__,
     )
     out = Path(args.out)
@@ -258,6 +266,8 @@ def cmd_experiment_oblivious(parser, args) -> int:
 
 
 def cmd_experiment_online(parser, args) -> int:
+    if args.trials < 0:
+        parser.error(f"--trials must be nonnegative, got {args.trials}")
     code = _read_input(parser, read_codebook, args.code)
     if len(code) < 2:
         parser.error("online experiments need at least two codewords")

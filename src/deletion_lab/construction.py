@@ -397,14 +397,23 @@ def params_from_json(obj: dict) -> CodeParams:
     if missing:
         raise ParamsError(f"{mode} parameters lack key(s): {', '.join(missing)}")
     if mode == "paper":
-        return derive_params(Fraction(obj["p"]), int(obj["n"]))
+        return derive_params(json_field(obj, "p", Fraction), json_field(obj, "n", int))
     return toy_params(
-        K=int(obj["K"]),
-        R=int(obj["R"]),
-        lam=int(obj.get("lambda", obj.get("lam", 1))),
-        delta=Fraction(str(obj["delta"])),
-        n=int(obj["n"]),
+        K=json_field(obj, "K", int),
+        R=json_field(obj, "R", int),
+        lam=json_field(obj, "lambda", int, obj.get("lam", 1)),
+        delta=json_field(obj, "delta", lambda v: Fraction(str(v))),
+        n=json_field(obj, "n", int),
     )
+
+
+def json_field(obj: dict, key: str, convert, default=None):
+    """``convert(obj.get(key, default))``; a value of the wrong JSON type is a ``ParamsError``."""
+    value = obj.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ParamsError(f"{key!r} = {value!r}: {exc}") from None
 
 
 def read_outer_words(path) -> list[OuterWord]:

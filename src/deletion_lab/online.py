@@ -10,7 +10,9 @@ bit-identical outputs.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from bisect import bisect_left
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -18,7 +20,7 @@ from . import rng as rngmod
 from .construction import FractionLike, as_fraction
 from .oblivious import unique_decode
 from .reporting import ExperimentReport
-from .words import Word, lcs
+from .words import Word, as_word, lcs, lcs_length
 
 Decoder = Callable[[Word], Word | None]
 
@@ -54,24 +56,33 @@ class OnlineConfig:
         return int(self.p * n)  # floor
 
 
-def _common_prefix_len(x: Word, y: Word) -> int:
-    k = 0
-    for a, b in zip(x.bits, y.bits):
-        if a != b:
-            break
-        k += 1
-    return k
+def _common_prefix_len(a: bytes, b: bytes) -> int:
+    for k, (u, v) in enumerate(zip(a, b)):
+        if u != v:
+            return k
+    return min(len(a), len(b))
+
+
+def _wait_lengths(keys: Sequence[bytes]) -> list[int]:
+    """Wait length of each of the sorted, distinct ``keys``.
+
+    The longest prefix a key shares with any other key is the longer of the
+    prefixes it shares with its two sorted neighbours.
+    """
+    shared = [_common_prefix_len(a, b) for a, b in zip(keys, keys[1:])]
+    if not shared:
+        return [0] * len(keys)
+    return [1 + max(left, right) for left, right in zip([0, *shared], [*shared, 0])]
 
 
 def wait_length(x: Word, C: Sequence[Word]) -> int:
     """Smallest prefix length that pins down x among the codewords."""
-    words = [Word(c) for c in C]
-    x = Word(x)
-    if x not in words:
+    keys = sorted({as_word(c).bits for c in C})
+    bits = as_word(x).bits
+    k = bisect_left(keys, bits)
+    if keys[k : k + 1] != [bits]:
         raise ValueError("wait length is defined for codewords only")
-    if len(words) < 2:
-        return 0
-    return 1 + max(_common_prefix_len(x, y) for y in words if y != x)
+    return _wait_lengths(keys)[k]
 
 
 @dataclass(frozen=True)
@@ -91,13 +102,14 @@ class WaitProfile:
         return self.r0 if self.b == 0 else self.r1
 
 
-def wait_profile(x: Word, C: Sequence[Word]) -> WaitProfile:
-    x = Word(x)
-    ell = wait_length(x, C)
-    prefix = x.bits[:ell]
-    r1 = sum(prefix)
+def _profile(bits: bytes, ell: int) -> WaitProfile:
+    r1 = sum(bits[:ell])
     r0 = ell - r1
-    return WaitProfile(wait_len=ell, n=len(x), r0=r0, r1=r1, b=0 if r0 >= r1 else 1)
+    return WaitProfile(wait_len=ell, n=len(bits), r0=r0, r1=r1, b=0 if r0 >= r1 else 1)
+
+
+def wait_profile(x: Word, C: Sequence[Word]) -> WaitProfile:
+    return _profile(as_word(x).bits, wait_length(x, C))
 
 
 @dataclass(frozen=True)
@@ -132,12 +144,13 @@ class PairingTable:
     pairs: list[ConfusablePair]
     unpaired: list[Word]
     profiles: dict[Word, WaitProfile]
+    _partners: dict[Word, ConfusablePair] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._partners = {w: pair for pair in self.pairs for w in (pair.x, pair.y)}
 
     def partner_of(self, w: Word) -> ConfusablePair | None:
-        for pair in self.pairs:
-            if w == pair.x or w == pair.y:
-                return pair
-        return None
+        return self._partners.get(w)
 
     @property
     def paired_fraction(self) -> float:
@@ -151,12 +164,16 @@ def build_pairs(C: Sequence[Word], cfg: OnlineConfig) -> PairingTable:
     Only classes with relative wait length at most 1-p are eligible, and a
     pair forms only when the suffix LCS strictly exceeds
     (1-q)(1-p0_adv)n.  Pairs with the largest suffix LCS are taken first.
+    Every pair is scored by its LCS length; only the pairs taken get the
+    witness alignment of ``lcs``.
     """
-    words = [Word(c) for c in C]
+    words = [as_word(c) for c in C]
     if len(set(words)) != len(words):
         raise ValueError("codewords must be distinct")
     n = len(words[0]) if words else 0
-    profiles = {x: wait_profile(x, words) for x in words}
+    keys = sorted(x.bits for x in words)
+    wait = dict(zip(keys, _wait_lengths(keys)))
+    profiles = {x: _profile(x.bits, wait[x.bits]) for x in words}
     classes: dict[tuple[int, int, int], list[Word]] = {}
     for x in words:
         prof = profiles[x]
@@ -168,19 +185,21 @@ def build_pairs(C: Sequence[Word], cfg: OnlineConfig) -> PairingTable:
             unpaired.extend(members)
             continue
         threshold = (1 - Fraction(ell, n)) * (1 - cfg.p0_adv) * n
+        tails = [x[ell:] for x in members]
         candidates = []
         for i in range(len(members)):
             for j in range(i + 1, len(members)):
-                res = lcs(members[i][ell:], members[j][ell:])
-                if res.length > threshold:
-                    candidates.append((res.length, i, j, res))
-        candidates.sort(key=lambda item: (-item[0], item[1], item[2]))
+                length = lcs_length(tails[i], tails[j])
+                if length > threshold:
+                    candidates.append((-length, i, j))
+        candidates.sort()
         used: set[int] = set()
-        for _, i, j, res in candidates:
+        for _, i, j in candidates:
             if i in used or j in used:
                 continue
             used.update((i, j))
             x, y = members[i], members[j]
+            res = lcs(tails[i], tails[j])
             pairs.append(
                 ConfusablePair(
                     x=x,
@@ -243,6 +262,10 @@ class WaitPushAdversary(OnlineAdversary):
     the last budget bits); ``force_strategy`` / ``force_bit`` pin the draws
     for certificate-style runs.  All decisions are functions of the received
     prefix, the codebook, and the begin()-time randomness.
+
+    The codebook is held sorted by its bytes, so the codewords that agree
+    with the received prefix are one range ``[lo, hi)`` of it, narrowed by
+    bisection as each bit arrives.
     """
 
     def __init__(
@@ -253,11 +276,13 @@ class WaitPushAdversary(OnlineAdversary):
         force_strategy: int | None = None,
         force_bit: int | None = None,
     ):
-        self.C = [Word(c) for c in C]
+        self.C = [as_word(c) for c in C]
         self.cfg = cfg
         self.pairs = pairs if pairs is not None else build_pairs(self.C, cfg)
         self.force_strategy = force_strategy
         self.force_bit = force_bit
+        self.order = sorted(range(len(self.C)), key=lambda k: self.C[k].bits)
+        self.keys = [self.C[k].bits for k in self.order]
 
     def begin(self, n, rng):
         strategy = self.force_strategy or (1 if rng.random() < 0.5 else 2)
@@ -268,7 +293,8 @@ class WaitPushAdversary(OnlineAdversary):
             "budget": self.cfg.budget(n),
             "dels": 0,
             "phase": "wait",
-            "candidates": list(range(len(self.C))),
+            "lo": 0,  # keys[lo:hi] start with the prefix received so far
+            "hi": len(self.C),
             "keep": None,  # push-phase keep set; None = transmit everything
             "paired": False,
             "believed": None,
@@ -281,11 +307,11 @@ class WaitPushAdversary(OnlineAdversary):
 
     def _resolve_push(self, state) -> None:
         state["phase"] = "push"
-        cands = state["candidates"]
-        if len(cands) != 1:
+        if state["hi"] - state["lo"] != 1:
             return  # received word is no codeword: give up, transmit the rest
-        believed = self.C[cands[0]]
-        state["believed"] = cands[0]
+        k = self.order[state["lo"]]
+        believed = self.C[k]
+        state["believed"] = k
         pair = self.pairs.partner_of(believed)
         prof = self.pairs.profiles[believed]
         if pair is None or prof.b != state["bit"]:
@@ -301,12 +327,13 @@ class WaitPushAdversary(OnlineAdversary):
         if state["strategy"] == 2:
             delete = i >= n - state["budget"]
         elif state["phase"] == "wait":
-            v = x[i]
-            delete = v == 1 - state["bit"]
-            state["candidates"] = [
-                c for c in state["candidates"] if self.C[c][i] == v
-            ]
-            if len(state["candidates"]) <= 1:
+            prefix = x.bits[: i + 1]
+            delete = prefix[-1] == 1 - state["bit"]
+            lo, hi = state["lo"], state["hi"]
+            # prefix + 2 sorts after every key that extends prefix
+            state["lo"] = bisect_left(self.keys, prefix, lo, hi)
+            state["hi"] = bisect_left(self.keys, prefix + b"\x02", lo, hi)
+            if state["hi"] - state["lo"] <= 1:
                 self._resolve_push(state)
         else:
             keep = state["keep"]
@@ -329,7 +356,7 @@ class TransmitResult:
 
 def transmit(x: Word, adversary: OnlineAdversary, rng) -> TransmitResult:
     """Run one word through the channel; enforces the deletion budget."""
-    x = Word(x)
+    x = as_word(x)
     state = adversary.begin(len(x), rng)
     kept = bytearray()
     decisions = []
@@ -364,7 +391,7 @@ def run_wait_push(
     force_strategy: int | None = None,
     force_bit: int | None = None,
 ) -> TransmitResult:
-    if Word(x) not in [Word(c) for c in C]:
+    if as_word(x) not in [as_word(c) for c in C]:
         raise ValueError("x must be a codeword")
     adv = WaitPushAdversary(C, cfg, pairs, force_strategy, force_bit)
     return transmit(x, adv, rng if rng is not None else rngmod.py_rng(0, "wait-push"))
@@ -375,7 +402,7 @@ def run_wait_push(
 
 
 def make_unique_decoder(C: Sequence[Word]) -> Decoder:
-    words = [Word(c) for c in C]
+    words = [as_word(c) for c in C]
     return lambda s: unique_decode(s, words)
 
 
@@ -411,8 +438,15 @@ def simulate_online(
     A trial is confused when some other codeword, sent through the channel
     with the same strategy/bit draw, produces a bit-identical output; half
     the confusion mass lower-bounds any decoder's error on these trials.
+
+    Each (strategy, bit) pair drawn gets one adversary, and every codeword
+    goes through it once, each transmission starting from the same channel
+    rng; a trial reads its codeword's row of that output table.  So the
+    adversaries ``adversary_factory`` returns must depend only on
+    (strategy, bit), and keep what one transmission changes in the state
+    ``begin`` returns.
     """
-    words = [Word(c) for c in C]
+    words = [as_word(c) for c in C]
     if pairs is None:
         pairs = build_pairs(words, cfg)
 
@@ -444,23 +478,20 @@ def simulate_online(
         master_seed=master_seed,
         version=version,
     )
+    # (strategy, bit) -> every codeword's channel result, and how many codewords share each output
+    tables: dict[tuple[int, int], tuple[list[TransmitResult], Counter]] = {}
     for trial in range(trials):
-        rng = rngmod.py_rng(master_seed, "online-trial", trial)
-        idx = rng.randrange(len(words))
-        x = words[idx]
+        idx = rngmod.py_rng(master_seed, "online-trial", trial).randrange(len(words))
         draw_rng = rngmod.py_rng(master_seed, "online-draw", trial)
         strategy = force_strategy or (1 if draw_rng.random() < 0.5 else 2)
         bit = force_bit if force_bit is not None else draw_rng.randrange(2)
-        result = transmit(x, factory(strategy, bit), rng)
-        decoded = decoder(result.output)
-        confused = False
-        for j, y in enumerate(words):
-            if j == idx:
-                continue
-            other = transmit(y, factory(strategy, bit), rngmod.py_rng(master_seed, "online-trial", trial))
-            if other.output == result.output:
-                confused = True
-                break
+        if (strategy, bit) not in tables:
+            adversary = factory(strategy, bit)
+            label = f"online-channel:{strategy}:{bit}"
+            results = [transmit(y, adversary, rngmod.py_rng(master_seed, label)) for y in words]
+            tables[strategy, bit] = results, Counter(r.output.bits for r in results)
+        results, outputs = tables[strategy, bit]
+        result = results[idx]
         report.add(
             trial,
             idx,
@@ -468,8 +499,8 @@ def simulate_online(
             result.bit if result.bit is not None else bit,
             result.deletions,
             len(result.output),
-            int(decoded == x),
-            int(confused),
+            int(decoder(result.output) == words[idx]),
+            int(outputs[result.output.bits] > 1),
         )
     return report
 

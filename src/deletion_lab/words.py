@@ -88,7 +88,7 @@ class Word:
         return f"Word({self.to01()[:37]!r}..., len={len(self)})"
 
 
-def _word(w: WordLike) -> Word:
+def as_word(w: WordLike) -> Word:
     """``w`` itself when it is already a ``Word``, so its runs are cached on it."""
     return w if isinstance(w, Word) else Word(w)
 
@@ -101,7 +101,7 @@ class Run(NamedTuple):
 
 def run_decompose(w: WordLike) -> list[Run]:
     """Maximal single-symbol intervals partitioning ``w``, in order."""
-    word = _word(w)
+    word = as_word(w)
     runs: list[Run] = []
     start = 1
     for k, length in enumerate(word.runs):
@@ -111,7 +111,7 @@ def run_decompose(w: WordLike) -> list[Run]:
 
 
 def run_count(w: WordLike) -> int:
-    return len(_word(w).runs)
+    return len(as_word(w).runs)
 
 
 @dataclass(frozen=True)
@@ -158,8 +158,9 @@ def apply_pattern(tau: DeletionPattern, w: WordLike) -> Word:
 
 def bit_deletion_pattern(w: WordLike, bit: int) -> DeletionPattern:
     """The fixed pattern deleting every position of ``w`` that carries ``bit``."""
-    bits = Word(w).bits
-    return DeletionPattern(len(bits), tuple(i for i, b in enumerate(bits, 1) if b == bit))
+    bits = as_word(w).bits
+    hits = np.flatnonzero(np.frombuffer(bits, dtype=np.uint8) == bit) + 1
+    return DeletionPattern(len(bits), tuple(hits.tolist()))
 
 
 def is_subsequence(a: WordLike, b: WordLike) -> bool:
@@ -169,7 +170,7 @@ def is_subsequence(a: WordLike, b: WordLike) -> bool:
     b-runs of its symbol, two b-runs apart, so it gives the bitwise greedy
     answer in O(runs(a) + runs(b)) steps.
     """
-    a, b = _word(a), _word(b)
+    a, b = as_word(a), as_word(b)
     ra, rb = a.runs, b.runs
     if not ra:
         return True
@@ -244,8 +245,29 @@ def lcs(a: WordLike, b: WordLike) -> LcsResult:
     return LcsResult(len(a_pos), witness, tuple(a_pos), tuple(b_pos))
 
 
+_ASCII01 = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def lcs_length(a: WordLike, b: WordLike) -> int:
-    return lcs(a, b).length
+    """Length of a longest common subsequence, bit-parallel on Python ints.
+
+    Bit i of ``v`` stands for position i of ``a``; each bit of ``b`` updates
+    all of them with a few big-int operations (Allison and Dix 1986, Hyyro
+    2004), and the LCS length is the number of zero bits left in ``v``.  The
+    cost is O(len(b)) such operations, not the len(a) * len(b) cells of the
+    table ``lcs`` fills.
+    """
+    aa, bb = as_word(a).bits, as_word(b).bits
+    if not aa:
+        return 0
+    full = (1 << len(aa)) - 1
+    ones = int(aa[::-1].translate(_ASCII01), 2)  # bit i set iff aa[i] == 1
+    match = (full ^ ones, ones)
+    v = full
+    for sym in bb:
+        u = v & match[sym]
+        v = ((v + u) | (v - u)) & full
+    return len(aa) - v.bit_count()
 
 
 def split_pattern(tau: DeletionPattern, n: int, L: int) -> list[DeletionPattern]:

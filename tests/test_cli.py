@@ -301,3 +301,45 @@ def test_failed_encode_keeps_the_old_codebook(tmp_path, monkeypatch, capsys):
     assert err.value.code == 2
     assert out.read_text() == "0101\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["code.txt", "outer.txt"]
+
+
+@pytest.mark.parametrize("params, key", [
+    ({"mode": "toy", "K": None, "R": 4, "delta": "1/2", "n": 4}, "'K'"),
+    ({"mode": "toy", "K": 2, "R": 4, "lambda": [1], "delta": "1/2", "n": 4}, "'lambda'"),
+    ({"mode": "paper", "p": None, "n": 10}, "'p'"),
+])
+def test_params_of_the_wrong_json_type_are_usage_errors(params, key, tmp_path, capsys):
+    cfg = tmp_path / "params.json"
+    cfg.write_text(json.dumps(params))
+    with pytest.raises(SystemExit) as err:
+        main(["params", "--config", str(cfg)])
+    assert err.value.code == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra, key", [
+    ({"pool": 3}, "'pool'"),
+    ({"pool": {"random": None}}, "'random'"),
+    ({"seeds": 3}, "'seeds'"),
+    ({"f_exact": False, "f_trials": "many"}, "'f_trials'"),
+    ({"params": {"mode": "toy", "K": None, "R": 4, "delta": "1/2", "n": 4}}, "'K'"),
+])
+def test_experiment_config_of_the_wrong_json_type_is_usage_error(extra, key, tmp_path, capsys):
+    argv = _oblivious_config(tmp_path, **extra)
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_negative_trial_count_is_usage_error(tmp_path, capsys):
+    book = tmp_path / "code.txt"
+    book.write_text("0011\n1100\n")
+    out = tmp_path / "online.csv"
+    with pytest.raises(SystemExit) as err:
+        main(["experiment", "online", "--code", str(book), "--p", "1/2", "--p0-adv", "2/5",
+              "--trials", "-3", "--seed", "1", "--out", str(out)])
+    assert err.value.code == 2
+    assert "--trials" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [book]

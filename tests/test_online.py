@@ -7,6 +7,7 @@ from deletion_lab import rng as rngmod
 from deletion_lab.online import (
     ConfusablePair,
     IdentityAdversary,
+    OnlineAdversary,
     NonCausalProbeAdversary,
     OnlineConfig,
     WaitPushAdversary,
@@ -213,3 +214,24 @@ def test_pair_keep_for_rejects_stranger():
     pair = table.pairs[0]
     with pytest.raises(KeyError):
         pair.keep_for(Word("0" * 16))
+
+
+class KeepOneRandomBit(OnlineAdversary):
+    """Deletes all but one bit, at a position drawn in begin()."""
+
+    def begin(self, n, rng):
+        return {"keep": rng.randrange(n)}
+
+    def decide(self, state, x, i):
+        return i != state["keep"]
+
+
+def test_confusion_check_gives_every_codeword_the_same_channel_randomness():
+    # complementary codewords differ at every position, so under one shared
+    # draw of the kept position their outputs never coincide
+    code = [Word("0101010101"), Word("1010101010")]
+    rep = simulate_online(
+        code, CFG, make_unique_decoder(code), trials=50, master_seed=5,
+        adversary_factory=lambda s, b: KeepOneRandomBit(),
+    )
+    assert rep.summary()["confused_mean"] == 0.0

@@ -1,14 +1,28 @@
 """Property-based differential tests of the fast kernels against references."""
 
 import random
+from dataclasses import replace
+from fractions import Fraction
 from itertools import groupby, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from deletion_lab import rng as rngmod
 from deletion_lab.matching import ENUM_LIMIT, MatchConfig, all_outer_words, batch_matchable, run_matching
+from deletion_lab.online import (
+    OnlineAdversary,
+    OnlineConfig,
+    WaitPushAdversary,
+    build_pairs,
+    make_unique_decoder,
+    simulate_online,
+    transmit,
+    wait_length,
+    wait_profile,
+)
 from deletion_lab.words import (
     DeletionPattern,
     Word,
@@ -16,6 +30,8 @@ from deletion_lab.words import (
     bit_deletion_pattern,
     is_subsequence,
     join_patterns,
+    lcs,
+    lcs_length,
     split_pattern,
 )
 
@@ -161,3 +177,192 @@ def test_word_runs_are_cached_and_carried_over():
     a, b = Word("0110"), Word("010110")
     assert is_subsequence(a, b)
     assert a._runs == (1, 2, 1) and b._runs == (1, 1, 1, 2, 1)  # filled on the callers' words
+
+
+@PROPS
+@given(st.lists(st.integers(0, 1), max_size=80), st.lists(st.integers(0, 1), max_size=80))
+def test_lcs_length_agrees_with_lcs_table(a, b):
+    assert lcs_length(a, b) == lcs(a, b).length
+
+
+# ---------------------------------------------------------------------------
+# online layer, against references: the O(|C|^2) scans and the per-trial
+# re-transmission loop
+
+ONLINE_CFG = OnlineConfig(p=Fraction(1, 2), p0_adv=Fraction(2, 5))
+# two pairs of codewords that share their whole suffix after an 8-bit wait
+PAIRED_TOY = [Word("00000100" "10110010"), Word("00001000" "10110010"),
+              Word("00000101" "01011101"), Word("00001001" "01011101")]
+
+
+def scan_wait_length(x: Word, C) -> int:
+    """Reference: one more than the longest prefix x shares with any other codeword."""
+    others = [y for y in C if y != x]
+    if not others:
+        return 0
+    return 1 + max(next((k for k, (u, v) in enumerate(zip(x.bits, y.bits)) if u != v), len(x))
+                   for y in others)
+
+
+def scan_build_pairs(C, cfg):
+    """Reference pairing: the full ``lcs`` of every same-class pair, then the greedy pass."""
+    n = len(C[0])
+    profiles = {}
+    for x in C:
+        ell = scan_wait_length(x, C)
+        r1 = sum(x.bits[:ell])
+        profiles[x] = (ell, ell - r1, r1, 0 if ell - r1 >= r1 else 1)
+    classes = {}
+    for x in C:
+        ell, r0, r1, b = profiles[x]
+        classes.setdefault((ell, b, r0 if b == 0 else r1), []).append(x)
+    pairs, unpaired = [], []
+    for (ell, _, _), members in classes.items():
+        if Fraction(ell, n) > 1 - cfg.p:
+            unpaired.extend(members)
+            continue
+        threshold = (1 - Fraction(ell, n)) * (1 - cfg.p0_adv) * n
+        scored = [(lcs(members[i][ell:], members[j][ell:]), i, j)
+                  for i in range(len(members)) for j in range(i + 1, len(members))]
+        scored = sorted((s for s in scored if s[0].length > threshold),
+                        key=lambda s: (-s[0].length, s[1], s[2]))
+        used = set()
+        for res, i, j in scored:
+            if not used & {i, j}:
+                used |= {i, j}
+                pairs.append((members[i], members[j], res.witness,
+                              frozenset(ell + p for p in res.a_positions),
+                              frozenset(ell + p for p in res.b_positions)))
+        unpaired.extend(m for i, m in enumerate(members) if i not in used)
+    return profiles, pairs, unpaired
+
+
+class CandidateScanAdversary(OnlineAdversary):
+    """Reference wait-push: the wait phase filters the whole candidate list on every bit."""
+
+    def __init__(self, C, cfg, pairs, force_strategy=None, force_bit=None):
+        self.C, self.cfg, self.pairs = list(C), cfg, pairs
+        self.force_strategy, self.force_bit = force_strategy, force_bit
+
+    def begin(self, n, rng):
+        strategy = self.force_strategy or (1 if rng.random() < 0.5 else 2)
+        bit = self.force_bit if self.force_bit is not None else rng.randrange(2)
+        return {"strategy": strategy, "bit": bit, "budget": self.cfg.budget(n), "dels": 0,
+                "phase": "wait", "candidates": list(range(len(self.C))), "keep": None,
+                "paired": False, "believed": None}
+
+    def decide(self, state, x, i):
+        if state["dels"] >= state["budget"]:
+            return False
+        if state["strategy"] == 2:
+            delete = i >= len(x) - state["budget"]
+        elif state["phase"] == "wait":
+            delete = x[i] == 1 - state["bit"]
+            state["candidates"] = [c for c in state["candidates"] if self.C[c][i] == x[i]]
+            if len(state["candidates"]) <= 1:
+                state["phase"] = "push"
+                if len(state["candidates"]) == 1:
+                    k = state["candidates"][0]
+                    state["believed"] = k
+                    pair = next((p for p in self.pairs.pairs if self.C[k] in (p.x, p.y)), None)
+                    if pair is not None and self.pairs.profiles[self.C[k]].b == state["bit"]:
+                        state["keep"], state["paired"] = pair.keep_for(self.C[k]), True
+        else:
+            delete = state["keep"] is not None and i not in state["keep"]
+        state["dels"] += delete
+        return delete
+
+
+def per_trial_rows(C, cfg, pairs, trials, master_seed, force_strategy=None, force_bit=None):
+    """Reference simulation: each trial sends every other codeword through the channel again."""
+    decoder = make_unique_decoder(C)
+    rows = []
+    for trial in range(trials):
+        rng = rngmod.py_rng(master_seed, "online-trial", trial)
+        idx = rng.randrange(len(C))
+        draw_rng = rngmod.py_rng(master_seed, "online-draw", trial)
+        strategy = force_strategy or (1 if draw_rng.random() < 0.5 else 2)
+        bit = force_bit if force_bit is not None else draw_rng.randrange(2)
+        sent = transmit(C[idx], CandidateScanAdversary(C, cfg, pairs, strategy, bit), rng)
+        confused = any(
+            transmit(y, CandidateScanAdversary(C, cfg, pairs, strategy, bit),
+                     rngmod.py_rng(master_seed, "online-trial", trial)).output == sent.output
+            for j, y in enumerate(C) if j != idx
+        )
+        rows.append((trial, idx, sent.strategy, sent.bit, sent.deletions, len(sent.output),
+                     int(decoder(sent.output) == C[idx]), int(confused)))
+    return rows
+
+
+@st.composite
+def codebooks(draw):
+    """Distinct words of one length; most differ from a few centres only in
+    their first bits, so they share suffixes and some of them pair up."""
+    n = draw(st.integers(4, 14))
+    head = draw(st.integers(2, n // 2))
+    centres = draw(st.lists(st.integers(0, 2**n - 1), min_size=1, max_size=3))
+    near = st.tuples(st.sampled_from(centres), st.integers(0, 2**head - 1))
+    values = draw(st.lists(near.map(lambda cm: cm[0] ^ (cm[1] << (n - head))), max_size=10))
+    values += draw(st.lists(st.integers(0, 2**n - 1), max_size=3))
+    values = list(dict.fromkeys(values))
+    if len(values) < 2:
+        values = [0, 2**n - 1]
+    return [Word(format(v, f"0{n}b")) for v in values]
+
+
+@PROPS
+@given(codebooks())
+def test_wait_profiles_and_pairs_agree_with_scans(C):
+    table = build_pairs(C, ONLINE_CFG)
+    profiles, pairs, unpaired = scan_build_pairs(C, ONLINE_CFG)
+    for x in C:
+        prof = wait_profile(x, C)
+        assert wait_length(x, C) == prof.wait_len == scan_wait_length(x, C)
+        assert table.profiles[x] == prof
+        assert (prof.wait_len, prof.r0, prof.r1, prof.b) == profiles[x]
+    assert [(p.x, p.y, p.s_star, p.x_keep, p.y_keep) for p in table.pairs] == pairs
+    assert table.unpaired == unpaired
+    for x in C:
+        expected = next((p for p in table.pairs if x in (p.x, p.y)), None)
+        assert table.partner_of(x) is expected
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_pairs_agree_with_scan_on_uniform_codes(seed):
+    # 64 uniform words of 20 bits: classes with many competing candidate pairs
+    rng = random.Random(seed)
+    C = list(dict.fromkeys(Word([rng.randrange(2) for _ in range(20)]) for _ in range(64)))
+    table = build_pairs(C, ONLINE_CFG)
+    _, pairs, unpaired = scan_build_pairs(C, ONLINE_CFG)
+    assert [(p.x, p.y, p.s_star, p.x_keep, p.y_keep) for p in table.pairs] == pairs
+    assert table.unpaired == unpaired
+
+
+@PROPS
+@given(codebooks(), st.integers(0, 2**32 - 1))
+@example(PAIRED_TOY, 0)
+def test_wait_push_agrees_with_candidate_scan(C, seed):
+    table = build_pairs(C, ONLINE_CFG)
+    rng = random.Random(seed)
+    inputs = C + [Word([rng.randrange(2) for _ in range(len(C[0]))]) for _ in range(3)]
+    for x in inputs:
+        for force in [(None, None), (1, 0), (1, 1), (2, 0)]:
+            new = transmit(x, WaitPushAdversary(C, ONLINE_CFG, table, *force),
+                           rngmod.py_rng(seed, "adv", 0))
+            ref = transmit(x, CandidateScanAdversary(C, ONLINE_CFG, table, *force),
+                           rngmod.py_rng(seed, "adv", 0))
+            assert new == ref
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(codebooks(), st.sampled_from([(None, None), (1, None), (None, 0), (1, 0), (2, 1)]),
+       st.integers(0, 2**16))
+@example(PAIRED_TOY, (None, None), 3)
+@example(PAIRED_TOY, (1, 0), 3)
+def test_simulate_online_agrees_with_per_trial_loop(C, force, master_seed):
+    table = build_pairs(C, ONLINE_CFG)
+    rep = simulate_online(C, ONLINE_CFG, make_unique_decoder(C), trials=25,
+                          master_seed=master_seed, pairs=table,
+                          force_strategy=force[0], force_bit=force[1])
+    ref = replace(rep, rows=per_trial_rows(C, ONLINE_CFG, table, 25, master_seed, *force))
+    assert rep.csv_text() == ref.csv_text()

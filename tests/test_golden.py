@@ -59,6 +59,8 @@ STDOUT_CASES = {
               "--delta", "1/2", "--n", "8"],
     "verify": ["verify", "corruption-cost", "matching-implication", "worst-sets-dominance",
                "matching-decay", "--samples", "300", "--seed", "5"],
+    "verify_costly": ["verify", "geometric-bounds", "bitflip-code", "matching-implication",
+                      "--samples", "1e3", "--seed", "11"],
 }
 
 

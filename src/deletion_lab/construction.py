@@ -15,9 +15,9 @@ from typing import Iterable, Sequence, Union
 from .words import (
     DeletionPattern,
     Word,
-    apply_pattern,
     join_patterns,
-    run_count,
+    keep_mask,
+    masked_run_count,
     split_pattern,
 )
 
@@ -237,7 +237,7 @@ def preserves(sigma: DeletionPattern, i: int, params: CodeParams, book: InnerCod
             f"inner pattern length {sigma.word_length} != L = {params.L}"
         )
     g = book[i] if book is not None else inner_codeword(i, params)
-    r = run_count(apply_pattern(sigma, g))
+    r = masked_run_count(g, keep_mask(sigma))
     # r >= 2 R^(K+1-i) / sqrt(R)  <=>  r^2 >= 4 R^(2K+1-2i), exactly
     return r * r >= 4 * params.R ** (2 * params.K + 1 - 2 * i)
 
@@ -252,6 +252,12 @@ def is_admissible(sigma: DeletionPattern, ell: int, params: CodeParams) -> bool:
     if ell < 0:
         raise ParamsError("admissibility level must be nonnegative")
     return weight_within_bound(sigma.weight, params.L, ell + 1, params.R)
+
+
+def pad_corruption_set(corrupted: set[int], params: CodeParams) -> frozenset[int]:
+    """``corrupted`` padded with the smallest unused symbols of [K] up to size lambda-1."""
+    unused = [j for j in range(1, params.K + 1) if j not in corrupted]
+    return frozenset(corrupted).union(unused[: max(0, params.lam - 1 - len(corrupted))])
 
 
 class SignatureError(ValueError):
@@ -323,10 +329,7 @@ def extract_signature(tau: DeletionPattern, params: CodeParams, book: InnerCodeb
             raise AssertionError(
                 f"admissible pattern corrupts {len(corrupted)} > lambda-1 codewords"
             )
-        pad = (j for j in range(1, params.K + 1) if j not in corrupted)
-        while len(corrupted) < params.lam - 1:
-            corrupted.add(next(pad))
-        sets.append(frozenset(corrupted))
+        sets.append(pad_corruption_set(corrupted, params))
         inner.append(block)
     return Signature(
         n=params.n,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -48,7 +49,7 @@ class MatchConfig:
     def __post_init__(self):
         if self.s < 1 or self.t < 1:
             raise ValueError("move caps must be positive")
-        object.__setattr__(self, "sets", tuple(frozenset(S) for S in self.sets))
+        object.__setattr__(self, "sets", tuple(map(frozenset, self.sets)))
 
     @classmethod
     def paper(cls, lam: int, R: int, sets: Sequence[frozenset[int]]) -> "MatchConfig":
@@ -77,41 +78,51 @@ class MatchTrace:
         return "\n".join(lines)
 
 
-def run_matching(X: Sequence[int], Y: Sequence[int], cfg: MatchConfig) -> MatchTrace:
-    """Execute the move rules until one word is exhausted.
+def _walk(X: Sequence[int], Y: Sequence[int], cfg: MatchConfig, states=None, moves=None) -> int:
+    """Apply the move rules from (1, 1) until one word is exhausted; return the final a.
 
     Rule priority per step: forced B after s consecutive A-moves, forced A
-    after t consecutive B-moves, else the pair's type decides.  Success means
-    the X coordinate reached |X|.
+    after t consecutive B-moves, else the pair's type (``pair_type``)
+    decides.  When ``states`` and ``moves`` are lists, each step appends
+    the state after it to ``states`` and its ``(move, reason)`` to ``moves``.
     """
     m, n = len(X), len(Y)
     if m < 1 or n < 1:
         raise ValueError("matching needs nonempty words")
-    if len(cfg.sets) != m:
-        raise ValueError(f"got {len(cfg.sets)} sets for |X| = {m}")
+    sets = cfg.sets
+    if len(sets) != m:
+        raise ValueError(f"got {len(sets)} sets for |X| = {m}")
+    s, t = cfg.s, cfg.t
     a = b = 1
     run_a = run_b = 0
-    states = [(1, 1)]
-    moves: list[tuple[str, str]] = []
     while a != m and b != n:
-        if run_a == cfg.s:
+        if run_a == s:
             move, reason = "B", "forced"
-        elif run_b == cfg.t:
+        elif run_b == t:
             move, reason = "A", "forced"
         else:
-            ptype = pair_type(a, b, X, Y, cfg.sets)
-            move, reason = ptype, ptype
+            x = X[a - 1]
+            move = reason = "A" if x in sets[a - 1] or x >= Y[b - 1] else "B"
         if move == "A":
             a, run_a, run_b = a + 1, run_a + 1, 0
         else:
             b, run_b, run_a = b + 1, run_b + 1, 0
-        states.append((a, b))
-        moves.append((move, reason))
-    return MatchTrace(tuple(states), tuple(moves), a == m)
+        if states is not None:
+            states.append((a, b))
+            moves.append((move, reason))
+    return a
+
+
+def run_matching(X: Sequence[int], Y: Sequence[int], cfg: MatchConfig) -> MatchTrace:
+    """Execute the move rules, keeping the trace; success means a reached |X|."""
+    states, moves = [(1, 1)], []
+    a = _walk(X, Y, cfg, states, moves)
+    return MatchTrace(tuple(states), tuple(moves), a == len(X))
 
 
 def is_matchable(X: Sequence[int], Y: Sequence[int], cfg: MatchConfig) -> bool:
-    return run_matching(X, Y, cfg).success
+    """``run_matching(X, Y, cfg).success`` without building the trace."""
+    return _walk(X, Y, cfg) == len(X)
 
 
 def batch_matchable(Xs: np.ndarray, Y: Sequence[int] | np.ndarray, cfg: MatchConfig) -> np.ndarray:
@@ -183,15 +194,18 @@ def worst_case_remap(X: Sequence[int], sets: Sequence[frozenset[int]], K: int) -
     """Coordinatewise h_{S_i}(X_i); bijective on [K]^|X|."""
     if len(sets) != len(X):
         raise ValueError("need one set per coordinate")
+    return tuple(h.get(x, x) for x, h in zip(X, _coordinate_remaps(tuple(map(frozenset, sets)), K)))
+
+
+@lru_cache(maxsize=256)
+def _coordinate_remaps(sets: Sets, K: int) -> tuple[dict[int, int], ...]:
+    """h_{S_i} for each coordinate, built once per (sets, K); callers only read them."""
     sizes = {len(S) for S in sets}
     if len(sizes) != 1:
         raise ValueError("all sets must share size lambda-1")
     lam = sizes.pop() + 1
-    out = []
-    for x, S in zip(X, sets):
-        h = remap_bijection(frozenset(S), lam, K)
-        out.append(h.get(x, x))
-    return tuple(out)
+    hs = {S: remap_bijection(S, lam, K) for S in set(sets)}
+    return tuple(hs[S] for S in sets)
 
 
 def all_outer_words(K: int, m: int) -> np.ndarray:

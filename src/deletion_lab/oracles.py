@@ -24,6 +24,7 @@ from .construction import (
     CodeParams,
     InnerCodebook,
     encode_outer,
+    pad_corruption_set,
     preserves,
     weight_admissible,
     weight_within_bound,
@@ -36,6 +37,8 @@ from .words import (
     bit_deletion_pattern,
     is_subsequence,
     join_patterns,
+    keep_mask,
+    masked_run_count,
 )
 
 MAX_WITNESSES = 10
@@ -185,22 +188,15 @@ def levenshtein_equivalence(
 # corruption cost of inner deletion patterns
 
 
-def _runs_after_mask(g: np.ndarray, kept: np.ndarray) -> int:
-    vals = g[kept]
-    if vals.size == 0:
-        return 0
-    return int(np.count_nonzero(np.diff(vals))) + 1
-
-
 def _corruption_thresholds(params: CodeParams) -> list[int]:
     # squared run-count thresholds: preserve g_i iff runs^2 >= 4 R^(2K+1-2i)
     return [4 * params.R ** (2 * params.K + 1 - 2 * i) for i in range(1, params.K + 1)]
 
 
-def _count_corrupted(gs: list[np.ndarray], kept: np.ndarray, thresholds: list[int]) -> int:
+def _count_corrupted(gs: Sequence[Word], kept: np.ndarray, thresholds: list[int]) -> int:
     corrupted = 0
     for g, thr in zip(gs, thresholds):
-        r = _runs_after_mask(g, kept)
+        r = masked_run_count(g, kept)
         if r * r < thr:
             corrupted += 1
     return corrupted
@@ -250,7 +246,7 @@ def verify_corruption_cost(
     if mode == "auto":
         mode = "exhaustive" if L <= 16 else "sampled"
     book = InnerCodebook(params)
-    gs = [np.frombuffer(book[i].bits, dtype=np.uint8) for i in range(1, K + 1)]
+    gs = book.words
     thresholds = _corruption_thresholds(params)
     report = OracleReport(name="corruption-cost", mode=mode)
     report.extras["params"] = (K, R, L, params.lam)
@@ -285,9 +281,7 @@ def verify_corruption_cost(
                 kept[gen.choice(L, size=w, replace=False)] = False
             check(kept, f"sample-{trial}")
         for label, pat in structured_inner_patterns(params):
-            kept = np.ones(L, dtype=bool)
-            kept[[i - 1 for i in pat.deleted]] = False
-            check(kept, label)
+            check(keep_mask(pat), label)
     return report
 
 
@@ -317,7 +311,7 @@ def _random_admissible_block(params: CodeParams, cap: int, gen, book: InnerCodeb
         return DeletionPattern(L, ())
     if kind == 1:
         w = int(gen.integers(1, cap + 1))
-        return DeletionPattern(L, tuple(int(v) + 1 for v in gen.choice(L, size=w, replace=False)))
+        return DeletionPattern(L, tuple((gen.choice(L, size=w, replace=False) + 1).tolist()))
     if kind == 2:
         # delete all zeros of some inner codeword when that stays admissible
         for i in gen.permutation(params.K) + 1:
@@ -326,7 +320,7 @@ def _random_admissible_block(params: CodeParams, cap: int, gen, book: InnerCodeb
                 return pat
         return DeletionPattern(L, ())
     w = cap  # full-weight admissible pattern
-    return DeletionPattern(L, tuple(int(v) + 1 for v in gen.choice(L, size=w, replace=False)))
+    return DeletionPattern(L, tuple((gen.choice(L, size=w, replace=False) + 1).tolist()))
 
 
 def verify_matching_implication(
@@ -364,13 +358,12 @@ def verify_matching_implication(
             # low symbols in Y make containments frequent
             Y = tuple(int(v) for v in gen.integers(1, max(2, K), size=n))
         blocks = [_random_admissible_block(params, cap, gen, book) for _ in range(dn)]
-        sets = []
-        for block in blocks:
-            S = {j for j in range(1, K + 1) if not preserves(block, j, params, book)}
-            pad = (j for j in range(1, K + 1) if j not in S)
-            while len(S) < params.lam - 1:
-                S.add(next(pad))
-            sets.append(frozenset(S))
+        sets = [
+            pad_corruption_set(
+                {j for j in range(1, K + 1) if not preserves(block, j, params, book)}, params
+            )
+            for block in blocks
+        ]
         tau = join_patterns(blocks)
         corrupted_word = apply_pattern(tau, encode_outer(X, params, book))
         report.instances += 1
@@ -509,11 +502,22 @@ def verify_geom_bounds(
     Ks: Sequence[int] = (16, 32, 64),
     lams: Sequence[int] = (1, 2),
 ) -> OracleReport:
-    """Exact rational checks of the capped-geometric lower bounds.
+    """Exact checks of the capped-geometric lower bounds, as integer inequalities.
 
-    Per K (power of two) with R = 4K^4: E[min(Geom(j/K), sqrt(R)-1)] >
-    K/(2j) - 1 for every j; and both averaged forms are at least log2(K)/4
-    for the given lam and every lam' in [lam, K].
+    Per K (power of two) with R = 4K^4 and cap = sqrt(R), the capped
+    expectation is E_j(c) = E[min(Geom(j/K), c)] = (K^c - (K-j)^c) / (j K^(c-1)).
+
+    - For every j: E_j(cap-1) > K/(2j) - 1.  Times 2j K^(cap-2) > 0 this is
+      2(K^(cap-1) - (K-j)^(cap-1)) > (K-2j) K^(cap-2).
+    - With D = lcm(1..K) K^(cap-1), every D E_j(cap) is an integer; P[l] is
+      their sum over j <= l.  For each given lam and every lam' in [lam, K]
+      the window average over J ~ U([lam, lam']) is at least log2(K)/4:
+      4(P[lam'] - P[lam-1]) >= log2(K) (lam'-lam+1) D.
+    - E[D] for J ~ U([K]), with D = 1 on J < lam, is at least log2(K)/4:
+      4((lam-1) D + P[K] - P[lam-1]) >= log2(K) K D.
+
+    The prefix sums are cross-checked against ``geom2_expectation``, the
+    Fraction path.  A j-check witness carries the exact Fraction value.
     """
     report = OracleReport(name="geometric-bounds", mode=f"K in {tuple(Ks)}")
     for K in Ks:
@@ -521,30 +525,30 @@ def verify_geom_bounds(
             raise ValueError("exact bound checks need power-of-two K > 8")
         R = 4 * K**4
         cap = exact_sqrt(R)
-        quarter_log = Fraction(K.bit_length() - 1, 4)
-        evals = [geom_expectation(j, K, cap) for j in range(1, K + 1)]
-        prefix = [Fraction(0)]
-        for v in evals:
-            prefix.append(prefix[-1] + v)
+        log2K = K.bit_length() - 1
+        top = K ** (cap - 1)
+        lcm = math.lcm(*range(1, K + 1))
+        D = lcm * top
+        prefix = [0]
         for j in range(1, K + 1):
             report.instances += 1
-            val = geom_expectation(j, K, cap - 1)
-            if not val > Fraction(K, 2 * j) - 1:
-                report.record_violation({"K": K, "j": j, "value": val})
+            low = (K - j) ** (cap - 1)
+            if not 2 * (top - low) > (K - 2 * j) * (top // K):
+                report.record_violation({"K": K, "j": j, "value": geom_expectation(j, K, cap - 1)})
+            prefix.append(prefix[-1] + (top * K - low * (K - j)) * (lcm // j))
         for lam in lams:
             report.instances += 1
-            if not geom1_expectation(K, R, lam) >= quarter_log:
+            if not 4 * ((lam - 1) * D + prefix[K] - prefix[lam - 1]) >= log2K * K * D:
                 report.record_violation({"K": K, "lam": lam, "which": "uniform-on-[K]"})
             for lam_prime in range(lam, K + 1):
                 report.instances += 1
-                window = (prefix[lam_prime] - prefix[lam - 1]) / (lam_prime - lam + 1)
-                if not window >= quarter_log:
+                if not 4 * (prefix[lam_prime] - prefix[lam - 1]) >= log2K * (lam_prime - lam + 1) * D:
                     report.record_violation(
                         {"K": K, "lam": lam, "lam_prime": lam_prime, "which": "uniform-window"}
                     )
             # prefix-sum sweep must agree with the direct formula
             spot = min(lam + 3, K)
-            swept = (prefix[spot] - prefix[lam - 1]) / (spot - lam + 1)
+            swept = Fraction(prefix[spot] - prefix[lam - 1], (spot - lam + 1) * D)
             if swept != geom2_expectation(K, R, lam, spot):
                 report.record_violation(
                     {"K": K, "lam": lam, "lam_prime": spot, "which": "prefix-sum-sweep"}
@@ -616,9 +620,16 @@ def oblivious_bitflip_demo(
     the fraction of each group landing within Hamming distance pn of a wrong
     codeword.  A seed passes when every (message, vector) failure fraction
     stays at or below eps = 1/log2(n).
+
+    A wrong codeword is a value that occurs in another group and nowhere in
+    the word's own group, so a repeated value is never a rival of its group.
+    Each seed checks all (vector, codeword, rival) triples at once as 64-bit
+    popcounts: n is at most 64, and a seed holds ~9 vectors (n groups)^2 bytes.
     """
     if rate >= 1 - binary_entropy(p):
         raise ValueError("rate must stay below 1 - h(p)")
+    if n > 64:
+        raise ValueError(f"n = {n}: codewords are packed into 64-bit words")
     pn = round(p * n)
     M = 2 ** round(rate * n)
     group_size = n
@@ -635,34 +646,25 @@ def oblivious_bitflip_demo(
         for pos in positions:
             e |= 1 << pos
         error_vectors.append(e)
+    errors = np.array(error_vectors, dtype=np.uint64)[:, None, None]
+    group_of = np.arange(n_groups * group_size) // group_size
     report = OracleReport(name="bitflip-code", mode=f"n={n},seeds={seeds}")
     passing = 0
     worst = 0.0
     for seed_idx in range(seeds):
         gen = rngmod.py_rng(master_seed, "bitflip-code", seed_idx)
         codewords = [gen.getrandbits(n) for _ in range(M)]
-        groups = [
-            codewords[g * group_size : (g + 1) * group_size] for g in range(n_groups)
-        ]
-        grouped = set()
-        for g in groups:
-            grouped.update(g)
-        seed_ok = True
-        for e in error_vectors:
-            for g in groups:
-                own = set(g)
-                others = [c for c in grouped if c not in own]
-                bad = 0
-                for c in g:
-                    received = c ^ e
-                    if any((received ^ c2).bit_count() <= pn for c2 in others):
-                        bad += 1
-                frac = bad / len(g)
-                worst = max(worst, frac)
-                if frac > eps:
-                    seed_ok = False
+        C = np.array(codewords[: n_groups * group_size], dtype=np.uint64)
+        # rival[i, k]: C[k] is a value of another group that i's group lacks
+        in_group = (C[:, None] == C[None, :]).reshape(n_groups, group_size, -1).any(axis=1)
+        rival = ~in_group[group_of]
+        # close[v, i, k]: codeword i sent with error v lands within pn of C[k]
+        close = np.bitwise_count(C[:, None] ^ C[None, :] ^ errors) <= pn
+        bad = (close & rival).any(axis=2).reshape(vectors, n_groups, group_size).sum(axis=2)
+        frac = int(bad.max(initial=0)) / group_size
+        worst = max(worst, frac)
         report.instances += 1
-        if seed_ok:
+        if not frac > eps:
             passing += 1
     report.extras.update(
         {"passing_seeds": passing, "eps": eps, "worst_fraction": worst}

@@ -7,6 +7,7 @@ bits is 0-based.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
@@ -32,13 +33,9 @@ class Word:
             if bits and set(bits) - {"0", "1"}:
                 raise ValueError(f"word text must be over 0/1, got {bits!r}")
             self._bits = bytes(1 if c == "1" else 0 for c in bits)
-        elif isinstance(bits, bytes):
-            if bits and set(bits) - {0, 1}:
-                raise ValueError("byte values must be 0 or 1")
-            self._bits = bits
         else:
-            vals = bytes(int(b) for b in bits)
-            if vals and set(vals) - {0, 1}:
+            vals = bits if isinstance(bits, bytes) else bytes(int(b) for b in bits)
+            if vals.translate(None, b"\x00\x01"):  # any byte left is not a bit
                 raise ValueError("bit values must be 0 or 1")
             self._bits = vals
 
@@ -124,7 +121,10 @@ class DeletionPattern:
     def __post_init__(self):
         if self.word_length < 0:
             raise ValueError("word_length must be nonnegative")
-        object.__setattr__(self, "deleted", tuple(sorted(set(self.deleted))))
+        d = tuple(self.deleted)
+        if not all(map(operator.lt, d, d[1:])):  # strictly increasing already: keep as is
+            d = tuple(sorted(set(d)))
+        object.__setattr__(self, "deleted", d)
         if self.deleted:
             if self.deleted[0] < 1 or self.deleted[-1] > self.word_length:
                 raise ValueError(
@@ -151,9 +151,20 @@ def apply_pattern(tau: DeletionPattern, w: WordLike) -> Word:
         raise ValueError(
             f"pattern is for length {tau.word_length}, word has length {len(word)}"
         )
-    keep = np.ones(len(word), dtype=bool)
+    return Word(np.frombuffer(word.bits, dtype=np.uint8)[keep_mask(tau)].tobytes())
+
+
+def keep_mask(tau: DeletionPattern) -> np.ndarray:
+    """Boolean mask over positions 1..word_length (0-based), False where ``tau`` deletes."""
+    keep = np.ones(tau.word_length, dtype=bool)
     keep[np.array(tau.deleted, dtype=np.int64) - 1] = False
-    return Word(np.frombuffer(word.bits, dtype=np.uint8)[keep].tobytes())
+    return keep
+
+
+def masked_run_count(w: WordLike, keep: np.ndarray) -> int:
+    """``run_count`` of the bits of ``w`` where ``keep`` holds, without building that word."""
+    vals = np.frombuffer(as_word(w).bits, dtype=np.uint8)[keep]
+    return int(np.count_nonzero(vals[1:] != vals[:-1])) + 1 if vals.size else 0
 
 
 def bit_deletion_pattern(w: WordLike, bit: int) -> DeletionPattern:
@@ -290,7 +301,7 @@ def join_patterns(parts: Sequence[DeletionPattern]) -> DeletionPattern:
             L = part.word_length
         elif part.word_length != L:
             raise ValueError("all blocks must share one word_length")
-        deleted.extend(j + i * L for j in part.deleted)
+        deleted += (np.array(part.deleted, dtype=np.int64) + i * L).tolist()
     total = (L or 0) * len(parts)
     return DeletionPattern(total, tuple(deleted))
 

@@ -1,5 +1,6 @@
 """Property-based differential tests of the fast kernels against references."""
 
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -7,11 +8,20 @@ from itertools import groupby, product
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from deletion_lab import rng as rngmod
-from deletion_lab.matching import ENUM_LIMIT, MatchConfig, all_outer_words, batch_matchable, run_matching
+from deletion_lab import oracles
+from deletion_lab.construction import pad_corruption_set, toy_params
+from deletion_lab.matching import (
+    ENUM_LIMIT,
+    MatchConfig,
+    all_outer_words,
+    batch_matchable,
+    is_matchable,
+    run_matching,
+)
 from deletion_lab.online import (
     OnlineAdversary,
     OnlineConfig,
@@ -30,8 +40,11 @@ from deletion_lab.words import (
     bit_deletion_pattern,
     is_subsequence,
     join_patterns,
+    keep_mask,
     lcs,
     lcs_length,
+    masked_run_count,
+    run_count,
     split_pattern,
 )
 
@@ -57,7 +70,7 @@ def test_batch_matchable_agrees_with_run_matching(inst):
     per_row = batch_matchable(np.array(Xs), np.array(Ys), cfg)
     shared = batch_matchable(np.array(Xs), Ys[0], cfg)
     for i, X in enumerate(Xs):
-        assert per_row[i] == run_matching(X, Ys[i], cfg).success
+        assert per_row[i] == run_matching(X, Ys[i], cfg).success == is_matchable(X, Ys[i], cfg)
         assert shared[i] == run_matching(X, Ys[0], cfg).success
 
 
@@ -100,6 +113,45 @@ def test_all_outer_words_refuses_past_the_limit():
     m = ENUM_LIMIT.bit_length()  # 2^m > ENUM_LIMIT
     with pytest.raises(ValueError, match="enumeration limit"):
         all_outer_words(2, m)
+
+
+@PROPS
+@given(st.integers(0, 40), st.data())
+def test_deletion_pattern_sorts_and_dedups_any_order(length, data):
+    positions = data.draw(st.lists(st.integers(1, max(length, 1)), max_size=2 * length))
+    tau = DeletionPattern(length, positions)
+    assert tau.deleted == tuple(sorted(set(positions)))
+    assert DeletionPattern(length, tau.deleted) == tau
+
+
+def test_deletion_pattern_unsorted_duplicates_and_range():
+    assert DeletionPattern(6, (5, 2, 5, 1, 2)).deleted == (1, 2, 5)
+    assert DeletionPattern(6, [3, 3]).deleted == (3,)
+    for bad in ((0,), (7,), (3, 7, 7), (2, 0, 2)):
+        with pytest.raises(ValueError, match=r"deleted indices must lie in \[1, 6\]"):
+            DeletionPattern(6, bad)
+
+
+@pytest.mark.parametrize("bits", [b"\x02", b"\xff", b"\x00\x01\x02", [0, 1, 2]])
+def test_word_rejects_values_other_than_bits(bits):
+    with pytest.raises(ValueError, match="0 or 1"):
+        Word(bits)
+
+
+@PROPS
+@given(st.lists(st.integers(0, 1), max_size=64), st.data())
+def test_masked_run_count_is_run_count_of_applied_pattern(bits, data):
+    dead = data.draw(st.frozensets(st.integers(1, len(bits)))) if bits else frozenset()
+    tau = DeletionPattern(len(bits), tuple(dead))
+    assert masked_run_count(Word(bits), keep_mask(tau)) == run_count(apply_pattern(tau, bits))
+
+
+def test_pad_corruption_set_fills_with_smallest_unused_symbols():
+    params = toy_params(4, 2, 3, Fraction(1, 2), 4)  # K = 4, lambda - 1 = 2
+    assert pad_corruption_set(set(), params) == {1, 2}
+    assert pad_corruption_set({1}, params) == {1, 2}
+    assert pad_corruption_set({3}, params) == {1, 3}
+    assert pad_corruption_set({2, 3, 4}, params) == {2, 3, 4}  # oversize sets pass through
 
 
 @PROPS
@@ -366,3 +418,118 @@ def test_simulate_online_agrees_with_per_trial_loop(C, force, master_seed):
                           force_strategy=force[0], force_bit=force[1])
     ref = replace(rep, rows=per_trial_rows(C, ONLINE_CFG, table, 25, master_seed, *force))
     assert rep.csv_text() == ref.csv_text()
+
+
+# ---------------------------------------------------------------------------
+# oracles, against references: the Fraction-valued geometric bounds and the
+# per-codeword bit-flip loop
+
+
+def fraction_geom_bounds(Ks, lams, expect):
+    """Reference ``verify_geom_bounds``: every check on ``Fraction`` values from ``expect``."""
+    report = oracles.OracleReport(name="geometric-bounds", mode=f"K in {tuple(Ks)}")
+    for K in Ks:
+        R = 4 * K**4
+        cap = oracles.exact_sqrt(R)
+        quarter_log = Fraction(K.bit_length() - 1, 4)
+        prefix = [Fraction(0)]
+        for j in range(1, K + 1):
+            prefix.append(prefix[-1] + expect(j, K, cap))
+        for j in range(1, K + 1):
+            report.instances += 1
+            val = expect(j, K, cap - 1)
+            if not val > Fraction(K, 2 * j) - 1:
+                report.record_violation({"K": K, "j": j, "value": val})
+        for lam in lams:
+            report.instances += 1
+            if not (lam - 1 + prefix[K] - prefix[lam - 1]) / K >= quarter_log:
+                report.record_violation({"K": K, "lam": lam, "which": "uniform-on-[K]"})
+            for lam_prime in range(lam, K + 1):
+                report.instances += 1
+                if not (prefix[lam_prime] - prefix[lam - 1]) / (lam_prime - lam + 1) >= quarter_log:
+                    report.record_violation(
+                        {"K": K, "lam": lam, "lam_prime": lam_prime, "which": "uniform-window"})
+            spot = min(lam + 3, K)
+            if (prefix[spot] - prefix[lam - 1]) / (spot - lam + 1) != oracles.geom2_expectation(K, R, lam, spot):
+                report.record_violation(
+                    {"K": K, "lam": lam, "lam_prime": spot, "which": "prefix-sum-sweep"})
+    return report
+
+
+# (K, lams, cap or None for sqrt(R), violated checks).  A patched small cap
+# breaks the j-check (and the sweep, whose reference keeps the true cap);
+# large lam breaks the averaged forms; K = 16, lam = 16 meets both at equality.
+GEOM_CASES = [
+    (16, (1, 2), None, set()),
+    (32, (1, 2), None, set()),
+    (16, (16,), None, set()),
+    (32, (20,), None, {"uniform-on-[K]"}),
+    (32, (22,), None, {"uniform-on-[K]", "uniform-window"}),
+    (16, (1, 2), 2, {"j", "prefix-sum-sweep"}),
+    (32, (1, 2), 8, {"j", "prefix-sum-sweep"}),
+    (32, (2, 26), 20, {"j", "prefix-sum-sweep", "uniform-on-[K]", "uniform-window"}),
+]
+
+
+@pytest.mark.parametrize("K, lams, cap, violated", GEOM_CASES)
+def test_integer_geom_bounds_agree_with_fractions(monkeypatch, K, lams, cap, violated):
+    monkeypatch.setattr(oracles, "MAX_WITNESSES", 10**6)
+    if cap is not None:
+        monkeypatch.setattr(oracles, "exact_sqrt", lambda R: cap)
+    rep = oracles.verify_geom_bounds(Ks=(K,), lams=lams)
+    refs = [fraction_geom_bounds((K,), lams, oracles.geom_expectation)]
+    if cap is not None:  # direct mass summation is cheap at a small cap
+        refs.append(fraction_geom_bounds((K,), lams, oracles.geom_mass_expectation))
+    for ref in refs:
+        assert (rep.instances, rep.violations, rep.witnesses) == \
+            (ref.instances, ref.violations, ref.witnesses)
+    assert {w.get("which", "j") for w in rep.witnesses} == violated
+
+
+def loop_bitflip_demo(n, rate, p, seeds, vectors, master_seed):
+    """Reference ``oblivious_bitflip_demo``: one popcount per (vector, codeword, rival)."""
+    pn = round(p * n)
+    M = 2 ** round(rate * n)
+    group_size, n_groups = n, M // n
+    eps = 1 / math.log2(n)
+    vec_gen = rngmod.py_rng(master_seed, "bitflip-vectors")
+    error_vectors = []
+    for _ in range(vectors):
+        e = 0
+        for pos in vec_gen.sample(range(n), pn):
+            e |= 1 << pos
+        error_vectors.append(e)
+    passing, worst = 0, 0.0
+    for seed_idx in range(seeds):
+        gen = rngmod.py_rng(master_seed, "bitflip-code", seed_idx)
+        codewords = [gen.getrandbits(n) for _ in range(M)]
+        groups = [codewords[g * group_size:(g + 1) * group_size] for g in range(n_groups)]
+        grouped = set().union(*groups)
+        seed_ok = True
+        for e in error_vectors:
+            for g in groups:
+                own = set(g)
+                others = [c for c in grouped if c not in own]
+                bad = sum(any(((c ^ e) ^ c2).bit_count() <= pn for c2 in others) for c in g)
+                frac = bad / len(g)
+                worst = max(worst, frac)
+                if frac > eps:
+                    seed_ok = False
+        passing += seed_ok
+    return passing, worst
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(st.integers(6, 16), st.sampled_from([0.25, 0.3, 0.5, 0.75]),
+       st.sampled_from([0.0, 0.02, 0.05, 0.1]), st.integers(1, 3), st.integers(0, 4),
+       st.integers(0, 2**16))
+@example(12, 0.5, 0.1, 4, 5, 0)  # 5 groups of 12 from 2^12 values: duplicates are common
+@example(8, 0.75, 0.0, 4, 3, 1)  # 8 groups of 8 from 2^8 values, rivals at distance 0
+def test_vectorized_bitflip_demo_agrees_with_loop(n, rate, p, seeds, vectors, master_seed):
+    M = 2 ** round(rate * n)
+    assume(rate < 1 - oracles.binary_entropy(p) and M // n >= 2 and M <= 256)
+    rep = oracles.oblivious_bitflip_demo(n=n, rate=rate, p=p, seeds=seeds, vectors=vectors,
+                                         master_seed=master_seed)
+    passing, worst = loop_bitflip_demo(n, rate, p, seeds, vectors, master_seed)
+    assert (rep.extras["passing_seeds"], rep.extras["worst_fraction"]) == (passing, worst)
+    assert rep.instances == seeds

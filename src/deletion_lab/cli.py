@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -198,6 +199,25 @@ def _master_seed(args) -> int:
     return seed
 
 
+def _json_bool(value) -> bool:
+    """A ``json_field`` converter that takes only JSON ``true`` and ``false``."""
+    if not isinstance(value, bool):
+        raise TypeError("must be true or false")
+    return value
+
+
+def _positive(convert):
+    """A ``json_field`` converter: ``convert(value)``, which must be positive and finite."""
+
+    def check(value):
+        value = convert(value)
+        if not 0 < value < math.inf:
+            raise ValueError("must be positive")
+        return value
+
+    return check
+
+
 def cmd_experiment_oblivious(parser, args) -> int:
     cfg = _read_input(parser, _read_json, args.config)
     if not isinstance(cfg, dict) or "params" not in cfg:
@@ -215,7 +235,7 @@ def cmd_experiment_oblivious(parser, args) -> int:
     pool: list[tuple[int, ...]] = []
     if "file" in pool_cfg:
         pool = [tuple(X) for X in _read_input(parser, read_outer_words, pool_cfg["file"])]
-    elif pool_cfg.get("all"):
+    elif json_field(pool_cfg, "all", _json_bool, False):
         pool = [tuple(X) for X in all_outer_words(params.K, params.n).tolist()]
     else:
         count = min(json_field(pool_cfg, "random", int, 128), params.K**params.n)
@@ -223,14 +243,18 @@ def cmd_experiment_oblivious(parser, args) -> int:
         while len(seen) < count:
             seen.add(tuple(rng.randrange(1, params.K + 1) for _ in range(params.n)))
         pool = sorted(seen)
-    if pool_cfg.get("structured", True):
+    if json_field(pool_cfg, "structured", _json_bool, True):
         for sym in range(1, params.K + 1):
             const = tuple([sym] * params.n)
             if const not in pool:
                 pool.append(const)
     if not pool:
         parser.error("the pool holds no outer words")
-    plan = SamplingPlan.from_params(params, target_size=cfg.get("target_size"))
+    target_size = json_field(cfg, "target_size", _positive(float)) if "target_size" in cfg else None
+    plan = SamplingPlan.from_params(params, target_size=target_size)
+    use_filter = json_field(cfg, "use_filter", _json_bool, True)
+    f_exact = json_field(cfg, "f_exact", _json_bool, True)
+    f_trials = json_field(cfg, "f_trials", _positive(int), 4000)
     if "pattern_file" in cfg:
         patterns = _read_input(parser, read_patterns, cfg["pattern_file"], params.N)
         if not patterns:
@@ -254,9 +278,9 @@ def cmd_experiment_oblivious(parser, args) -> int:
         patterns,
         seeds,
         master_seed=seed,
-        use_filter=cfg.get("use_filter", True),
-        f_exact=cfg.get("f_exact", True),
-        f_trials=json_field(cfg, "f_trials", int, 4000),
+        use_filter=use_filter,
+        f_exact=f_exact,
+        f_trials=f_trials,
         version=__version__,
     )
     out = Path(args.out)

@@ -2,10 +2,18 @@
 
 The matching relation approximates "tau(psi(X)) is a subsequence of psi(Y)"
 using only a deletion pattern's signature.  ``run_matching`` is the scalar
-reference implementation; ``batch_matchable`` is a vectorized twin that
-takes the same ``MatchConfig``, is used by the Monte-Carlo harnesses and is
-cross-checked against the scalar one in the test suite.  ``all_outer_words``
-is the one exhaustive enumerator of [K]^m.
+reference implementation.  The fast paths share one transition, ``_jump``:
+between two A-moves the walk stays at one coordinate of X, and the B-moves
+it makes there are read from a skip table built once per host.
+
+- ``batch_matchable`` matches many rows of X at once, one whole-array jump
+  per coordinate; the Monte-Carlo harnesses use it.
+- ``count_matchable`` counts exactly the X in [K]^m that match, by carrying
+  counts over the states (b, run_a) through the same jump.
+
+Both are cross-checked in the test suite: ``batch_matchable`` against
+``run_matching``, and ``count_matchable`` against ``batch_matchable`` over
+``all_outer_words``, the one exhaustive enumerator of [K]^m.
 """
 
 from __future__ import annotations
@@ -125,10 +133,67 @@ def is_matchable(X: Sequence[int], Y: Sequence[int], cfg: MatchConfig) -> bool:
     return _walk(X, Y, cfg) == len(X)
 
 
+# per-row skip tables are built for at most this many bytes of rows at a time
+TABLE_BYTES = 1 << 22
+
+
+def _skip_table(Ys: np.ndarray, values: np.ndarray, t: int) -> np.ndarray:
+    """skip[b, row, c]: B-moves in a row from host position b for symbol ``values[c]``.
+
+    That is the number of consecutive symbols of host ``Ys[row]`` from b on
+    that exceed the symbol, capped at min(t, n); skip[n], past the host, is
+    0.  The table is filled backwards over b in the smallest unsigned dtype
+    that holds the cap.
+    """
+    rows, n = Ys.shape
+    cap = min(t, n)
+    skip = np.zeros((n + 1, rows, len(values)), dtype=np.min_scalar_type(cap))
+    longer = np.empty((rows, len(values)), dtype=skip.dtype)
+    for b in range(n - 1, -1, -1):
+        np.minimum(skip[b + 1], cap - 1, out=longer)
+        longer += 1
+        np.multiply(Ys[:, b, None] > values, longer, out=skip[b])
+    return skip
+
+
+def _jump(skip: np.ndarray, b: np.ndarray, forced: np.ndarray, cols: np.ndarray, t: int) -> np.ndarray:
+    """Host position after one coordinate's B-moves, before its A-move.
+
+    A forced B-move comes first where run_a has reached s; then the
+    coordinate's symbol takes B-moves while the host stays larger, at most
+    t in a row.  ``skip`` is a ``_skip_table`` and ``cols`` the flat offset
+    of each (row, symbol) column within one b.
+    """
+    after = b + forced
+    steps = skip.reshape(-1).take(after * skip[0].size + cols)
+    return after + np.minimum(steps, t - forced)
+
+
+def _jump_walk(cols: np.ndarray, Ys: np.ndarray, values: np.ndarray, cfg: MatchConfig) -> np.ndarray:
+    """Success of every row; ``cols[a]`` is each row's table column for coordinate a.
+
+    ``Ys`` is one shared host or one host per row.  Every row reaches
+    coordinate a at the same step, and a row has failed once its b reaches
+    n - 1, so no row is ever dropped from the arrays.
+    """
+    n = Ys.shape[1]
+    skip = _skip_table(Ys, values, cfg.t)
+    cols = cols + np.arange(len(Ys)) * len(values)
+    b = np.zeros(cols.shape[1], dtype=np.intp)
+    last_b = np.zeros_like(b)  # the latest coordinate with B-moves: run_a = a - last_b
+    for a in range(len(cols)):
+        nb = _jump(skip, b, last_b == a - cfg.s, cols[a], cfg.t)
+        last_b[nb != b] = a
+        np.minimum(nb, n - 1, out=b)
+    return b < n - 1
+
+
 def batch_matchable(Xs: np.ndarray, Y: Sequence[int] | np.ndarray, cfg: MatchConfig) -> np.ndarray:
     """Vectorized matching of many X rows against Y (shared, or one per row).
 
-    Semantics are identical to run_matching under the same config.
+    Semantics are identical to run_matching under the same config.  Each
+    coordinate is one whole-array ``_jump`` read from a skip table of the
+    host; a per-row host gets one table per row.
     """
     Xs = np.asarray(Xs, dtype=np.int64)
     if Xs.ndim != 2:
@@ -143,33 +208,77 @@ def batch_matchable(Xs: np.ndarray, Y: Sequence[int] | np.ndarray, cfg: MatchCon
         raise ValueError("matching needs nonempty words")
     if len(cfg.sets) != m:
         raise ValueError(f"got {len(cfg.sets)} sets for |X| = {m}")
-    # member[i, x - lo] answers "x in S_i" for every symbol that occurs in Xs
-    lo, hi = int(Xs.min(initial=0)), int(Xs.max(initial=0))
-    member = np.zeros((m, hi - lo + 1), dtype=bool)
-    for i, S in enumerate(cfg.sets):
-        member[i, [x - lo for x in S if lo <= x <= hi]] = True
-    a = np.zeros(T, dtype=np.int64)  # 0-based
-    b = np.zeros(T, dtype=np.int64)
-    run_a = np.zeros(T, dtype=np.int64)
-    run_b = np.zeros(T, dtype=np.int64)
-    done = (a == m - 1) | (b == n - 1)
-    while True:
-        idx = np.nonzero(~done)[0]
-        if idx.size == 0:
-            break
-        ai = a[idx]
-        xa = Xs[idx, ai]
-        yb = Yv[idx, b[idx]] if per_row_y else Yv[b[idx]]
-        type_a = member[ai, xa - lo] | (xa >= yb)
-        forced_b = run_a[idx] == cfg.s
-        forced_a = run_b[idx] == cfg.t
-        move_a = ~forced_b & (forced_a | type_a)
-        a[idx] += move_a
-        b[idx] += ~move_a
-        run_a[idx] = np.where(move_a, run_a[idx] + 1, 0)
-        run_b[idx] = np.where(move_a, 0, run_b[idx] + 1)
-        done[idx] = (a[idx] == m - 1) | (b[idx] == n - 1)
-    return a == m - 1
+    if m == 1:  # the walk stops before it reads anything
+        return np.ones(T, dtype=bool)
+    # table columns: the symbols lo..hi of Xs, then one for corruption-set
+    # members, which never take a B-move
+    lo, hi = (int(Xs.min()), int(Xs.max())) if T else (0, 0)
+    width = hi - lo + 2
+    values = np.arange(lo, lo + width)
+    values[-1] = max(hi, int(Yv.max(initial=hi)))
+    column = np.tile(np.arange(width - 1), (m - 1, 1))  # [a, x - lo]; the walk never reads X_m
+    for a, S in enumerate(cfg.sets[:-1]):
+        column[a, [x - lo for x in S if lo <= x <= hi]] = width - 1
+    cols = column.reshape(-1).take(Xs[:, :-1] - lo + np.arange(m - 1) * (width - 1))
+    cols = np.ascontiguousarray(cols.T)
+    if not per_row_y:
+        return _jump_walk(cols, Yv[None, :], values, cfg)
+    row_bytes = width * (n + 1) * np.min_scalar_type(min(cfg.t, n)).itemsize
+    block = max(1, TABLE_BYTES // row_bytes)
+    parts = [_jump_walk(cols[:, r:r + block], Yv[r:r + block], values, cfg) for r in range(0, T, block)]
+    return np.concatenate([np.zeros(0, dtype=bool), *parts])
+
+
+def count_matchable(Y: Sequence[int], cfg: MatchConfig, K: int) -> int:
+    """Exact number of Z in [K]^m matchable in Y, m = len(cfg.sets).
+
+    The walk reads Z_a only while it stays at coordinate a, so the count is
+    carried forward over states (b, run_a), run_a in 0..s, on arrival at
+    each coordinate: every state and symbol takes one ``_jump`` at once,
+    and states whose b reached n - 1 have failed.  The last symbol is never
+    read, so it multiplies the count by K.  Counts are Python integers.
+    """
+    m, n, s = len(cfg.sets), len(Y), cfg.s
+    if m < 1 or n < 1:
+        raise ValueError("matching needs nonempty words")
+    if K < 1:
+        raise ValueError(f"alphabet size K = {K} must be positive")
+    if m == 1:  # the walk stops before it reads anything
+        return K
+    if n == 1:  # ... and otherwise starts at b = n - 1
+        return 0
+    Ys = np.asarray(Y, dtype=np.int64)[None, :]
+    values = np.arange(1, K + 2)
+    values[-1] = max(K, int(Ys.max()))
+    skip = _skip_table(Ys, values, cfg.t)
+    # one state per (b, run_a) with b < n - 1; state k = b * (s + 1) + run_a
+    b = np.repeat(np.arange(n - 1), s + 1)[:, None]
+    run_a = np.tile(np.arange(s + 1), n - 1)[:, None]
+    nb = _jump(skip, b, run_a == s, np.arange(K + 1)[None, :], cfg.t)
+    # every (state, column) pair that stays alive, with the state it moves to
+    dest = (nb * (s + 1) + np.where(nb == b, run_a + 1, 1)).reshape(-1)
+    live = (nb < n - 1).reshape(-1)
+    source = np.repeat(np.arange(len(b)), K + 1)
+    column = np.tile(np.arange(K + 1), len(b))
+    steps = {}  # per corruption set: sources, symbol counts and the sums by destination
+    for S in set(cfg.sets[:-1]):
+        members = [x - 1 for x in S if 1 <= x <= K]
+        weight = np.ones(K + 1, dtype=np.int64)
+        weight[members] = 0
+        weight[K] = len(members)  # the set's members share the last column
+        pick = np.flatnonzero(live & (weight[column] > 0))
+        pick = pick[np.argsort(dest[pick], kind="stable")]
+        targets, starts = np.unique(dest[pick], return_index=True)
+        steps[S] = (source[pick], weight[column[pick]].astype(object), targets, starts)
+    counts = np.zeros(len(b), dtype=object)
+    counts[0] = 1
+    for S in cfg.sets[:-1]:
+        src, mult, targets, starts = steps[S]
+        flows = counts[src] * mult
+        counts = np.zeros(len(b), dtype=object)
+        if len(targets):
+            counts[targets] = np.add.reduceat(flows, starts)
+    return int(counts.sum()) * K
 
 
 def remap_bijection(A: frozenset[int], lam: int, K: int) -> dict[int, int]:

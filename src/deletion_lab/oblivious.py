@@ -17,7 +17,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .construction import CodeParams, InnerCodebook, OuterWord, encode_outer
-from .matching import MatchConfig, all_outer_words, batch_matchable, worst_sets
+from .matching import MatchConfig, batch_matchable, count_matchable, worst_sets
 from .reporting import ExperimentReport
 from .words import DeletionPattern, Word, apply_pattern, bit_deletion_pattern, is_subsequence
 
@@ -84,16 +84,16 @@ def estimate_f(
     """Pr over uniform Z of length delta*n that Z is matchable in Y.
 
     Matching runs with the worst corruption sets [lambda-1] and the caps
-    (2^lambda, sqrt(R)).  Exact mode enumerates [K]^zlen; Monte-Carlo mode
-    reports a 95% half-width alongside the estimate.
+    (2^lambda, sqrt(R)).  Exact mode counts the matchable Z with
+    ``count_matchable``; Monte-Carlo mode reports a 95% half-width alongside
+    the estimate.
     """
     K = params.K
     m = params.delta_n if zlen is None else zlen
     cfg = MatchConfig.paper(params.lam, params.R, worst_sets(m, params.lam))
     Yv = tuple(Y)
     if exact:
-        wins = int(batch_matchable(all_outer_words(K, m), Yv, cfg).sum())
-        return FEstimate(Yv, Fraction(wins, K**m), "exact", 0.0)
+        return FEstimate(Yv, Fraction(count_matchable(Yv, cfg, K), K**m), "exact", 0.0)
     gen = rngmod.np_rng(master_seed, "estimate-f", hash(Yv) & 0xFFFFFFFF)
     Zs = gen.integers(1, K + 1, size=(trials, m))
     wins = int(batch_matchable(Zs, Yv, cfg).sum())

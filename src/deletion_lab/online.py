@@ -402,8 +402,17 @@ def run_wait_push(
 
 
 def make_unique_decoder(C: Sequence[Word]) -> Decoder:
+    """``unique_decode`` against C; each distinct output is decoded once."""
     words = [as_word(c) for c in C]
-    return lambda s: unique_decode(s, words)
+    answers: dict[bytes, Word | None] = {}
+
+    def decode(s: Word) -> Word | None:
+        s = as_word(s)
+        if s.bits not in answers:
+            answers[s.bits] = unique_decode(s, words)
+        return answers[s.bits]
+
+    return decode
 
 
 def make_first_superstring_decoder(C: Sequence[Word]) -> Decoder:

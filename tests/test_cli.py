@@ -333,6 +333,28 @@ def test_experiment_config_of_the_wrong_json_type_is_usage_error(extra, key, tmp
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize("extra, key", [
+    pytest.param({"use_filter": True, "f_exact": False, "f_trials": 0}, "'f_trials'",
+                 id="zero-f_trials"),
+    pytest.param({"use_filter": True, "f_exact": "false"}, "'f_exact'", id="string-f_exact"),
+    pytest.param({"use_filter": "no"}, "'use_filter'", id="string-use_filter"),
+    pytest.param({"pool": {"all": 1}}, "'all'", id="number-all"),
+    pytest.param({"pool": {"random": 3, "structured": "no"}}, "'structured'",
+                 id="string-structured"),
+    pytest.param({"target_size": -3}, "'target_size'", id="negative-target_size"),
+    pytest.param({"target_size": 0}, "'target_size'", id="zero-target_size"),
+    pytest.param({"target_size": "big"}, "'target_size'", id="string-target_size"),
+])
+def test_experiment_config_bad_value_is_usage_error(extra, key, tmp_path, capsys):
+    # flags must be JSON booleans, and counts and sizes positive
+    argv = _oblivious_config(tmp_path, **extra)
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_negative_trial_count_is_usage_error(tmp_path, capsys):
     book = tmp_path / "code.txt"
     book.write_text("0011\n1100\n")

@@ -19,6 +19,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 SMALL = {"mode": "toy", "K": 2, "R": 4, "lambda": 1, "delta": "1/2", "n": 4}
 # criterion-11 style: L = 2 R^K = 512, N = 4096, delta n = 6
 CRIT11 = {"mode": "toy", "K": 4, "R": 4, "lambda": 1, "delta": "3/4", "n": 8}
+# criterion-11 scale: delta n = 30, so exact f counts 4^30 words
+CRIT11_N40 = {**CRIT11, "n": 40}
 ONLINE = ["--p", "1/2", "--p0-adv", "2/5", "--trials", "60", "--seed", "11"]
 
 # name -> (config or None, argv after the command); "{dir}" is the work dir
@@ -43,6 +45,16 @@ CASES = {
         {"params": SMALL, "pool": {"random": 9}, "target_size": 5,
          "pattern_file": "{golden}/patterns.txt", "seeds": [3, 5], "use_filter": False},
         ["experiment", "oblivious", "--seed", "9"],
+    ),
+    "oblivious_exact": (
+        {
+            "params": CRIT11_N40,
+            "pool": {"file": "{golden}/pool40.txt", "structured": False},
+            "target_size": 4,
+            "f_exact": True,
+            "seeds": [0, 1],
+        },
+        ["experiment", "oblivious", "--seed", "3"],
     ),
     "online_unique": (
         None,

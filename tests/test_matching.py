@@ -172,12 +172,13 @@ def test_remap_preserves_success_exhaustively():
             for _ in range(3)
         ]
         for sets in set_choices:
-            worst = worst_sets(m, lam)
+            cfg = MatchConfig(s=s, t=t, sets=sets)
+            worst = MatchConfig(s=s, t=t, sets=worst_sets(m, lam))
             for Y in product(range(1, K + 1), repeat=n):
                 for X in product(range(1, K + 1), repeat=m):
-                    if is_matchable(X, Y, MatchConfig(s=s, t=t, sets=sets)):
+                    if is_matchable(X, Y, cfg):
                         hx = worst_case_remap(X, sets, K)
-                        assert is_matchable(hx, Y, MatchConfig(s=s, t=t, sets=worst))
+                        assert is_matchable(hx, Y, worst)
 
 
 def test_matchable_when_x_large_y_small():

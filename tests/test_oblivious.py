@@ -253,10 +253,15 @@ def test_experiment_report_deterministic():
     assert len(runs[0].splitlines()) == 1 + 3
 
 
-def test_estimate_f_exact_mode_refuses_large_enumeration():
-    params = toy_params(3, 64, 1, Fraction(1, 2), 12)
-    with pytest.raises(ValueError):
-        estimate_f((1,) * 12, params, exact=True, zlen=30)
+@pytest.mark.parametrize("Y", [(3, 4) * 20, (4,) * 40])
+def test_estimate_f_exact_at_zlen_30_tracks_monte_carlo(Y):
+    # criterion-11 scale: 4^30 words, far past what enumeration could list
+    params = toy_params(4, 4, 1, Fraction(3, 4), 40)
+    exact = estimate_f(Y, params, exact=True)
+    mc = estimate_f(Y, params, exact=False, trials=4000, master_seed=1)
+    assert exact.exact and 4**30 % exact.value.denominator == 0
+    assert 0 < exact.value < 1
+    assert abs(float(exact.value) - mc.value) < 3 * mc.half_width
 
 
 def test_inclusion_probability_one_keeps_everything():

@@ -1,8 +1,11 @@
 import warnings
 from fractions import Fraction
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+from deletion_lab import online
 from deletion_lab import rng as rngmod
 from deletion_lab.online import (
     ConfusablePair,
@@ -21,7 +24,9 @@ from deletion_lab.online import (
     wait_length,
     wait_profile,
 )
-from deletion_lab.words import Word
+from deletion_lab.words import Word, read_codebook
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def paired_toy_code():
@@ -235,3 +240,19 @@ def test_confusion_check_gives_every_codeword_the_same_channel_randomness():
         adversary_factory=lambda s, b: KeepOneRandomBit(),
     )
     assert rep.summary()["confused_mean"] == 0.0
+
+
+def test_unique_decoder_memo_agrees_with_unique_decode(monkeypatch):
+    code = read_codebook(GOLDEN / "code.txt")
+    # every golden codeword with up to two bits deleted: many outputs recur
+    received = [Word(bytes(b for i, b in enumerate(c.bits) if i not in dead))
+                for c in code for k in range(3) for dead in combinations(range(len(c)), k)]
+    plain = online.unique_decode
+    decoded = []
+    monkeypatch.setattr(online, "unique_decode",
+                        lambda s, C: decoded.append(s.bits) or plain(s, C))
+    decoder = make_unique_decoder(code)
+    answers = [decoder(s) for s in received + received]
+    assert answers == [plain(s, code) for s in received + received]
+    assert None in answers and set(code) <= set(answers)  # both failures and hits occur
+    assert sorted(decoded) == sorted({s.bits for s in received})

@@ -11,14 +11,15 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from deletion_lab import matching, oracles
 from deletion_lab import rng as rngmod
-from deletion_lab import oracles
 from deletion_lab.construction import pad_corruption_set, toy_params
 from deletion_lab.matching import (
     ENUM_LIMIT,
     MatchConfig,
     all_outer_words,
     batch_matchable,
+    count_matchable,
     is_matchable,
     run_matching,
 )
@@ -53,25 +54,72 @@ PROPS = settings(deadline=None, derandomize=True, max_examples=150)
 
 @st.composite
 def batch_instances(draw):
+    """Rows of X, one host per row and one shared host.
+
+    Sets may hold symbols outside [1, K] and outside the range of the rows,
+    the B-cap t reaches past n, and there may be no rows at all.
+    """
     K = draw(st.integers(2, 5))
-    m, n, T = draw(st.integers(1, 6)), draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    m, n, T = draw(st.integers(1, 6)), draw(st.integers(1, 8)), draw(st.integers(0, 6))
     symbol = st.integers(1, K)
-    sets = tuple(draw(st.frozensets(symbol)) for _ in range(m))
-    cfg = MatchConfig(s=draw(st.integers(1, 4)), t=draw(st.integers(1, 4)), sets=sets)
+    sets = tuple(draw(st.frozensets(st.integers(0, K + 2))) for _ in range(m))
+    cfg = MatchConfig(s=draw(st.integers(1, 4)), t=draw(st.integers(1, 12)), sets=sets)
     Xs = [tuple(draw(st.lists(symbol, min_size=m, max_size=m))) for _ in range(T)]
     Ys = [tuple(draw(st.lists(symbol, min_size=n, max_size=n))) for _ in range(T)]
-    return cfg, Xs, Ys
+    Y = tuple(draw(st.lists(symbol, min_size=n, max_size=n)))
+    return cfg, Xs, Ys, Y
 
 
 @PROPS
 @given(batch_instances())
+@example((MatchConfig(2, 3, (frozenset(),) * 4), [], [], (1, 2, 3)))
+@example((MatchConfig(1, 1, (frozenset({9}),)), [(3,), (1,)], [(1,), (4,)], (2,)))
+@example((MatchConfig(3, 2, (frozenset({0}),) * 3), [(2, 2, 1), (1, 1, 1)], [(1,), (2,)], (1,)))
+@example((MatchConfig(1, 12, (frozenset({1}), frozenset())), [(1, 5), (5, 1), (4, 4)],
+          [(5, 5, 5), (5, 5, 5), (2, 5, 1)], (5, 5, 2)))
+@example((MatchConfig(4, 255, (frozenset(),) * 3), [(1, 1, 1)], [(5,) * 300 + (1,)],
+          (5,) * 300 + (1,)))  # a host run longer than t = 255, the largest uint8 cap
 def test_batch_matchable_agrees_with_run_matching(inst):
-    cfg, Xs, Ys = inst
-    per_row = batch_matchable(np.array(Xs), np.array(Ys), cfg)
-    shared = batch_matchable(np.array(Xs), Ys[0], cfg)
+    cfg, Xs, Ys, Y = inst
+    m, n = len(cfg.sets), len(Y)
+    rows = np.array(Xs, dtype=np.int64).reshape(len(Xs), m)
+    per_row = batch_matchable(rows, np.array(Ys, dtype=np.int64).reshape(len(Xs), n), cfg)
+    shared = batch_matchable(rows, Y, cfg)
+    assert per_row.shape == shared.shape == (len(Xs),)
     for i, X in enumerate(Xs):
         assert per_row[i] == run_matching(X, Ys[i], cfg).success == is_matchable(X, Ys[i], cfg)
-        assert shared[i] == run_matching(X, Ys[0], cfg).success
+        assert shared[i] == run_matching(X, Y, cfg).success
+
+
+@st.composite
+def count_instances(draw):
+    K, m, n = draw(st.integers(1, 4)), draw(st.integers(1, 8)), draw(st.integers(1, 10))
+    sets = tuple(draw(st.frozensets(st.integers(0, K + 2))) for _ in range(m))
+    cfg = MatchConfig(s=draw(st.integers(1, 5)), t=draw(st.integers(1, 12)), sets=sets)
+    Y = tuple(draw(st.lists(st.integers(1, K + 1), min_size=n, max_size=n)))
+    return cfg, K, Y
+
+
+@PROPS
+@given(count_instances())
+@example((MatchConfig(2, 2, (frozenset(),) * 3), 3, (2,)))  # one host symbol
+@example((MatchConfig(2, 2, (frozenset({1}),)), 4, (1, 2)))  # one coordinate
+@example((MatchConfig(1, 3, (frozenset({1, 2, 3}),) * 5), 3, (3, 3, 1, 2, 3, 3)))
+def test_count_matchable_agrees_with_enumeration(inst):
+    cfg, K, Y = inst
+    Zs = all_outer_words(K, len(cfg.sets))
+    assert count_matchable(Y, cfg, K) == int(batch_matchable(Zs, Y, cfg).sum())
+
+
+def test_per_row_hosts_agree_across_table_blocks(monkeypatch):
+    gen = np.random.default_rng(5)
+    Xs, Ys = gen.integers(1, 6, size=(50, 6)), gen.integers(1, 6, size=(50, 9))
+    cfg = MatchConfig(s=2, t=3, sets=(frozenset({2}),) * 6)
+    expected = [is_matchable(tuple(X), tuple(Y), cfg) for X, Y in zip(Xs.tolist(), Ys.tolist())]
+    assert any(expected) and not all(expected)
+    assert batch_matchable(Xs, Ys, cfg).tolist() == expected
+    monkeypatch.setattr(matching, "TABLE_BYTES", 200)  # 3 rows of 60 table bytes per block
+    assert batch_matchable(Xs, Ys, cfg).tolist() == expected
 
 
 def test_batch_matchable_needs_one_set_per_position():

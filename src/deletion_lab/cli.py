@@ -218,6 +218,18 @@ def _positive(convert):
     return check
 
 
+def _at_least(low: int, convert):
+    """A ``json_field`` converter: ``convert(value)``, which must be at least ``low``."""
+
+    def check(value):
+        value = convert(value)
+        if value < low:
+            raise ValueError(f"must be at least {low}")
+        return value
+
+    return check
+
+
 def cmd_experiment_oblivious(parser, args) -> int:
     cfg = _read_input(parser, _read_json, args.config)
     if not isinstance(cfg, dict) or "params" not in cfg:
@@ -238,7 +250,7 @@ def cmd_experiment_oblivious(parser, args) -> int:
     elif json_field(pool_cfg, "all", _json_bool, False):
         pool = [tuple(X) for X in all_outer_words(params.K, params.n).tolist()]
     else:
-        count = min(json_field(pool_cfg, "random", int, 128), params.K**params.n)
+        count = min(json_field(pool_cfg, "random", _at_least(0, int), 128), params.K**params.n)
         seen = set()
         while len(seen) < count:
             seen.add(tuple(rng.randrange(1, params.K + 1) for _ in range(params.n)))
@@ -263,14 +275,18 @@ def cmd_experiment_oblivious(parser, args) -> int:
         book = InnerCodebook(params)
         ends = (pool[0], pool[-1])[: len(pool)]  # one reference word per pool end
         refs = [encode_outer(X, params, book) for X in ends]
-        weight = json_field(cfg, "pattern_weight", int, params.N // 2)
+        weight = json_field(cfg, "pattern_weight", _at_least(0, int), params.N // 2)
+        if weight > params.N:
+            raise ValueError(f"'pattern_weight' = {weight}: must be at most N = {params.N}")
         patterns = standard_pattern_family(params, weight, refs, master_seed=seed)
     if "seeds" in cfg:
         seeds = cfg["seeds"]
         if not isinstance(seeds, list) or not all(isinstance(s, int) for s in seeds):
             raise ValueError(f"{args.config}: 'seeds' must be a list of integers")
+        if not seeds:
+            raise ValueError(f"{args.config}: 'seeds' must name at least one seed")
     else:
-        seeds = list(range(json_field(cfg, "seed_count", int, 10)))
+        seeds = list(range(json_field(cfg, "seed_count", _positive(int), 10)))
     report = oblivious_experiment(
         params,
         pool,
@@ -400,8 +416,19 @@ def _verify_runners(samples: int, seed: int, exhaustive: bool) -> dict:
     }
 
 
+def _sample_count(text: str) -> int:
+    """``--samples``: a positive integer, also in scientific notation (``1e4``)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (value >= 1 and value.is_integer()):
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(value)
+
+
 def cmd_verify(parser, args) -> int:
-    samples = int(float(args.samples)) if args.samples else 10_000
+    samples = args.samples if args.samples is not None else 10_000
     runners = _verify_runners(samples, args.seed or 0, args.exhaustive)
     ids = list(runners) if "all" in args.lemmas else args.lemmas
     unknown = [lem for lem in ids if lem not in runners]
@@ -466,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("verify", help="run lemma oracles")
     sp.add_argument("lemmas", nargs="+")
     sp.add_argument("--exhaustive", action="store_true")
-    sp.add_argument("--samples", default=None)
+    sp.add_argument("--samples", type=_sample_count, default=None)
     sp.add_argument("--seed", type=int, default=None)
 
     return parser

@@ -15,9 +15,8 @@ from typing import Iterable, Sequence, Union
 from .words import (
     DeletionPattern,
     Word,
+    concatenate,
     join_patterns,
-    keep_mask,
-    masked_run_count,
     split_pattern,
 )
 
@@ -203,11 +202,16 @@ def check_outer(X: Sequence[int], params: CodeParams) -> OuterWord:
 
 
 def encode_outer(X: Sequence[int], params: CodeParams, book: InnerCodebook | None = None) -> Word:
-    """psi(X): concatenation of the inner codewords named by X."""
+    """psi(X): concatenation of the inner codewords named by X.
+
+    The word's runs come from the runs cached on the inner codewords of
+    ``book``, merged at block boundaries by ``words.concatenate``, so the
+    subsequence walk over psi(X) needs no pass over its N bits.
+    """
     X = check_outer(X, params)
     if book is None:
         book = InnerCodebook(params)
-    return Word(b"".join(book[s].bits for s in X))
+    return concatenate(book[s] for s in X)
 
 
 def weight_within_bound(weight: int, L: int, exp2: int, R: int) -> bool:
@@ -237,7 +241,7 @@ def preserves(sigma: DeletionPattern, i: int, params: CodeParams, book: InnerCod
             f"inner pattern length {sigma.word_length} != L = {params.L}"
         )
     g = book[i] if book is not None else inner_codeword(i, params)
-    r = masked_run_count(g, keep_mask(sigma))
+    r = sigma.kept_run_count(g)
     # r >= 2 R^(K+1-i) / sqrt(R)  <=>  r^2 >= 4 R^(2K+1-2i), exactly
     return r * r >= 4 * params.R ** (2 * params.K + 1 - 2 * i)
 

@@ -37,7 +37,6 @@ from .words import (
     bit_deletion_pattern,
     is_subsequence,
     join_patterns,
-    keep_mask,
     masked_run_count,
 )
 
@@ -281,7 +280,7 @@ def verify_corruption_cost(
                 kept[gen.choice(L, size=w, replace=False)] = False
             check(kept, f"sample-{trial}")
         for label, pat in structured_inner_patterns(params):
-            check(keep_mask(pat), label)
+            check(pat.keep, label)
     return report
 
 
@@ -303,24 +302,37 @@ def admissible_weight_cap(params: CodeParams, ell: int) -> int:
     return lo
 
 
-def _random_admissible_block(params: CodeParams, cap: int, gen, book: InnerCodebook) -> DeletionPattern:
-    """A random (lambda-1)-admissible inner pattern, biased toward hard cases."""
+def _random_admissible_block(
+    params: CodeParams, cap: int, gen, shared: Sequence[DeletionPattern]
+) -> DeletionPattern:
+    """A random (lambda-1)-admissible inner pattern, biased toward hard cases.
+
+    ``shared[0]`` deletes nothing and ``shared[i]`` deletes all zeros of g_i;
+    a block that draws one of these fixed patterns returns the shared object.
+    """
     L = params.L
     kind = gen.integers(0, 4)
     if kind == 0 or cap <= 0:
-        return DeletionPattern(L, ())
+        return shared[0]
     if kind == 1:
         w = int(gen.integers(1, cap + 1))
-        return DeletionPattern(L, tuple((gen.choice(L, size=w, replace=False) + 1).tolist()))
+        return _pattern_deleting(L, gen.choice(L, size=w, replace=False))
     if kind == 2:
         # delete all zeros of some inner codeword when that stays admissible
         for i in gen.permutation(params.K) + 1:
-            pat = bit_deletion_pattern(book[int(i)], 0)
+            pat = shared[i]
             if pat.weight <= cap:
                 return pat
-        return DeletionPattern(L, ())
+        return shared[0]
     w = cap  # full-weight admissible pattern
-    return DeletionPattern(L, tuple((gen.choice(L, size=w, replace=False) + 1).tolist()))
+    return _pattern_deleting(L, gen.choice(L, size=w, replace=False))
+
+
+def _pattern_deleting(L: int, positions: np.ndarray) -> DeletionPattern:
+    """The pattern on length-L words deleting the 0-based ``positions``."""
+    keep = np.ones(L, dtype=bool)
+    keep[positions] = False
+    return DeletionPattern.from_keep(keep)
 
 
 def verify_matching_implication(
@@ -333,9 +345,20 @@ def verify_matching_implication(
     tau is blockwise (lambda-1)-admissible; corruption sets are read off the
     blocks exactly as signature extraction does.  Y generation is biased so a
     healthy share of instances actually satisfies the containment.
+
+    Where the masks and runs come from: the empty pattern and the K
+    delete-all-zeros patterns are built once per call and shared by the
+    blocks that draw them, so ``preserves`` counts their runs once per inner
+    codeword.  Every other block is built from its keep mask.  ``preserves``
+    and the joined tau read the blocks' masks (``join_patterns`` concatenates
+    them), and ``apply_pattern`` reads tau's.  psi(X) and psi(Y) take their
+    runs from the inner codewords of one ``InnerCodebook`` (``encode_outer``),
+    so only tau(psi(X)) has its runs counted from its bits.  No word, run
+    tuple or pattern of one instance is kept for the next.
     """
     params.require_executable()
     book = InnerCodebook(params)
+    shared = [DeletionPattern(params.L, ())] + [bit_deletion_pattern(g, 0) for g in book.words]
     dn = params.delta_n
     n, K = params.n, params.K
     s, t = 2**params.lam, exact_sqrt(params.R)
@@ -344,20 +367,20 @@ def verify_matching_implication(
     positives = 0
     for trial in range(instances):
         gen = rngmod.np_rng(master_seed, "matching-implication", trial)
-        X = tuple(int(v) for v in gen.integers(1, K + 1, size=dn))
+        X = tuple(gen.integers(1, K + 1, size=dn).tolist())
         style = gen.integers(0, 3)
         if style == 0:
-            Y = tuple(int(v) for v in gen.integers(1, K + 1, size=n))
+            Y = tuple(gen.integers(1, K + 1, size=n).tolist())
         elif style == 1:
             # embed X's symbols at random positions: psi(X) embeds in psi(Y)
             Y_arr = gen.integers(1, K + 1, size=n)
             pos = np.sort(gen.choice(n, size=dn, replace=False))
             Y_arr[pos] = X
-            Y = tuple(int(v) for v in Y_arr)
+            Y = tuple(Y_arr.tolist())
         else:
             # low symbols in Y make containments frequent
-            Y = tuple(int(v) for v in gen.integers(1, max(2, K), size=n))
-        blocks = [_random_admissible_block(params, cap, gen, book) for _ in range(dn)]
+            Y = tuple(gen.integers(1, max(2, K), size=n).tolist())
+        blocks = [_random_admissible_block(params, cap, gen, shared) for _ in range(dn)]
         sets = [
             pad_corruption_set(
                 {j for j in range(1, K + 1) if not preserves(block, j, params, book)}, params
@@ -516,8 +539,11 @@ def verify_geom_bounds(
     - E[D] for J ~ U([K]), with D = 1 on J < lam, is at least log2(K)/4:
       4((lam-1) D + P[K] - P[lam-1]) >= log2(K) K D.
 
-    The prefix sums are cross-checked against ``geom2_expectation``, the
-    Fraction path.  A j-check witness carries the exact Fraction value.
+    The prefix sums are cross-checked, term by term, against the Fraction
+    closed form ``geom_expectation`` at the cap ``geom2_expectation`` uses.
+    The terms are compared by cross-multiplying: adding Fractions whose
+    denominators reach 64^8192 spends its time in ``math.gcd``.  A j-check
+    witness carries the exact Fraction value.
     """
     report = OracleReport(name="geometric-bounds", mode=f"K in {tuple(Ks)}")
     for K in Ks:
@@ -525,6 +551,7 @@ def verify_geom_bounds(
             raise ValueError("exact bound checks need power-of-two K > 8")
         R = 4 * K**4
         cap = exact_sqrt(R)
+        true_cap, _ = geom_cap(R)  # the closed form's own cap, as in ``geom2_expectation``
         log2K = K.bit_length() - 1
         top = K ** (cap - 1)
         lcm = math.lcm(*range(1, K + 1))
@@ -546,10 +573,12 @@ def verify_geom_bounds(
                     report.record_violation(
                         {"K": K, "lam": lam, "lam_prime": lam_prime, "which": "uniform-window"}
                     )
-            # prefix-sum sweep must agree with the direct formula
+            # prefix-sum sweep must agree with the closed form term by term:
+            # D E_j(cap) = num/den  <=>  (P[j] - P[j-1]) den = D num, with no Fraction sum
             spot = min(lam + 3, K)
-            swept = Fraction(prefix[spot] - prefix[lam - 1], (spot - lam + 1) * D)
-            if swept != geom2_expectation(K, R, lam, spot):
+            closed = [geom_expectation(j, K, true_cap) for j in range(lam, spot + 1)]
+            if any((prefix[j] - prefix[j - 1]) * e.denominator != D * e.numerator
+                   for j, e in zip(range(lam, spot + 1), closed)):
                 report.record_violation(
                     {"K": K, "lam": lam, "lam_prime": spot, "which": "prefix-sum-sweep"}
                 )

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
@@ -90,6 +91,34 @@ def as_word(w: WordLike) -> Word:
     return w if isinstance(w, Word) else Word(w)
 
 
+def concatenate(parts: Iterable[WordLike]) -> Word:
+    """The concatenation of ``parts``, with its runs taken from the parts' runs.
+
+    Where a part begins with the bit the previous nonempty part ends with,
+    the two runs at that boundary merge into one.  A part's runs are computed
+    once and cached on it, so the inner codewords of a concatenated code give
+    every word built from them its runs without a pass over its bits.
+    """
+    chunks: list[bytes] = []
+    runs: list[int] = []
+    last = -1  # the bit the concatenation ends with so far; -1 while it is empty
+    for part in map(as_word, parts):
+        bits = part.bits
+        if not bits:
+            continue
+        part_runs = part.runs
+        if bits[0] == last:
+            runs[-1] += part_runs[0]
+            runs += part_runs[1:]
+        else:
+            runs += part_runs
+        last = bits[-1]
+        chunks.append(bits)
+    word = Word(b"".join(chunks))
+    word._runs = tuple(runs)
+    return word
+
+
 class Run(NamedTuple):
     symbol: int
     start: int  # 1-based index of the first bit of the run
@@ -131,6 +160,49 @@ class DeletionPattern:
                     f"deleted indices must lie in [1, {self.word_length}]"
                 )
 
+    @classmethod
+    def from_keep(cls, keep: np.ndarray) -> "DeletionPattern":
+        """The pattern deleting where the boolean ``keep`` is False; a copy of ``keep`` is its mask.
+
+        The positions read off a mask are strictly increasing and in range,
+        so the checks of ``__post_init__`` are skipped.
+        """
+        keep = np.array(keep, dtype=bool)  # a copy, so the caller cannot change the mask
+        keep.flags.writeable = False
+        pattern = object.__new__(cls)
+        object.__setattr__(pattern, "word_length", keep.size)
+        object.__setattr__(pattern, "deleted", tuple((np.flatnonzero(~keep) + 1).tolist()))
+        pattern.__dict__["keep"] = keep  # fills the cache of ``keep`` below
+        return pattern
+
+    @cached_property
+    def keep(self) -> np.ndarray:
+        """Boolean mask over positions 1..word_length (0-based), False where the pattern deletes.
+
+        Built once per pattern and shared, so it is read-only.
+        """
+        keep = np.ones(self.word_length, dtype=bool)
+        keep[np.array(self.deleted, dtype=np.int64) - 1] = False
+        keep.flags.writeable = False
+        return keep
+
+    @cached_property
+    def _run_counts(self) -> dict[bytes, int]:
+        return {}
+
+    def kept_run_count(self, w: WordLike) -> int:
+        """``run_count`` of ``w`` after this pattern, without building that word.
+
+        Counted once per pattern and word, so a pattern that many blocks
+        share counts each word once.
+        """
+        word = as_word(w)
+        counts = self._run_counts
+        r = counts.get(word.bits)
+        if r is None:
+            r = counts[word.bits] = masked_run_count(word, self.keep)
+        return r
+
     @property
     def weight(self) -> int:
         return len(self.deleted)
@@ -151,14 +223,7 @@ def apply_pattern(tau: DeletionPattern, w: WordLike) -> Word:
         raise ValueError(
             f"pattern is for length {tau.word_length}, word has length {len(word)}"
         )
-    return Word(np.frombuffer(word.bits, dtype=np.uint8)[keep_mask(tau)].tobytes())
-
-
-def keep_mask(tau: DeletionPattern) -> np.ndarray:
-    """Boolean mask over positions 1..word_length (0-based), False where ``tau`` deletes."""
-    keep = np.ones(tau.word_length, dtype=bool)
-    keep[np.array(tau.deleted, dtype=np.int64) - 1] = False
-    return keep
+    return Word(np.frombuffer(word.bits, dtype=np.uint8)[tau.keep].tobytes())
 
 
 def masked_run_count(w: WordLike, keep: np.ndarray) -> int:
@@ -169,9 +234,7 @@ def masked_run_count(w: WordLike, keep: np.ndarray) -> int:
 
 def bit_deletion_pattern(w: WordLike, bit: int) -> DeletionPattern:
     """The fixed pattern deleting every position of ``w`` that carries ``bit``."""
-    bits = as_word(w).bits
-    hits = np.flatnonzero(np.frombuffer(bits, dtype=np.uint8) == bit) + 1
-    return DeletionPattern(len(bits), tuple(hits.tolist()))
+    return DeletionPattern.from_keep(np.frombuffer(as_word(w).bits, dtype=np.uint8) != bit)
 
 
 def is_subsequence(a: WordLike, b: WordLike) -> bool:
@@ -185,17 +248,18 @@ def is_subsequence(a: WordLike, b: WordLike) -> bool:
     ra, rb = a.runs, b.runs
     if not ra:
         return True
-    if not rb:
+    nb = len(rb)
+    if not nb:
         return False
     j = 0 if a.bits[0] == b.bits[0] else 1  # first b-run holding a's first symbol
     for need in ra:
-        if j >= len(rb):
+        if j >= nb:
             return False
         left = rb[j]
         while need > left:
             need -= left
             j += 2
-            if j >= len(rb):
+            if j >= nb:
                 return False
             left = rb[j]
         j += 1  # the rest of b-run j has the wrong symbol for a's next run
@@ -293,17 +357,15 @@ def split_pattern(tau: DeletionPattern, n: int, L: int) -> list[DeletionPattern]
 
 
 def join_patterns(parts: Sequence[DeletionPattern]) -> DeletionPattern:
-    """Inverse of split_pattern: concatenate blockwise patterns."""
-    L = None
-    deleted: list[int] = []
-    for i, part in enumerate(parts):
-        if L is None:
-            L = part.word_length
-        elif part.word_length != L:
-            raise ValueError("all blocks must share one word_length")
-        deleted += (np.array(part.deleted, dtype=np.int64) + i * L).tolist()
-    total = (L or 0) * len(parts)
-    return DeletionPattern(total, tuple(deleted))
+    """Inverse of split_pattern: concatenate blockwise patterns.
+
+    The joined mask is the concatenation of the parts' masks, and the joined
+    pattern keeps it, so applying the pattern builds no mask of its own.
+    """
+    if len({part.word_length for part in parts}) > 1:
+        raise ValueError("all blocks must share one word_length")
+    masks = [part.keep for part in parts]
+    return DeletionPattern.from_keep(np.concatenate(masks) if masks else np.ones(0, dtype=bool))
 
 
 def enumerate_patterns(n: int, m: int) -> Iterator[DeletionPattern]:

@@ -96,6 +96,15 @@ def test_verify_accepts_scientific_sample_counts(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("samples", ["0", "-5", "abc", "2.5", "nan"])
+def test_verify_sample_count_must_be_a_positive_integer(samples, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "all", f"--samples={samples}"])
+    assert err.value.code == 2
+    out = capsys.readouterr()
+    assert "--samples" in out.err and out.out == ""
+
+
 def test_experiment_online_deterministic(tmp_path, capsys):
     book = tmp_path / "code.txt"
     book.write_text(
@@ -174,14 +183,18 @@ def test_missing_seed_is_drawn_and_echoed(tmp_path, capsys):
     assert "master seed" in captured.err
 
 
+OMIT = object()  # a config key given this value is left out
+
+
 def _oblivious_config(tmp_path, **extra):
     cfg = tmp_path / "exp.json"
-    cfg.write_text(json.dumps({
+    body = {
         "params": {"mode": "toy", "K": 2, "R": 4, "lambda": 1, "delta": "0.5", "n": 4},
         "seeds": [0],
         "use_filter": False,
         **extra,
-    }))
+    }
+    cfg.write_text(json.dumps({key: value for key, value in body.items() if value is not OMIT}))
     return ["experiment", "oblivious", "--config", str(cfg),
             "--out", str(tmp_path / "o.csv"), "--seed", "1"]
 
@@ -344,6 +357,12 @@ def test_experiment_config_of_the_wrong_json_type_is_usage_error(extra, key, tmp
     pytest.param({"target_size": -3}, "'target_size'", id="negative-target_size"),
     pytest.param({"target_size": 0}, "'target_size'", id="zero-target_size"),
     pytest.param({"target_size": "big"}, "'target_size'", id="string-target_size"),
+    pytest.param({"seeds": []}, "'seeds'", id="empty-seeds"),
+    pytest.param({"seeds": OMIT, "seed_count": -2}, "'seed_count'", id="negative-seed_count"),
+    pytest.param({"seeds": OMIT, "seed_count": 0}, "'seed_count'", id="zero-seed_count"),
+    pytest.param({"pool": {"random": -4}}, "'random'", id="negative-random"),
+    pytest.param({"pattern_weight": -5}, "'pattern_weight'", id="negative-pattern_weight"),
+    pytest.param({"pattern_weight": 129}, "'pattern_weight'", id="pattern_weight-past-N"),  # N = 128
 ])
 def test_experiment_config_bad_value_is_usage_error(extra, key, tmp_path, capsys):
     # flags must be JSON booleans, and counts and sizes positive

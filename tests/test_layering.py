@@ -73,3 +73,14 @@ def test_import_scanner_sees_every_form(tmp_path):
         "import numpy\n"
     )
     assert package_imports(src) == {"words", "oracles", "rng", "__init__", "matching"}
+
+
+def test_package_holds_no_assert_statement():
+    # checks must survive ``python -O``, which strips every ``assert``
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -215,7 +215,20 @@ def test_geom_prefix_sweep_disagreement_is_a_violation(monkeypatch):
     from deletion_lab import oracles
 
     assert verify_geom_bounds(Ks=(16,), lams=(1,)).ok
-    monkeypatch.setattr(oracles, "geom2_expectation", lambda *args: Fraction(-1))
+    # the sweep reads the closed form term by term; a wrong term must be caught
+    monkeypatch.setattr(oracles, "geom_expectation", lambda *args: Fraction(-1))
     rep = verify_geom_bounds(Ks=(16,), lams=(1,))
     assert rep.violations == 1
     assert rep.witnesses[0]["which"] == "prefix-sum-sweep"
+
+
+@pytest.mark.parametrize("bad_j", [1, 2, 4])
+def test_geom_prefix_sweep_checks_every_term(monkeypatch, bad_j):
+    from deletion_lab import oracles
+
+    true_value = oracles.geom_expectation
+    monkeypatch.setattr(oracles, "geom_expectation",
+                        lambda j, K, cap: true_value(j, K, cap) + (j == bad_j))
+    rep = verify_geom_bounds(Ks=(16,), lams=(1, 2))  # lam 1 sweeps j = 1..4, lam 2 j = 2..5
+    assert [w["lam"] for w in rep.witnesses] == [1, 2][: 1 + (bad_j > 1)]
+    assert {w["which"] for w in rep.witnesses} == {"prefix-sum-sweep"}

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from deletion_lab import matching, oracles
 from deletion_lab import rng as rngmod
-from deletion_lab.construction import pad_corruption_set, toy_params
+from deletion_lab.construction import InnerCodebook, encode_outer, pad_corruption_set, toy_params
 from deletion_lab.matching import (
     ENUM_LIMIT,
     MatchConfig,
@@ -39,9 +39,9 @@ from deletion_lab.words import (
     Word,
     apply_pattern,
     bit_deletion_pattern,
+    concatenate,
     is_subsequence,
     join_patterns,
-    keep_mask,
     lcs,
     lcs_length,
     masked_run_count,
@@ -191,7 +191,38 @@ def test_word_rejects_values_other_than_bits(bits):
 def test_masked_run_count_is_run_count_of_applied_pattern(bits, data):
     dead = data.draw(st.frozensets(st.integers(1, len(bits)))) if bits else frozenset()
     tau = DeletionPattern(len(bits), tuple(dead))
-    assert masked_run_count(Word(bits), keep_mask(tau)) == run_count(apply_pattern(tau, bits))
+    assert masked_run_count(Word(bits), tau.keep) == run_count(apply_pattern(tau, bits))
+    other = data.draw(st.lists(st.integers(0, 1), min_size=len(bits), max_size=len(bits)))
+    for w in (bits, other, Word(bits), other):  # the last two counts come from tau's cache
+        assert tau.kept_run_count(w) == run_count(apply_pattern(tau, w))
+
+
+def fresh_keep(tau: DeletionPattern) -> np.ndarray:
+    """Reference mask: True at the 0-based positions ``tau`` keeps."""
+    dead = set(tau.deleted)
+    return np.array([pos not in dead for pos in range(1, tau.word_length + 1)], dtype=bool)
+
+
+@PROPS
+@given(st.lists(st.integers(0, 1), max_size=64), st.data())
+def test_shared_keep_mask_is_a_read_only_fresh_mask(bits, data):
+    dead = data.draw(st.frozensets(st.integers(1, len(bits)))) if bits else frozenset()
+    for tau in (DeletionPattern(len(bits), tuple(dead)), bit_deletion_pattern(bits, 0)):
+        keep = tau.keep
+        assert keep is tau.keep  # built once, then shared
+        assert keep.dtype == bool and np.array_equal(keep, fresh_keep(tau))
+        assert not keep.flags.writeable
+        if keep.size:
+            with pytest.raises(ValueError):
+                keep[0] = not keep[0]
+
+
+def test_from_keep_copies_the_callers_mask():
+    mine = np.array([True, False, True, False])
+    tau = DeletionPattern.from_keep(mine)
+    assert tau == DeletionPattern(4, (2, 4))
+    mine[0] = False
+    assert tau.keep.tolist() == [True, False, True, False]
 
 
 def test_pad_corruption_set_fills_with_smallest_unused_symbols():
@@ -211,6 +242,66 @@ def test_split_join_round_trip(n, L, data):
     assert len(parts) == n and all(p.word_length == L for p in parts)
     assert sum(p.weight for p in parts) == tau.weight
     assert join_patterns(parts) == tau
+
+
+def per_part_join(parts):
+    """Reference ``join_patterns``: offset each part's positions by its block."""
+    L = None
+    deleted: list[int] = []
+    for i, part in enumerate(parts):
+        if L is None:
+            L = part.word_length
+        elif part.word_length != L:
+            raise ValueError("all blocks must share one word_length")
+        deleted += [d + i * L for d in part.deleted]
+    return DeletionPattern((L or 0) * len(parts), tuple(deleted))
+
+
+@PROPS
+@given(st.integers(0, 5), st.integers(0, 8), st.data())
+def test_join_patterns_agrees_with_per_part_join(n, L, data):
+    parts = [DeletionPattern(L, tuple(data.draw(st.frozensets(st.integers(1, L))) if L else ()))
+             for _ in range(n)]
+    if parts and data.draw(st.booleans()):  # some parts share their mask
+        parts[-1] = parts[0]
+    joined = join_patterns(parts)
+    assert joined == per_part_join(parts)
+    assert np.array_equal(joined.keep, fresh_keep(joined)) and not joined.keep.flags.writeable
+
+
+def test_join_patterns_refuses_mixed_lengths():
+    for parts in ([DeletionPattern(3, (1,)), DeletionPattern(4, ())],
+                  [DeletionPattern(0, ()), DeletionPattern(2, (2,))]):
+        with pytest.raises(ValueError, match="share one word_length"):
+            join_patterns(parts)
+        with pytest.raises(ValueError, match="share one word_length"):
+            per_part_join(parts)
+
+
+@PROPS
+@given(st.lists(st.lists(st.integers(0, 1), max_size=12), max_size=6))
+@example([[0, 1], [1, 1, 0], [], [0], [0, 1]])  # merged boundaries around an empty part
+@example([[], []])
+def test_concatenate_runs_are_runs_of_the_joined_bits(parts):
+    words = [Word(p) for p in parts]
+    for w in words[::2]:
+        w.runs  # some parts come with their runs already cached
+    joined = concatenate(words)
+    expected = Word(b"".join(w.bits for w in words))
+    assert joined == expected
+    assert joined.runs == expected.runs == tuple(len(list(g)) for _, g in groupby(expected.bits))
+
+
+@PROPS
+@given(st.sampled_from([(2, 4), (3, 2), (2, 2)]), st.data())
+def test_encode_outer_runs_are_recomputed_runs(KR, data):
+    K, R = KR
+    params = toy_params(K, R, 1, Fraction(1, 2), 4)
+    book = InnerCodebook(params)
+    X = data.draw(st.lists(st.integers(1, K), max_size=6))
+    word = encode_outer(X, params, book)
+    assert word.bits == b"".join(book[s].bits for s in X)
+    assert word.runs == Word(word.bits).runs
 
 
 def bytewise_is_subsequence(a, b) -> bool:
@@ -581,3 +672,83 @@ def test_vectorized_bitflip_demo_agrees_with_loop(n, rate, p, seeds, vectors, ma
     passing, worst = loop_bitflip_demo(n, rate, p, seeds, vectors, master_seed)
     assert (rep.extras["passing_seeds"], rep.extras["worst_fraction"]) == (passing, worst)
     assert rep.instances == seeds
+
+
+def loop_matching_implication(params, instances, master_seed):
+    """Reference ``verify_matching_implication``: each instance builds its patterns,
+    words and run counts afresh, from bytes, and embeds bit by bit."""
+    book = InnerCodebook(params)
+    dn, n, K, L = params.delta_n, params.n, params.K, params.L
+    s, t = 2**params.lam, oracles.exact_sqrt(params.R)
+    cap = oracles.admissible_weight_cap(params, params.lam - 1)
+
+    def random_block(gen):
+        kind = gen.integers(0, 4)
+        if kind == 0 or cap <= 0:
+            return DeletionPattern(L, ())
+        if kind == 2:
+            for i in gen.permutation(K) + 1:
+                zeros = tuple(pos for pos, b in enumerate(book[int(i)].bits, 1) if b == 0)
+                if len(zeros) <= cap:
+                    return DeletionPattern(L, zeros)
+            return DeletionPattern(L, ())
+        w = int(gen.integers(1, cap + 1)) if kind == 1 else cap
+        return DeletionPattern(L, tuple((gen.choice(L, size=w, replace=False) + 1).tolist()))
+
+    def preserved(block, i):
+        dead = set(block.deleted)
+        kept = [b for pos, b in enumerate(book[i].bits, 1) if pos not in dead]
+        r = len([key for key, _ in groupby(kept)])
+        return r * r >= 4 * params.R ** (2 * K + 1 - 2 * i)
+
+    report = oracles.OracleReport(name="matching-implication", mode=f"instances={instances}")
+    positives = 0
+    for trial in range(instances):
+        gen = rngmod.np_rng(master_seed, "matching-implication", trial)
+        X = tuple(int(v) for v in gen.integers(1, K + 1, size=dn))
+        style = gen.integers(0, 3)
+        if style == 0:
+            Y = tuple(int(v) for v in gen.integers(1, K + 1, size=n))
+        elif style == 1:
+            Y_arr = gen.integers(1, K + 1, size=n)
+            Y_arr[np.sort(gen.choice(n, size=dn, replace=False))] = X
+            Y = tuple(int(v) for v in Y_arr)
+        else:
+            Y = tuple(int(v) for v in gen.integers(1, max(2, K), size=n))
+        blocks = [random_block(gen) for _ in range(dn)]
+        sets = [pad_corruption_set({j for j in range(1, K + 1) if not preserved(b, j)}, params)
+                for b in blocks]
+        dead = {k * L + d for k, b in enumerate(blocks) for d in b.deleted}
+        psi_x = b"".join(book[sym].bits for sym in X)
+        corrupted = bytes(b for pos, b in enumerate(psi_x, 1) if pos not in dead)
+        report.instances += 1
+        if not bytewise_is_subsequence(corrupted, b"".join(book[sym].bits for sym in Y)):
+            continue
+        positives += 1
+        if not oracles.is_matchable(X, Y, MatchConfig(s=s, t=t, sets=tuple(sets))):
+            report.record_violation({"X": X, "Y": Y, "blocks": [b.deleted for b in blocks]})
+    report.extras["positives"] = positives
+    return report
+
+
+# The verify-all parameters (kind-2 blocks delete all zeros of a codeword) and
+# K = 4, where random blocks corrupt g_1 and the sets come from 4 symbols.
+IMPLICATION_PARAMS = [toy_params(2, 16, 2, Fraction(1, 2), 8), toy_params(4, 4, 3, Fraction(1, 2), 8)]
+
+
+@pytest.mark.parametrize("params", IMPLICATION_PARAMS, ids=["K2", "K4"])
+@pytest.mark.parametrize("master_seed", [0, 7, 2026])
+def test_matching_implication_agrees_with_per_instance_loop(params, master_seed):
+    rep = oracles.verify_matching_implication(params, instances=150, master_seed=master_seed)
+    assert rep.to_json() == loop_matching_implication(params, 150, master_seed).to_json()
+
+
+@pytest.mark.parametrize("params", IMPLICATION_PARAMS, ids=["K2", "K4"])
+def test_planted_implication_violations_keep_their_witness_order(monkeypatch, params):
+    # a matcher that fails by X and the corruption sets pins which instances,
+    # in which order, become witnesses
+    monkeypatch.setattr(oracles, "is_matchable",
+                        lambda X, Y, cfg: (sum(X) + sum(map(sum, cfg.sets))) % 3 != 0)
+    rep = oracles.verify_matching_implication(params, instances=80, master_seed=5)
+    assert rep.violations > len(rep.witnesses) == oracles.MAX_WITNESSES
+    assert rep.to_json() == loop_matching_implication(params, 80, master_seed=5).to_json()

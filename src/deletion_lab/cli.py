@@ -311,7 +311,7 @@ def cmd_experiment_online(parser, args) -> int:
     code = _read_input(parser, read_codebook, args.code)
     if len(code) < 2:
         parser.error("online experiments need at least two codewords")
-    cfg = OnlineConfig(p=Fraction(args.p), p0_adv=Fraction(args.p0_adv))
+    cfg = OnlineConfig(p=args.p, p0_adv=args.p0_adv)
     seed = _master_seed(args)
     decoder = (
         make_unique_decoder(code)
@@ -427,6 +427,14 @@ def _sample_count(text: str) -> int:
     return int(value)
 
 
+def _fraction(text: str) -> Fraction:
+    """A rational option value such as ``1/2`` or ``0.4``."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"must be a fraction, got {text!r}") from None
+
+
 def cmd_verify(parser, args) -> int:
     samples = args.samples if args.samples is not None else 10_000
     runners = _verify_runners(samples, args.seed or 0, args.exhaustive)
@@ -480,8 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
     spo.add_argument("--seed", type=int, default=None)
     spn = exp.add_parser("online", help="wait-push adversary simulation")
     spn.add_argument("--code", required=True)
-    spn.add_argument("--p", required=True)
-    spn.add_argument("--p0-adv", dest="p0_adv", required=True)
+    spn.add_argument("--p", type=_fraction, required=True)
+    spn.add_argument("--p0-adv", dest="p0_adv", type=_fraction, required=True)
     spn.add_argument("--trials", type=int, default=1000)
     spn.add_argument("--seed", type=int, default=None)
     spn.add_argument("--decoder", choices=("unique", "ml"), default="unique")

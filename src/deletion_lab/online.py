@@ -9,6 +9,7 @@ bit-identical outputs.
 
 from __future__ import annotations
 
+import random
 import warnings
 from bisect import bisect_left
 from collections import Counter
@@ -17,6 +18,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import rng as rngmod
+from . import words as wordsmod
 from .construction import FractionLike, as_fraction
 from .oblivious import unique_decode
 from .reporting import ExperimentReport
@@ -322,17 +324,17 @@ class WaitPushAdversary(OnlineAdversary):
     def decide(self, state, x, i):
         if state["dels"] >= state["budget"]:
             return False  # budget exhausted: transmit the remaining bits
-        n = len(x)
         delete = False
         if state["strategy"] == 2:
-            delete = i >= n - state["budget"]
+            delete = i >= len(x.bits) - state["budget"]
         elif state["phase"] == "wait":
-            prefix = x.bits[: i + 1]
-            delete = prefix[-1] == 1 - state["bit"]
-            lo, hi = state["lo"], state["hi"]
-            # prefix + 2 sorts after every key that extends prefix
-            state["lo"] = bisect_left(self.keys, prefix, lo, hi)
-            state["hi"] = bisect_left(self.keys, prefix + b"\x02", lo, hi)
+            bits = x.bits
+            delete = bits[i] == 1 - state["bit"]
+            # keys[lo:hi] all extend bits[:i]; those that go on with a 0 come first
+            if bits[i]:
+                state["lo"] = bisect_left(self.keys, bits[: i + 1], state["lo"], state["hi"])
+            else:
+                state["hi"] = bisect_left(self.keys, bits[:i] + b"\x01", state["lo"], state["hi"])
             if state["hi"] - state["lo"] <= 1:
                 self._resolve_push(state)
         else:
@@ -357,17 +359,17 @@ class TransmitResult:
 def transmit(x: Word, adversary: OnlineAdversary, rng) -> TransmitResult:
     """Run one word through the channel; enforces the deletion budget."""
     x = as_word(x)
-    state = adversary.begin(len(x), rng)
+    bits = x.bits
+    state = adversary.begin(len(bits), rng)
+    decide = adversary.decide
     kept = bytearray()
     decisions = []
-    dels = 0
-    for i in range(len(x)):
-        delete = adversary.decide(state, x, i)
+    for i, bit in enumerate(bits):
+        delete = decide(state, x, i)
         decisions.append(delete)
-        if delete:
-            dels += 1
-        else:
-            kept.append(x[i])
+        if not delete:
+            kept.append(bit)
+    dels = len(bits) - len(kept)
     budget = state.get("budget")
     if budget is not None and dels > budget:
         raise AssertionError(f"adversary deleted {dels} > budget {budget}")
@@ -401,33 +403,33 @@ def run_wait_push(
 # decoders and simulation
 
 
+def _memoised(decode: Decoder) -> Decoder:
+    """``decode``, run once per distinct output and answered from a memo after."""
+    answers: dict[bytes, Word | None] = {}
+
+    def memo(s: Word) -> Word | None:
+        s = as_word(s)
+        if s.bits not in answers:
+            answers[s.bits] = decode(s)
+        return answers[s.bits]
+
+    return memo
+
+
 def make_unique_decoder(C: Sequence[Word]) -> Decoder:
     """``unique_decode`` against C; each distinct output is decoded once."""
     words = [as_word(c) for c in C]
-    answers: dict[bytes, Word | None] = {}
-
-    def decode(s: Word) -> Word | None:
-        s = as_word(s)
-        if s.bits not in answers:
-            answers[s.bits] = unique_decode(s, words)
-        return answers[s.bits]
-
-    return decode
+    return _memoised(lambda s: unique_decode(s, words))
 
 
 def make_first_superstring_decoder(C: Sequence[Word]) -> Decoder:
-    """Deterministic tie-breaking decoder: first codeword containing s."""
-    from .words import is_subsequence
+    """Deterministic tie-breaking decoder: first codeword containing s.
 
-    words = [Word(c) for c in C]
-
-    def decode(s: Word) -> Word | None:
-        for c in words:
-            if is_subsequence(s, c):
-                return c
-        return None
-
-    return decode
+    Each distinct output is decoded once.  The subsequence test is looked up
+    on ``words`` at call time, so a patched ``words.is_subsequence`` is used.
+    """
+    words = [as_word(c) for c in C]
+    return _memoised(lambda s: next((c for c in words if wordsmod.is_subsequence(s, c)), None))
 
 
 def simulate_online(
@@ -496,8 +498,8 @@ def simulate_online(
         bit = force_bit if force_bit is not None else draw_rng.randrange(2)
         if (strategy, bit) not in tables:
             adversary = factory(strategy, bit)
-            label = f"online-channel:{strategy}:{bit}"
-            results = [transmit(y, adversary, rngmod.py_rng(master_seed, label)) for y in words]
+            seed = rngmod.substream_seed(master_seed, f"online-channel:{strategy}:{bit}")
+            results = [transmit(y, adversary, random.Random(seed)) for y in words]
             tables[strategy, bit] = results, Counter(r.output.bits for r in results)
         results, outputs = tables[strategy, bit]
         result = results[idx]

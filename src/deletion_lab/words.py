@@ -273,54 +273,58 @@ class LcsResult(NamedTuple):
     b_positions: tuple[int, ...]
 
 
+_ASCII01 = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _match_masks(aa: bytes) -> tuple[int, tuple[int, int]]:
+    """All-ones mask of len(aa) bits, and the masks of the 0- and 1-positions of ``aa``."""
+    full = (1 << len(aa)) - 1
+    ones = int(aa[::-1].translate(_ASCII01), 2)  # bit i set iff aa[i] == 1
+    return full, (full ^ ones, ones)
+
+
 def lcs(a: WordLike, b: WordLike) -> LcsResult:
     """Longest common subsequence with one deterministic witness.
 
     Tie-break: among optimal alignments, the one with lexicographically
     smallest a-positions, then smallest b-positions.
+
+    The bit-parallel update of ``lcs_length`` runs over the reversed words
+    and keeps every row: LCS(aa[i:], bb[j:]) is (m - i) minus the number of
+    ones in the low m - i bits of ``rows[n - j]``.  Suffix LCS never grows
+    with j, so at each a-position the walk probes only the first matching
+    b-position at or after j, O(m + n) probes in all.
     """
-    aa, bb = Word(a).bits, Word(b).bits
+    aa, bb = as_word(a).bits, as_word(b).bits
     m, n = len(aa), len(bb)
-    # suffix[i][j] = LCS length of aa[i:], bb[j:]
-    suffix = [[0] * (n + 1) for _ in range(m + 1)]
-    for i in range(m - 1, -1, -1):
-        row, below = suffix[i], suffix[i + 1]
-        for j in range(n - 1, -1, -1):
-            if aa[i] == bb[j]:
-                row[j] = below[j + 1] + 1
-            else:
-                row[j] = max(below[j], row[j + 1])
+    if not m:
+        return LcsResult(0, Word(), (), ())
+    full, match = _match_masks(aa[::-1])
+    v = full
+    rows = [v]
+    for sym in reversed(bb):
+        u = v & match[sym]
+        v = ((v + u) | (v - u)) & full
+        rows.append(v)
     a_pos: list[int] = []
     b_pos: list[int] = []
     i = j = 0
-    need = suffix[0][0]
+    need = m - v.bit_count()
     while need > 0:
-        taken = False
-        for i2 in range(i, m):
-            if suffix[i2][j] < need:
-                break  # no optimal completion starts at or after i2
-            j2 = next(
-                (
-                    jj
-                    for jj in range(j, n)
-                    if bb[jj] == aa[i2] and suffix[i2 + 1][jj + 1] >= need - 1
-                ),
-                None,
-            )
-            if j2 is not None:
-                a_pos.append(i2)
-                b_pos.append(j2)
-                i, j = i2 + 1, j2 + 1
-                need -= 1
-                taken = True
+        # the smallest a-position with an optimal completion, at its first match in bb
+        for i in range(i, m):
+            j2 = bb.find(aa[i], j)
+            rest = m - i - 1  # LCS(aa[i+1:], bb[j2+1:]) is rest minus the ones below
+            if j2 >= 0 and rest - (rows[n - j2 - 1] & ((1 << rest) - 1)).bit_count() >= need - 1:
                 break
-        if not taken:
+        else:
             raise AssertionError("lcs walk lost optimality")
-    witness = Word(bytes(aa[p] for p in a_pos))
+        a_pos.append(i)
+        b_pos.append(j2)
+        i, j = i + 1, j2 + 1
+        need -= 1
+    witness = Word(bytes(map(aa.__getitem__, a_pos)))
     return LcsResult(len(a_pos), witness, tuple(a_pos), tuple(b_pos))
-
-
-_ASCII01 = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def lcs_length(a: WordLike, b: WordLike) -> int:
@@ -329,15 +333,13 @@ def lcs_length(a: WordLike, b: WordLike) -> int:
     Bit i of ``v`` stands for position i of ``a``; each bit of ``b`` updates
     all of them with a few big-int operations (Allison and Dix 1986, Hyyro
     2004), and the LCS length is the number of zero bits left in ``v``.  The
-    cost is O(len(b)) such operations, not the len(a) * len(b) cells of the
-    table ``lcs`` fills.
+    cost is O(len(b)) such operations, not the len(a) * len(b) cells of a
+    table fill.
     """
     aa, bb = as_word(a).bits, as_word(b).bits
     if not aa:
         return 0
-    full = (1 << len(aa)) - 1
-    ones = int(aa[::-1].translate(_ASCII01), 2)  # bit i set iff aa[i] == 1
-    match = (full ^ ones, ones)
+    full, match = _match_masks(aa)
     v = full
     for sym in bb:
         u = v & match[sym]

@@ -384,3 +384,20 @@ def test_negative_trial_count_is_usage_error(tmp_path, capsys):
     assert err.value.code == 2
     assert "--trials" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [book]
+
+
+@pytest.mark.parametrize("option, value", [("--p", "1/0"), ("--p0-adv", "1/0"),
+                                           ("--p", "half"), ("--p0-adv", "2/")])
+def test_bad_online_fraction_is_usage_error(option, value, tmp_path, capsys):
+    book = tmp_path / "code.txt"
+    book.write_text("0011\n1100\n")
+    out = tmp_path / "online.csv"
+    fractions = {"--p": "1/2", "--p0-adv": "2/5", option: value}
+    with pytest.raises(SystemExit) as err:
+        main(["experiment", "online", "--code", str(book), "--p", fractions["--p"],
+              "--p0-adv", fractions["--p0-adv"], "--trials", "3", "--seed", "1",
+              "--out", str(out)])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument {option}:" in captured.err and captured.out == ""
+    assert list(tmp_path.iterdir()) == [book]

@@ -7,6 +7,7 @@ import pytest
 
 from deletion_lab import online
 from deletion_lab import rng as rngmod
+from deletion_lab import words as wordsmod
 from deletion_lab.online import (
     ConfusablePair,
     IdentityAdversary,
@@ -242,11 +243,15 @@ def test_confusion_check_gives_every_codeword_the_same_channel_randomness():
     assert rep.summary()["confused_mean"] == 0.0
 
 
+def with_up_to_two_deletions(code):
+    """Every codeword with up to two bits deleted: many outputs recur."""
+    return [Word(bytes(b for i, b in enumerate(c.bits) if i not in dead))
+            for c in code for k in range(3) for dead in combinations(range(len(c)), k)]
+
+
 def test_unique_decoder_memo_agrees_with_unique_decode(monkeypatch):
     code = read_codebook(GOLDEN / "code.txt")
-    # every golden codeword with up to two bits deleted: many outputs recur
-    received = [Word(bytes(b for i, b in enumerate(c.bits) if i not in dead))
-                for c in code for k in range(3) for dead in combinations(range(len(c)), k)]
+    received = with_up_to_two_deletions(code)
     plain = online.unique_decode
     decoded = []
     monkeypatch.setattr(online, "unique_decode",
@@ -256,3 +261,46 @@ def test_unique_decoder_memo_agrees_with_unique_decode(monkeypatch):
     assert answers == [plain(s, code) for s in received + received]
     assert None in answers and set(code) <= set(answers)  # both failures and hits occur
     assert sorted(decoded) == sorted({s.bits for s in received})
+
+
+def test_first_superstring_decoder_memo_decodes_each_output_once(monkeypatch):
+    code = read_codebook(GOLDEN / "code.txt")
+    received = with_up_to_two_deletions(code) + [Word("1" * len(code[0]))]  # the last fits no codeword
+    plain = wordsmod.is_subsequence
+    probes = []
+    monkeypatch.setattr(wordsmod, "is_subsequence",
+                        lambda s, c: probes.append((s.bits, c.bits)) or plain(s, c))
+    decoder = make_first_superstring_decoder(code)
+    answers = [decoder(s) for s in received + received]
+    first = lambda s: next((c for c in code if plain(s, c)), None)
+    assert answers == [first(s) for s in received + received]
+    assert None in answers and set(code) <= set(answers)  # both failures and hits occur
+    assert len(probes) == len(set(probes))  # no output is tested against a codeword twice
+    assert {s for s, _ in probes} == {s.bits for s in received}
+
+
+class FirstDrawRecorder(OnlineAdversary):
+    """Transmits everything and records the first draw of each begin() rng."""
+
+    def __init__(self, draws):
+        self.draws = draws
+
+    def begin(self, n, rng):
+        self.draws.append(rng.random())
+        return {}
+
+    def decide(self, state, x, i):
+        return False
+
+
+def test_every_transmission_of_a_table_starts_from_the_channel_seed():
+    code = paired_toy_code()
+    draws: dict[tuple[int, int], list[float]] = {}
+    simulate_online(
+        code, CFG, make_unique_decoder(code), trials=40, master_seed=17,
+        adversary_factory=lambda s, b: FirstDrawRecorder(draws.setdefault((s, b), [])),
+    )
+    assert len(draws) == 4  # every (strategy, bit) table was built
+    for (s, b), seen in draws.items():
+        expected = rngmod.py_rng(17, f"online-channel:{s}:{b}").random()
+        assert seen == [expected] * len(code)

@@ -370,10 +370,59 @@ def test_word_runs_are_cached_and_carried_over():
     assert a._runs == (1, 2, 1) and b._runs == (1, 1, 1, 2, 1)  # filled on the callers' words
 
 
+def table_lcs(a, b):
+    """Reference: fill the whole suffix-LCS table, then walk it cell by cell.
+
+    Same tie-break as ``lcs``: the smallest a-positions, then the smallest
+    b-positions.
+    """
+    aa, bb = Word(a).bits, Word(b).bits
+    m, n = len(aa), len(bb)
+    # suffix[i][j] = LCS length of aa[i:], bb[j:]
+    suffix = [[0] * (n + 1) for _ in range(m + 1)]
+    for i in range(m - 1, -1, -1):
+        row, below = suffix[i], suffix[i + 1]
+        for j in range(n - 1, -1, -1):
+            if aa[i] == bb[j]:
+                row[j] = below[j + 1] + 1
+            else:
+                row[j] = max(below[j], row[j + 1])
+    a_pos, b_pos = [], []
+    i = j = 0
+    need = suffix[0][0]
+    while need > 0:
+        for i2 in range(i, m):
+            j2 = next((jj for jj in range(j, n)
+                       if bb[jj] == aa[i2] and suffix[i2 + 1][jj + 1] >= need - 1), None)
+            if j2 is not None:
+                break
+        a_pos.append(i2)
+        b_pos.append(j2)
+        i, j = i2 + 1, j2 + 1
+        need -= 1
+    return len(a_pos), bytes(aa[p] for p in a_pos), tuple(a_pos), tuple(b_pos)
+
+
+lcs_words = st.lists(st.integers(0, 1), max_size=80)
+
+
 @PROPS
-@given(st.lists(st.integers(0, 1), max_size=80), st.lists(st.integers(0, 1), max_size=80))
+@given(lcs_words, lcs_words)
+@example([], [])
+@example([], [1, 0])
+@example([0, 1, 1], [])
+@example([1, 0, 0, 1, 1, 0], [1, 0, 0, 1, 1, 0])  # a word against itself
+@example([0] * 9, [1] * 7)
+@example([0, 1, 0, 1], [1, 0, 1, 0])
+def test_lcs_agrees_with_table_walk(a, b):
+    res = lcs(a, b)
+    assert (res.length, res.witness.bits, res.a_positions, res.b_positions) == table_lcs(a, b)
+
+
+@PROPS
+@given(lcs_words, lcs_words)
 def test_lcs_length_agrees_with_lcs_table(a, b):
-    assert lcs_length(a, b) == lcs(a, b).length
+    assert lcs_length(a, b) == table_lcs(a, b)[0]
 
 
 # ---------------------------------------------------------------------------

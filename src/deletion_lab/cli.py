@@ -29,7 +29,7 @@ from .construction import (
     read_outer_words,
     toy_params,
 )
-from .matching import all_outer_words, exact_sqrt, match_count_dominance, worst_sets
+from .matching import all_outer_words, exact_sqrt, worst_sets
 from .oblivious import (
     SamplingPlan,
     build_confusability_graph,
@@ -54,8 +54,9 @@ from .oracles import (
     verify_geom_bounds,
     verify_matching_decay,
     verify_matching_implication,
+    verify_worst_sets_dominance,
 )
-from .reporting import atomic_write_text
+from .reporting import atomic_write_text, read_lines
 from .words import (
     DeletionPattern,
     Word,
@@ -136,16 +137,17 @@ def cmd_encode(parser, args) -> int:
     return 0
 
 
-def _family_pattern(name: str, w: Word, weight: int | None, rng) -> DeletionPattern:
-    if name == "delete-zeros":
+def _corruption_pattern(args, w: Word, rng) -> DeletionPattern:
+    """The pattern ``corrupt`` applies to ``w``: ``--pattern``, or one of ``--family``."""
+    if args.pattern is not None:
+        return DeletionPattern(len(w), tuple(int(t) for t in args.pattern.split(",") if t))
+    if args.family == "delete-zeros":
         return bit_deletion_pattern(w, 0)
-    if name == "delete-ones":
+    if args.family == "delete-ones":
         return bit_deletion_pattern(w, 1)
-    if name == "uniform":
-        if weight is None:
-            raise ValueError("--weight required for the uniform family")
-        return uniform_pattern(len(w), weight, rng)
-    raise ValueError(f"unknown family {name!r}")
+    if args.weight is None:
+        raise ValueError("--weight required for the uniform family")
+    return uniform_pattern(len(w), args.weight, rng)
 
 
 def cmd_corrupt(parser, args) -> int:
@@ -154,35 +156,16 @@ def cmd_corrupt(parser, args) -> int:
         parser.error("no input words")
     if (args.pattern is None) == (args.family is None):
         parser.error("pass exactly one of --pattern / --family")
-    out_lines = []
     rng = rngmod.py_rng(args.seed if args.seed is not None else 0, "corrupt")
-    if args.pattern is not None:
-        deleted = tuple(int(t) for t in args.pattern.split(",") if t)
-        for w in words:
-            pat = DeletionPattern(len(w), deleted)
-            out_lines.append(apply_pattern(pat, w).to01())
-    else:
-        for w in words:
-            pat = _family_pattern(args.family, w, args.weight, rng)
-            out_lines.append(apply_pattern(pat, w).to01())
+    out_lines = [apply_pattern(_corruption_pattern(args, w, rng), w).to01() for w in words]
     atomic_write_text(args.out, "\n".join(out_lines) + "\n")
     return 0
 
 
-def _read_received(path) -> list[Word]:
-    # received words come from deletions, so line lengths legitimately vary
-    out = []
-    with open(path, "r", encoding="ascii") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                out.append(Word(line))
-    return out
-
-
 def cmd_decode(parser, args) -> int:
     codebook = _read_input(parser, read_codebook, args.codebook)
-    received = _read_input(parser, _read_received, args.infile)
+    # received words come from deletions, so line lengths legitimately vary
+    received = _read_input(parser, read_lines, args.infile, Word).values()
     lines = []
     for s in received:
         hit = unique_decode(s, codebook)
@@ -191,9 +174,10 @@ def cmd_decode(parser, args) -> int:
     return 0
 
 
-def _master_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
+def _master_seed(seed: int | None) -> int:
+    """``seed``, or one drawn from entropy and echoed on stderr when it is None."""
+    if seed is not None:
+        return seed
     seed = rngmod.fresh_master_seed()
     print(f"# master seed drawn from entropy: {seed}", file=sys.stderr)
     return seed
@@ -236,10 +220,7 @@ def cmd_experiment_oblivious(parser, args) -> int:
         raise ValueError(f"{args.config}: the config must be a JSON object with a 'params' key")
     params = params_from_json(cfg["params"])
     params.require_executable()
-    seed = args.seed if args.seed is not None else cfg.get("master_seed")
-    if seed is None:
-        seed = rngmod.fresh_master_seed()
-        print(f"# master seed drawn from entropy: {seed}", file=sys.stderr)
+    seed = _master_seed(args.seed if args.seed is not None else cfg.get("master_seed"))
     pool_cfg = cfg.get("pool", {"random": 128})
     if not isinstance(pool_cfg, dict):
         raise ValueError(f"{args.config}: 'pool' must be a JSON object, got {json.dumps(pool_cfg)}")
@@ -312,7 +293,7 @@ def cmd_experiment_online(parser, args) -> int:
     if len(code) < 2:
         parser.error("online experiments need at least two codewords")
     cfg = OnlineConfig(p=args.p, p0_adv=args.p0_adv)
-    seed = _master_seed(args)
+    seed = _master_seed(args.seed)
     decoder = (
         make_unique_decoder(code)
         if args.decoder == "unique"
@@ -379,19 +360,7 @@ def _verify_runners(samples: int, seed: int, exhaustive: bool) -> dict:
         )
 
     def run_dominance() -> OracleReport:
-        report = OracleReport(name="worst-sets-dominance", mode="random-configs")
-        rng = rngmod.py_rng(seed, "verify-dominance")
-        K, m, lam = 3, 4, 2
-        for _ in range(100):
-            Y = [rng.randrange(1, K + 1) for _ in range(8)]
-            sets = tuple(
-                frozenset(rng.sample(range(1, K + 1), lam - 1)) for _ in range(m)
-            )
-            count_s, count_worst = match_count_dominance(Y, sets, s=4, t=2, K=K, m=m)
-            report.instances += 1
-            if count_s > count_worst:
-                report.record_violation({"Y": Y, "sets": sets})
-        return report
+        return verify_worst_sets_dominance(master_seed=seed)
 
     def run_decay() -> OracleReport:
         return verify_matching_decay(trials=min(samples, 100_000), master_seed=seed)
@@ -460,14 +429,17 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sp = subs.add_parser("params", help="derive and print code parameters")
+    sp.set_defaults(run=cmd_params)
     _add_params_options(sp)
 
     sp = subs.add_parser("encode", help="concatenate inner codewords for outer words")
+    sp.set_defaults(run=cmd_encode)
     _add_params_options(sp)
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--out", required=True)
 
     sp = subs.add_parser("corrupt", help="apply deletion patterns to codewords")
+    sp.set_defaults(run=cmd_corrupt)
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--pattern", help="comma-separated 1-based deleted indices")
@@ -476,6 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=None)
 
     sp = subs.add_parser("decode", help="unique decoding against a codebook")
+    sp.set_defaults(run=cmd_decode)
     sp.add_argument("--codebook", required=True)
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--out", required=True)
@@ -483,10 +456,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("experiment", help="run a reproducible experiment")
     exp = sp.add_subparsers(dest="experiment", required=True)
     spo = exp.add_parser("oblivious", help="fixed-pattern average-case errors")
+    spo.set_defaults(run=cmd_experiment_oblivious)
     spo.add_argument("--config", required=True)
     spo.add_argument("--out", required=True)
     spo.add_argument("--seed", type=int, default=None)
     spn = exp.add_parser("online", help="wait-push adversary simulation")
+    spn.set_defaults(run=cmd_experiment_online)
     spn.add_argument("--code", required=True)
     spn.add_argument("--p", type=_fraction, required=True)
     spn.add_argument("--p0-adv", dest="p0_adv", type=_fraction, required=True)
@@ -496,9 +471,11 @@ def build_parser() -> argparse.ArgumentParser:
     spn.add_argument("--out", required=True)
 
     sp = subs.add_parser("graph", help="confusability graph statistics")
+    sp.set_defaults(run=cmd_graph)
     _add_params_options(sp)
 
     sp = subs.add_parser("verify", help="run lemma oracles")
+    sp.set_defaults(run=cmd_verify)
     sp.add_argument("lemmas", nargs="+")
     sp.add_argument("--exhaustive", action="store_true")
     sp.add_argument("--samples", type=_sample_count, default=None)
@@ -511,26 +488,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "params":
-            return cmd_params(parser, args)
-        if args.command == "encode":
-            return cmd_encode(parser, args)
-        if args.command == "corrupt":
-            return cmd_corrupt(parser, args)
-        if args.command == "decode":
-            return cmd_decode(parser, args)
-        if args.command == "experiment":
-            if args.experiment == "oblivious":
-                return cmd_experiment_oblivious(parser, args)
-            return cmd_experiment_online(parser, args)
-        if args.command == "graph":
-            return cmd_graph(parser, args)
-        if args.command == "verify":
-            return cmd_verify(parser, args)
+        return args.run(parser, args)
     except (ParamsError, ValueError) as exc:
         parser.error(str(exc))
-    parser.error(f"unknown command {args.command!r}")
-    return 2
 
 
 if __name__ == "__main__":

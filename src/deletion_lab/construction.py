@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
+from .reporting import atomic_write_text, read_lines
 from .words import (
     DeletionPattern,
     Word,
@@ -89,7 +90,7 @@ def smallest_lambda(p: FractionLike, relaxed: bool = False) -> int:
     return lam
 
 
-def derive_params(p: FractionLike, n: int, materialize_limit: int = 1 << 22) -> CodeParams:
+def derive_params(p: FractionLike, n: int) -> CodeParams:
     """Paper-mode parameter derivation for deletion fraction p."""
     p = as_fraction(p)
     if not (0 < p < 1):
@@ -106,8 +107,8 @@ def derive_params(p: FractionLike, n: int, materialize_limit: int = 1 << 22) -> 
     R = 4 * K**4
     log2_L = 1 + K * log2_R
     # paper-mode L is double-exponential; only materialize in the (unreachable
-    # in practice) case it fits the same limit toy mode uses
-    L = 2 * R**K if log2_L <= max(1, materialize_limit).bit_length() + 20 else None
+    # in practice) case that log2 L <= 43
+    L = 2 * R**K if log2_L <= 43 else None
     return CodeParams(
         mode="paper",
         p=p,
@@ -241,7 +242,11 @@ def preserves(sigma: DeletionPattern, i: int, params: CodeParams, book: InnerCod
             f"inner pattern length {sigma.word_length} != L = {params.L}"
         )
     g = book[i] if book is not None else inner_codeword(i, params)
-    r = sigma.kept_run_count(g)
+    return preserves_runs(sigma.kept_run_count(g), i, params)
+
+
+def preserves_runs(r: int, i: int, params: CodeParams) -> bool:
+    """Do r kept runs of g_i preserve it: r >= 2*R^(K+1-i)/sqrt(R)?"""
     # r >= 2 R^(K+1-i) / sqrt(R)  <=>  r^2 >= 4 R^(2K+1-2i), exactly
     return r * r >= 4 * params.R ** (2 * params.K + 1 - 2 * i)
 
@@ -255,7 +260,7 @@ def is_admissible(sigma: DeletionPattern, ell: int, params: CodeParams) -> bool:
         )
     if ell < 0:
         raise ParamsError("admissibility level must be nonnegative")
-    return weight_within_bound(sigma.weight, params.L, ell + 1, params.R)
+    return weight_admissible(sigma.weight, ell, params)
 
 
 def pad_corruption_set(corrupted: set[int], params: CodeParams) -> frozenset[int]:
@@ -425,20 +430,8 @@ def json_field(obj: dict, key: str, convert, default=None):
 
 def read_outer_words(path) -> list[OuterWord]:
     """Comma-separated integers, one outer word per line; '#' comments."""
-    out: list[OuterWord] = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                out.append(tuple(int(tok) for tok in line.split(",")))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return out
+    return list(read_lines(path, lambda line: tuple(int(tok) for tok in line.split(","))).values())
 
 
 def write_outer_words(path, words: Iterable[Sequence[int]]) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        for X in words:
-            fh.write(",".join(str(s) for s in X) + "\n")
+    atomic_write_text(path, "".join(",".join(str(s) for s in X) + "\n" for X in words))

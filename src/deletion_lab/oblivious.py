@@ -18,7 +18,7 @@ import numpy as np
 from . import rng as rngmod
 from .construction import CodeParams, InnerCodebook, OuterWord, encode_outer
 from .matching import MatchConfig, batch_matchable, count_matchable, worst_sets
-from .reporting import ExperimentReport
+from .reporting import ExperimentReport, atomic_write_text, read_lines
 from .words import DeletionPattern, Word, apply_pattern, bit_deletion_pattern, is_subsequence
 
 
@@ -106,9 +106,6 @@ def estimate_f(
 class FilterOutcome:
     kept: list[OuterWord]
     discarded: list[OuterWord]
-    borderline: list[OuterWord]
-    threshold: float
-    estimates: dict[OuterWord, FEstimate]
 
     @property
     def discarded_fraction(self) -> float:
@@ -123,26 +120,18 @@ def filter_candidates(
     exact: bool = True,
     trials: int = 4000,
     master_seed: int = 0,
-    threshold: float | None = None,
 ) -> FilterOutcome:
-    """Keep the pool members whose disguise probability stays under threshold.
+    """Keep the pool members whose disguise probability stays under the plan's
+    threshold 2 * 2^(-beta n).
 
-    The default threshold is the plan's 2 * 2^(-beta n).  In Monte-Carlo mode
-    a word whose estimate lands within two half-widths of the threshold is
-    classified by its point estimate but reported as borderline.
+    A Monte-Carlo estimate is classified by its point value.
     """
-    thr = plan.f_threshold(params.n) if threshold is None else threshold
-    kept: list[OuterWord] = []
-    discarded: list[OuterWord] = []
-    borderline: list[OuterWord] = []
-    estimates: dict[OuterWord, FEstimate] = {}
+    thr = plan.f_threshold(params.n)
+    outcome = FilterOutcome([], [])
     for Y in pool:
         est = estimate_f(Y, params, exact=exact, trials=trials, master_seed=master_seed)
-        estimates[est.word] = est
-        (kept if est.value < thr else discarded).append(est.word)
-        if not est.exact and abs(float(est.value) - thr) < 2 * est.half_width:
-            borderline.append(est.word)
-    return FilterOutcome(kept, discarded, borderline, thr, estimates)
+        (outcome.kept if est.value < thr else outcome.discarded).append(est.word)
+    return outcome
 
 
 def sample_outer_code(
@@ -332,13 +321,12 @@ def standard_pattern_family(
     weight: int,
     refs: Sequence[Word],
     master_seed: int = 0,
-    uniform_count: int = 3,
 ) -> list[tuple[str, DeletionPattern]]:
-    """The experiment family: uniform, delete-all-of-bit-b, and blockwise."""
+    """The experiment family: three uniform, delete-all-of-bit-b, and blockwise."""
     N = params.N
     rng = rngmod.py_rng(master_seed, "pattern-family")
     fam: list[tuple[str, DeletionPattern]] = []
-    for k in range(uniform_count):
+    for k in range(3):
         fam.append((f"uniform-{k}", uniform_pattern(N, weight, rng)))
     for r, ref in enumerate(refs):
         fam.append((f"zeros-of-ref{r}", delete_bit_pattern(ref, 0, weight, rng)))
@@ -349,21 +337,15 @@ def standard_pattern_family(
 
 def read_patterns(path, word_length: int) -> list[tuple[str, DeletionPattern]]:
     """One pattern per line: comma-separated deleted indices ('' = empty)."""
-    out = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line.startswith("#"):
-                continue
-            deleted = tuple(int(tok) for tok in line.split(",") if tok)
-            out.append((f"line{lineno}", DeletionPattern(word_length, deleted)))
-    return out
+
+    def parse(line: str) -> DeletionPattern:
+        return DeletionPattern(word_length, tuple(int(tok) for tok in line.split(",") if tok))
+
+    return [(f"line{k}", pat) for k, pat in read_lines(path, parse, keep_blank=True).items()]
 
 
 def write_patterns(path, patterns: Iterable[DeletionPattern]) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        for pat in patterns:
-            fh.write(",".join(str(i) for i in pat.deleted) + "\n")
+    atomic_write_text(path, "".join(",".join(str(i) for i in pat.deleted) + "\n" for pat in patterns))
 
 
 def oblivious_experiment(

@@ -256,6 +256,16 @@ class NonCausalProbeAdversary(OnlineAdversary):
         return False
 
 
+def draw_coin(rng, force_strategy: int | None = None, force_bit: int | None = None) -> tuple[int, int]:
+    """The wait-push coin: (strategy 1 or 2, bit), each drawn from rng unless forced.
+
+    The strategy is drawn first, then the bit.
+    """
+    strategy = force_strategy or (1 if rng.random() < 0.5 else 2)
+    bit = force_bit if force_bit is not None else rng.randrange(2)
+    return strategy, bit
+
+
 class WaitPushAdversary(OnlineAdversary):
     """Delete one bit value while identifying the codeword, then steer the
     suffix onto the partner's common subsequence.
@@ -287,8 +297,7 @@ class WaitPushAdversary(OnlineAdversary):
         self.keys = [self.C[k].bits for k in self.order]
 
     def begin(self, n, rng):
-        strategy = self.force_strategy or (1 if rng.random() < 0.5 else 2)
-        bit = self.force_bit if self.force_bit is not None else rng.randrange(2)
+        strategy, bit = draw_coin(rng, self.force_strategy, self.force_bit)
         state = {
             "strategy": strategy,
             "bit": bit,
@@ -299,21 +308,17 @@ class WaitPushAdversary(OnlineAdversary):
             "hi": len(self.C),
             "keep": None,  # push-phase keep set; None = transmit everything
             "paired": False,
-            "believed": None,
         }
         if len(self.C) < 2:
             # degenerate code: wait length 0, nothing to push toward
             state["phase"] = "push"
-            state["believed"] = 0 if self.C else None
         return state
 
     def _resolve_push(self, state) -> None:
         state["phase"] = "push"
         if state["hi"] - state["lo"] != 1:
             return  # received word is no codeword: give up, transmit the rest
-        k = self.order[state["lo"]]
-        believed = self.C[k]
-        state["believed"] = k
+        believed = self.C[self.order[state["lo"]]]
         pair = self.pairs.partner_of(believed)
         prof = self.pairs.profiles[believed]
         if pair is None or prof.b != state["bit"]:
@@ -353,7 +358,6 @@ class TransmitResult:
     strategy: int | None = None
     bit: int | None = None
     paired: bool = False
-    believed: int | None = None
 
 
 def transmit(x: Word, adversary: OnlineAdversary, rng) -> TransmitResult:
@@ -380,7 +384,6 @@ def transmit(x: Word, adversary: OnlineAdversary, rng) -> TransmitResult:
         strategy=state.get("strategy"),
         bit=state.get("bit"),
         paired=bool(state.get("paired")),
-        believed=state.get("believed"),
     )
 
 
@@ -494,8 +497,7 @@ def simulate_online(
     for trial in range(trials):
         idx = rngmod.py_rng(master_seed, "online-trial", trial).randrange(len(words))
         draw_rng = rngmod.py_rng(master_seed, "online-draw", trial)
-        strategy = force_strategy or (1 if draw_rng.random() < 0.5 else 2)
-        bit = force_bit if force_bit is not None else draw_rng.randrange(2)
+        strategy, bit = draw_coin(draw_rng, force_strategy, force_bit)
         if (strategy, bit) not in tables:
             adversary = factory(strategy, bit)
             seed = rngmod.substream_seed(master_seed, f"online-channel:{strategy}:{bit}")

@@ -26,10 +26,18 @@ from .construction import (
     encode_outer,
     pad_corruption_set,
     preserves,
+    preserves_runs,
     weight_admissible,
     weight_within_bound,
 )
-from .matching import MatchConfig, batch_matchable, exact_sqrt, is_matchable, worst_sets
+from .matching import (
+    MatchConfig,
+    batch_matchable,
+    exact_sqrt,
+    is_matchable,
+    match_count_dominance,
+    worst_sets,
+)
 from .words import (
     DeletionPattern,
     Word,
@@ -189,18 +197,12 @@ def levenshtein_equivalence(
 # corruption cost of inner deletion patterns
 
 
-def _corruption_thresholds(params: CodeParams) -> list[int]:
-    # squared run-count thresholds: preserve g_i iff runs^2 >= 4 R^(2K+1-2i)
-    return [4 * params.R ** (2 * params.K + 1 - 2 * i) for i in range(1, params.K + 1)]
-
-
-def _count_corrupted(gs: Sequence[Word], kept: np.ndarray, thresholds: list[int]) -> int:
-    corrupted = 0
-    for g, thr in zip(gs, thresholds):
-        r = masked_run_count(g, kept)
-        if r * r < thr:
-            corrupted += 1
-    return corrupted
+def _count_corrupted(book: InnerCodebook, kept: np.ndarray) -> int:
+    """How many inner codewords the inner pattern with keep mask ``kept`` fails to preserve."""
+    return sum(
+        not preserves_runs(masked_run_count(g, kept), i, book.params)
+        for i, g in enumerate(book.words, start=1)
+    )
 
 
 def structured_inner_patterns(params: CodeParams) -> list[tuple[str, DeletionPattern]]:
@@ -233,29 +235,27 @@ def structured_inner_patterns(params: CodeParams) -> list[tuple[str, DeletionPat
 
 def verify_corruption_cost(
     params: CodeParams,
-    mode: str = "auto",
+    mode: str,
     samples: int = 100_000,
     master_seed: int = 0,
 ) -> OracleReport:
     """Corrupting c inner codewords needs more than L(1-2^-c-1/sqrt(R)) deletions.
 
-    Exhaustive over all 2^L inner patterns when L <= 16, else sampled
+    ``mode`` is "exhaustive" (all 2^L inner patterns, L <= 20) or "sampled"
     (weight-stratified uniform patterns plus the structured adversaries).
     """
+    if mode not in ("exhaustive", "sampled"):
+        raise ValueError(f"unknown corruption-cost mode {mode!r}")
     params.require_executable()
     L, R, K = params.L, params.R, params.K
-    if mode == "auto":
-        mode = "exhaustive" if L <= 16 else "sampled"
     book = InnerCodebook(params)
-    gs = book.words
-    thresholds = _corruption_thresholds(params)
     report = OracleReport(name="corruption-cost", mode=mode)
     report.extras["params"] = (K, R, L, params.lam)
 
     def check(kept: np.ndarray, label) -> None:
         report.instances += 1
         weight = L - int(kept.sum())
-        corrupted = _count_corrupted(gs, kept, thresholds)
+        corrupted = _count_corrupted(book, kept)
         # corrupting c >= 1 codewords must cost more than L(1 - 2^-c - 1/sqrt(R))
         if corrupted and weight_within_bound(weight, L, corrupted, R):
             report.record_violation(
@@ -363,7 +363,6 @@ def verify_matching_implication(
     shared = [DeletionPattern(params.L, ())] + [bit_deletion_pattern(g, 0) for g in book.words]
     dn = params.delta_n
     n, K = params.n, params.K
-    s, t = 2**params.lam, exact_sqrt(params.R)
     cap = admissible_weight_cap(params, params.lam - 1)
     report = OracleReport(name="matching-implication", mode=f"instances={instances}")
     positives = 0
@@ -395,10 +394,29 @@ def verify_matching_implication(
         if not is_subsequence(corrupted_word, encode_outer(Y, params, book)):
             continue
         positives += 1
-        cfg = MatchConfig(s=s, t=t, sets=tuple(sets))
-        if not is_matchable(X, Y, cfg):
+        if not is_matchable(X, Y, MatchConfig.paper(params.lam, params.R, sets)):
             report.record_violation({"X": X, "Y": Y, "blocks": [b.deleted for b in blocks]})
     report.extras["positives"] = positives
+    return report
+
+
+def verify_worst_sets_dominance(master_seed: int = 0) -> OracleReport:
+    """Random corruption sets never admit more matchable X than the worst sets.
+
+    K = 3, lambda = 2: for each of 100 random hosts Y in [K]^8 with four
+    random (lambda-1)-sets, ``match_count_dominance`` counts the matchable X
+    of [K]^4 exactly under both, with the caps s = 4, t = 2.
+    """
+    report = OracleReport(name="worst-sets-dominance", mode="random-configs")
+    rng = rngmod.py_rng(master_seed, "verify-dominance")
+    K, m, lam = 3, 4, 2
+    for _ in range(100):
+        Y = [rng.randrange(1, K + 1) for _ in range(8)]
+        sets = tuple(frozenset(rng.sample(range(1, K + 1), lam - 1)) for _ in range(m))
+        count_s, count_worst = match_count_dominance(Y, sets, s=4, t=2, K=K, m=m)
+        report.instances += 1
+        if count_s > count_worst:
+            report.record_violation({"Y": Y, "sets": sets})
     return report
 
 

@@ -62,6 +62,26 @@ class ExperimentReport:
             atomic_write_text(summary_path, json.dumps(self.summary(), indent=2, sort_keys=True) + "\n")
 
 
+def read_lines(path, parse, keep_blank: bool = False) -> dict:
+    """``{line number: parse(line)}`` over the stripped lines of a text file.
+
+    Lines starting with ``#`` are comments.  Blank lines are skipped, or
+    parsed too when ``keep_blank``.  A ``ValueError`` from ``parse`` is raised
+    again with ``path:line`` in front of its message.
+    """
+    out = {}
+    with open(path, "r", encoding="ascii") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if line.startswith("#") or not (line or keep_blank):
+                continue
+            try:
+                out[lineno] = parse(line)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    return out
+
+
 def atomic_write_text(path, text: str) -> None:
     """Write via a temp file and rename: errors never leave partial output.
 

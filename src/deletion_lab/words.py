@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .reporting import atomic_write_text
+from .reporting import atomic_write_text, read_lines
 
 WordLike = Union["Word", str, bytes, Sequence[int]]
 
@@ -380,16 +380,7 @@ def enumerate_patterns(n: int, m: int) -> Iterator[DeletionPattern]:
 
 def read_codebook(path) -> list[Word]:
     """One codeword per line over '0'/'1'; '#'-prefixed comment lines ignored."""
-    words: list[Word] = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                words.append(Word(line))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    words = list(read_lines(path, Word).values())
     if words and len({len(w) for w in words}) != 1:
         raise ValueError(f"{path}: codewords must all have equal length")
     return words

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from deletion_lab import cli
+from deletion_lab import cli, oracles
 from deletion_lab.cli import main
 from deletion_lab.reporting import atomic_write_text
 from deletion_lab.words import Word
@@ -236,8 +236,27 @@ def test_pattern_file_replaces_the_standard_family(tmp_path, capsys, monkeypatch
     assert [r.split(",")[1:3] for r in rows] == [["line1", "3"], ["line2", "0"]]
 
 
+@pytest.mark.parametrize("case", ["received", "pattern-token", "pattern-index"])
+def test_bad_input_line_is_a_usage_error_naming_path_and_line(case, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    out = tmp_path / "o.csv"
+    if case == "received":
+        book = tmp_path / "book.txt"
+        book.write_text("0011\n1100\n")
+        bad.write_text("# received\n01x1\n")
+        argv = ["decode", "--codebook", str(book), "--in", str(bad), "--out", str(out)]
+    else:
+        bad.write_text("1,2\n" + ("zz\n" if case == "pattern-token" else "5000\n"))
+        argv = _oblivious_config(tmp_path, pool={"random": 4}, pattern_file=str(bad))
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert f"{bad}:2:" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir() if p.name.startswith(out.name)] == []
+
+
 def test_dominance_violation_is_recorded_with_witness(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "match_count_dominance", lambda *a, **k: (2, 1))
+    monkeypatch.setattr(oracles, "match_count_dominance", lambda *a, **k: (2, 1))
     assert main(["verify", "worst-sets-dominance", "--seed", "3"]) == 1
     (report,) = json.loads(capsys.readouterr().out)
     assert report["violations"] == report["instances"] == 100

@@ -231,6 +231,16 @@ def test_outer_word_file_roundtrip(tmp_path):
     assert read_outer_words(path) == words
 
 
+def test_failed_outer_word_write_leaves_no_file(tmp_path):
+    def words():
+        yield (1, 2, 1)
+        raise RuntimeError("no more words")
+
+    with pytest.raises(RuntimeError):
+        write_outer_words(tmp_path / "outer.txt", words())
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_weight_bound_guarantees_enough_admissible_blocks():
     # patterns within N(1 - 2^-lam - 1/sqrt(R) - delta/2) always leave at
     # least delta*n admissible inner patterns, so signature extraction

@@ -84,3 +84,15 @@ def test_package_holds_no_assert_statement():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_cli_builds_no_oracle_report():
+    # the CLI holds no oracle: every OracleReport is made in ``oracles``
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    calls = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "OracleReport" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert calls == []

@@ -236,6 +236,16 @@ def test_pattern_file_roundtrip(tmp_path):
     assert [p for _, p in back] == pats
 
 
+def test_failed_pattern_write_leaves_no_file(tmp_path):
+    def patterns():
+        yield DeletionPattern(8, (1, 5))
+        raise RuntimeError("no more patterns")
+
+    with pytest.raises(RuntimeError):
+        write_patterns(tmp_path / "pats.txt", patterns())
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_experiment_report_deterministic():
     params = toy_params(2, 4, 1, Fraction(1, 2), 4)
     pool = [tuple(X) for X in product((1, 2), repeat=4)]

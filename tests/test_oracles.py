@@ -78,6 +78,11 @@ def test_corruption_cost_exhaustive_small():
     assert rep.ok and rep.instances == 2**16
 
 
+def test_corruption_cost_rejects_an_unknown_mode():
+    with pytest.raises(ValueError, match="exhaustiv"):
+        verify_corruption_cost(toy_params(2, 2, 1, Fraction(1, 2), 4), mode="exhaustiv", samples=10)
+
+
 def test_corruption_cost_sampled():
     params = toy_params(2, 16, 2, Fraction(1, 2), 4)
     rep = verify_corruption_cost(params, mode="sampled", samples=5000, master_seed=1)

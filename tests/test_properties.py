@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 
 from deletion_lab import matching, oracles
 from deletion_lab import rng as rngmod
-from deletion_lab.construction import InnerCodebook, encode_outer, pad_corruption_set, toy_params
+from deletion_lab.construction import (
+    InnerCodebook,
+    encode_outer,
+    pad_corruption_set,
+    preserves,
+    toy_params,
+)
 from deletion_lab.matching import (
     ENUM_LIMIT,
     MatchConfig,
@@ -801,3 +807,15 @@ def test_planted_implication_violations_keep_their_witness_order(monkeypatch, pa
     rep = oracles.verify_matching_implication(params, instances=80, master_seed=5)
     assert rep.violations > len(rep.witnesses) == oracles.MAX_WITNESSES
     assert rep.to_json() == loop_matching_implication(params, 80, master_seed=5).to_json()
+
+
+@PROPS
+@given(st.sampled_from([(2, 16), (3, 2)]), st.floats(0, 1), st.integers(0, 2**32 - 1))
+def test_corruption_count_is_the_count_of_codewords_not_preserved(KR, density, seed):
+    K, R = KR
+    params = toy_params(K, R, 2, Fraction(1, 2), 4)
+    book = InnerCodebook(params)
+    keep = np.random.default_rng(seed).random(params.L) < density
+    sigma = DeletionPattern.from_keep(keep)
+    expected = sum(not preserves(sigma, i, params, book) for i in range(1, K + 1))
+    assert oracles._count_corrupted(book, keep) == expected

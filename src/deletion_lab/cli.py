@@ -29,7 +29,7 @@ from .construction import (
     read_outer_words,
     toy_params,
 )
-from .matching import all_outer_words, exact_sqrt, worst_sets
+from .matching import MatchConfig, all_outer_words, worst_sets
 from .oblivious import (
     SamplingPlan,
     build_confusability_graph,
@@ -131,7 +131,7 @@ def cmd_encode(parser, args) -> int:
     params = _params_from_args(parser, args)
     params.require_executable()
     book = InnerCodebook(params)
-    outers = _read_input(parser, read_outer_words, args.infile)
+    outers = _read_input(parser, read_outer_words, args.infile, params)
     words = [encode_outer(X, params, book) for X in outers]
     write_codebook(args.out, words)
     return 0
@@ -227,7 +227,7 @@ def cmd_experiment_oblivious(parser, args) -> int:
     rng = rngmod.py_rng(seed, "pool")
     pool: list[tuple[int, ...]] = []
     if "file" in pool_cfg:
-        pool = [tuple(X) for X in _read_input(parser, read_outer_words, pool_cfg["file"])]
+        pool = _read_input(parser, read_outer_words, pool_cfg["file"], params)
     elif json_field(pool_cfg, "all", _json_bool, False):
         pool = [tuple(X) for X in all_outer_words(params.K, params.n).tolist()]
     else:
@@ -317,7 +317,7 @@ def cmd_graph(parser, args) -> int:
     dn = params.delta_n
     sigma = DeletionPattern(params.n, tuple(range(dn + 1, params.n + 1)))
     graph = build_confusability_graph(
-        pool, sigma, worst_sets(dn, params.lam), s=2**params.lam, t=exact_sqrt(params.R)
+        pool, sigma, MatchConfig.paper(params.lam, params.R, worst_sets(dn, params.lam))
     )
     print(json.dumps(graph.stats(), indent=2, sort_keys=True))
     return 0

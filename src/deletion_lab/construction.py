@@ -428,9 +428,20 @@ def json_field(obj: dict, key: str, convert, default=None):
         raise ParamsError(f"{key!r} = {value!r}: {exc}") from None
 
 
-def read_outer_words(path) -> list[OuterWord]:
-    """Comma-separated integers, one outer word per line; '#' comments."""
-    return list(read_lines(path, lambda line: tuple(int(tok) for tok in line.split(","))).values())
+def read_outer_words(path, params: CodeParams) -> list[OuterWord]:
+    """Comma-separated integers, one outer word per line; '#' comments.
+
+    Every word must hold n symbols of [K]; a line that is not such a word is
+    a ``ValueError`` naming ``path:line``.
+    """
+
+    def parse(line: str) -> OuterWord:
+        X = tuple(int(tok) for tok in line.split(","))
+        if len(X) != params.n:
+            raise ParamsError(f"outer word has {len(X)} symbols, expected n = {params.n}")
+        return check_outer(X, params)
+
+    return list(read_lines(path, parse).values())
 
 
 def write_outer_words(path, words: Iterable[Sequence[int]]) -> None:

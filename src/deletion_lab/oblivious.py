@@ -19,7 +19,7 @@ from . import rng as rngmod
 from .construction import CodeParams, InnerCodebook, OuterWord, encode_outer
 from .matching import MatchConfig, batch_matchable, count_matchable, worst_sets
 from .reporting import ExperimentReport, atomic_write_text, read_lines
-from .words import DeletionPattern, Word, apply_pattern, bit_deletion_pattern, is_subsequence
+from .words import DeletionPattern, Word, apply_pattern, as_word, bit_deletion_pattern, is_subsequence
 
 
 @dataclass(frozen=True)
@@ -186,19 +186,19 @@ class ConfusabilityGraph:
 def build_confusability_graph(
     pool: Sequence[OuterWord],
     sigma: DeletionPattern,
-    sets: Sequence[frozenset[int]],
-    s: int,
-    t: int,
+    cfg: MatchConfig,
 ) -> ConfusabilityGraph:
-    """Evaluate the matchability relation between every ordered pool pair."""
+    """Evaluate the matchability relation between every ordered pool pair.
+
+    ``cfg`` holds the move caps and one corruption set per position sigma keeps.
+    """
     n = sigma.word_length
     if pool and len(pool[0]) != n:
         raise ValueError("sigma must act on outer words of the pool's length")
     kept = [i for i in range(1, n + 1) if i not in set(sigma.deleted)]
-    if len(sets) != len(kept):
-        raise ValueError(f"need {len(kept)} corruption sets, got {len(sets)}")
+    if len(cfg.sets) != len(kept):
+        raise ValueError(f"need {len(kept)} corruption sets, got {len(cfg.sets)}")
     selected = np.array([[X[i - 1] for i in kept] for X in pool], dtype=np.int64)
-    cfg = MatchConfig(s, t, tuple(sets))
     edges: list[tuple[int, int]] = []
     for y_idx, Y in enumerate(pool):
         wins = batch_matchable(selected, tuple(Y), cfg)
@@ -220,8 +220,12 @@ def unique_decode(s: Word, C: Sequence[Word]) -> Word | None:
 
 
 def average_case_error(C: Sequence[Word], tau: DeletionPattern) -> Fraction:
-    """Fraction of codewords whose deleted form fits inside another codeword."""
-    words = [Word(c) for c in C]
+    """Fraction of codewords whose deleted form fits inside another codeword.
+
+    A codeword that is already a ``Word`` is used as it is, so the runs it
+    caches serve every pattern it is tested under.
+    """
+    words = [as_word(c) for c in C]
     if len(set(words)) != len(words):
         raise ValueError("codewords must be distinct")
     if not words:

@@ -28,7 +28,6 @@ from .construction import (
     preserves,
     preserves_runs,
     weight_admissible,
-    weight_within_bound,
 )
 from .matching import (
     MatchConfig,
@@ -44,7 +43,6 @@ from .words import (
     apply_pattern,
     bit_deletion_pattern,
     is_subsequence,
-    join_patterns,
     masked_run_count,
 )
 
@@ -197,12 +195,22 @@ def levenshtein_equivalence(
 # corruption cost of inner deletion patterns
 
 
-def _count_corrupted(book: InnerCodebook, kept: np.ndarray) -> int:
-    """How many inner codewords the inner pattern with keep mask ``kept`` fails to preserve."""
-    return sum(
-        not preserves_runs(masked_run_count(g, kept), i, book.params)
-        for i, g in enumerate(book.words, start=1)
+def _corrupted(book: InnerCodebook, keep: np.ndarray) -> np.ndarray:
+    """``[..., i - 1]``: the inner pattern with keep mask ``keep`` fails to preserve g_i.
+
+    ``keep`` is one mask, giving K flags, or a stack of masks, giving one row
+    of K flags per mask: a stacked ``masked_run_count`` per inner codeword.
+    """
+    return np.stack(
+        [~np.asarray(preserves_runs(masked_run_count(g, keep), i, book.params))
+         for i, g in enumerate(book.words, start=1)],
+        axis=-1,
     )
+
+
+def _count_corrupted(book: InnerCodebook, keep: np.ndarray):
+    """How many inner codewords each inner pattern with keep mask(s) ``keep`` fails to preserve."""
+    return np.count_nonzero(_corrupted(book, keep), axis=-1)
 
 
 def structured_inner_patterns(params: CodeParams) -> list[tuple[str, DeletionPattern]]:
@@ -233,6 +241,10 @@ def structured_inner_patterns(params: CodeParams) -> list[tuple[str, DeletionPat
     return out
 
 
+# the corruption-cost oracle checks its keep masks in stacks of at most this many bits
+MASK_CHUNK_BITS = 1 << 16
+
+
 def verify_corruption_cost(
     params: CodeParams,
     mode: str,
@@ -243,46 +255,56 @@ def verify_corruption_cost(
 
     ``mode`` is "exhaustive" (all 2^L inner patterns, L <= 20) or "sampled"
     (weight-stratified uniform patterns plus the structured adversaries).
+
+    The keep masks are checked in stacks of MASK_CHUNK_BITS bits: exhaustive
+    mode reads the masks of a stack off the bits of their numbers, and
+    sampled mode draws the masks of a stack one after another from its one
+    generator, so the draws come in the order of a one-mask-at-a-time loop.
+    A pattern of weight w that corrupts c >= 1 codewords breaks the bound iff
+    w is at most the weight cap of (c-1)-admissible patterns.
     """
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown corruption-cost mode {mode!r}")
     params.require_executable()
-    L, R, K = params.L, params.R, params.K
+    L, K = params.L, params.K
     book = InnerCodebook(params)
     report = OracleReport(name="corruption-cost", mode=mode)
-    report.extras["params"] = (K, R, L, params.lam)
+    report.extras["params"] = (K, params.R, L, params.lam)
+    # caps[c]: the largest weight within L(1 - 2^-c - 1/sqrt(R)); caps[0] = -1 admits no pattern
+    caps = np.array([-1] + [admissible_weight_cap(params, c - 1) for c in range(1, K + 1)])
+    rows = max(1, MASK_CHUNK_BITS // L)
 
-    def check(kept: np.ndarray, label) -> None:
-        report.instances += 1
-        weight = L - int(kept.sum())
-        corrupted = _count_corrupted(book, kept)
-        # corrupting c >= 1 codewords must cost more than L(1 - 2^-c - 1/sqrt(R))
-        if corrupted and weight_within_bound(weight, L, corrupted, R):
+    def check(keep: np.ndarray, label) -> None:
+        """Check the stacked masks ``keep``; ``label(row)`` names a mask in its witness."""
+        report.instances += len(keep)
+        weights = L - np.count_nonzero(keep, axis=1)
+        corrupted = _count_corrupted(book, keep)
+        for row in np.flatnonzero(weights <= caps[corrupted]).tolist():
             report.record_violation(
-                {"pattern": label, "weight": weight, "corrupted": corrupted}
+                {"pattern": label(row), "weight": int(weights[row]), "corrupted": int(corrupted[row])}
             )
 
     if mode == "exhaustive":
         if L > 20:
             raise ValueError(f"exhaustive mode infeasible at L = {L}")
-        for mask in range(2**L):
-            kept = np.array(
-                [(mask >> i) & 1 == 0 for i in range(L)], dtype=bool
-            )
-            check(kept, f"mask={mask:#x}")
+        positions = np.arange(L)
+        for lo in range(0, 2**L, rows):
+            masks = np.arange(lo, min(lo + rows, 2**L))[:, None]
+            check((masks >> positions) & 1 == 0, lambda row, lo=lo: f"mask={lo + row:#x}")
     else:
         gen = rngmod.np_rng(master_seed, "corruption-cost")
         # stratify weights over the interesting range (beyond the largest
         # bound everything is vacuous)
         max_useful = min(L, math.ceil(L * (1 - 0.5**K)) + 2)
-        for trial in range(samples):
-            w = int(gen.integers(0, max_useful + 1))
-            kept = np.ones(L, dtype=bool)
-            if w:
-                kept[gen.choice(L, size=w, replace=False)] = False
-            check(kept, f"sample-{trial}")
-        for label, pat in structured_inner_patterns(params):
-            check(pat.keep, label)
+        for lo in range(0, samples, rows):
+            keep = np.ones((min(rows, samples - lo), L), dtype=bool)
+            for kept in keep:
+                w = int(gen.integers(0, max_useful + 1))
+                if w:
+                    kept[gen.choice(L, size=w, replace=False)] = False
+            check(keep, lambda row, lo=lo: f"sample-{lo + row}")
+        labels, patterns = zip(*structured_inner_patterns(params))
+        check(np.stack([pat.keep for pat in patterns]), labels.__getitem__)
     return report
 
 
@@ -304,37 +326,69 @@ def admissible_weight_cap(params: CodeParams, ell: int) -> int:
     return lo
 
 
-def _random_admissible_block(
-    params: CodeParams, cap: int, gen, shared: Sequence[DeletionPattern]
-) -> DeletionPattern:
+def _draw_block(gen, L: int, cap: int, zero_weights: Sequence[int]) -> int | np.ndarray:
     """A random (lambda-1)-admissible inner pattern, biased toward hard cases.
 
-    ``shared[0]`` deletes nothing and ``shared[i]`` deletes all zeros of g_i;
-    a block that draws one of these fixed patterns returns the shared object.
+    The draw names a shared pattern or returns the 0-based positions a fresh
+    one deletes.  Shared pattern 0 deletes nothing, and shared pattern i
+    deletes all zeros of g_i, which ``zero_weights[i - 1]`` bits are.
     """
-    L = params.L
     kind = gen.integers(0, 4)
     if kind == 0 or cap <= 0:
-        return shared[0]
-    if kind == 1:
-        w = int(gen.integers(1, cap + 1))
-        return _pattern_deleting(L, gen.choice(L, size=w, replace=False))
+        return 0
     if kind == 2:
         # delete all zeros of some inner codeword when that stays admissible
-        for i in gen.permutation(params.K) + 1:
-            pat = shared[i]
-            if pat.weight <= cap:
-                return pat
-        return shared[0]
-    w = cap  # full-weight admissible pattern
-    return _pattern_deleting(L, gen.choice(L, size=w, replace=False))
+        for i in gen.permutation(len(zero_weights)) + 1:
+            if zero_weights[i - 1] <= cap:
+                return int(i)
+        return 0
+    w = int(gen.integers(1, cap + 1)) if kind == 1 else cap  # kind 3: full admissible weight
+    return gen.choice(L, size=w, replace=False)
 
 
-def _pattern_deleting(L: int, positions: np.ndarray) -> DeletionPattern:
-    """The pattern on length-L words deleting the 0-based ``positions``."""
-    keep = np.ones(L, dtype=bool)
-    keep[positions] = False
-    return DeletionPattern.from_keep(keep)
+def _draw_implication_chunk(
+    params: CodeParams, master_seed: int, trials: range, cap: int, zero_weights: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The draw phase of ``verify_matching_implication`` for ``trials``.
+
+    Each trial makes its own ``np_rng`` draws in a fixed order: X, the style
+    of Y, Y, then the delta n blocks.  Returns one row per trial of X, of Y
+    and of block ids, and the stacked keep masks of the fresh blocks.  Block
+    id i <= K names shared pattern i, and id K + 1 + r the fresh mask r.
+    """
+    K, L, n, dn = params.K, params.L, params.n, params.delta_n
+    Xs = np.empty((len(trials), dn), dtype=np.int64)
+    Ys = np.empty((len(trials), n), dtype=np.int64)
+    blocks = np.empty((len(trials), dn), dtype=np.int64)
+    fresh = np.ones((len(trials) * dn, L), dtype=bool)
+    count = 0  # fresh masks drawn so far
+    for row, trial in enumerate(trials):
+        gen = rngmod.np_rng(master_seed, "matching-implication", trial)
+        X = Xs[row] = gen.integers(1, K + 1, size=dn)
+        style = gen.integers(0, 3)
+        if style == 0:
+            Ys[row] = gen.integers(1, K + 1, size=n)
+        elif style == 1:
+            # embed X's symbols at random positions: psi(X) embeds in psi(Y)
+            Ys[row] = gen.integers(1, K + 1, size=n)
+            Ys[row, np.sort(gen.choice(n, size=dn, replace=False))] = X
+        else:
+            # low symbols in Y make containments frequent
+            Ys[row] = gen.integers(1, max(2, K), size=n)
+        for b in range(dn):
+            drawn = _draw_block(gen, L, cap, zero_weights)
+            if isinstance(drawn, int):
+                blocks[row, b] = drawn
+            else:
+                blocks[row, b] = K + 1 + count
+                fresh[count, drawn] = False
+                count += 1
+    return Xs, Ys, blocks, fresh[:count]
+
+
+# matching-implication instances drawn, then decided, together; memory grows
+# with this, not with the number of instances
+IMPLICATION_CHUNK = 64
 
 
 def verify_matching_implication(
@@ -348,55 +402,70 @@ def verify_matching_implication(
     blocks exactly as signature extraction does.  Y generation is biased so a
     healthy share of instances actually satisfies the containment.
 
-    Where the masks and runs come from: the empty pattern and the K
-    delete-all-zeros patterns are built once per call and shared by the
-    blocks that draw them, so ``preserves`` counts their runs once per inner
-    codeword.  Every other block is built from its keep mask.  ``preserves``
-    and the joined tau read the blocks' masks (``join_patterns`` concatenates
-    them), and ``apply_pattern`` reads tau's.  psi(X) and psi(Y) take their
-    runs from the inner codewords of one ``InnerCodebook`` (``encode_outer``),
-    so only tau(psi(X)) has its runs counted from its bits.  No word, run
-    tuple or pattern of one instance is kept for the next.
+    The instances run IMPLICATION_CHUNK at a time, in two phases.
+
+    - Draw: each trial seeds its own generator and makes its draws in the
+      order a one-instance-at-a-time loop makes them.  A block that draws
+      the empty pattern or the deletion of all zeros of some g_i names one
+      of these K + 1 shared patterns; every other block writes its keep mask
+      into one stacked array of the chunk.
+    - Decide: one stacked ``masked_run_count`` per inner codeword counts its
+      kept runs under every fresh mask of the chunk, and ``preserves_runs``
+      turns the counts into corruption sets.  The shared patterns got theirs
+      from ``preserves`` once per call.  One ``apply_pattern`` of the
+      chunk's joined tau to psi of the chunk's X words, the concatenation of
+      their psi(X), gives every tau(psi(X)).  Each is tested against its
+      psi(Y) from ``encode_outer`` with the scalar ``is_subsequence``, and
+      each containment goes to ``is_matchable``.
+
+    No word, run tuple or mask of one chunk is kept for the next, so memory
+    grows with the chunk and not with ``instances``.  A witness's ``blocks``
+    are read off the mask rows only when a violation is recorded.
     """
     params.require_executable()
     book = InnerCodebook(params)
+    K = params.K
     shared = [DeletionPattern(params.L, ())] + [bit_deletion_pattern(g, 0) for g in book.words]
-    dn = params.delta_n
-    n, K = params.n, params.K
     cap = admissible_weight_cap(params, params.lam - 1)
+    zero_weights = [pat.weight for pat in shared[1:]]
+
+    def corruption_set(corrupted: Sequence[bool]) -> frozenset[int]:
+        """The padded set of the symbols i whose flag ``corrupted[i - 1]`` is set."""
+        return pad_corruption_set({i for i, bad in enumerate(corrupted, start=1) if bad}, params)
+
+    shared_keep = np.stack([pat.keep for pat in shared])
+    shared_sets = [corruption_set([not preserves(pat, i, params, book) for i in range(1, K + 1)])
+                   for pat in shared]
     report = OracleReport(name="matching-implication", mode=f"instances={instances}")
-    positives = 0
-    for trial in range(instances):
-        gen = rngmod.np_rng(master_seed, "matching-implication", trial)
-        X = tuple(gen.integers(1, K + 1, size=dn).tolist())
-        style = gen.integers(0, 3)
-        if style == 0:
-            Y = tuple(gen.integers(1, K + 1, size=n).tolist())
-        elif style == 1:
-            # embed X's symbols at random positions: psi(X) embeds in psi(Y)
-            Y_arr = gen.integers(1, K + 1, size=n)
-            pos = np.sort(gen.choice(n, size=dn, replace=False))
-            Y_arr[pos] = X
-            Y = tuple(Y_arr.tolist())
-        else:
-            # low symbols in Y make containments frequent
-            Y = tuple(gen.integers(1, max(2, K), size=n).tolist())
-        blocks = [_random_admissible_block(params, cap, gen, shared) for _ in range(dn)]
-        sets = [
-            pad_corruption_set(
-                {j for j in range(1, K + 1) if not preserves(block, j, params, book)}, params
-            )
-            for block in blocks
-        ]
-        tau = join_patterns(blocks)
-        corrupted_word = apply_pattern(tau, encode_outer(X, params, book))
-        report.instances += 1
-        if not is_subsequence(corrupted_word, encode_outer(Y, params, book)):
-            continue
-        positives += 1
-        if not is_matchable(X, Y, MatchConfig.paper(params.lam, params.R, sets)):
-            report.record_violation({"X": X, "Y": Y, "blocks": [b.deleted for b in blocks]})
-    report.extras["positives"] = positives
+
+    def check_chunk(trials: range) -> int:
+        """Draw and decide the instances ``trials``; returns how many are containments."""
+        Xs, Ys, blocks, fresh = _draw_implication_chunk(params, master_seed, trials, cap, zero_weights)
+        masks = np.concatenate([shared_keep, fresh])
+        sets = shared_sets + [corruption_set(row) for row in _corrupted(book, fresh).tolist()]
+        # every block of the chunk, joined, applied to psi of the chunk's X words
+        corrupted_words = apply_pattern(
+            DeletionPattern.from_keep(masks[blocks].reshape(-1)),
+            encode_outer(Xs.reshape(-1).tolist(), params, book),
+        )
+        ends = np.cumsum(np.count_nonzero(masks, axis=1)[blocks].sum(axis=1)).tolist()
+        start = positives = 0
+        for X, Y, ids, end in zip(Xs.tolist(), Ys.tolist(), blocks.tolist(), ends):
+            corrupted_word, start = corrupted_words[start:end], end
+            report.instances += 1
+            if not is_subsequence(corrupted_word, encode_outer(Y, params, book)):
+                continue
+            positives += 1
+            X, Y = tuple(X), tuple(Y)
+            if not is_matchable(X, Y, MatchConfig.paper(params.lam, params.R, [sets[i] for i in ids])):
+                deleted = [DeletionPattern.from_keep(masks[i]).deleted for i in ids]
+                report.record_violation({"X": X, "Y": Y, "blocks": deleted})
+        return positives
+
+    report.extras["positives"] = sum(
+        check_chunk(range(lo, min(lo + IMPLICATION_CHUNK, instances)))
+        for lo in range(0, instances, IMPLICATION_CHUNK)
+    )
     return report
 
 

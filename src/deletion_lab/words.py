@@ -23,13 +23,15 @@ WordLike = Union["Word", str, bytes, Sequence[int]]
 class Word:
     """An immutable binary word. Bits are stored one byte per bit (0/1)."""
 
-    __slots__ = ("_bits", "_runs")
+    __slots__ = ("_bits", "_runs", "_parts")
 
     def __init__(self, bits: WordLike = b""):
         self._runs = None
+        self._parts = None  # set by ``concatenate``: the nonempty words whose runs make this one's
         if isinstance(bits, Word):
             self._bits = bits._bits
             self._runs = bits._runs
+            self._parts = bits._parts
         elif isinstance(bits, str):
             if bits and set(bits) - {"0", "1"}:
                 raise ValueError(f"word text must be over 0/1, got {bits!r}")
@@ -48,10 +50,14 @@ class Word:
     def runs(self) -> tuple[int, ...]:
         """Run lengths in order, computed once per word; the first run holds ``bits[0]``."""
         if self._runs is None:
-            b = np.frombuffer(self._bits, dtype=np.uint8)
-            cut = np.ones(len(b) + 1, dtype=bool)  # run boundaries, both ends included
-            np.not_equal(b[1:], b[:-1], out=cut[1:-1])
-            self._runs = tuple(np.diff(np.flatnonzero(cut)).tolist())
+            if self._parts is not None:
+                self._runs = _joined_runs(self._parts)
+                self._parts = None
+            else:
+                b = np.frombuffer(self._bits, dtype=np.uint8)
+                cut = np.ones(len(b) + 1, dtype=bool)  # run boundaries, both ends included
+                np.not_equal(b[1:], b[:-1], out=cut[1:-1])
+                self._runs = tuple(np.diff(np.flatnonzero(cut)).tolist())
         return self._runs
 
     def to01(self) -> str:
@@ -92,31 +98,33 @@ def as_word(w: WordLike) -> Word:
 
 
 def concatenate(parts: Iterable[WordLike]) -> Word:
-    """The concatenation of ``parts``, with its runs taken from the parts' runs.
+    """The concatenation of ``parts``, whose runs are taken from the parts' runs when first read.
 
     Where a part begins with the bit the previous nonempty part ends with,
     the two runs at that boundary merge into one.  A part's runs are computed
     once and cached on it, so the inner codewords of a concatenated code give
-    every word built from them its runs without a pass over its bits.
+    every word built from them its runs without a pass over its bits, and a
+    word whose runs are never read costs only the join of its bits.
     """
-    chunks: list[bytes] = []
+    nonempty = tuple(part for part in map(as_word, parts) if part.bits)
+    word = Word(b"".join(part.bits for part in nonempty))
+    word._parts = nonempty
+    return word
+
+
+def _joined_runs(parts: Sequence[Word]) -> tuple[int, ...]:
+    """The runs of the concatenation of the nonempty ``parts``, merged at the boundaries."""
     runs: list[int] = []
     last = -1  # the bit the concatenation ends with so far; -1 while it is empty
-    for part in map(as_word, parts):
-        bits = part.bits
-        if not bits:
-            continue
+    for part in parts:
         part_runs = part.runs
-        if bits[0] == last:
+        if part.bits[0] == last:
             runs[-1] += part_runs[0]
             runs += part_runs[1:]
         else:
             runs += part_runs
-        last = bits[-1]
-        chunks.append(bits)
-    word = Word(b"".join(chunks))
-    word._runs = tuple(runs)
-    return word
+        last = part.bits[-1]
+    return tuple(runs)
 
 
 class Run(NamedTuple):
@@ -165,15 +173,25 @@ class DeletionPattern:
         """The pattern deleting where the boolean ``keep`` is False; a copy of ``keep`` is its mask.
 
         The positions read off a mask are strictly increasing and in range,
-        so the checks of ``__post_init__`` are skipped.
+        so the checks of ``__post_init__`` are skipped, and they are read
+        only when ``deleted`` is first asked for (``__getattr__``): applying
+        the pattern needs only the mask.
         """
         keep = np.array(keep, dtype=bool)  # a copy, so the caller cannot change the mask
         keep.flags.writeable = False
         pattern = object.__new__(cls)
         object.__setattr__(pattern, "word_length", keep.size)
-        object.__setattr__(pattern, "deleted", tuple((np.flatnonzero(~keep) + 1).tolist()))
         pattern.__dict__["keep"] = keep  # fills the cache of ``keep`` below
         return pattern
+
+    def __getattr__(self, name: str):
+        # called only for attributes not set on the instance: ``deleted`` of a
+        # pattern made by ``from_keep`` before it is first read
+        if name != "deleted" or "keep" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        deleted = tuple((np.flatnonzero(~self.keep) + 1).tolist())
+        object.__setattr__(self, "deleted", deleted)
+        return deleted
 
     @cached_property
     def keep(self) -> np.ndarray:
@@ -218,18 +236,37 @@ class DeletionPattern:
 
 def apply_pattern(tau: DeletionPattern, w: WordLike) -> Word:
     """Delete the bits of ``w`` at the pattern's positions, keeping order."""
-    word = Word(w)
+    word = as_word(w)
     if len(word) != tau.word_length:
         raise ValueError(
             f"pattern is for length {tau.word_length}, word has length {len(word)}"
         )
-    return Word(np.frombuffer(word.bits, dtype=np.uint8)[tau.keep].tobytes())
+    return Word(np.compress(tau.keep, np.frombuffer(word.bits, dtype=np.uint8)).tobytes())
 
 
-def masked_run_count(w: WordLike, keep: np.ndarray) -> int:
-    """``run_count`` of the bits of ``w`` where ``keep`` holds, without building that word."""
-    vals = np.frombuffer(as_word(w).bits, dtype=np.uint8)[keep]
-    return int(np.count_nonzero(vals[1:] != vals[:-1])) + 1 if vals.size else 0
+def masked_run_count(w: WordLike, keep: np.ndarray):
+    """``run_count`` of the bits of ``w`` where ``keep`` holds, without building that word.
+
+    ``keep`` is one mask over ``w``, giving an int, or a stack of masks
+    (rows x len(w)), giving an int array with one count per row.  The kept
+    bits of all rows are taken in one pass, row after row.  A kept bit
+    starts a run when it is the first of its row or differs from the kept
+    bit before it, and a row's count is the number of starts it holds.
+    """
+    keep = np.asarray(keep, dtype=bool)
+    rows = np.atleast_2d(keep)
+    bits = np.frombuffer(as_word(w).bits, dtype=np.uint8)
+    vals = np.compress(rows.ravel(), np.tile(bits, len(rows)))
+    kept = np.count_nonzero(rows, axis=1)
+    ends = np.cumsum(kept)
+    starts = np.ones(vals.size, dtype=bool)
+    np.not_equal(vals[1:], vals[:-1], out=starts[1:])
+    firsts = (ends - kept)[kept > 0]  # where each row that keeps a bit begins in ``vals``
+    starts[firsts] = True
+    counts = np.zeros(len(rows), dtype=np.intp)
+    if firsts.size:
+        counts[kept > 0] = np.add.reduceat(starts, firsts, dtype=np.intp)
+    return int(counts[0]) if keep.ndim == 1 else counts
 
 
 def bit_deletion_pattern(w: WordLike, bit: int) -> DeletionPattern:
@@ -242,14 +279,15 @@ def is_subsequence(a: WordLike, b: WordLike) -> bool:
 
     The walk goes run by run: each run of ``a`` takes its bits from the
     b-runs of its symbol, two b-runs apart, so it gives the bitwise greedy
-    answer in O(runs(a) + runs(b)) steps.
+    answer in O(runs(a) + runs(b)) steps.  The runs of ``a`` end in distinct
+    b-runs, so an ``a`` with more runs than ``b`` is refused before the walk.
     """
     a, b = as_word(a), as_word(b)
     ra, rb = a.runs, b.runs
     if not ra:
         return True
     nb = len(rb)
-    if not nb:
+    if len(ra) > nb:  # each run of ``a`` ends in a b-run of its own
         return False
     j = 0 if a.bits[0] == b.bits[0] else 1  # first b-run holding a's first symbol
     for need in ra:

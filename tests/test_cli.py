@@ -54,7 +54,7 @@ def test_encode_corrupt_decode_roundtrip(tmp_path, capsys):
         {"mode": "toy", "K": 2, "R": 2, "lambda": 1, "delta": "0.5", "n": 4}
     ))
     outer = tmp_path / "outer.txt"
-    outer.write_text("1,2\n2,1\n")
+    outer.write_text("1,2,1,2\n2,1,2,1\n")  # n = 4 symbols of [2] each
     encoded = tmp_path / "code.txt"
     assert main(["encode", "--config", str(cfg), "--in", str(outer), "--out", str(encoded)]) == 0
     received = tmp_path / "received.txt"
@@ -252,6 +252,24 @@ def test_bad_input_line_is_a_usage_error_naming_path_and_line(case, tmp_path, ca
         main(argv)
     assert err.value.code == 2
     assert f"{bad}:2:" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir() if p.name.startswith(out.name)] == []
+
+
+@pytest.mark.parametrize("line", ["1,2,1", "1,2,1,2,2", "1,2,3,1"], ids=["short", "long", "symbol"])
+@pytest.mark.parametrize("caller", ["encode", "pool"])
+def test_bad_outer_word_is_a_usage_error_naming_path_and_line(caller, line, tmp_path, capsys):
+    words = tmp_path / "outer.txt"
+    words.write_text("# n = 4 over [2]\n1,2,1,2\n" + line + "\n")
+    out = tmp_path / "o.csv"
+    if caller == "encode":
+        argv = ["encode", "--toy", "--K", "2", "--R", "2", "--lambda", "1", "--delta", "0.5",
+                "--n", "4", "--in", str(words), "--out", str(out)]
+    else:
+        argv = _oblivious_config(tmp_path, pool={"file": str(words), "structured": False})
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert f"{words}:3:" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir() if p.name.startswith(out.name)] == []
 
 

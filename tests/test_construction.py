@@ -228,7 +228,7 @@ def test_outer_word_file_roundtrip(tmp_path):
     path = tmp_path / "outer.txt"
     words = [(1, 2, 1), (2, 2, 2)]
     write_outer_words(path, words)
-    assert read_outer_words(path) == words
+    assert read_outer_words(path, toy_params(2, 2, 1, Fraction(2, 3), 3)) == words
 
 
 def test_failed_outer_word_write_leaves_no_file(tmp_path):

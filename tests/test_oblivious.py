@@ -96,7 +96,7 @@ def test_graph_outdegree_identity_full_pool():
     dn = params.delta_n
     pool = [tuple(X) for X in product((1, 2), repeat=6)]
     sigma = DeletionPattern(6, tuple(range(dn + 1, 7)))
-    graph = build_confusability_graph(pool, sigma, worst_sets(dn, 1), s=2, t=2)
+    graph = build_confusability_graph(pool, sigma, MatchConfig(2, 2, worst_sets(dn, 1)))
     outs = graph.out_degrees()
     for y_idx, Y in enumerate(pool):
         fc = estimate_f(Y, params, exact=True)
@@ -109,8 +109,8 @@ def test_graph_outdegree_identity_full_pool():
 def test_graph_edges_shrink_with_pool():
     pool = [tuple(X) for X in product((1, 2), repeat=6)]
     sigma = DeletionPattern(6, (3, 4, 5, 6))
-    full = build_confusability_graph(pool, sigma, worst_sets(2, 1), s=2, t=2)
-    sub = build_confusability_graph(pool[:30], sigma, worst_sets(2, 1), s=2, t=2)
+    full = build_confusability_graph(pool, sigma, MatchConfig(2, 2, worst_sets(2, 1)))
+    sub = build_confusability_graph(pool[:30], sigma, MatchConfig(2, 2, worst_sets(2, 1)))
     assert sub.edge_count <= full.edge_count
     assert full.stats()["vertices"] == 64
 
@@ -197,7 +197,7 @@ def test_sparse_graph_sampling_keeps_indegrees_empty():
     pool = [tuple(rng.randrange(1, 33) for _ in range(128)) for _ in range(400)]
     dn = 96
     sigma = DeletionPattern(128, tuple(range(dn + 1, 129)))
-    graph = build_confusability_graph(pool, sigma, worst_sets(dn, 1), s=2, t=64)
+    graph = build_confusability_graph(pool, sigma, MatchConfig(2, 64, worst_sets(dn, 1)))
     stats = graph.stats()
     assert stats["max_outdegree"] <= 0.15 * len(pool)  # genuinely sparse
     M, eps = 25, 0.2

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -114,6 +115,25 @@ def test_matching_implication_oracle():
     rep = verify_matching_implication(params, instances=800, master_seed=0)
     assert rep.ok
     assert rep.extras["positives"] > 200  # the hypothesis side is exercised
+
+
+def test_matching_implication_memory_grows_with_the_chunk_not_the_instances():
+    # L = 128 keeps the chunks small, and the 3^8 hosts Y keep a per-call cache
+    # of hosts growing well past 500 instances
+    params = toy_params(3, 4, 2, Fraction(1, 2), 8)
+    # a first call fills the interpreter's free lists, which would otherwise
+    # count against the longer run
+    verify_matching_implication(params, instances=4_000, master_seed=1)
+
+    def peak(instances):
+        tracemalloc.start()
+        try:
+            verify_matching_implication(params, instances=instances, master_seed=2)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4_000) <= 1.5 * peak(500)
 
 
 def test_matching_decay_defaults():

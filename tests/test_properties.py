@@ -19,6 +19,7 @@ from deletion_lab.construction import (
     pad_corruption_set,
     preserves,
     toy_params,
+    weight_within_bound,
 )
 from deletion_lab.matching import (
     ENUM_LIMIT,
@@ -203,6 +204,21 @@ def test_masked_run_count_is_run_count_of_applied_pattern(bits, data):
         assert tau.kept_run_count(w) == run_count(apply_pattern(tau, w))
 
 
+@PROPS
+@given(st.lists(st.integers(0, 1), max_size=40), st.data())
+def test_stacked_masked_run_count_rows_are_single_counts(bits, data):
+    L = len(bits)
+    rows = data.draw(st.lists(st.lists(st.booleans(), min_size=L, max_size=L), max_size=6))
+    rows += [[False] * L, [True] * L]  # a row that deletes every bit and one that keeps every bit
+    keep = np.array(rows, dtype=bool).reshape(len(rows), L)
+    counts = masked_run_count(Word(bits), keep)
+    assert counts.shape == (len(rows),)
+    for row, count in zip(keep, counts.tolist()):
+        kept = [b for b, k in zip(bits, row) if k]
+        assert count == masked_run_count(Word(bits), row) == len([key for key, _ in groupby(kept)])
+    assert masked_run_count(Word(bits), np.ones((0, L), dtype=bool)).shape == (0,)
+
+
 def fresh_keep(tau: DeletionPattern) -> np.ndarray:
     """Reference mask: True at the 0-based positions ``tau`` keeps."""
     dead = set(tau.deleted)
@@ -229,6 +245,17 @@ def test_from_keep_copies_the_callers_mask():
     assert tau == DeletionPattern(4, (2, 4))
     mine[0] = False
     assert tau.keep.tolist() == [True, False, True, False]
+
+
+def test_from_keep_reads_its_positions_off_the_mask_when_asked():
+    tau = DeletionPattern.from_keep(np.array([False, True, True, False, True]))
+    assert "deleted" not in vars(tau)  # applying the pattern needs only the mask
+    assert apply_pattern(tau, "01100") == Word("110")
+    assert tau.deleted == (1, 4) and tau.weight == 2
+    assert tau == DeletionPattern(5, (1, 4)) and hash(tau) == hash(DeletionPattern(5, (1, 4)))
+    assert repr(tau) == repr(DeletionPattern(5, (1, 4)))
+    with pytest.raises(AttributeError):
+        tau.missing
 
 
 def test_pad_corruption_set_fills_with_smallest_unused_symbols():
@@ -347,6 +374,18 @@ def test_is_subsequence_agrees_on_long_runs(a_first, a_runs, b_first, b_runs, se
     assert is_subsequence(shrunk, b)
     for a in (from_runs(a_first, a_runs), shrunk, shrunk + bytes([rng.randrange(2)])):
         assert is_subsequence(a, b) == bytewise_is_subsequence(a, b)
+
+
+@PROPS
+@given(st.integers(0, 1), st.integers(0, 1), st.data())
+def test_is_subsequence_refuses_a_needle_with_more_runs_than_its_host(a_first, b_first, data):
+    # a is shorter than b but has more runs, so no walk can embed it
+    b_runs = data.draw(st.lists(st.integers(1, 40), min_size=1, max_size=12))
+    a_runs = data.draw(st.lists(st.integers(1, 3), min_size=len(b_runs) + 1, max_size=len(b_runs) + 8))
+    assume(sum(a_runs) < sum(b_runs))
+    a, b = from_runs(a_first, a_runs), from_runs(b_first, b_runs)
+    assert len(Word(a).runs) > len(Word(b).runs)
+    assert is_subsequence(a, b) is bytewise_is_subsequence(a, b) is False
 
 
 @pytest.mark.parametrize(
@@ -819,3 +858,80 @@ def test_corruption_count_is_the_count_of_codewords_not_preserved(KR, density, s
     sigma = DeletionPattern.from_keep(keep)
     expected = sum(not preserves(sigma, i, params, book) for i in range(1, K + 1))
     assert oracles._count_corrupted(book, keep) == expected
+
+
+def loop_corruption_cost(params, mode, samples=0, master_seed=0, preserved=None,
+                         within=weight_within_bound):
+    """Reference ``verify_corruption_cost``: one mask at a time, kept runs counted with
+    ``groupby`` and the bound checked with ``weight_within_bound``."""
+    K, R, L = params.K, params.R, params.L
+    if preserved is None:
+        def preserved(r, i):
+            return r * r >= 4 * R ** (2 * K + 1 - 2 * i)
+    book = InnerCodebook(params)
+    report = oracles.OracleReport(name="corruption-cost", mode=mode)
+    report.extras["params"] = (K, R, L, params.lam)
+
+    def check(kept, label):
+        report.instances += 1
+        weight = L - sum(kept)
+        corrupted = 0
+        for i, g in enumerate(book.words, start=1):
+            runs = len([key for key, _ in groupby(b for b, k in zip(g.bits, kept) if k)])
+            corrupted += not preserved(runs, i)
+        if corrupted and within(weight, L, corrupted, R):
+            report.record_violation({"pattern": label, "weight": weight, "corrupted": corrupted})
+
+    if mode == "exhaustive":
+        for mask in range(2**L):
+            check([(mask >> i) & 1 == 0 for i in range(L)], f"mask={mask:#x}")
+    else:
+        gen = rngmod.np_rng(master_seed, "corruption-cost")
+        max_useful = min(L, math.ceil(L * (1 - 0.5**K)) + 2)
+        for trial in range(samples):
+            w = int(gen.integers(0, max_useful + 1))
+            kept = np.ones(L, dtype=bool)
+            if w:
+                kept[gen.choice(L, size=w, replace=False)] = False
+            check(kept.tolist(), f"sample-{trial}")
+        for label, pat in oracles.structured_inner_patterns(params):
+            check(pat.keep.tolist(), label)
+    return report
+
+
+@pytest.mark.parametrize("master_seed", [0, 9, 2024])
+@pytest.mark.parametrize("KR", [(2, 16), (3, 2)], ids=["K2R16", "K3R2"])
+def test_sampled_corruption_cost_agrees_with_per_mask_loop(KR, master_seed):
+    params = toy_params(*KR, 2, Fraction(1, 2), 4)
+    rep = oracles.verify_corruption_cost(params, mode="sampled", samples=600, master_seed=master_seed)
+    assert rep.to_json() == loop_corruption_cost(params, "sampled", 600, master_seed).to_json()
+
+
+def test_exhaustive_corruption_cost_agrees_with_per_mask_loop():
+    params = toy_params(2, 2, 1, Fraction(1, 2), 4)  # L = 8
+    rep = oracles.verify_corruption_cost(params, mode="exhaustive")
+    assert rep.to_json() == loop_corruption_cost(params, "exhaustive").to_json()
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+def test_planted_corruption_violations_keep_their_labels_and_order(monkeypatch, mode):
+    # a preservation rule that fails often and stacks of a few masks pin which
+    # masks become witnesses across stack boundaries, and how they are named
+    def planted(r, i):
+        return (r + i) % 3 != 0
+
+    monkeypatch.setattr(oracles, "preserves_runs", lambda r, i, params: planted(r, i))
+    monkeypatch.setattr(oracles, "MASK_CHUNK_BITS", 100)
+    if mode == "exhaustive":
+        # at L = 8 the bound admits only the empty pattern, so a looser one is planted too
+        monkeypatch.setattr(oracles, "admissible_weight_cap", lambda params, ell: ell + 2)
+        params = toy_params(2, 2, 2, Fraction(1, 2), 4)
+
+        def within(weight, L, c, R):
+            return weight <= c + 1
+    else:
+        params, within = toy_params(2, 16, 2, Fraction(1, 2), 4), weight_within_bound
+    rep = oracles.verify_corruption_cost(params, mode=mode, samples=300, master_seed=3)
+    assert rep.violations > len(rep.witnesses) == oracles.MAX_WITNESSES
+    reference = loop_corruption_cost(params, mode, 300, 3, preserved=planted, within=within)
+    assert rep.to_json() == reference.to_json()

@@ -10,7 +10,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Sequence, Union
+
+import numpy as np
 
 from .reporting import atomic_write_text, read_lines
 from .words import (
@@ -18,6 +21,7 @@ from .words import (
     Word,
     concatenate,
     join_patterns,
+    masked_run_count,
     split_pattern,
 )
 
@@ -234,6 +238,20 @@ def weight_admissible(weight: int, ell: int, params: CodeParams) -> bool:
     return weight_within_bound(weight, params.L, ell + 1, params.R)
 
 
+def admissible_weight_cap(params: CodeParams, ell: int) -> int:
+    """Largest weight an ell-admissible inner pattern may have (-1 if none)."""
+    if not weight_admissible(0, ell, params):
+        return -1
+    lo, hi = 0, params.L
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if weight_admissible(mid, ell, params):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
 def preserves(sigma: DeletionPattern, i: int, params: CodeParams, book: InnerCodebook | None = None) -> bool:
     """True iff sigma(g_i) keeps at least 2*R^(K+1-i)/sqrt(R) runs."""
     params.require_executable()
@@ -242,13 +260,32 @@ def preserves(sigma: DeletionPattern, i: int, params: CodeParams, book: InnerCod
             f"inner pattern length {sigma.word_length} != L = {params.L}"
         )
     g = book[i] if book is not None else inner_codeword(i, params)
-    return preserves_runs(sigma.kept_run_count(g), i, params)
+    return preserves_runs(masked_run_count(g, sigma.keep), i, params)
 
 
 def preserves_runs(r: int, i: int, params: CodeParams) -> bool:
     """Do r kept runs of g_i preserve it: r >= 2*R^(K+1-i)/sqrt(R)?"""
     # r >= 2 R^(K+1-i) / sqrt(R)  <=>  r^2 >= 4 R^(2K+1-2i), exactly
     return r * r >= 4 * params.R ** (2 * params.K + 1 - 2 * i)
+
+
+def corrupted_flags(book: InnerCodebook, keep: np.ndarray) -> np.ndarray:
+    """``[..., i - 1]``: the inner pattern with keep mask ``keep`` fails to preserve g_i.
+
+    ``keep`` is one mask, giving K flags, or a stack of masks, giving one row
+    of K flags per mask: a stacked ``masked_run_count`` per inner codeword.
+    """
+    return np.stack(
+        [~np.asarray(preserves_runs(masked_run_count(g, keep), i, book.params))
+         for i, g in enumerate(book.words, start=1)],
+        axis=-1,
+    )
+
+
+def corruption_sets(book: InnerCodebook, keep: np.ndarray) -> list[frozenset[int]]:
+    """The padded corruption set of each inner pattern in the stack of keep masks ``keep``."""
+    return [pad_corruption_set({i for i, bad in enumerate(row, start=1) if bad}, book.params)
+            for row in corrupted_flags(book, keep).tolist()]
 
 
 def is_admissible(sigma: DeletionPattern, ell: int, params: CodeParams) -> bool:
@@ -309,7 +346,9 @@ def extract_signature(tau: DeletionPattern, params: CodeParams, book: InnerCodeb
 
     Kept indices are the lexicographically first admissible ones, and each
     corruption set is padded with the smallest unused symbols up to size
-    lambda-1, so the output is deterministic.
+    lambda-1, so the output is deterministic.  A block is admissible when its
+    weight is at most ``admissible_weight_cap``, and the kept blocks get their
+    sets from one ``corruption_sets`` call over their stacked keep masks.
     """
     params.require_executable()
     if tau.word_length != params.N:
@@ -318,28 +357,20 @@ def extract_signature(tau: DeletionPattern, params: CodeParams, book: InnerCodeb
         book = InnerCodebook(params)
     blocks = split_pattern(tau, params.n, params.L)
     dn = params.delta_n
-    kept: list[int] = []
-    for idx, block in enumerate(blocks, start=1):
-        if is_admissible(block, params.lam - 1, params):
-            kept.append(idx)
-            if len(kept) == dn:
-                break
+    cap = admissible_weight_cap(params, params.lam - 1)
+    kept = list(islice((idx for idx, block in enumerate(blocks, start=1) if block.weight <= cap), dn))
     if len(kept) < dn:
         raise SignatureError(
             f"only {len(kept)} admissible inner patterns, need {dn}: "
             "the pattern deletes too much for signature extraction"
         )
-    sets: list[frozenset[int]] = []
-    inner: list[DeletionPattern] = []
-    for idx in kept:
-        block = blocks[idx - 1]
-        corrupted = {j for j in range(1, params.K + 1) if not preserves(block, j, params, book)}
-        if len(corrupted) > params.lam - 1:
+    inner = [blocks[idx - 1] for idx in kept]
+    sets = corruption_sets(book, np.stack([block.keep for block in inner]))
+    for S in sets:  # padding stops at lambda-1, so an oversize set is the corrupted set itself
+        if len(S) > params.lam - 1:
             raise AssertionError(
-                f"admissible pattern corrupts {len(corrupted)} > lambda-1 codewords"
+                f"admissible pattern corrupts {len(S)} > lambda-1 codewords"
             )
-        sets.append(pad_corruption_set(corrupted, params))
-        inner.append(block)
     return Signature(
         n=params.n,
         kept_indices=tuple(kept),

@@ -146,6 +146,7 @@ class PairingTable:
     pairs: list[ConfusablePair]
     unpaired: list[Word]
     profiles: dict[Word, WaitProfile]
+    keys: list[bytes]  # the codebook's bits, sorted
     _partners: dict[Word, ConfusablePair] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -213,7 +214,7 @@ def build_pairs(C: Sequence[Word], cfg: OnlineConfig) -> PairingTable:
                 )
             )
         unpaired.extend(members[i] for i in range(len(members)) if i not in used)
-    return PairingTable(pairs=pairs, unpaired=unpaired, profiles=profiles)
+    return PairingTable(pairs=pairs, unpaired=unpaired, profiles=profiles, keys=keys)
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +276,11 @@ class WaitPushAdversary(OnlineAdversary):
     for certificate-style runs.  All decisions are functions of the received
     prefix, the codebook, and the begin()-time randomness.
 
-    The codebook is held sorted by its bytes, so the codewords that agree
-    with the received prefix are one range ``[lo, hi)`` of it, narrowed by
-    bisection as each bit arrives.
+    The adversary reads the codebook off its pairing table, which holds it
+    sorted by its bytes (a ``pairs`` passed in must be built from ``C``).
+    The codewords that agree with the received prefix are one range
+    ``[lo, hi)`` of those keys, narrowed by bisection as each bit arrives,
+    and adversaries that share a table share that one sorted codebook.
     """
 
     def __init__(
@@ -288,13 +291,11 @@ class WaitPushAdversary(OnlineAdversary):
         force_strategy: int | None = None,
         force_bit: int | None = None,
     ):
-        self.C = [as_word(c) for c in C]
         self.cfg = cfg
-        self.pairs = pairs if pairs is not None else build_pairs(self.C, cfg)
+        self.pairs = pairs if pairs is not None else build_pairs(C, cfg)
         self.force_strategy = force_strategy
         self.force_bit = force_bit
-        self.order = sorted(range(len(self.C)), key=lambda k: self.C[k].bits)
-        self.keys = [self.C[k].bits for k in self.order]
+        self.keys = self.pairs.keys
 
     def begin(self, n, rng):
         strategy, bit = draw_coin(rng, self.force_strategy, self.force_bit)
@@ -305,11 +306,11 @@ class WaitPushAdversary(OnlineAdversary):
             "dels": 0,
             "phase": "wait",
             "lo": 0,  # keys[lo:hi] start with the prefix received so far
-            "hi": len(self.C),
+            "hi": len(self.keys),
             "keep": None,  # push-phase keep set; None = transmit everything
             "paired": False,
         }
-        if len(self.C) < 2:
+        if len(self.keys) < 2:
             # degenerate code: wait length 0, nothing to push toward
             state["phase"] = "push"
         return state
@@ -318,7 +319,7 @@ class WaitPushAdversary(OnlineAdversary):
         state["phase"] = "push"
         if state["hi"] - state["lo"] != 1:
             return  # received word is no codeword: give up, transmit the rest
-        believed = self.C[self.order[state["lo"]]]
+        believed = Word(self.keys[state["lo"]])
         pair = self.pairs.partner_of(believed)
         prof = self.pairs.profiles[believed]
         if pair is None or prof.b != state["bit"]:

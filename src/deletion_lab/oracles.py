@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -23,11 +23,12 @@ from . import words as wordsmod
 from .construction import (
     CodeParams,
     InnerCodebook,
+    admissible_weight_cap,
+    corrupted_flags,
+    corruption_sets,
     encode_outer,
     pad_corruption_set,
     preserves,
-    preserves_runs,
-    weight_admissible,
 )
 from .matching import (
     MatchConfig,
@@ -43,7 +44,6 @@ from .words import (
     apply_pattern,
     bit_deletion_pattern,
     is_subsequence,
-    masked_run_count,
 )
 
 MAX_WITNESSES = 10
@@ -90,8 +90,10 @@ class OracleReport:
 
 
 def deletion_ball(w: Word, k: int) -> frozenset[bytes]:
-    """All words obtained from w by exactly k deletions."""
+    """All words obtained from w by exactly k deletions (none when k > len(w))."""
     bits = w.bits
+    if k > len(bits):
+        return frozenset()
     out = set()
     for keep in combinations(range(len(bits)), len(bits) - k):
         out.add(bytes(bits[i] for i in keep))
@@ -121,29 +123,22 @@ def indel_reach(w: Word, t: int) -> frozenset[bytes]:
     return frozenset(out)
 
 
+def _collision_free(
+    C: Sequence[Word], ball: Callable[[Word, int], frozenset[bytes]], radii: Sequence[int]
+) -> bool:
+    """True iff no two codewords x, y share a word of ``ball(x, k)`` and ``ball(y, k)``, k in ``radii``.
+
+    Pairs are taken in order, and the radii in order within a pair; the
+    search stops at the first collision.  Each ball is built on first use and
+    then kept, so a codeword's balls are not rebuilt for every pair.
+    """
+    ball = cache(ball)
+    return not any(ball(x, k) & ball(y, k) for x, y in combinations(C, 2) for k in radii)
+
+
 def exhaustive_decodable(C: Sequence[Word], t: int) -> bool:
     """True iff no two codewords collide under <= t deletions each."""
-    words = [Word(c) for c in C]
-    for x, y in combinations(words, 2):
-        for k in range(min(t, len(x), len(y)) + 1):
-            if deletion_ball(x, k) & deletion_ball(y, k):
-                return False
-    return True
-
-
-def _insertion_decodable(C: Sequence[Word], t: int) -> bool:
-    for x, y in combinations(C, 2):
-        for k in range(t + 1):
-            if insertion_ball(x, k) & insertion_ball(y, k):
-                return False
-    return True
-
-
-def _indel_decodable(C: Sequence[Word], t: int) -> bool:
-    for x, y in combinations(C, 2):
-        if indel_reach(x, t) & indel_reach(y, t):
-            return False
-    return True
+    return _collision_free([Word(c) for c in C], deletion_ball, range(t + 1))
 
 
 def max_pairwise_lcs(C: Sequence[Word]) -> int | None:
@@ -182,8 +177,8 @@ def levenshtein_equivalence(
         lcs_ok = True if top is None else top <= n - t - 1
         verdicts = {"deletions": exhaustive_decodable(C, t)}
         if check_insertions:
-            verdicts["insertions"] = _insertion_decodable(C, t)
-            verdicts["mixed"] = _indel_decodable(C, t)
+            verdicts["insertions"] = _collision_free(C, insertion_ball, range(t + 1))
+            verdicts["mixed"] = _collision_free(C, indel_reach, (t,))
         if any(v != lcs_ok for v in verdicts.values()):
             report.record_violation(
                 {"code": [c.to01() for c in C], "t": t, "lcs_ok": lcs_ok, **verdicts}
@@ -193,24 +188,6 @@ def levenshtein_equivalence(
 
 # ---------------------------------------------------------------------------
 # corruption cost of inner deletion patterns
-
-
-def _corrupted(book: InnerCodebook, keep: np.ndarray) -> np.ndarray:
-    """``[..., i - 1]``: the inner pattern with keep mask ``keep`` fails to preserve g_i.
-
-    ``keep`` is one mask, giving K flags, or a stack of masks, giving one row
-    of K flags per mask: a stacked ``masked_run_count`` per inner codeword.
-    """
-    return np.stack(
-        [~np.asarray(preserves_runs(masked_run_count(g, keep), i, book.params))
-         for i, g in enumerate(book.words, start=1)],
-        axis=-1,
-    )
-
-
-def _count_corrupted(book: InnerCodebook, keep: np.ndarray):
-    """How many inner codewords each inner pattern with keep mask(s) ``keep`` fails to preserve."""
-    return np.count_nonzero(_corrupted(book, keep), axis=-1)
 
 
 def structured_inner_patterns(params: CodeParams) -> list[tuple[str, DeletionPattern]]:
@@ -278,7 +255,7 @@ def verify_corruption_cost(
         """Check the stacked masks ``keep``; ``label(row)`` names a mask in its witness."""
         report.instances += len(keep)
         weights = L - np.count_nonzero(keep, axis=1)
-        corrupted = _count_corrupted(book, keep)
+        corrupted = np.count_nonzero(corrupted_flags(book, keep), axis=-1)
         for row in np.flatnonzero(weights <= caps[corrupted]).tolist():
             report.record_violation(
                 {"pattern": label(row), "weight": int(weights[row]), "corrupted": int(corrupted[row])}
@@ -310,20 +287,6 @@ def verify_corruption_cost(
 
 # ---------------------------------------------------------------------------
 # matching implication: subsequence containment forces matchability
-
-
-def admissible_weight_cap(params: CodeParams, ell: int) -> int:
-    """Largest weight an ell-admissible inner pattern may have (-1 if none)."""
-    if not weight_admissible(0, ell, params):
-        return -1
-    lo, hi = 0, params.L
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if weight_admissible(mid, ell, params):
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
 
 
 def _draw_block(gen, L: int, cap: int, zero_weights: Sequence[int]) -> int | np.ndarray:
@@ -399,8 +362,9 @@ def verify_matching_implication(
     """Whenever tau(psi(X)) embeds in psi(Y), X must match in Y.
 
     tau is blockwise (lambda-1)-admissible; corruption sets are read off the
-    blocks exactly as signature extraction does.  Y generation is biased so a
-    healthy share of instances actually satisfies the containment.
+    blocks by ``construction``'s rule, as signature extraction reads them.
+    Y generation is biased so a healthy share of instances actually
+    satisfies the containment.
 
     The instances run IMPLICATION_CHUNK at a time, in two phases.
 
@@ -409,11 +373,10 @@ def verify_matching_implication(
       the empty pattern or the deletion of all zeros of some g_i names one
       of these K + 1 shared patterns; every other block writes its keep mask
       into one stacked array of the chunk.
-    - Decide: one stacked ``masked_run_count`` per inner codeword counts its
-      kept runs under every fresh mask of the chunk, and ``preserves_runs``
-      turns the counts into corruption sets.  The shared patterns got theirs
-      from ``preserves`` once per call.  One ``apply_pattern`` of the
-      chunk's joined tau to psi of the chunk's X words, the concatenation of
+    - Decide: one ``corruption_sets`` call gives the sets of every fresh
+      mask of the chunk, from one stacked run count per inner codeword.  The
+      shared patterns got theirs from ``preserves`` once per call.  One
+      ``apply_pattern`` of the chunk's joined tau to psi of the chunk's X words, the concatenation of
       their psi(X), gives every tau(psi(X)).  Each is tested against its
       psi(Y) from ``encode_outer`` with the scalar ``is_subsequence``, and
       each containment goes to ``is_matchable``.
@@ -428,13 +391,9 @@ def verify_matching_implication(
     shared = [DeletionPattern(params.L, ())] + [bit_deletion_pattern(g, 0) for g in book.words]
     cap = admissible_weight_cap(params, params.lam - 1)
     zero_weights = [pat.weight for pat in shared[1:]]
-
-    def corruption_set(corrupted: Sequence[bool]) -> frozenset[int]:
-        """The padded set of the symbols i whose flag ``corrupted[i - 1]`` is set."""
-        return pad_corruption_set({i for i, bad in enumerate(corrupted, start=1) if bad}, params)
-
     shared_keep = np.stack([pat.keep for pat in shared])
-    shared_sets = [corruption_set([not preserves(pat, i, params, book) for i in range(1, K + 1)])
+    shared_sets = [pad_corruption_set({i for i in range(1, K + 1) if not preserves(pat, i, params, book)},
+                                      params)
                    for pat in shared]
     report = OracleReport(name="matching-implication", mode=f"instances={instances}")
 
@@ -442,7 +401,7 @@ def verify_matching_implication(
         """Draw and decide the instances ``trials``; returns how many are containments."""
         Xs, Ys, blocks, fresh = _draw_implication_chunk(params, master_seed, trials, cap, zero_weights)
         masks = np.concatenate([shared_keep, fresh])
-        sets = shared_sets + [corruption_set(row) for row in _corrupted(book, fresh).tolist()]
+        sets = shared_sets + corruption_sets(book, fresh)
         # every block of the chunk, joined, applied to psi of the chunk's X words
         corrupted_words = apply_pattern(
             DeletionPattern.from_keep(masks[blocks].reshape(-1)),

@@ -204,23 +204,6 @@ class DeletionPattern:
         keep.flags.writeable = False
         return keep
 
-    @cached_property
-    def _run_counts(self) -> dict[bytes, int]:
-        return {}
-
-    def kept_run_count(self, w: WordLike) -> int:
-        """``run_count`` of ``w`` after this pattern, without building that word.
-
-        Counted once per pattern and word, so a pattern that many blocks
-        share counts each word once.
-        """
-        word = as_word(w)
-        counts = self._run_counts
-        r = counts.get(word.bits)
-        if r is None:
-            r = counts[word.bits] = masked_run_count(word, self.keep)
-        return r
-
     @property
     def weight(self) -> int:
         return len(self.deleted)
@@ -386,14 +369,10 @@ def lcs_length(a: WordLike, b: WordLike) -> int:
 
 
 def split_pattern(tau: DeletionPattern, n: int, L: int) -> list[DeletionPattern]:
-    """Split a pattern on words of length n*L into n blockwise patterns."""
+    """Split a pattern on words of length n*L into n blockwise patterns, one per row of its mask."""
     if tau.word_length != n * L:
         raise ValueError(f"pattern length {tau.word_length} != {n}*{L}")
-    blocks: list[list[int]] = [[] for _ in range(n)]
-    for j in tau.deleted:
-        i = (j - 1) // L
-        blocks[i].append(j - i * L)
-    return [DeletionPattern(L, tuple(blk)) for blk in blocks]
+    return [DeletionPattern.from_keep(row) for row in tau.keep.reshape(n, L)]
 
 
 def join_patterns(parts: Sequence[DeletionPattern]) -> DeletionPattern:

@@ -257,13 +257,22 @@ def test_weight_bound_guarantees_enough_admissible_blocks():
 
 
 def test_signature_kept_indices_are_first_admissible():
-    from deletion_lab.words import split_pattern
+    from deletion_lab.construction import pad_corruption_set
+    from deletion_lab.words import bit_deletion_pattern, join_patterns, split_pattern
 
-    params = toy_params(2, 4, 2, "0.5", 4)
+    small = toy_params(2, 4, 2, "0.5", 4)
     r = random.Random(13)
-    for _ in range(50):
-        w = r.randrange(0, 40)
-        tau = DeletionPattern(params.N, tuple(r.sample(range(1, params.N + 1), w)))
+    cases = [
+        (small, DeletionPattern(small.N, tuple(r.sample(range(1, small.N + 1), r.randrange(0, 40)))))
+        for _ in range(50)
+    ]
+    # random blocks corrupt nothing; a block deleting all zeros of g_i is
+    # admissible here and corrupts g_i, and one more deletion makes it inadmissible
+    wide = toy_params(2, 16, 2, "0.5", 4)
+    choices = [DeletionPattern(wide.L, ()), DeletionPattern(wide.L, tuple(range(1, wide.L // 2 + 2)))]
+    choices += [bit_deletion_pattern(g, 0) for g in InnerCodebook(wide).words]
+    cases += [(wide, join_patterns([r.choice(choices) for _ in range(wide.n)])) for _ in range(30)]
+    for params, tau in cases:
         blocks = split_pattern(tau, params.n, params.L)
         admissible = [
             i + 1
@@ -284,3 +293,4 @@ def test_signature_kept_indices_are_first_admissible():
                 if not preserves(blocks[idx - 1], j, params, book)
             }
             assert corrupted <= S and len(S) == params.lam - 1
+            assert S == pad_corruption_set(corrupted, params)

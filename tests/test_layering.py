@@ -96,3 +96,19 @@ def test_cli_builds_no_oracle_report():
         and "OracleReport" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     ]
     assert calls == []
+
+
+def test_oracles_judge_no_corruption_themselves():
+    # the rule that reads corruption off kept runs lives in ``construction``;
+    # the oracles take its flags and sets and never count runs for it, by
+    # import or through a module attribute
+    tree = ast.parse((PACKAGE / "oracles.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+    assert names & {"masked_run_count", "preserves_runs"} == set()

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from deletion_lab import matching, oracles
+from deletion_lab import construction, matching, oracles
 from deletion_lab import rng as rngmod
 from deletion_lab.construction import (
     InnerCodebook,
@@ -200,8 +200,7 @@ def test_masked_run_count_is_run_count_of_applied_pattern(bits, data):
     tau = DeletionPattern(len(bits), tuple(dead))
     assert masked_run_count(Word(bits), tau.keep) == run_count(apply_pattern(tau, bits))
     other = data.draw(st.lists(st.integers(0, 1), min_size=len(bits), max_size=len(bits)))
-    for w in (bits, other, Word(bits), other):  # the last two counts come from tau's cache
-        assert tau.kept_run_count(w) == run_count(apply_pattern(tau, w))
+    assert masked_run_count(other, tau.keep) == run_count(apply_pattern(tau, other))
 
 
 @PROPS
@@ -273,6 +272,9 @@ def test_split_join_round_trip(n, L, data):
     tau = DeletionPattern(n * L, tuple(deleted))
     parts = split_pattern(tau, n, L)
     assert len(parts) == n and all(p.word_length == L for p in parts)
+    # position j of tau is position j - iL of block i = (j-1)//L, counting blocks from 0
+    by_block = [[j - (j - 1) // L * L for j in sorted(deleted) if (j - 1) // L == i] for i in range(n)]
+    assert [list(p.deleted) for p in parts] == by_block
     assert sum(p.weight for p in parts) == tau.weight
     assert join_patterns(parts) == tau
 
@@ -857,7 +859,7 @@ def test_corruption_count_is_the_count_of_codewords_not_preserved(KR, density, s
     keep = np.random.default_rng(seed).random(params.L) < density
     sigma = DeletionPattern.from_keep(keep)
     expected = sum(not preserves(sigma, i, params, book) for i in range(1, K + 1))
-    assert oracles._count_corrupted(book, keep) == expected
+    assert np.count_nonzero(construction.corrupted_flags(book, keep)) == expected
 
 
 def loop_corruption_cost(params, mode, samples=0, master_seed=0, preserved=None,
@@ -920,7 +922,7 @@ def test_planted_corruption_violations_keep_their_labels_and_order(monkeypatch, 
     def planted(r, i):
         return (r + i) % 3 != 0
 
-    monkeypatch.setattr(oracles, "preserves_runs", lambda r, i, params: planted(r, i))
+    monkeypatch.setattr(construction, "preserves_runs", lambda r, i, params: planted(r, i))
     monkeypatch.setattr(oracles, "MASK_CHUNK_BITS", 100)
     if mode == "exhaustive":
         # at L = 8 the bound admits only the empty pattern, so a looser one is planted too

@@ -7,7 +7,8 @@ between two A-moves the walk stays at one coordinate of X, and the B-moves
 it makes there are read from a skip table built once per host.
 
 - ``batch_matchable`` matches many rows of X at once, one whole-array jump
-  per coordinate; the Monte-Carlo harnesses use it.
+  per coordinate, each row against the host it names in a stack of hosts;
+  the Monte-Carlo harnesses score many hosts in one walk.
 - ``count_matchable`` counts exactly the X in [K]^m that match, by carrying
   counts over the states (b, run_a) through the same jump.
 
@@ -133,14 +134,14 @@ def is_matchable(X: Sequence[int], Y: Sequence[int], cfg: MatchConfig) -> bool:
     return _walk(X, Y, cfg) == len(X)
 
 
-# per-row skip tables are built for at most this many bytes of rows at a time
+# the skip tables of a stack of hosts are built for at most this many bytes at a time
 TABLE_BYTES = 1 << 22
 
 
 def _skip_table(Ys: np.ndarray, values: np.ndarray, t: int) -> np.ndarray:
-    """skip[b, row, c]: B-moves in a row from host position b for symbol ``values[c]``.
+    """skip[b, h, c]: B-moves in a row from host position b for symbol ``values[c]``.
 
-    That is the number of consecutive symbols of host ``Ys[row]`` from b on
+    That is the number of consecutive symbols of host ``Ys[h]`` from b on
     that exceed the symbol, capped at min(t, n); skip[n], past the host, is
     0.  The table is filled backwards over b in the smallest unsigned dtype
     that holds the cap.
@@ -162,71 +163,70 @@ def _jump(skip: np.ndarray, b: np.ndarray, forced: np.ndarray, cols: np.ndarray,
     A forced B-move comes first where run_a has reached s; then the
     coordinate's symbol takes B-moves while the host stays larger, at most
     t in a row.  ``skip`` is a ``_skip_table`` and ``cols`` the flat offset
-    of each (row, symbol) column within one b.
+    of each (host, symbol) column within one b.
     """
     after = b + forced
     steps = skip.reshape(-1).take(after * skip[0].size + cols)
     return after + np.minimum(steps, t - forced)
 
 
-def _jump_walk(cols: np.ndarray, Ys: np.ndarray, values: np.ndarray, cfg: MatchConfig) -> np.ndarray:
-    """Success of every row; ``cols[a]`` is each row's table column for coordinate a.
+def batch_matchable(Xs: np.ndarray, Y: Sequence[int] | np.ndarray, cfg: MatchConfig,
+                    host: Sequence[int] | np.ndarray | None = None) -> np.ndarray:
+    """Vectorized matching of many X rows, each against its own host.
 
-    ``Ys`` is one shared host or one host per row.  Every row reaches
-    coordinate a at the same step, and a row has failed once its b reaches
-    n - 1, so no row is ever dropped from the arrays.
+    ``Y`` is one host shared by every row, one host per row, or, with
+    ``host``, a stack of hosts of which row r reads ``Y[host[r]]``; the first
+    two are the index of zeros and ``arange(T)``.  Semantics are identical to
+    run_matching under the same config.
     """
-    n = Ys.shape[1]
-    skip = _skip_table(Ys, values, cfg.t)
-    cols = cols + np.arange(len(Ys)) * len(values)
-    b = np.zeros(cols.shape[1], dtype=np.intp)
-    last_b = np.zeros_like(b)  # the latest coordinate with B-moves: run_a = a - last_b
-    for a in range(len(cols)):
-        nb = _jump(skip, b, last_b == a - cfg.s, cols[a], cfg.t)
-        last_b[nb != b] = a
-        np.minimum(nb, n - 1, out=b)
-    return b < n - 1
-
-
-def batch_matchable(Xs: np.ndarray, Y: Sequence[int] | np.ndarray, cfg: MatchConfig) -> np.ndarray:
-    """Vectorized matching of many X rows against Y (shared, or one per row).
-
-    Semantics are identical to run_matching under the same config.  Each
-    coordinate is one whole-array ``_jump`` read from a skip table of the
-    host; a per-row host gets one table per row.
-    """
-    Xs = np.asarray(Xs, dtype=np.int64)
+    Xs = np.asarray(Xs)
     if Xs.ndim != 2:
         raise ValueError("Xs must be a 2-d array of outer words")
     T, m = Xs.shape
-    Yv = np.asarray(Y, dtype=np.int64)
-    per_row_y = Yv.ndim == 2
-    n = Yv.shape[-1]
-    if per_row_y and Yv.shape[0] != T:
-        raise ValueError("per-row Y needs one row per X")
+    Ys = np.asarray(Y, dtype=np.int64)
+    if host is None:
+        if Ys.ndim == 2 and len(Ys) != T:
+            raise ValueError("per-row Y needs one row per X")
+        host = np.arange(T) if Ys.ndim == 2 else np.zeros(T, dtype=np.intp)
+    else:
+        host = np.asarray(host, dtype=np.intp)
+        if Ys.ndim != 2 or host.shape != (T,) or T and not 0 <= host.min() <= host.max() < len(Ys):
+            raise ValueError(f"a host index needs a stack of hosts and one entry in [0, {len(Ys)}) per row")
+    Ys = np.atleast_2d(Ys)
+    n = Ys.shape[1]
     if m < 1 or n < 1:
         raise ValueError("matching needs nonempty words")
     if len(cfg.sets) != m:
         raise ValueError(f"got {len(cfg.sets)} sets for |X| = {m}")
     if m == 1:  # the walk stops before it reads anything
         return np.ones(T, dtype=bool)
-    # table columns: the symbols lo..hi of Xs, then one for corruption-set
-    # members, which never take a B-move
-    lo, hi = (int(Xs.min()), int(Xs.max())) if T else (0, 0)
+    # table columns: the symbols lo..hi, lo = min(0, min Xs), then one for
+    # corruption-set members, which never take a B-move
+    Xs = Xs if Xs.dtype.kind in "iu" else Xs.astype(np.int64)
+    lo, hi = (min(int(Xs.min()), 0), int(Xs.max())) if T else (0, 0)
     width = hi - lo + 2
     values = np.arange(lo, lo + width)
-    values[-1] = max(hi, int(Yv.max(initial=hi)))
+    values[-1] = max(hi, int(Ys.max(initial=hi)))
     column = np.tile(np.arange(width - 1), (m - 1, 1))  # [a, x - lo]; the walk never reads X_m
     for a, S in enumerate(cfg.sets[:-1]):
         column[a, [x - lo for x in S if lo <= x <= hi]] = width - 1
-    cols = column.reshape(-1).take(Xs[:, :-1] - lo + np.arange(m - 1) * (width - 1))
-    cols = np.ascontiguousarray(cols.T)
-    if not per_row_y:
-        return _jump_walk(cols, Yv[None, :], values, cfg)
-    row_bytes = width * (n + 1) * np.min_scalar_type(min(cfg.t, n)).itemsize
-    block = max(1, TABLE_BYTES // row_bytes)
-    parts = [_jump_walk(cols[:, r:r + block], Yv[r:r + block], values, cfg) for r in range(0, T, block)]
-    return np.concatenate([np.zeros(0, dtype=bool), *parts])
+    # One walk per block of hosts whose skip tables fit in TABLE_BYTES.  Rows reach coordinate a
+    # together and look up its table column then; b reaching n - 1 marks a failed row, never dropped.
+    per_table = max(1, TABLE_BYTES // (width * (n + 1) * np.min_scalar_type(min(cfg.t, n)).itemsize))
+    matched = np.zeros(T, dtype=bool)
+    for h in range(0, len(Ys), per_table):
+        rows = np.flatnonzero((host >= h) & (host < h + per_table)) if len(Ys) > per_table else slice(None)
+        skip = _skip_table(Ys[h:h + per_table], values, cfg.t)
+        base = (host[rows] - h) * width  # flat offset of each row's host within one b
+        b = np.zeros(len(base), dtype=np.intp)
+        last_b = np.zeros_like(b)  # the latest coordinate with B-moves: run_a = a - last_b
+        for a in range(m - 1):
+            cols = column[a].take(Xs[rows, a] if lo == 0 else np.subtract(Xs[rows, a], lo, dtype=np.intp))
+            nb = _jump(skip, b, last_b == a - cfg.s, np.add(cols, base, out=cols), cfg.t)
+            last_b[nb != b] = a
+            np.minimum(nb, n - 1, out=b)
+        matched[rows] = b < n - 1
+    return matched
 
 
 def count_matchable(Y: Sequence[int], cfg: MatchConfig, K: int) -> int:

@@ -9,6 +9,7 @@ average-case error under families of fixed deletion patterns.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -73,33 +74,46 @@ class FEstimate:
         return self.trials == "exact"
 
 
+WALK_ROWS = 4800  # Monte-Carlo rows matched in one stacked walk, whole hosts at a time
+
+
 def estimate_f(
-    Y: Sequence[int],
+    Ys: Sequence[Sequence[int]],
     params: CodeParams,
     exact: bool = True,
     trials: int = 4000,
     master_seed: int = 0,
     zlen: int | None = None,
-) -> FEstimate:
-    """Pr over uniform Z of length delta*n that Z is matchable in Y.
+) -> list[FEstimate]:
+    """Pr over uniform Z of length delta*n that Z is matchable in Y, one estimate per host Y, in order.
 
     Matching runs with the worst corruption sets [lambda-1] and the caps
-    (2^lambda, sqrt(R)).  Exact mode counts the matchable Z with
-    ``count_matchable``; Monte-Carlo mode reports a 95% half-width alongside
-    the estimate.
+    (2^lambda, sqrt(R)).  Exact mode counts the matchable Z of each host with
+    ``count_matchable``.  Monte-Carlo mode draws each host's Z from its own
+    stream, matches several hosts' rows in one stacked ``batch_matchable``
+    walk, and reports a 95% half-width alongside each estimate.
     """
     K = params.K
     m = params.delta_n if zlen is None else zlen
     cfg = MatchConfig.paper(params.lam, params.R, worst_sets(m, params.lam))
-    Yv = tuple(Y)
+    hosts = [tuple(Y) for Y in Ys]
     if exact:
-        return FEstimate(Yv, Fraction(count_matchable(Yv, cfg, K), K**m), "exact", 0.0)
-    gen = rngmod.np_rng(master_seed, "estimate-f", hash(Yv) & 0xFFFFFFFF)
-    Zs = gen.integers(1, K + 1, size=(trials, m))
-    wins = int(batch_matchable(Zs, Yv, cfg).sum())
-    p_hat = wins / trials
-    half = 1.96 * math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / trials) + 0.5 / trials
-    return FEstimate(Yv, p_hat, trials, half)
+        return [FEstimate(Y, Fraction(count_matchable(Y, cfg, K), K**m), "exact", 0.0) for Y in hosts]
+    if trials < 1:
+        raise ValueError(f"trials = {trials}: Monte-Carlo f needs at least one trial")
+    group = max(1, WALK_ROWS // trials)
+    estimates = []
+    for g in range(0, len(hosts), group):
+        stack = hosts[g:g + group]
+        Zs = np.empty((len(stack), trials, m), dtype=np.min_scalar_type(K))
+        for Z, Y in zip(Zs, stack):  # each host's draws, as int64 and from its own stream
+            Z[:] = rngmod.np_rng(master_seed, "estimate-f", hash(Y) & 0xFFFFFFFF).integers(1, K + 1, Z.shape)
+        matched = batch_matchable(Zs.reshape(-1, m), stack, cfg, np.repeat(np.arange(len(stack)), trials))
+        for Y, wins in zip(stack, matched.reshape(len(stack), trials).sum(axis=1).tolist()):
+            p_hat = wins / trials
+            half = 1.96 * math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / trials) + 0.5 / trials
+            estimates.append(FEstimate(Y, p_hat, trials, half))
+    return estimates
 
 
 @dataclass
@@ -127,11 +141,9 @@ def filter_candidates(
     A Monte-Carlo estimate is classified by its point value.
     """
     thr = plan.f_threshold(params.n)
-    outcome = FilterOutcome([], [])
-    for Y in pool:
-        est = estimate_f(Y, params, exact=exact, trials=trials, master_seed=master_seed)
-        (outcome.kept if est.value < thr else outcome.discarded).append(est.word)
-    return outcome
+    estimates = estimate_f(pool, params, exact=exact, trials=trials, master_seed=master_seed)
+    return FilterOutcome([e.word for e in estimates if e.value < thr],
+                         [e.word for e in estimates if not e.value < thr])
 
 
 def sample_outer_code(
@@ -160,14 +172,8 @@ class ConfusabilityGraph:
             out[y] += 1
         return out
 
-    def in_degrees(self) -> list[int]:
-        ind = [0] * len(self.vertices)
-        for _, x in self.edges:
-            ind[x] += 1
-        return ind
-
     def stats(self) -> dict:
-        outs, ins = self.out_degrees(), self.in_degrees()
+        outs, ins = self.out_degrees(), Counter(x for _, x in self.edges).values()
         return {
             "vertices": len(self.vertices),
             "edges": self.edge_count,
@@ -195,16 +201,17 @@ def build_confusability_graph(
     n = sigma.word_length
     if pool and len(pool[0]) != n:
         raise ValueError("sigma must act on outer words of the pool's length")
-    kept = [i for i in range(1, n + 1) if i not in set(sigma.deleted)]
-    if len(cfg.sets) != len(kept):
-        raise ValueError(f"need {len(kept)} corruption sets, got {len(cfg.sets)}")
-    selected = np.array([[X[i - 1] for i in kept] for X in pool], dtype=np.int64)
+    if len(cfg.sets) != n - sigma.weight:
+        raise ValueError(f"need {n - sigma.weight} corruption sets, got {len(cfg.sets)}")
+    hosts = np.array(pool, dtype=np.int64).reshape(len(pool), n)
     edges: list[tuple[int, int]] = []
-    for y_idx, Y in enumerate(pool):
-        wins = batch_matchable(selected, tuple(Y), cfg)
-        for x_idx in np.nonzero(wins)[0]:
-            if int(x_idx) != y_idx:
-                edges.append((y_idx, int(x_idx)))
+    group = max(1, WALK_ROWS // max(1, len(pool)))
+    for g in range(0, len(pool), group):
+        stack = hosts[g:g + group]
+        host = np.repeat(np.arange(len(stack)), len(pool))
+        wins = batch_matchable(np.tile(hosts[:, sigma.keep], (len(stack), 1)), stack, cfg, host)
+        ys, xs = np.nonzero(wins.reshape(len(stack), len(pool)))
+        edges += [(g + y, x) for y, x in zip(ys.tolist(), xs.tolist()) if g + y != x]
     return ConfusabilityGraph(list(pool), edges)
 
 
@@ -256,13 +263,8 @@ class StochasticCode:
         return rng.choice(self.groups[message])
 
     def decode(self, s: Word) -> int | None:
-        hit = unique_decode(s, self.codewords)
-        if hit is None:
-            return None
-        for m, group in enumerate(self.groups):
-            if hit in group:
-                return m
-        raise AssertionError("decoded word missing from its own group")
+        hit = unique_decode(s, self.codewords)  # a codeword, so a member of one group
+        return None if hit is None else next(m for m, group in enumerate(self.groups) if hit in group)
 
 
 def make_stochastic(C: Sequence[Word], group_size: int, rng) -> StochasticCode:
@@ -294,7 +296,8 @@ def _pad_to_weight(positions: Iterable[int], N: int, weight: int, rng) -> Deleti
     if len(pos) > weight:
         pos = pos[:weight]
     elif len(pos) < weight:
-        rest = [i for i in range(1, N + 1) if i not in set(pos)]
+        taken = set(pos)
+        rest = [i for i in range(1, N + 1) if i not in taken]
         pos += rng.sample(rest, weight - len(pos))
     return DeletionPattern(N, tuple(sorted(pos)))
 
@@ -366,16 +369,13 @@ def oblivious_experiment(
 ) -> ExperimentReport:
     """Assemble codes per seed and measure average-case error per pattern."""
     params.require_executable()
+    repeated = [X for X, count in Counter(map(tuple, pool)).items() if count > 1]
+    if repeated:
+        raise ValueError(f"the pool repeats the outer word {','.join(map(str, repeated[0]))}")
     book = InnerCodebook(params)
-    if use_filter:
-        outcome = filter_candidates(
-            pool, params, plan, exact=f_exact, trials=f_trials, master_seed=master_seed
-        )
-        candidates = outcome.kept
-        discarded_fraction = outcome.discarded_fraction
-    else:
-        candidates = list(pool)
-        discarded_fraction = 0.0
+    outcome = (filter_candidates(pool, params, plan, exact=f_exact, trials=f_trials, master_seed=master_seed)
+               if use_filter else FilterOutcome(list(pool), []))
+    candidates, discarded_fraction = outcome.kept, outcome.discarded_fraction
     report = ExperimentReport(
         kind="oblivious",
         columns=("seed", "pattern_id", "pattern_weight", "code_size", "error_fraction"),

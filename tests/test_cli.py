@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from deletion_lab import cli, oracles
+from deletion_lab import cli, oblivious, oracles
 from deletion_lab.cli import main
 from deletion_lab.reporting import atomic_write_text
 from deletion_lab.words import Word
@@ -271,6 +271,18 @@ def test_bad_outer_word_is_a_usage_error_naming_path_and_line(caller, line, tmp_
     assert err.value.code == 2
     assert f"{words}:3:" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir() if p.name.startswith(out.name)] == []
+
+
+def test_pool_that_repeats_a_word_is_a_usage_error_before_scoring(tmp_path, capsys, monkeypatch):
+    words = tmp_path / "pool.txt"
+    words.write_text("1,2,1,2\n2,2,1,1\n1,2,1,2\n")
+    monkeypatch.setattr(oblivious, "filter_candidates", lambda *a, **k: pytest.fail("pool was scored"))
+    argv = _oblivious_config(tmp_path, pool={"file": str(words), "structured": False}, use_filter=True)
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "repeats the outer word 1,2,1,2" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_dominance_violation_is_recorded_with_witness(capsys, monkeypatch):

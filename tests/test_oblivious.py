@@ -1,15 +1,18 @@
 import statistics
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
 import pytest
 
+from deletion_lab import oblivious
 from deletion_lab import rng as rngmod
 from deletion_lab.construction import CodeParams, encode_outer, toy_params
-from deletion_lab.matching import MatchConfig, batch_matchable, worst_sets
+from deletion_lab.matching import MatchConfig, batch_matchable, count_matchable, worst_sets
 from deletion_lab.oblivious import (
     SamplingPlan,
+    _pad_to_weight,
     average_case_error,
     blockwise_periodic_pattern,
     build_confusability_graph,
@@ -37,8 +40,8 @@ from deletion_lab.words import (
 def test_estimate_f_exact_examples():
     # R = 64 so the B-cap is 8: failures genuinely occur for all-max hosts
     params = toy_params(3, 64, 1, Fraction(1, 2), 12)
-    ones = estimate_f((1,) * 12, params, exact=True, zlen=3)
-    maxs = estimate_f((3,) * 12, params, exact=True, zlen=3)
+    ones = estimate_f([(1,) * 12], params, exact=True, zlen=3)[0]
+    maxs = estimate_f([(3,) * 12], params, exact=True, zlen=3)[0]
     assert ones.value == 1
     assert maxs.value == Fraction(5, 9)
     assert maxs.value < ones.value
@@ -47,7 +50,7 @@ def test_estimate_f_exact_examples():
 
 def test_estimate_f_mc_tracks_exact():
     params = toy_params(3, 64, 1, Fraction(1, 2), 12)
-    mc = estimate_f((3,) * 12, params, exact=False, trials=4000, master_seed=1, zlen=3)
+    mc = estimate_f([(3,) * 12], params, exact=False, trials=4000, master_seed=1, zlen=3)[0]
     assert abs(float(mc.value) - 5 / 9) < 3 * mc.half_width + 0.01
     assert mc.trials == 4000 and not mc.exact
 
@@ -99,7 +102,7 @@ def test_graph_outdegree_identity_full_pool():
     graph = build_confusability_graph(pool, sigma, MatchConfig(2, 2, worst_sets(dn, 1)))
     outs = graph.out_degrees()
     for y_idx, Y in enumerate(pool):
-        fc = estimate_f(Y, params, exact=True)
+        fc = estimate_f([Y], params, exact=True)[0]
         expected = 2 ** (6 - dn) * int(fc.value * 2**dn)
         cfg = MatchConfig(2, 2, worst_sets(dn, 1))
         selfedge = bool(batch_matchable(np.array([Y[:dn]]), Y, cfg)[0])
@@ -267,8 +270,8 @@ def test_experiment_report_deterministic():
 def test_estimate_f_exact_at_zlen_30_tracks_monte_carlo(Y):
     # criterion-11 scale: 4^30 words, far past what enumeration could list
     params = toy_params(4, 4, 1, Fraction(3, 4), 40)
-    exact = estimate_f(Y, params, exact=True)
-    mc = estimate_f(Y, params, exact=False, trials=4000, master_seed=1)
+    exact = estimate_f([Y], params, exact=True)[0]
+    mc = estimate_f([Y], params, exact=False, trials=4000, master_seed=1)[0]
     assert exact.exact and 4**30 % exact.value.denominator == 0
     assert 0 < exact.value < 1
     assert abs(float(exact.value) - mc.value) < 3 * mc.half_width
@@ -292,3 +295,86 @@ def test_experiment_empty_pattern_has_zero_error():
     )
     assert len(rep.rows) == 2
     assert all(row[-1] == 0.0 for row in rep.rows)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_stacked_estimate_f_equals_per_host_scoring(exact):
+    # 25 hosts at 700 trials: six hosts per walk, the last walk holds one
+    params = toy_params(3, 64, 1, Fraction(1, 2), 12)
+    rng = rngmod.py_rng(4, "hosts")
+    pool = [tuple(rng.choices((1, 2, 3), k=12)) for _ in range(23)] + [(3,) * 12, (1,) * 12]
+    dn, trials = params.delta_n, 700
+    cfg = MatchConfig.paper(params.lam, params.R, worst_sets(dn, params.lam))
+    got = estimate_f(pool, params, exact=exact, trials=trials, master_seed=5)
+    assert [est.word for est in got] == pool
+    for est, Y in zip(got, pool):
+        if exact:
+            expected = Fraction(count_matchable(Y, cfg, 3), 3**dn)
+        else:
+            gen = rngmod.np_rng(5, "estimate-f", hash(Y) & 0xFFFFFFFF)
+            expected = int(batch_matchable(gen.integers(1, 4, size=(trials, dn)), Y, cfg).sum()) / trials
+        assert est.value == expected and est.exact == exact
+    assert estimate_f([], params, exact=exact, trials=trials) == []
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_monte_carlo_estimate_f_needs_a_positive_trial_count(trials):
+    params = toy_params(3, 64, 1, Fraction(1, 2), 12)
+    with pytest.raises(ValueError, match="trials"):
+        estimate_f([(3,) * 12], params, exact=False, trials=trials)
+
+
+def test_graph_edges_equal_one_walk_per_host(monkeypatch):
+    pool = [tuple(X) for X in product((1, 2), repeat=6)]
+    sigma = DeletionPattern(6, (2, 5))
+    cfg = MatchConfig(2, 2, worst_sets(4, 1))
+    selected = np.array(pool)[:, [0, 2, 3, 5]]
+    expected = [(y, int(x)) for y, Y in enumerate(pool)
+                for x in np.flatnonzero(batch_matchable(selected, Y, cfg)) if x != y]
+    monkeypatch.setattr(oblivious, "WALK_ROWS", 5 * len(pool))  # 13 walks, the last of 4 hosts
+    assert build_confusability_graph(pool, sigma, cfg).edges == expected
+
+
+def test_pad_to_weight_equals_the_padding_it_replaced():
+    def reference(positions, N, weight, rng):  # rebuilds set(pos) for every candidate
+        pos = sorted(set(positions))
+        if len(pos) > weight:
+            pos = pos[:weight]
+        elif len(pos) < weight:
+            rest = [i for i in range(1, N + 1) if i not in set(pos)]
+            pos += rng.sample(rest, weight - len(pos))
+        return DeletionPattern(N, tuple(sorted(pos)))
+
+    for N in (1, 6, 31):
+        for seed in range(8):
+            positions = rngmod.py_rng(seed, "positions").sample(range(1, N + 1), seed % (N + 1))
+            for weight in range(N + 1):
+                got = _pad_to_weight(positions, N, weight, rngmod.py_rng(seed, "pad", weight))
+                assert got == reference(positions, N, weight, rngmod.py_rng(seed, "pad", weight))
+
+
+def criterion11_pool() -> list[tuple[int, ...]]:
+    """The 72-word pool of criterion 11: 60 words over {3,4} weighted 1:3, then 12 absorbers."""
+    rng = rngmod.py_rng(0, "pool")
+    body = set()
+    while len(body) < 60:
+        body.add(tuple(rng.choices((3, 4), weights=(1, 3), k=40)))
+    absorbers = [(1,) * 40, (2,) * 40] + [(1,) * k + (4,) + (1,) * (39 - k) for k in (0, 13, 27, 39)]
+    absorbers += [tuple(rng.randrange(1, 5) for _ in range(40)) for _ in range(6)]
+    return sorted(body) + absorbers
+
+
+def test_filter_memory_peak_stays_small():
+    # a row cap set too large holds the draws and walk arrays of too many hosts at once
+    params = toy_params(4, 4, 1, Fraction(3, 4), 40)
+    plan = SamplingPlan.from_params(params, target_size=8)
+    pool = criterion11_pool()
+    assert len(set(pool)) == 72
+    filter_candidates(pool, params, plan, exact=False, trials=600, master_seed=7)  # warm caches
+    tracemalloc.start()
+    try:
+        filter_candidates(pool, params, plan, exact=False, trials=600, master_seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6, f"filter_candidates peaked at {peak / 1e6:.2f} MB"

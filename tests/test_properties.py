@@ -5,6 +5,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import groupby, product
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -133,6 +134,55 @@ def test_batch_matchable_needs_one_set_per_position():
     cfg = MatchConfig(s=2, t=2, sets=(frozenset(),) * 2)
     with pytest.raises(ValueError, match="sets"):
         batch_matchable(np.ones((4, 3), dtype=np.int64), (1, 2, 3), cfg)
+
+
+@st.composite
+def stacked_instances(draw):
+    """Rows of X, a stack of hosts that may repeat, and each row's host index."""
+    K = draw(st.integers(2, 5))
+    m, n, H, T = (draw(st.integers(1, 6)), draw(st.integers(1, 8)), draw(st.integers(1, 4)),
+                  draw(st.integers(0, 9)))
+    symbol = st.integers(1, K)
+    sets = tuple(draw(st.frozensets(st.integers(0, K + 2))) for _ in range(m))
+    cfg = MatchConfig(s=draw(st.integers(1, 4)), t=draw(st.integers(1, 12)), sets=sets)
+    hosts = [tuple(draw(st.lists(symbol, min_size=n, max_size=n))) for _ in range(H)]
+    if H > 1 and draw(st.booleans()):
+        hosts[-1] = hosts[0]
+    Xs = [tuple(draw(st.lists(symbol, min_size=m, max_size=m))) for _ in range(T)]
+    host = draw(st.lists(st.integers(0, H - 1), min_size=T, max_size=T))
+    return cfg, Xs, hosts, host
+
+
+@PROPS
+@given(stacked_instances())
+@example((MatchConfig(2, 3, (frozenset(),) * 4), [], [(1, 2, 3)], []))  # no rows
+@example((MatchConfig(1, 1, (frozenset({9}),)), [(3,), (1,)], [(1,), (4,)], [1, 1]))  # m = 1
+@example((MatchConfig(2, 2, (frozenset({1}),) * 3), [(2, 2, 1), (1, 3, 1), (3, 3, 3)],
+          [(3, 1, 3, 2)], [0, 0, 0]))  # one host
+@example((MatchConfig(1, 4, (frozenset(),) * 3), [(2, 1, 2), (2, 1, 2), (1, 2, 2)],
+          [(2, 2, 1, 1), (1, 2, 1, 2), (2, 2, 1, 1)], [2, 1, 0]))  # a repeated host
+@example((MatchConfig(2, 3, (frozenset({-1}),) * 3), [(-1, 2, 0), (0, -2, 3), (3, 3, -2)],
+          [(0, -2, 3, 1), (-3, 3, 3, 0)], [1, 0, 1]))  # symbols below 1
+def test_host_indexed_batch_matchable_agrees_with_one_call_per_host(inst):
+    cfg, Xs, hosts, host = inst
+    m = len(cfg.sets)
+    rows = np.array(Xs, dtype=np.int64).reshape(len(Xs), m)
+    stacked = batch_matchable(rows.astype(np.int8), np.array(hosts), cfg, host)
+    with patch.object(matching, "TABLE_BYTES", 1):  # one host per skip table
+        blocked = batch_matchable(rows, hosts, cfg, np.array(host))
+    assert stacked.shape == blocked.shape == (len(Xs),)
+    assert stacked.tolist() == blocked.tolist()
+    assert stacked.tolist() == [run_matching(X, hosts[h], cfg).success for X, h in zip(Xs, host)]
+    for h, Y in enumerate(hosts):
+        mine = [r for r, g in enumerate(host) if g == h]
+        assert stacked[mine].tolist() == batch_matchable(rows[mine], Y, cfg).tolist()
+
+
+@pytest.mark.parametrize("host", [[0, 2], [-1, 0], [0], [[0, 1]]])
+def test_host_index_outside_the_stack_is_a_value_error(host):
+    cfg = MatchConfig(s=2, t=2, sets=(frozenset(),) * 2)
+    with pytest.raises(ValueError, match="host index"):
+        batch_matchable(np.ones((2, 2), dtype=np.int64), [(1, 2, 3), (3, 2, 1)], cfg, host)
 
 
 @PROPS

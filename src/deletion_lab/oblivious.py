@@ -28,15 +28,14 @@ class SamplingPlan:
     """Exponents and targets for the random outer-code drawing.
 
     beta is the matchability exponent log2(K)/(16 R); gamma = beta/4 drives
-    the formula code size 2^(gamma n) and tolerance 2^(-gamma n / 2).  Toy
-    scales make the formula size degenerate (about one codeword), so the
-    target size may be overridden while keeping the formula exponents.
+    the formula code size 2^(gamma n).  Toy scales make the formula size
+    degenerate (about one codeword), so the target size may be overridden
+    while keeping the formula exponents.
     """
 
     beta: float
     gamma: float
     formula_size: float
-    epsilon: float
     target_size: float
 
     @classmethod
@@ -44,12 +43,10 @@ class SamplingPlan:
         beta = math.log2(params.K) / (16 * params.R)
         gamma = beta / 4
         formula = 2.0 ** (gamma * params.n)
-        eps = 2.0 ** (-gamma * params.n / 2)
         return cls(
             beta=beta,
             gamma=gamma,
             formula_size=formula,
-            epsilon=eps,
             target_size=formula if target_size is None else float(target_size),
         )
 

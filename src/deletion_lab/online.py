@@ -15,6 +15,8 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
+from operator import not_
 from typing import Callable, Sequence
 
 from . import rng as rngmod
@@ -65,16 +67,12 @@ def _common_prefix_len(a: bytes, b: bytes) -> int:
     return min(len(a), len(b))
 
 
-def _wait_lengths(keys: Sequence[bytes]) -> list[int]:
-    """Wait length of each of the sorted, distinct ``keys``.
-
-    The longest prefix a key shares with any other key is the longer of the
-    prefixes it shares with its two sorted neighbours.
-    """
-    shared = [_common_prefix_len(a, b) for a, b in zip(keys, keys[1:])]
-    if not shared:
-        return [0] * len(keys)
-    return [1 + max(left, right) for left, right in zip([0, *shared], [*shared, 0])]
+def _wait_len(keys: Sequence[bytes], k: int) -> int:
+    """Wait length of ``keys[k]`` among the sorted, distinct ``keys``: one
+    more than the longest prefix it shares with a sorted neighbour, which is
+    the longest it shares with any other key; 0 for a lone key."""
+    near = (j for j in (k - 1, k + 1) if 0 <= j < len(keys))
+    return 1 + max((_common_prefix_len(keys[k], keys[j]) for j in near), default=-1)
 
 
 def wait_length(x: Word, C: Sequence[Word]) -> int:
@@ -84,7 +82,7 @@ def wait_length(x: Word, C: Sequence[Word]) -> int:
     k = bisect_left(keys, bits)
     if keys[k : k + 1] != [bits]:
         raise ValueError("wait length is defined for codewords only")
-    return _wait_lengths(keys)[k]
+    return _wait_len(keys, k)
 
 
 @dataclass(frozen=True)
@@ -175,7 +173,7 @@ def build_pairs(C: Sequence[Word], cfg: OnlineConfig) -> PairingTable:
         raise ValueError("codewords must be distinct")
     n = len(words[0]) if words else 0
     keys = sorted(x.bits for x in words)
-    wait = dict(zip(keys, _wait_lengths(keys)))
+    wait = {key: _wait_len(keys, k) for k, key in enumerate(keys)}
     profiles = {x: _profile(x.bits, wait[x.bits]) for x in words}
     classes: dict[tuple[int, int, int], list[Word]] = {}
     for x in words:
@@ -222,13 +220,21 @@ def build_pairs(C: Sequence[Word], cfg: OnlineConfig) -> PairingTable:
 
 
 class OnlineAdversary:
-    """Per-bit causal channel: decide(state, x, i) may read x[0..i] only."""
+    """Per-bit causal channel: decide(state, x, i) may read x[0..i] only.
+
+    ``decisions(state, x)`` gives every bit's decision in order; by default
+    it makes one ``decide`` call per bit.  An adversary that overrides it
+    must decide each bit as that loop would, from the prefix up to the bit.
+    """
 
     def begin(self, n: int, rng) -> dict:
         raise NotImplementedError
 
     def decide(self, state: dict, x: Word, i: int) -> bool:
         raise NotImplementedError
+
+    def decisions(self, state: dict, x: Word) -> list[bool]:
+        return [self.decide(state, x, i) for i in range(len(x))]
 
 
 class IdentityAdversary(OnlineAdversary):
@@ -278,9 +284,14 @@ class WaitPushAdversary(OnlineAdversary):
 
     The adversary reads the codebook off its pairing table, which holds it
     sorted by its bytes (a ``pairs`` passed in must be built from ``C``).
-    The codewords that agree with the received prefix are one range
-    ``[lo, hi)`` of those keys, narrowed by bisection as each bit arrives,
-    and adversaries that share a table share that one sorted codebook.
+    ``decisions`` settles a whole word in one pass.  Let l1 >= l2 be the two
+    longest prefixes the word shares with codewords, and t = l2 + 1.  The
+    wait phase, bits [0, t), deletes every bit equal to 1 - coin bit.  Bit
+    t - 1 pins down the codeword, unless the budget ran out before it.  If
+    then l1 >= t, the adversary believes the codeword sharing l1 bits and,
+    when it has a partner and the coin bit is its majority bit, deletes
+    every later bit outside the partner's keep set.  Only the first budget
+    of these deletions are made: this is what deciding bit by bit gives.
     """
 
     def __init__(
@@ -296,59 +307,59 @@ class WaitPushAdversary(OnlineAdversary):
         self.force_strategy = force_strategy
         self.force_bit = force_bit
         self.keys = self.pairs.keys
+        self._budgets: dict[int, int] = {}  # word length -> cfg.budget
 
     def begin(self, n, rng):
         strategy, bit = draw_coin(rng, self.force_strategy, self.force_bit)
-        state = {
+        if n not in self._budgets:
+            self._budgets[n] = self.cfg.budget(n)
+        return {
             "strategy": strategy,
             "bit": bit,
-            "budget": self.cfg.budget(n),
+            "budget": self._budgets[n],
             "dels": 0,
-            "phase": "wait",
-            "lo": 0,  # keys[lo:hi] start with the prefix received so far
-            "hi": len(self.keys),
+            # a degenerate code has wait length 0 and nothing to push toward
+            "phase": "wait" if len(self.keys) >= 2 else "push",
             "keep": None,  # push-phase keep set; None = transmit everything
             "paired": False,
         }
-        if len(self.keys) < 2:
-            # degenerate code: wait length 0, nothing to push toward
-            state["phase"] = "push"
-        return state
 
-    def _resolve_push(self, state) -> None:
-        state["phase"] = "push"
-        if state["hi"] - state["lo"] != 1:
-            return  # received word is no codeword: give up, transmit the rest
-        believed = Word(self.keys[state["lo"]])
-        pair = self.pairs.partner_of(believed)
-        prof = self.pairs.profiles[believed]
-        if pair is None or prof.b != state["bit"]:
-            return  # wrong coin or no partner: give up
-        state["keep"] = pair.keep_for(believed)
-        state["paired"] = True
-
-    def decide(self, state, x, i):
-        if state["dels"] >= state["budget"]:
-            return False  # budget exhausted: transmit the remaining bits
-        delete = False
+    def decisions(self, state, x):
+        bits, budget = x.bits, state["budget"]
+        n = len(bits)
         if state["strategy"] == 2:
-            delete = i >= len(x.bits) - state["budget"]
-        elif state["phase"] == "wait":
-            bits = x.bits
-            delete = bits[i] == 1 - state["bit"]
-            # keys[lo:hi] all extend bits[:i]; those that go on with a 0 come first
-            if bits[i]:
-                state["lo"] = bisect_left(self.keys, bits[: i + 1], state["lo"], state["hi"])
-            else:
-                state["hi"] = bisect_left(self.keys, bits[:i] + b"\x01", state["lo"], state["hi"])
-            if state["hi"] - state["lo"] <= 1:
-                self._resolve_push(state)
-        else:
-            keep = state["keep"]
-            delete = keep is not None and i not in keep
-        if delete:
-            state["dels"] += 1
-        return delete
+            cut = max(n - budget, 0)
+            state["dels"] = n - cut
+            return [False] * cut + [True] * (n - cut)
+        if state["phase"] == "push":
+            return [False] * n
+        keys, other = self.keys, 1 - state["bit"]
+        k = bisect_left(keys, bits)
+        if keys[k : k + 1] == [bits]:
+            shared, believed = n, x
+        else:  # the codeword sharing the longest prefix is a sorted neighbour of the word
+            near = [j for j in (k - 1, k) if 0 <= j < len(keys)]
+            shared, j = max((_common_prefix_len(bits, keys[j]), j) for j in near)
+            believed = Word(keys[j])
+        prof = self.pairs.profiles[believed]
+        # t = l2 + 1: any other codeword shares with the word the shorter of
+        # l1 = shared and its own prefix with the believed codeword
+        t = min(shared + 1, prof.wait_len)
+        plan = [b == other for b in bits[:t]] + [False] * (n - t)
+        if t <= n and bits.count(other, 0, t - 1) < budget:  # the budget lasts until bit t - 1
+            state["phase"] = "push"
+            pair = self.pairs.partner_of(believed) if shared >= t else None
+            if pair is not None and prof.b == state["bit"]:
+                keep = state["keep"] = pair.keep_for(believed)
+                state["paired"] = True
+                plan[t:] = [i not in keep for i in range(t, n)]
+        dels = plan.count(True)
+        if dels > budget:
+            for i in [i for i, d in enumerate(plan) if d][budget:]:
+                plan[i] = False
+            dels = budget
+        state["dels"] = dels
+        return plan
 
 
 @dataclass(frozen=True)
@@ -366,22 +377,18 @@ def transmit(x: Word, adversary: OnlineAdversary, rng) -> TransmitResult:
     x = as_word(x)
     bits = x.bits
     state = adversary.begin(len(bits), rng)
-    decide = adversary.decide
-    kept = bytearray()
-    decisions = []
-    for i, bit in enumerate(bits):
-        delete = decide(state, x, i)
-        decisions.append(delete)
-        if not delete:
-            kept.append(bit)
+    decisions = tuple(adversary.decisions(state, x))
+    if len(decisions) != len(bits):
+        raise AssertionError(f"adversary decided {len(decisions)} of {len(bits)} bits")
+    kept = bytes(compress(bits, map(not_, decisions)))
     dels = len(bits) - len(kept)
     budget = state.get("budget")
     if budget is not None and dels > budget:
         raise AssertionError(f"adversary deleted {dels} > budget {budget}")
     return TransmitResult(
-        output=Word(bytes(kept)),
+        output=Word(kept),
         deletions=dels,
-        decisions=tuple(decisions),
+        decisions=decisions,
         strategy=state.get("strategy"),
         bit=state.get("bit"),
         paired=bool(state.get("paired")),
@@ -455,11 +462,12 @@ def simulate_online(
     the confusion mass lower-bounds any decoder's error on these trials.
 
     Each (strategy, bit) pair drawn gets one adversary, and every codeword
-    goes through it once, each transmission starting from the same channel
-    rng; a trial reads its codeword's row of that output table.  So the
-    adversaries ``adversary_factory`` returns must depend only on
+    goes through it in one ``transmit`` call, each starting from the same
+    channel rng; a trial reads its codeword's row of that output table.  So
+    the adversaries ``adversary_factory`` returns must depend only on
     (strategy, bit), and keep what one transmission changes in the state
-    ``begin`` returns.
+    ``begin`` returns.  The wait-push adversary decides each transmission
+    in one pass over the word.
     """
     words = [as_word(c) for c in C]
     if pairs is None:

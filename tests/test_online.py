@@ -214,6 +214,75 @@ def test_causality_checks():
     assert not bad["passed"] and bad["witness"] is not None
 
 
+@pytest.mark.parametrize("p, p0_adv", [(Fraction(1, 5), Fraction(2, 5)),
+                                        (Fraction(9, 10), Fraction(1, 10))])
+def test_wait_push_stays_causal_off_the_default_config(p, p0_adv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # p = 1/5 lies outside the regime
+        cfg = OnlineConfig(p=p, p0_adv=p0_adv)
+    code = paired_toy_code()
+    for force in [(None, None), (1, 0), (1, 1)]:
+        res = causality_check(lambda: WaitPushAdversary(code, cfg, None, *force), 16, trials=300)
+        assert res["passed"]
+
+
+def test_wait_push_stays_causal_on_non_codeword_inputs():
+    # 16 heads of 5 bits, each before two tails that part at their first bit:
+    # a random input that starts with a head is believed to be the codeword
+    # it follows through bit 6, and is pushed as that codeword
+    rng = rngmod.py_rng(11, "causal-code")
+    tails = ("0110100111", "1011001010")
+    code = [Word(format(h, "05b") + t) for h in rng.sample(range(32), 16) for t in tails]
+    table = build_pairs(code, CFG)
+    probes = [Word(format(rng.getrandbits(16), "016b")) for _ in range(40)]
+    pushed = [w for w in probes if transmit(w, WaitPushAdversary(code, CFG, table, 1, 0), rng).paired]
+    assert pushed and not set(pushed) & set(code)
+    for force in [(None, None), (1, 0), (1, 1)]:
+        res = causality_check(lambda: WaitPushAdversary(code, CFG, table, *force), 16, trials=400)
+        assert res["passed"]
+
+
+class OverBudgetDecide(OnlineAdversary):
+    """Deletes every bit one call at a time, against a budget of 2."""
+
+    def begin(self, n, rng):
+        return {"budget": 2}
+
+    def decide(self, state, x, i):
+        return True
+
+
+class OverBudgetPlan(OnlineAdversary):
+    """Decides the whole word at once: it keeps the budget of 2 and deletes one bit more."""
+
+    def begin(self, n, rng):
+        return {"budget": 2}
+
+    def decisions(self, state, x):
+        return [i < 3 for i in range(len(x))]
+
+
+class ShortPlan(OnlineAdversary):
+    """Decides one bit fewer than the word has."""
+
+    def begin(self, n, rng):
+        return {}
+
+    def decisions(self, state, x):
+        return [False] * (len(x) - 1)
+
+
+@pytest.mark.parametrize("adversary", [OverBudgetDecide(), OverBudgetPlan()])
+def test_transmit_refuses_deletions_over_the_state_budget(adversary):
+    with pytest.raises(AssertionError, match="budget 2"):
+        transmit(Word("0110"), adversary, rngmod.py_rng(0, "t"))
+
+
+def test_transmit_refuses_a_decision_for_each_bit_too_few():
+    with pytest.raises(AssertionError, match="decided 3 of 4"):
+        transmit(Word("0110"), ShortPlan(), rngmod.py_rng(0, "t"))
+
+
 def test_pair_keep_for_rejects_stranger():
     code = paired_toy_code()
     table = build_pairs(code, CFG)
@@ -304,3 +373,20 @@ def test_every_transmission_of_a_table_starts_from_the_channel_seed():
     for (s, b), seen in draws.items():
         expected = rngmod.py_rng(17, f"online-channel:{s}:{b}").random()
         assert seen == [expected] * len(code)
+
+
+def test_simulate_online_transmits_each_codeword_once_per_draw(monkeypatch):
+    code = paired_toy_code()
+    sent = []
+    plain = online.transmit
+
+    def counting(x, adversary, rng):
+        res = plain(x, adversary, rng)
+        sent.append((res.strategy, res.bit, x.bits))
+        return res
+
+    monkeypatch.setattr(online, "transmit", counting)
+    rep = simulate_online(code, CFG, make_unique_decoder(code), trials=3, master_seed=17)
+    drawn = {(row[2], row[3]) for row in rep.rows}
+    assert 1 < len(drawn) < 4  # three trials drew some (strategy, bit) pairs, not all
+    assert sorted(sent) == sorted((s, b, x.bits) for s, b in drawn for x in code)

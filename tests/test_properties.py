@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 from itertools import groupby, product
@@ -675,20 +676,66 @@ def test_pairs_agree_with_scan_on_uniform_codes(seed):
     assert table.unpaired == unpaired
 
 
+def quiet_config(p, p0_adv):
+    """An ``OnlineConfig`` built without its out-of-regime warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return OnlineConfig(p=p, p0_adv=p0_adv)
+
+
+# p = 1/5 and 1/3 run out of budget before the last wait bit of many codewords
+WAIT_PUSH_CFGS = [ONLINE_CFG, quiet_config(Fraction(1, 5), Fraction(2, 5)),
+                  quiet_config(Fraction(1, 3), Fraction(1, 4)),
+                  quiet_config(Fraction(9, 10), Fraction(1, 10))]
+# two pairs, like PAIRED_TOY, but each wait prefix holds three ones before its
+# last bit: at p = 1/5, n = 16 the budget of 3 runs out there when the coin bit is 0
+BUDGET_SHORT_TOY = [Word("01010100" "10110010"), Word("01011000" "10110010"),
+                    Word("01010101" "01011101"), Word("01011001" "01011101")]
+
+
 @PROPS
-@given(codebooks(), st.integers(0, 2**32 - 1))
-@example(PAIRED_TOY, 0)
-def test_wait_push_agrees_with_candidate_scan(C, seed):
-    table = build_pairs(C, ONLINE_CFG)
+@given(codebooks(), st.sampled_from(WAIT_PUSH_CFGS), st.integers(0, 2**32 - 1))
+@example(PAIRED_TOY, ONLINE_CFG, 0)
+@example(PAIRED_TOY, WAIT_PUSH_CFGS[1], 0)
+@example(BUDGET_SHORT_TOY, WAIT_PUSH_CFGS[1], 0)
+def test_wait_push_agrees_with_candidate_scan(C, cfg, seed):
+    table = build_pairs(C, cfg)
     rng = random.Random(seed)
-    inputs = C + [Word([rng.randrange(2) for _ in range(len(C[0]))]) for _ in range(3)]
+    n = len(C[0])
+    # random words, and words that follow a codeword past some prefix and then
+    # go their own way: the adversary believes that codeword and pushes
+    near = [c.bits[:k] + bytes(rng.randrange(2) for _ in range(n - k))
+            for c in C for k in [rng.randrange(1, n + 1)]]
+    inputs = C + [Word(w) for w in near] + [Word([rng.randrange(2) for _ in range(n)]) for _ in range(3)]
     for x in inputs:
-        for force in [(None, None), (1, 0), (1, 1), (2, 0)]:
-            new = transmit(x, WaitPushAdversary(C, ONLINE_CFG, table, *force),
-                           rngmod.py_rng(seed, "adv", 0))
-            ref = transmit(x, CandidateScanAdversary(C, ONLINE_CFG, table, *force),
-                           rngmod.py_rng(seed, "adv", 0))
-            assert new == ref
+        for force in [(None, None), (1, 0), (1, 1), (2, 0), (2, 1)]:
+            new = WaitPushAdversary(C, cfg, table, *force)
+            ref = CandidateScanAdversary(C, cfg, table, *force)
+            assert (transmit(x, new, rngmod.py_rng(seed, "adv", 0))
+                    == transmit(x, ref, rngmod.py_rng(seed, "adv", 0)))
+            # the state after the word holds what the per-bit loop leaves there
+            new_state = new.begin(n, rngmod.py_rng(seed, "adv", 0))
+            ref_state = ref.begin(n, rngmod.py_rng(seed, "adv", 0))
+            new.decisions(new_state, x), ref.decisions(ref_state, x)
+            assert new_state == {key: ref_state[key] for key in new_state}
+
+
+def test_wait_push_gives_up_when_the_budget_ends_before_the_last_wait_bit():
+    for C in (PAIRED_TOY, BUDGET_SHORT_TOY):
+        for cfg in WAIT_PUSH_CFGS[:2]:
+            table = build_pairs(C, cfg)
+            assert len(table.pairs) == 2
+            results = [transmit(x, WaitPushAdversary(C, cfg, table, 1, 0), rngmod.py_rng(0, "adv", 0))
+                       for x in C]
+            ref = [transmit(x, CandidateScanAdversary(C, cfg, table, 1, 0), rngmod.py_rng(0, "adv", 0))
+                   for x in C]
+            assert results == ref
+            short = C is BUDGET_SHORT_TOY and cfg.p == Fraction(1, 5)
+            assert [r.paired for r in results] == [not short] * 4
+    # a word that follows a paired codeword past its wait prefix is pushed as that codeword
+    x = Word(PAIRED_TOY[0].bits[:10] + bytes(6))
+    res = transmit(x, WaitPushAdversary(PAIRED_TOY, ONLINE_CFG, None, 1, 0), rngmod.py_rng(0, "adv", 0))
+    assert res.paired and res.decisions[:5] == (False,) * 5 and res.decisions[5]
 
 
 @settings(deadline=None, derandomize=True, max_examples=60)

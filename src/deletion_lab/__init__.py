@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .construction import (
     CodeParams,
-    InnerCodebook,
     Signature,
     derive_params,
     encode_outer,

@@ -17,7 +17,7 @@ from pathlib import Path
 from . import __version__
 from . import rng as rngmod
 from .construction import (
-    InnerCodebook,
+    NotExecutableError,
     ParamsError,
     derive_params,
     encode_outer,
@@ -79,11 +79,22 @@ def _read_json(path):
     return json.loads(Path(path).read_text())
 
 
+# each parameter option by its ``args`` attribute, and the options each mode takes
+_PARAM_OPTIONS = {"toy": "--toy", "p": "--p", "n": "--n", "K": "--K", "R": "--R",
+                  "lam": "--lambda", "delta": "--delta"}
+_MODE_OPTIONS = {"config": (), "toy": ("toy", "n", "K", "R", "lam", "delta"), "paper": ("p", "n")}
+
+
 def _params_from_args(parser, args):
+    mode = "config" if args.config else "toy" if args.toy else "paper"
+    stray = [opt for dest, opt in _PARAM_OPTIONS.items()
+             if getattr(args, dest) not in (None, False) and dest not in _MODE_OPTIONS[mode]]
+    if stray:
+        parser.error(f"{mode} mode takes no {' '.join(stray)}")
     try:
-        if args.config:
+        if mode == "config":
             return params_from_json(_read_input(parser, _read_json, args.config))
-        if args.toy:
+        if mode == "toy":
             if None in (args.K, args.R, args.lam, args.delta, args.n):
                 parser.error("toy mode needs --K --R --lambda --delta --n")
             return toy_params(args.K, args.R, args.lam, Fraction(args.delta), args.n)
@@ -130,9 +141,8 @@ def cmd_params(parser, args) -> int:
 def cmd_encode(parser, args) -> int:
     params = _params_from_args(parser, args)
     params.require_executable()
-    book = InnerCodebook(params)
     outers = _read_input(parser, read_outer_words, args.infile, params)
-    words = [encode_outer(X, params, book) for X in outers]
+    words = [encode_outer(X, params) for X in outers]
     write_codebook(args.out, words)
     return 0
 
@@ -145,8 +155,6 @@ def _corruption_pattern(args, w: Word, rng) -> DeletionPattern:
         return bit_deletion_pattern(w, 0)
     if args.family == "delete-ones":
         return bit_deletion_pattern(w, 1)
-    if args.weight is None:
-        raise ValueError("--weight required for the uniform family")
     return uniform_pattern(len(w), args.weight, rng)
 
 
@@ -156,6 +164,10 @@ def cmd_corrupt(parser, args) -> int:
         parser.error("no input words")
     if (args.pattern is None) == (args.family is None):
         parser.error("pass exactly one of --pattern / --family")
+    if args.family == "uniform" and args.weight is None:
+        parser.error("--weight required for the uniform family")
+    if args.family != "uniform" and (args.weight, args.seed) != (None, None):
+        parser.error("--weight and --seed go with --family uniform only")
     rng = rngmod.py_rng(args.seed if args.seed is not None else 0, "corrupt")
     out_lines = [apply_pattern(_corruption_pattern(args, w, rng), w).to01() for w in words]
     atomic_write_text(args.out, "\n".join(out_lines) + "\n")
@@ -253,9 +265,8 @@ def cmd_experiment_oblivious(parser, args) -> int:
         if not patterns:
             parser.error(f"pattern file {cfg['pattern_file']} holds no patterns")
     else:
-        book = InnerCodebook(params)
         ends = (pool[0], pool[-1])[: len(pool)]  # one reference word per pool end
-        refs = [encode_outer(X, params, book) for X in ends]
+        refs = [encode_outer(X, params) for X in ends]
         weight = json_field(cfg, "pattern_weight", _at_least(0, int), params.N // 2)
         if weight > params.N:
             raise ValueError(f"'pattern_weight' = {weight}: must be at most N = {params.N}")
@@ -489,7 +500,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(parser, args)
-    except (ParamsError, ValueError) as exc:
+    except (ParamsError, NotExecutableError, ValueError) as exc:
         parser.error(str(exc))
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
 from typing import Iterable, Sequence, Union
 
@@ -77,8 +78,18 @@ class CodeParams:
         if not self.executable:
             raise NotExecutableError(
                 "paper-scale parameters not executable: "
-                f"inner block length has log2 size {self.log2_L}"
+                f"log2 of the inner block length L is a {self.log2_L.bit_length()}-bit integer"
             )
+
+    @cached_property
+    def inner_words(self) -> tuple[Word, ...]:
+        """(g_1, ..., g_K): g_i alternates 0/1 blocks of width R^(i-1) over L bits.
+
+        Built once per params object; equality and hashing read only the fields.
+        """
+        self.require_executable()
+        widths = (self.R ** (i - 1) for i in range(1, self.K + 1))
+        return tuple(Word((bytes(w) + bytes([1]) * w) * (self.L // (2 * w))) for w in widths)
 
 
 def smallest_lambda(p: FractionLike, relaxed: bool = False) -> int:
@@ -174,28 +185,11 @@ def toy_params(
 
 
 def inner_codeword(i: int, params: CodeParams) -> Word:
-    """g_i: alternating 0/1 blocks of width R^(i-1), total length L."""
-    params.require_executable()
+    """g_i: alternating 0/1 blocks of width R^(i-1), total length L; ``params.inner_words[i - 1]``."""
+    words = params.inner_words
     if not 1 <= i <= params.K:
         raise ParamsError(f"inner symbol must lie in [1,{params.K}], got {i}")
-    width = params.R ** (i - 1)
-    reps = params.L // (2 * width)
-    return Word((bytes(width) + bytes([1]) * width) * reps)
-
-
-class InnerCodebook:
-    """The K inner codewords g_1..g_K, materialized once."""
-
-    def __init__(self, params: CodeParams):
-        params.require_executable()
-        self.params = params
-        self.words = tuple(inner_codeword(i, params) for i in range(1, params.K + 1))
-
-    def __getitem__(self, i: int) -> Word:
-        return self.words[i - 1]
-
-    def __len__(self) -> int:
-        return self.params.K
+    return words[i - 1]
 
 
 def check_outer(X: Sequence[int], params: CodeParams) -> OuterWord:
@@ -206,17 +200,16 @@ def check_outer(X: Sequence[int], params: CodeParams) -> OuterWord:
     return X
 
 
-def encode_outer(X: Sequence[int], params: CodeParams, book: InnerCodebook | None = None) -> Word:
+def encode_outer(X: Sequence[int], params: CodeParams) -> Word:
     """psi(X): concatenation of the inner codewords named by X.
 
-    The word's runs come from the runs cached on the inner codewords of
-    ``book``, merged at block boundaries by ``words.concatenate``, so the
-    subsequence walk over psi(X) needs no pass over its N bits.
+    The word's runs come from the runs cached on ``params.inner_words``,
+    merged at block boundaries by ``words.concatenate``, so the subsequence
+    walk over psi(X) needs no pass over its N bits.
     """
     X = check_outer(X, params)
-    if book is None:
-        book = InnerCodebook(params)
-    return concatenate(book[s] for s in X)
+    words = params.inner_words
+    return concatenate(words[s - 1] for s in X)
 
 
 def weight_within_bound(weight: int, L: int, exp2: int, R: int) -> bool:
@@ -252,15 +245,14 @@ def admissible_weight_cap(params: CodeParams, ell: int) -> int:
     return lo
 
 
-def preserves(sigma: DeletionPattern, i: int, params: CodeParams, book: InnerCodebook | None = None) -> bool:
+def preserves(sigma: DeletionPattern, i: int, params: CodeParams) -> bool:
     """True iff sigma(g_i) keeps at least 2*R^(K+1-i)/sqrt(R) runs."""
     params.require_executable()
     if sigma.word_length != params.L:
         raise ParamsError(
             f"inner pattern length {sigma.word_length} != L = {params.L}"
         )
-    g = book[i] if book is not None else inner_codeword(i, params)
-    return preserves_runs(masked_run_count(g, sigma.keep), i, params)
+    return preserves_runs(masked_run_count(inner_codeword(i, params), sigma.keep), i, params)
 
 
 def preserves_runs(r: int, i: int, params: CodeParams) -> bool:
@@ -269,23 +261,23 @@ def preserves_runs(r: int, i: int, params: CodeParams) -> bool:
     return r * r >= 4 * params.R ** (2 * params.K + 1 - 2 * i)
 
 
-def corrupted_flags(book: InnerCodebook, keep: np.ndarray) -> np.ndarray:
+def corrupted_flags(params: CodeParams, keep: np.ndarray) -> np.ndarray:
     """``[..., i - 1]``: the inner pattern with keep mask ``keep`` fails to preserve g_i.
 
     ``keep`` is one mask, giving K flags, or a stack of masks, giving one row
     of K flags per mask: a stacked ``masked_run_count`` per inner codeword.
     """
     return np.stack(
-        [~np.asarray(preserves_runs(masked_run_count(g, keep), i, book.params))
-         for i, g in enumerate(book.words, start=1)],
+        [~np.asarray(preserves_runs(masked_run_count(g, keep), i, params))
+         for i, g in enumerate(params.inner_words, start=1)],
         axis=-1,
     )
 
 
-def corruption_sets(book: InnerCodebook, keep: np.ndarray) -> list[frozenset[int]]:
+def corruption_sets(params: CodeParams, keep: np.ndarray) -> list[frozenset[int]]:
     """The padded corruption set of each inner pattern in the stack of keep masks ``keep``."""
-    return [pad_corruption_set({i for i, bad in enumerate(row, start=1) if bad}, book.params)
-            for row in corrupted_flags(book, keep).tolist()]
+    return [pad_corruption_set({i for i, bad in enumerate(row, start=1) if bad}, params)
+            for row in corrupted_flags(params, keep).tolist()]
 
 
 def is_admissible(sigma: DeletionPattern, ell: int, params: CodeParams) -> bool:
@@ -341,20 +333,19 @@ class Signature:
         return tuple(X[i - 1] for i in self.kept_indices)
 
 
-def extract_signature(tau: DeletionPattern, params: CodeParams, book: InnerCodebook | None = None) -> Signature:
+def extract_signature(tau: DeletionPattern, params: CodeParams) -> Signature:
     """Retain the first delta*n (lambda-1)-admissible inner patterns of tau.
 
     Kept indices are the lexicographically first admissible ones, and each
     corruption set is padded with the smallest unused symbols up to size
     lambda-1, so the output is deterministic.  A block is admissible when its
     weight is at most ``admissible_weight_cap``, and the kept blocks get their
-    sets from one ``corruption_sets`` call over their stacked keep masks.
+    sets from one ``corruption_sets`` call over their stacked keep masks,
+    which reads the inner codewords off ``params.inner_words``.
     """
     params.require_executable()
     if tau.word_length != params.N:
         raise ParamsError(f"pattern length {tau.word_length} != N = {params.N}")
-    if book is None:
-        book = InnerCodebook(params)
     blocks = split_pattern(tau, params.n, params.L)
     dn = params.delta_n
     cap = admissible_weight_cap(params, params.lam - 1)
@@ -365,7 +356,7 @@ def extract_signature(tau: DeletionPattern, params: CodeParams, book: InnerCodeb
             "the pattern deletes too much for signature extraction"
         )
     inner = [blocks[idx - 1] for idx in kept]
-    sets = corruption_sets(book, np.stack([block.keep for block in inner]))
+    sets = corruption_sets(params, np.stack([block.keep for block in inner]))
     for S in sets:  # padding stops at lambda-1, so an oversize set is the corrupted set itself
         if len(S) > params.lam - 1:
             raise AssertionError(

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import rng as rngmod
-from .construction import CodeParams, InnerCodebook, OuterWord, encode_outer
+from .construction import CodeParams, OuterWord, encode_outer
 from .matching import MatchConfig, batch_matchable, count_matchable, worst_sets
 from .reporting import ExperimentReport, atomic_write_text, read_lines
 from .words import DeletionPattern, Word, apply_pattern, as_word, bit_deletion_pattern, is_subsequence
@@ -369,7 +369,6 @@ def oblivious_experiment(
     repeated = [X for X, count in Counter(map(tuple, pool)).items() if count > 1]
     if repeated:
         raise ValueError(f"the pool repeats the outer word {','.join(map(str, repeated[0]))}")
-    book = InnerCodebook(params)
     outcome = (filter_candidates(pool, params, plan, exact=f_exact, trials=f_trials, master_seed=master_seed)
                if use_filter else FilterOutcome(list(pool), []))
     candidates, discarded_fraction = outcome.kept, outcome.discarded_fraction
@@ -397,7 +396,7 @@ def oblivious_experiment(
         chosen = sample_outer_code(candidates, plan, rng)
         for X in chosen:
             if X not in encoded:
-                encoded[X] = encode_outer(X, params, book)
+                encoded[X] = encode_outer(X, params)
         C = [encoded[X] for X in chosen]
         for pid, tau in patterns:
             err = average_case_error(C, tau) if C else Fraction(0)

@@ -145,6 +145,7 @@ class PairingTable:
     unpaired: list[Word]
     profiles: dict[Word, WaitProfile]
     keys: list[bytes]  # the codebook's bits, sorted
+    cfg: OnlineConfig  # the config the pairs were formed under
     _partners: dict[Word, ConfusablePair] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -166,7 +167,8 @@ def build_pairs(C: Sequence[Word], cfg: OnlineConfig) -> PairingTable:
     pair forms only when the suffix LCS strictly exceeds
     (1-q)(1-p0_adv)n.  Pairs with the largest suffix LCS are taken first.
     Every pair is scored by its LCS length; only the pairs taken get the
-    witness alignment of ``lcs``.
+    witness alignment of ``lcs``.  The table keeps ``cfg``, so an adversary
+    built from it needs nothing else.
     """
     words = [as_word(c) for c in C]
     if len(set(words)) != len(words):
@@ -212,7 +214,7 @@ def build_pairs(C: Sequence[Word], cfg: OnlineConfig) -> PairingTable:
                 )
             )
         unpaired.extend(members[i] for i in range(len(members)) if i not in used)
-    return PairingTable(pairs=pairs, unpaired=unpaired, profiles=profiles, keys=keys)
+    return PairingTable(pairs=pairs, unpaired=unpaired, profiles=profiles, keys=keys, cfg=cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -282,44 +284,41 @@ class WaitPushAdversary(OnlineAdversary):
     for certificate-style runs.  All decisions are functions of the received
     prefix, the codebook, and the begin()-time randomness.
 
-    The adversary reads the codebook off its pairing table, which holds it
-    sorted by its bytes (a ``pairs`` passed in must be built from ``C``).
-    ``decisions`` settles a whole word in one pass.  Let l1 >= l2 be the two
-    longest prefixes the word shares with codewords, and t = l2 + 1.  The
-    wait phase, bits [0, t), deletes every bit equal to 1 - coin bit.  Bit
-    t - 1 pins down the codeword, unless the budget ran out before it.  If
-    then l1 >= t, the adversary believes the codeword sharing l1 bits and,
-    when it has a partner and the coin bit is its majority bit, deletes
-    every later bit outside the partner's keep set.  Only the first budget
-    of these deletions are made: this is what deciding bit by bit gives.
+    The adversary reads all it knows off the ``build_pairs`` table
+    ``table``: the codebook sorted by its bytes, the wait profiles, the
+    partners, and the config that sets the budget.  ``decisions`` settles a
+    whole word in one pass.  Let l1 >= l2 be the two longest prefixes the
+    word shares with codewords, and t = l2 + 1.  The wait phase, bits
+    [0, t), deletes every bit equal to 1 - coin bit.  Bit t - 1 pins down
+    the codeword, unless the budget ran out before it.  If then l1 >= t,
+    the adversary believes the codeword sharing l1 bits and, when it has a
+    partner and the coin bit is its majority bit, deletes every later bit
+    outside the partner's keep set.  Only the first budget of these
+    deletions are made: this is what deciding bit by bit gives.
     """
 
     def __init__(
         self,
-        C: Sequence[Word],
-        cfg: OnlineConfig,
-        pairs: PairingTable | None = None,
+        table: PairingTable,
         force_strategy: int | None = None,
         force_bit: int | None = None,
     ):
-        self.cfg = cfg
-        self.pairs = pairs if pairs is not None else build_pairs(C, cfg)
+        self.table = table
         self.force_strategy = force_strategy
         self.force_bit = force_bit
-        self.keys = self.pairs.keys
         self._budgets: dict[int, int] = {}  # word length -> cfg.budget
 
     def begin(self, n, rng):
         strategy, bit = draw_coin(rng, self.force_strategy, self.force_bit)
         if n not in self._budgets:
-            self._budgets[n] = self.cfg.budget(n)
+            self._budgets[n] = self.table.cfg.budget(n)
         return {
             "strategy": strategy,
             "bit": bit,
             "budget": self._budgets[n],
             "dels": 0,
             # a degenerate code has wait length 0 and nothing to push toward
-            "phase": "wait" if len(self.keys) >= 2 else "push",
+            "phase": "wait" if len(self.table.keys) >= 2 else "push",
             "keep": None,  # push-phase keep set; None = transmit everything
             "paired": False,
         }
@@ -333,7 +332,7 @@ class WaitPushAdversary(OnlineAdversary):
             return [False] * cut + [True] * (n - cut)
         if state["phase"] == "push":
             return [False] * n
-        keys, other = self.keys, 1 - state["bit"]
+        keys, other = self.table.keys, 1 - state["bit"]
         k = bisect_left(keys, bits)
         if keys[k : k + 1] == [bits]:
             shared, believed = n, x
@@ -341,14 +340,14 @@ class WaitPushAdversary(OnlineAdversary):
             near = [j for j in (k - 1, k) if 0 <= j < len(keys)]
             shared, j = max((_common_prefix_len(bits, keys[j]), j) for j in near)
             believed = Word(keys[j])
-        prof = self.pairs.profiles[believed]
+        prof = self.table.profiles[believed]
         # t = l2 + 1: any other codeword shares with the word the shorter of
         # l1 = shared and its own prefix with the believed codeword
         t = min(shared + 1, prof.wait_len)
         plan = [b == other for b in bits[:t]] + [False] * (n - t)
         if t <= n and bits.count(other, 0, t - 1) < budget:  # the budget lasts until bit t - 1
             state["phase"] = "push"
-            pair = self.pairs.partner_of(believed) if shared >= t else None
+            pair = self.table.partner_of(believed) if shared >= t else None
             if pair is not None and prof.b == state["bit"]:
                 keep = state["keep"] = pair.keep_for(believed)
                 state["paired"] = True
@@ -396,17 +395,17 @@ def transmit(x: Word, adversary: OnlineAdversary, rng) -> TransmitResult:
 
 
 def run_wait_push(
-    C: Sequence[Word],
+    table: PairingTable,
     x: Word,
-    cfg: OnlineConfig,
-    pairs: PairingTable | None = None,
     rng=None,
     force_strategy: int | None = None,
     force_bit: int | None = None,
 ) -> TransmitResult:
-    if as_word(x) not in [as_word(c) for c in C]:
+    """Send the codeword ``x`` through a wait-push adversary built from
+    ``table``; without ``rng`` the channel draws from a fixed stream."""
+    if as_word(x).bits not in table.keys:
         raise ValueError("x must be a codeword")
-    adv = WaitPushAdversary(C, cfg, pairs, force_strategy, force_bit)
+    adv = WaitPushAdversary(table, force_strategy, force_bit)
     return transmit(x, adv, rng if rng is not None else rngmod.py_rng(0, "wait-push"))
 
 
@@ -449,7 +448,6 @@ def simulate_online(
     decoder: Decoder,
     trials: int,
     master_seed: int = 0,
-    pairs: PairingTable | None = None,
     adversary_factory: Callable[[int | None, int | None], OnlineAdversary] | None = None,
     force_strategy: int | None = None,
     force_bit: int | None = None,
@@ -467,16 +465,15 @@ def simulate_online(
     the adversaries ``adversary_factory`` returns must depend only on
     (strategy, bit), and keep what one transmission changes in the state
     ``begin`` returns.  The wait-push adversary decides each transmission
-    in one pass over the word.
+    in one pass over the word, from the pairing table this call builds once.
     """
     words = [as_word(c) for c in C]
-    if pairs is None:
-        pairs = build_pairs(words, cfg)
+    table = build_pairs(words, cfg)
 
     def factory(strategy, bit) -> OnlineAdversary:
         if adversary_factory is not None:
             return adversary_factory(strategy, bit)
-        return WaitPushAdversary(words, cfg, pairs, strategy, bit)
+        return WaitPushAdversary(table, strategy, bit)
 
     report = ExperimentReport(
         kind="online",
@@ -495,7 +492,7 @@ def simulate_online(
             "n": len(words[0]) if words else 0,
             "p": str(cfg.p),
             "p0_adv": str(cfg.p0_adv),
-            "paired_fraction": pairs.paired_fraction,
+            "paired_fraction": table.paired_fraction,
             "trials": trials,
         },
         master_seed=master_seed,

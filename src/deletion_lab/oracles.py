@@ -22,7 +22,6 @@ from . import rng as rngmod
 from . import words as wordsmod
 from .construction import (
     CodeParams,
-    InnerCodebook,
     admissible_weight_cap,
     corrupted_flags,
     corruption_sets,
@@ -196,13 +195,13 @@ def structured_inner_patterns(params: CodeParams) -> list[tuple[str, DeletionPat
     Deleting all zeros of g_{i1}, then the remaining zeros of g_{i2}, and so
     on, is the extremal family behind the corruption-cost bound.
     """
-    book = InnerCodebook(params)
+    words = params.inner_words
     out: list[tuple[str, DeletionPattern]] = []
     for order in ([*range(params.K, 0, -1)], [*range(1, params.K + 1)]):
         dead: set[int] = set()
         chain: list[int] = []
         for i in order:
-            g = book[i]
+            g = words[i - 1]
             dead |= {pos for pos in range(1, params.L + 1) if g.bits[pos - 1] == 0}
             chain.append(i)
             out.append(
@@ -211,10 +210,10 @@ def structured_inner_patterns(params: CodeParams) -> list[tuple[str, DeletionPat
                     DeletionPattern(params.L, tuple(sorted(dead))),
                 )
             )
-    for i in range(1, params.K + 1):
+    for i, g in enumerate(words, start=1):
         # delete every other run of g_i (all its zeros), one codeword at a time
-        out.append((f"zeros-of-{i}", bit_deletion_pattern(book[i], 0)))
-        out.append((f"ones-of-{i}", bit_deletion_pattern(book[i], 1)))
+        out.append((f"zeros-of-{i}", bit_deletion_pattern(g, 0)))
+        out.append((f"ones-of-{i}", bit_deletion_pattern(g, 1)))
     return out
 
 
@@ -244,7 +243,6 @@ def verify_corruption_cost(
         raise ValueError(f"unknown corruption-cost mode {mode!r}")
     params.require_executable()
     L, K = params.L, params.K
-    book = InnerCodebook(params)
     report = OracleReport(name="corruption-cost", mode=mode)
     report.extras["params"] = (K, params.R, L, params.lam)
     # caps[c]: the largest weight within L(1 - 2^-c - 1/sqrt(R)); caps[0] = -1 admits no pattern
@@ -255,7 +253,7 @@ def verify_corruption_cost(
         """Check the stacked masks ``keep``; ``label(row)`` names a mask in its witness."""
         report.instances += len(keep)
         weights = L - np.count_nonzero(keep, axis=1)
-        corrupted = np.count_nonzero(corrupted_flags(book, keep), axis=-1)
+        corrupted = np.count_nonzero(corrupted_flags(params, keep), axis=-1)
         for row in np.flatnonzero(weights <= caps[corrupted]).tolist():
             report.record_violation(
                 {"pattern": label(row), "weight": int(weights[row]), "corrupted": int(corrupted[row])}
@@ -386,14 +384,12 @@ def verify_matching_implication(
     are read off the mask rows only when a violation is recorded.
     """
     params.require_executable()
-    book = InnerCodebook(params)
     K = params.K
-    shared = [DeletionPattern(params.L, ())] + [bit_deletion_pattern(g, 0) for g in book.words]
+    shared = [DeletionPattern(params.L, ())] + [bit_deletion_pattern(g, 0) for g in params.inner_words]
     cap = admissible_weight_cap(params, params.lam - 1)
     zero_weights = [pat.weight for pat in shared[1:]]
     shared_keep = np.stack([pat.keep for pat in shared])
-    shared_sets = [pad_corruption_set({i for i in range(1, K + 1) if not preserves(pat, i, params, book)},
-                                      params)
+    shared_sets = [pad_corruption_set({i for i in range(1, K + 1) if not preserves(pat, i, params)}, params)
                    for pat in shared]
     report = OracleReport(name="matching-implication", mode=f"instances={instances}")
 
@@ -401,18 +397,18 @@ def verify_matching_implication(
         """Draw and decide the instances ``trials``; returns how many are containments."""
         Xs, Ys, blocks, fresh = _draw_implication_chunk(params, master_seed, trials, cap, zero_weights)
         masks = np.concatenate([shared_keep, fresh])
-        sets = shared_sets + corruption_sets(book, fresh)
+        sets = shared_sets + corruption_sets(params, fresh)
         # every block of the chunk, joined, applied to psi of the chunk's X words
         corrupted_words = apply_pattern(
             DeletionPattern.from_keep(masks[blocks].reshape(-1)),
-            encode_outer(Xs.reshape(-1).tolist(), params, book),
+            encode_outer(Xs.reshape(-1).tolist(), params),
         )
         ends = np.cumsum(np.count_nonzero(masks, axis=1)[blocks].sum(axis=1)).tolist()
         start = positives = 0
         for X, Y, ids, end in zip(Xs.tolist(), Ys.tolist(), blocks.tolist(), ends):
             corrupted_word, start = corrupted_words[start:end], end
             report.instances += 1
-            if not is_subsequence(corrupted_word, encode_outer(Y, params, book)):
+            if not is_subsequence(corrupted_word, encode_outer(Y, params)):
                 continue
             positives += 1
             X, Y = tuple(X), tuple(Y)
@@ -599,7 +595,7 @@ def verify_geom_bounds(
             raise ValueError("exact bound checks need power-of-two K > 8")
         R = 4 * K**4
         cap = exact_sqrt(R)
-        true_cap, _ = geom_cap(R)  # the closed form's own cap, as in ``geom2_expectation``
+        true_cap, _ = geom_cap(R)  # found without ``exact_sqrt``, so the sweep also catches a wrong cap
         log2K = K.bit_length() - 1
         top = K ** (cap - 1)
         lcm = math.lcm(*range(1, K + 1))
@@ -688,7 +684,6 @@ def oblivious_bitflip_demo(
     seeds: int = 100,
     vectors: int = 20,
     master_seed: int = 0,
-    eps: float | None = None,
 ) -> OracleReport:
     """Random stochastic code versus fixed bit-flip vectors of weight pn.
 
@@ -713,8 +708,7 @@ def oblivious_bitflip_demo(
     n_groups = M // group_size
     if n_groups < 2:
         raise ValueError("code too small to form two message groups")
-    if eps is None:
-        eps = 1 / math.log2(n)
+    eps = 1 / math.log2(n)
     vec_gen = rngmod.py_rng(master_seed, "bitflip-vectors")
     error_vectors = []
     for _ in range(vectors):

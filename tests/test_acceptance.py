@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from deletion_lab import rng as rngmod
-from deletion_lab.construction import InnerCodebook, encode_outer, toy_params
+from deletion_lab.construction import encode_outer, toy_params
 from deletion_lab.matching import match_count_dominance, worst_sets
 from deletion_lab.oblivious import (
     SamplingPlan,
@@ -187,12 +187,12 @@ def test_criterion_07a_budget_invariant():
     for trial in range(60_000):
         t_rng = rngmod.py_rng(2024, "acceptance-7a", trial)
         x = toy[t_rng.randrange(len(toy))]
-        res = transmit(x, WaitPushAdversary(toy, cfg, toy_pairs), t_rng)
+        res = transmit(x, WaitPushAdversary(toy_pairs), t_rng)
         violations += res.deletions > cfg.budget(16)
     for trial in range(40_000):
         t_rng = rngmod.py_rng(2024, "acceptance-7a-rand", trial)
         x = rand_code[t_rng.randrange(len(rand_code))]
-        res = transmit(x, WaitPushAdversary(rand_code, cfg, rand_pairs), t_rng)
+        res = transmit(x, WaitPushAdversary(rand_pairs), t_rng)
         violations += res.deletions > cfg.budget(12)
     report(
         "07a",
@@ -204,8 +204,8 @@ def test_criterion_07a_budget_invariant():
 
 def test_criterion_07b_causality():
     cfg = OnlineConfig(p=Fraction(1, 2), p0_adv=Fraction(2, 5))
-    toy = _paired_toy_code()
-    good = causality_check(lambda: WaitPushAdversary(toy, cfg), 16, trials=500, master_seed=2024)
+    table = build_pairs(_paired_toy_code(), cfg)
+    good = causality_check(lambda: WaitPushAdversary(table), 16, trials=500, master_seed=2024)
     ident = causality_check(lambda: IdentityAdversary(), 16, trials=100, master_seed=2024)
     bad = causality_check(lambda: NonCausalProbeAdversary(), 16, trials=500, master_seed=2024)
     report(
@@ -221,8 +221,8 @@ def test_criterion_07c_pair_confusion_certificate():
     toy = _paired_toy_code()
     table = build_pairs(toy, cfg)
     pair_ok = all(
-        transmit(p.x, WaitPushAdversary(toy, cfg, table, 1, 0), rngmod.py_rng(0, "c", i)).output
-        == transmit(p.y, WaitPushAdversary(toy, cfg, table, 1, 0), rngmod.py_rng(0, "c", i)).output
+        transmit(p.x, WaitPushAdversary(table, 1, 0), rngmod.py_rng(0, "c", i)).output
+        == transmit(p.y, WaitPushAdversary(table, 1, 0), rngmod.py_rng(0, "c", i)).output
         for i, p in enumerate(table.pairs)
     )
     trials = 400
@@ -230,7 +230,7 @@ def test_criterion_07c_pair_confusion_certificate():
     masses, errors = [], []
     for decoder in (make_unique_decoder(toy), make_first_superstring_decoder(toy)):
         rep = simulate_online(
-            toy, cfg, decoder, trials=trials, master_seed=2024, pairs=table,
+            toy, cfg, decoder, trials=trials, master_seed=2024,
             force_strategy=1, force_bit=0,
         )
         summary = rep.summary()
@@ -271,7 +271,7 @@ def test_criterion_08_push_cost_chain():
             t_rng = rngmod.py_rng(2024, "acceptance-8", trial)
             x = code[t_rng.randrange(len(code))]
             for bit in (0, 1):
-                res = transmit(x, WaitPushAdversary(code, cfg, table, 1, bit), t_rng)
+                res = transmit(x, WaitPushAdversary(table, 1, bit), t_rng)
                 if not res.paired:
                     continue
                 checked += 1
@@ -361,8 +361,7 @@ def test_criterion_11_filter_halves_average_error():
     for _ in range(6):
         absorbers.append(tuple(rng.randrange(1, 5) for _ in range(40)))
     pool = pool + absorbers
-    book = InnerCodebook(params)
-    refs = [encode_outer(pool[0], params, book), encode_outer(absorbers[0], params, book)]
+    refs = [encode_outer(pool[0], params), encode_outer(absorbers[0], params)]
     patterns = standard_pattern_family(params, params.N // 2, refs, master_seed=5)
     seeds = list(range(30))
     filtered = oblivious_experiment(

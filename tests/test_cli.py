@@ -356,7 +356,7 @@ def test_failed_encode_keeps_the_old_codebook(tmp_path, monkeypatch, capsys):
     out = tmp_path / "code.txt"
     out.write_text("0101\n")
     encoded = iter([Word("01"), "0x"])  # the second codeword cannot be written
-    monkeypatch.setattr(cli, "encode_outer", lambda X, params, book: next(encoded))
+    monkeypatch.setattr(cli, "encode_outer", lambda X, params: next(encoded))
     with pytest.raises(SystemExit) as err:
         main(["encode", "--toy", "--K", "2", "--R", "2", "--lambda", "1", "--delta", "0.5",
               "--n", "4", "--in", str(outer), "--out", str(out)])
@@ -450,3 +450,90 @@ def test_bad_online_fraction_is_usage_error(option, value, tmp_path, capsys):
     captured = capsys.readouterr()
     assert f"argument {option}:" in captured.err and captured.out == ""
     assert list(tmp_path.iterdir()) == [book]
+
+
+@pytest.mark.parametrize("p", ["0.3", "0.9"])
+@pytest.mark.parametrize("command", ["encode", "graph", "oblivious"])
+def test_paper_scale_parameters_are_a_usage_error(command, p, tmp_path, capsys):
+    # at p = 0.9, log2 L alone has more than 4,300 decimal digits
+    outer = tmp_path / "outer.txt"
+    outer.write_text("1,1\n")
+    out = tmp_path / "out.txt"
+    argv = {
+        "encode": ["encode", "--p", p, "--n", "2", "--in", str(outer), "--out", str(out)],
+        "graph": ["graph", "--p", p, "--n", "2"],
+        "oblivious": _oblivious_config(tmp_path, params={"mode": "paper", "p": p, "n": 2}),
+    }[command]
+    inputs = sorted(tmp_path.iterdir())
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "not executable" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == inputs
+
+
+TOY_OPTIONS = ["--K", "2", "--R", "4", "--lambda", "1", "--delta", "0.5"]
+
+
+@pytest.mark.parametrize("command", ["params", "encode", "graph"])
+@pytest.mark.parametrize("mode, options, stray", [
+    ("config", ["--toy"], "--toy"),
+    ("config", ["--p", "0.9"], "--p"),
+    ("config", ["--n", "4"], "--n"),
+    ("config", ["--K", "2"], "--K"),
+    ("config", ["--R", "4"], "--R"),
+    ("config", ["--lambda", "1"], "--lambda"),
+    ("config", ["--delta", "0.5"], "--delta"),
+    ("toy", ["--toy", *TOY_OPTIONS, "--n", "4", "--p", "0.9"], "--p"),
+    ("paper", ["--p", "0.9", "--n", "100", "--K", "4"], "--K"),
+    ("paper", ["--p", "0.9", "--n", "100", "--R", "3"], "--R"),
+    ("paper", ["--p", "0.9", "--n", "100", "--lambda", "2"], "--lambda"),
+    ("paper", ["--p", "0.9", "--n", "100", "--delta", "0.5"], "--delta"),
+])
+def test_parameter_option_of_another_mode_is_a_usage_error(command, mode, options, stray,
+                                                           tmp_path, capsys):
+    cfg = tmp_path / "params.json"
+    cfg.write_text(json.dumps({"mode": "toy", "K": 2, "R": 4, "lambda": 1, "delta": "0.5", "n": 4}))
+    outer = tmp_path / "outer.txt"
+    outer.write_text("1,2,1,2\n")
+    out = tmp_path / "out.txt"
+    argv = [command, *(["--config", str(cfg)] if mode == "config" else []), *options]
+    if command == "encode":
+        argv += ["--in", str(outer), "--out", str(out)]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert f"{mode} mode takes no {stray}" in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("family, options", [
+    (None, ["--weight", "3"]),
+    (None, ["--seed", "9"]),
+    ("delete-zeros", ["--weight", "3"]),
+    ("delete-ones", ["--seed", "9"]),
+])
+def test_uniform_family_options_elsewhere_are_a_usage_error(family, options, tmp_path, capsys):
+    infile = tmp_path / "in.txt"
+    infile.write_text("0101\n")
+    out = tmp_path / "out.txt"
+    chosen = ["--family", family] if family else ["--pattern", "1"]
+    with pytest.raises(SystemExit) as err:
+        main(["corrupt", "--in", str(infile), "--out", str(out), *chosen, *options])
+    assert err.value.code == 2
+    assert "--family uniform only" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_uniform_family_takes_weight_and_seed(tmp_path, capsys):
+    infile = tmp_path / "in.txt"
+    infile.write_text("0101\n0011\n")
+    out = tmp_path / "out.txt"
+    argv = ["corrupt", "--in", str(infile), "--out", str(out), "--family", "uniform", "--weight", "3"]
+    assert main([*argv, "--seed", "9"]) == 0
+    assert [len(line) for line in out.read_text().splitlines()] == [1, 1]
+    with pytest.raises(SystemExit) as err:
+        main(argv[:-2])
+    assert err.value.code == 2
+    assert "--weight required" in capsys.readouterr().err

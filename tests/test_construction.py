@@ -6,7 +6,6 @@ import pytest
 
 from deletion_lab import construction
 from deletion_lab.construction import (
-    InnerCodebook,
     NotExecutableError,
     ParamsError,
     SignatureError,
@@ -93,6 +92,10 @@ def test_inner_codewords():
     assert inner_codeword(2, t1) == Word("00110011")
     with pytest.raises(ParamsError):
         inner_codeword(3, t1)
+    # built once per params object, outside the fields that equality and hashing read
+    assert inner_codeword(1, t1) is inner_codeword(1, t1) is t1.inner_words[0]
+    fresh = toy_params(2, 2, 1, "0.5", 4)
+    assert fresh == t1 and hash(fresh) == hash(t1) and "inner_words" not in vars(fresh)
     # run counts: 2 R^(K+1-i), consecutive ratio exactly R
     for K, R in ((2, 2), (2, 4), (3, 2)):
         params = toy_params(K, R, 1, Fraction(1, 2), 4)
@@ -104,15 +107,14 @@ def test_inner_codewords():
 
 def test_encode_outer():
     t1 = toy_params(2, 2, 1, "0.5", 4)
-    book = InnerCodebook(t1)
-    assert encode_outer((1,), t1, book) == book[1]
-    assert encode_outer((1, 2), t1, book) == Word("0101010100110011")
+    assert encode_outer((1,), t1) == inner_codeword(1, t1)
+    assert encode_outer((1, 2), t1) == Word("0101010100110011")
     r = random.Random(0)
     for _ in range(20):
         X = tuple(r.randrange(1, 3) for _ in range(r.randrange(1, 6)))
-        assert len(encode_outer(X, t1, book)) == len(X) * t1.L
+        assert len(encode_outer(X, t1)) == len(X) * t1.L
     with pytest.raises(ParamsError):
-        encode_outer((0,), t1, book)
+        encode_outer((0,), t1)
 
 
 def test_preserves_examples():
@@ -166,7 +168,6 @@ def test_signature_of_empty_pattern():
 
 def test_signature_subsequence_guarantee():
     params = toy_params(2, 4, 2, "0.5", 4)
-    book = InnerCodebook(params)
     limit = int(params.N * (1 - 2**-params.lam - 0.5 - float(params.delta) / 2))
     r = random.Random(9)
     for _ in range(100):
@@ -174,12 +175,12 @@ def test_signature_subsequence_guarantee():
         tau = DeletionPattern(params.N, tuple(r.sample(range(1, params.N + 1), w)))
         sig = extract_signature(tau, params)
         X = tuple(r.randrange(1, 3) for _ in range(4))
-        lhs = apply_pattern(sig.tau_prime, encode_outer(sig.select(X), params, book))
-        rhs = apply_pattern(tau, encode_outer(X, params, book))
+        lhs = apply_pattern(sig.tau_prime, encode_outer(sig.select(X), params))
+        rhs = apply_pattern(tau, encode_outer(X, params))
         assert is_subsequence(lhs, rhs)
         for block, S in zip(sig.inner_patterns, sig.corruption_sets):
             assert is_admissible(block, params.lam - 1, params)
-            assert all(preserves(block, j, params, book) for j in (1, 2) if j not in S)
+            assert all(preserves(block, j, params) for j in (1, 2) if j not in S)
 
 
 def test_signature_rejects_overweight_pattern():
@@ -207,8 +208,7 @@ def test_copies_asymmetry():
     # two copies of g_1 absorb g_2, but g_1 needs R copies of g_2
     for K, R in ((2, 4), (2, 2), (3, 4)):
         params = toy_params(K, R, 1, Fraction(1, 2), 4)
-        book = InnerCodebook(params)
-        g1, g2 = book[1], book[2]
+        g1, g2 = inner_codeword(1, params), inner_codeword(2, params)
         assert is_subsequence(g2, g1 + g1)
         assert is_subsequence(g1, g2 * R)
         assert not is_subsequence(g1, g2 * (R - 1))
@@ -270,7 +270,7 @@ def test_signature_kept_indices_are_first_admissible():
     # admissible here and corrupts g_i, and one more deletion makes it inadmissible
     wide = toy_params(2, 16, 2, "0.5", 4)
     choices = [DeletionPattern(wide.L, ()), DeletionPattern(wide.L, tuple(range(1, wide.L // 2 + 2)))]
-    choices += [bit_deletion_pattern(g, 0) for g in InnerCodebook(wide).words]
+    choices += [bit_deletion_pattern(g, 0) for g in wide.inner_words]
     cases += [(wide, join_patterns([r.choice(choices) for _ in range(wide.n)])) for _ in range(30)]
     for params, tau in cases:
         blocks = split_pattern(tau, params.n, params.L)
@@ -285,12 +285,11 @@ def test_signature_kept_indices_are_first_admissible():
             continue
         sig = extract_signature(tau, params)
         assert list(sig.kept_indices) == admissible[: params.delta_n]
-        book = InnerCodebook(params)
         for idx, S in zip(sig.kept_indices, sig.corruption_sets):
             corrupted = {
                 j
                 for j in range(1, params.K + 1)
-                if not preserves(blocks[idx - 1], j, params, book)
+                if not preserves(blocks[idx - 1], j, params)
             }
             assert corrupted <= S and len(S) == params.lam - 1
             assert S == pad_corruption_set(corrupted, params)

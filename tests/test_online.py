@@ -90,6 +90,7 @@ def test_wait_profile_counts_and_tiebreak():
 def test_build_pairs_full_pairing():
     code = paired_toy_code()
     table = build_pairs(code, CFG)
+    assert table.cfg == CFG
     assert len(table.pairs) == 2 and not table.unpaired
     assert table.paired_fraction == 1.0
     for pair in table.pairs:
@@ -112,8 +113,8 @@ def test_wait_push_pair_outputs_identical():
     code = paired_toy_code()
     table = build_pairs(code, CFG)
     for pair in table.pairs:
-        rx = run_wait_push(code, pair.x, CFG, table, force_strategy=1, force_bit=0)
-        ry = run_wait_push(code, pair.y, CFG, table, force_strategy=1, force_bit=0)
+        rx = run_wait_push(table, pair.x, force_strategy=1, force_bit=0)
+        ry = run_wait_push(table, pair.y, force_strategy=1, force_bit=0)
         assert rx.output == ry.output == pair.pushed
         assert rx.paired and ry.paired
         assert rx.deletions <= CFG.budget(16)
@@ -121,7 +122,7 @@ def test_wait_push_pair_outputs_identical():
 
 def test_wait_push_strategy_two_truncates():
     code = paired_toy_code()
-    res = run_wait_push(code, code[0], CFG, force_strategy=2)
+    res = run_wait_push(build_pairs(code, CFG), code[0], force_strategy=2)
     assert res.output == code[0][: 16 - CFG.budget(16)]
     assert res.deletions == CFG.budget(16)
 
@@ -129,19 +130,19 @@ def test_wait_push_strategy_two_truncates():
 def test_wait_push_gives_up_on_wrong_bit():
     code = paired_toy_code()
     table = build_pairs(code, CFG)
-    res = run_wait_push(code, code[0], CFG, table, force_strategy=1, force_bit=1)
+    res = run_wait_push(table, code[0], force_strategy=1, force_bit=1)
     assert not res.paired
     # wait phase deleted the zeros it saw, then everything is transmitted
     assert res.deletions <= CFG.budget(16)
 
 
 def test_wait_push_non_codeword_input_is_handled():
-    code = paired_toy_code()
-    adv = WaitPushAdversary(code, CFG, force_strategy=1, force_bit=0)
+    table = build_pairs(paired_toy_code(), CFG)
+    adv = WaitPushAdversary(table, force_strategy=1, force_bit=0)
     res = transmit(Word("1111111111111111"), adv, rngmod.py_rng(0, "t"))
     assert res.deletions <= CFG.budget(16)
     with pytest.raises(ValueError):
-        run_wait_push(code, Word("1111111111111111"), CFG)
+        run_wait_push(table, Word("1111111111111111"))
 
 
 def test_budget_respected_over_random_trials():
@@ -150,7 +151,7 @@ def test_budget_respected_over_random_trials():
     for trial in range(2000):
         rng = rngmod.py_rng(7, "budget", trial)
         x = code[rng.randrange(len(code))]
-        res = transmit(x, WaitPushAdversary(code, CFG, table), rng)
+        res = transmit(x, WaitPushAdversary(table), rng)
         assert res.deletions <= CFG.budget(16)
 
 
@@ -162,7 +163,7 @@ def test_strategy_one_cost_chain():
     for trial in range(500):
         rng = rngmod.py_rng(8, "chain", trial)
         x = code[rng.randrange(len(code))]
-        res = transmit(x, WaitPushAdversary(code, CFG, table, 1, 0), rng)
+        res = transmit(x, WaitPushAdversary(table, 1, 0), rng)
         if not res.paired:
             continue
         q = table.profiles[x].q
@@ -172,10 +173,9 @@ def test_strategy_one_cost_chain():
 
 def test_simulate_confusion_mass_and_decoders():
     code = paired_toy_code()
-    table = build_pairs(code, CFG)
     dec = make_unique_decoder(code)
     rep = simulate_online(
-        code, CFG, dec, trials=100, master_seed=3, pairs=table,
+        code, CFG, dec, trials=100, master_seed=3,
         force_strategy=1, force_bit=0,
     )
     summary = rep.summary()
@@ -183,7 +183,7 @@ def test_simulate_confusion_mass_and_decoders():
     assert summary["decoded_ok_mean"] <= 0.5
     ml = make_first_superstring_decoder(code)
     rep2 = simulate_online(
-        code, CFG, ml, trials=100, master_seed=3, pairs=table,
+        code, CFG, ml, trials=100, master_seed=3,
         force_strategy=1, force_bit=0,
     )
     assert rep2.summary()["decoded_ok_mean"] <= 0.5
@@ -205,8 +205,8 @@ def test_simulate_identity_adversary_no_errors():
 
 
 def test_causality_checks():
-    code = paired_toy_code()
-    ok = causality_check(lambda: WaitPushAdversary(code, CFG), 16, trials=300)
+    table = build_pairs(paired_toy_code(), CFG)
+    ok = causality_check(lambda: WaitPushAdversary(table), 16, trials=300)
     assert ok["passed"]
     ident = causality_check(lambda: IdentityAdversary(), 16, trials=50)
     assert ident["passed"]
@@ -220,9 +220,11 @@ def test_wait_push_stays_causal_off_the_default_config(p, p0_adv):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # p = 1/5 lies outside the regime
         cfg = OnlineConfig(p=p, p0_adv=p0_adv)
-    code = paired_toy_code()
+    table = build_pairs(paired_toy_code(), cfg)
+    # the adversary takes its budget from the table's config, not the default one
+    assert WaitPushAdversary(table).begin(16, rngmod.py_rng(0, "t"))["budget"] == table.cfg.budget(16)
     for force in [(None, None), (1, 0), (1, 1)]:
-        res = causality_check(lambda: WaitPushAdversary(code, cfg, None, *force), 16, trials=300)
+        res = causality_check(lambda: WaitPushAdversary(table, *force), 16, trials=300)
         assert res["passed"]
 
 
@@ -235,10 +237,10 @@ def test_wait_push_stays_causal_on_non_codeword_inputs():
     code = [Word(format(h, "05b") + t) for h in rng.sample(range(32), 16) for t in tails]
     table = build_pairs(code, CFG)
     probes = [Word(format(rng.getrandbits(16), "016b")) for _ in range(40)]
-    pushed = [w for w in probes if transmit(w, WaitPushAdversary(code, CFG, table, 1, 0), rng).paired]
+    pushed = [w for w in probes if transmit(w, WaitPushAdversary(table, 1, 0), rng).paired]
     assert pushed and not set(pushed) & set(code)
     for force in [(None, None), (1, 0), (1, 1)]:
-        res = causality_check(lambda: WaitPushAdversary(code, CFG, table, *force), 16, trials=400)
+        res = causality_check(lambda: WaitPushAdversary(table, *force), 16, trials=400)
         assert res["passed"]
 
 

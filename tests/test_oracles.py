@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 
 from deletion_lab import rng as rngmod
-from deletion_lab.construction import InnerCodebook, preserves, toy_params
+from deletion_lab.construction import inner_codeword, preserves, toy_params
 from deletion_lab.oracles import (
     admissible_weight_cap,
     alternating_absorption,
@@ -93,11 +93,10 @@ def test_corruption_cost_sampled():
 
 def test_delete_zeros_is_the_extremal_pattern():
     params = toy_params(2, 16, 2, Fraction(1, 2), 4)
-    book = InnerCodebook(params)
-    dz = bit_deletion_pattern(book[1], 0)
+    dz = bit_deletion_pattern(inner_codeword(1, params), 0)
     assert dz.weight == params.L // 2
-    assert not preserves(dz, 1, params, book)
-    assert preserves(dz, 2, params, book)
+    assert not preserves(dz, 1, params)
+    assert preserves(dz, 2, params)
     names = [name for name, _ in structured_inner_patterns(params)]
     assert any(name.startswith("zeros-of-1") for name in names)
 

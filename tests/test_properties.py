@@ -16,8 +16,10 @@ from hypothesis import strategies as st
 from deletion_lab import construction, matching, oracles
 from deletion_lab import rng as rngmod
 from deletion_lab.construction import (
-    InnerCodebook,
+    admissible_weight_cap,
+    corruption_sets,
     encode_outer,
+    extract_signature,
     pad_corruption_set,
     preserves,
     toy_params,
@@ -378,16 +380,63 @@ def test_concatenate_runs_are_runs_of_the_joined_bits(parts):
     assert joined.runs == expected.runs == tuple(len(list(g)) for _, g in groupby(expected.bits))
 
 
+def reference_inner_words(params) -> list[Word]:
+    """Reference g_1..g_K, each built afresh from its block width: R^(i-1) zeros, then
+    as many ones, repeated over L bits."""
+    widths = [params.R ** (i - 1) for i in range(1, params.K + 1)]
+    return [Word((bytes(w) + bytes([1]) * w) * (params.L // (2 * w))) for w in widths]
+
+
+def reference_corrupted(block: DeletionPattern, params, ref: list[Word]) -> set[int]:
+    """The i whose reference codeword ``ref[i - 1]`` ``block`` fails to preserve, runs counted by ``groupby``."""
+    dead = set(block.deleted)
+    corrupted = set()
+    for i, g in enumerate(ref, start=1):
+        r = len([key for key, _ in groupby(b for pos, b in enumerate(g.bits, 1) if pos not in dead)])
+        if r * r < 4 * params.R ** (2 * params.K + 1 - 2 * i):
+            corrupted.add(i)
+    return corrupted
+
+
 @PROPS
 @given(st.sampled_from([(2, 4), (3, 2), (2, 2)]), st.data())
 def test_encode_outer_runs_are_recomputed_runs(KR, data):
     K, R = KR
     params = toy_params(K, R, 1, Fraction(1, 2), 4)
-    book = InnerCodebook(params)
+    ref = reference_inner_words(params)
     X = data.draw(st.lists(st.integers(1, K), max_size=6))
-    word = encode_outer(X, params, book)
-    assert word.bits == b"".join(book[s].bits for s in X)
+    word = encode_outer(X, params)
+    assert word.bits == b"".join(ref[s - 1].bits for s in X)
     assert word.runs == Word(word.bits).runs
+
+
+@PROPS
+@given(st.sampled_from([(2, 16, 2), (3, 2, 2), (4, 4, 3)]), st.integers(0, 2**32 - 1))
+def test_cached_inner_words_agree_with_reference_words(KRlam, seed):
+    # the blocks mix random patterns of under L/2 deletions with the deletion
+    # of every zero or every one of some g_i, so some corrupt a codeword
+    K, R, lam = KRlam
+    params = toy_params(K, R, lam, Fraction(1, 2), 4)
+    ref = reference_inner_words(params)
+    assert list(params.inner_words) == ref
+    rng = random.Random(seed)
+    choices = [bit_deletion_pattern(g, b) for g in ref for b in (0, 1)]
+    blocks = [rng.choice(choices) if rng.random() < 0.4 else
+              DeletionPattern(params.L, tuple(rng.sample(range(1, params.L + 1), rng.randrange(params.L // 2))))
+              for _ in range(params.n)]
+    corrupted = [reference_corrupted(block, params, ref) for block in blocks]
+    for block, bad in zip(blocks, corrupted):
+        assert {i for i in range(1, K + 1) if not preserves(block, i, params)} == bad
+    expected = [pad_corruption_set(bad, params) for bad in corrupted]
+    assert corruption_sets(params, np.stack([block.keep for block in blocks])) == expected
+    tau = join_patterns(blocks)
+    cap = admissible_weight_cap(params, lam - 1)
+    kept = [idx for idx, block in enumerate(blocks, start=1) if block.weight <= cap][: params.delta_n]
+    if len(kept) < params.delta_n:
+        return
+    sig = extract_signature(tau, params)
+    assert list(sig.kept_indices) == kept
+    assert list(sig.corruption_sets) == [expected[idx - 1] for idx in kept]
 
 
 def bytewise_is_subsequence(a, b) -> bool:
@@ -709,7 +758,7 @@ def test_wait_push_agrees_with_candidate_scan(C, cfg, seed):
     inputs = C + [Word(w) for w in near] + [Word([rng.randrange(2) for _ in range(n)]) for _ in range(3)]
     for x in inputs:
         for force in [(None, None), (1, 0), (1, 1), (2, 0), (2, 1)]:
-            new = WaitPushAdversary(C, cfg, table, *force)
+            new = WaitPushAdversary(table, *force)
             ref = CandidateScanAdversary(C, cfg, table, *force)
             assert (transmit(x, new, rngmod.py_rng(seed, "adv", 0))
                     == transmit(x, ref, rngmod.py_rng(seed, "adv", 0)))
@@ -725,7 +774,7 @@ def test_wait_push_gives_up_when_the_budget_ends_before_the_last_wait_bit():
         for cfg in WAIT_PUSH_CFGS[:2]:
             table = build_pairs(C, cfg)
             assert len(table.pairs) == 2
-            results = [transmit(x, WaitPushAdversary(C, cfg, table, 1, 0), rngmod.py_rng(0, "adv", 0))
+            results = [transmit(x, WaitPushAdversary(table, 1, 0), rngmod.py_rng(0, "adv", 0))
                        for x in C]
             ref = [transmit(x, CandidateScanAdversary(C, cfg, table, 1, 0), rngmod.py_rng(0, "adv", 0))
                    for x in C]
@@ -734,7 +783,7 @@ def test_wait_push_gives_up_when_the_budget_ends_before_the_last_wait_bit():
             assert [r.paired for r in results] == [not short] * 4
     # a word that follows a paired codeword past its wait prefix is pushed as that codeword
     x = Word(PAIRED_TOY[0].bits[:10] + bytes(6))
-    res = transmit(x, WaitPushAdversary(PAIRED_TOY, ONLINE_CFG, None, 1, 0), rngmod.py_rng(0, "adv", 0))
+    res = transmit(x, WaitPushAdversary(build_pairs(PAIRED_TOY, ONLINE_CFG), 1, 0), rngmod.py_rng(0, "adv", 0))
     assert res.paired and res.decisions[:5] == (False,) * 5 and res.decisions[5]
 
 
@@ -746,7 +795,7 @@ def test_wait_push_gives_up_when_the_budget_ends_before_the_last_wait_bit():
 def test_simulate_online_agrees_with_per_trial_loop(C, force, master_seed):
     table = build_pairs(C, ONLINE_CFG)
     rep = simulate_online(C, ONLINE_CFG, make_unique_decoder(C), trials=25,
-                          master_seed=master_seed, pairs=table,
+                          master_seed=master_seed,
                           force_strategy=force[0], force_bit=force[1])
     ref = replace(rep, rows=per_trial_rows(C, ONLINE_CFG, table, 25, master_seed, *force))
     assert rep.csv_text() == ref.csv_text()
@@ -870,7 +919,7 @@ def test_vectorized_bitflip_demo_agrees_with_loop(n, rate, p, seeds, vectors, ma
 def loop_matching_implication(params, instances, master_seed):
     """Reference ``verify_matching_implication``: each instance builds its patterns,
     words and run counts afresh, from bytes, and embeds bit by bit."""
-    book = InnerCodebook(params)
+    ref = reference_inner_words(params)
     dn, n, K, L = params.delta_n, params.n, params.K, params.L
     s, t = 2**params.lam, oracles.exact_sqrt(params.R)
     cap = oracles.admissible_weight_cap(params, params.lam - 1)
@@ -881,7 +930,7 @@ def loop_matching_implication(params, instances, master_seed):
             return DeletionPattern(L, ())
         if kind == 2:
             for i in gen.permutation(K) + 1:
-                zeros = tuple(pos for pos, b in enumerate(book[int(i)].bits, 1) if b == 0)
+                zeros = tuple(pos for pos, b in enumerate(ref[int(i) - 1].bits, 1) if b == 0)
                 if len(zeros) <= cap:
                     return DeletionPattern(L, zeros)
             return DeletionPattern(L, ())
@@ -890,7 +939,7 @@ def loop_matching_implication(params, instances, master_seed):
 
     def preserved(block, i):
         dead = set(block.deleted)
-        kept = [b for pos, b in enumerate(book[i].bits, 1) if pos not in dead]
+        kept = [b for pos, b in enumerate(ref[i - 1].bits, 1) if pos not in dead]
         r = len([key for key, _ in groupby(kept)])
         return r * r >= 4 * params.R ** (2 * K + 1 - 2 * i)
 
@@ -912,10 +961,10 @@ def loop_matching_implication(params, instances, master_seed):
         sets = [pad_corruption_set({j for j in range(1, K + 1) if not preserved(b, j)}, params)
                 for b in blocks]
         dead = {k * L + d for k, b in enumerate(blocks) for d in b.deleted}
-        psi_x = b"".join(book[sym].bits for sym in X)
+        psi_x = b"".join(ref[sym - 1].bits for sym in X)
         corrupted = bytes(b for pos, b in enumerate(psi_x, 1) if pos not in dead)
         report.instances += 1
-        if not bytewise_is_subsequence(corrupted, b"".join(book[sym].bits for sym in Y)):
+        if not bytewise_is_subsequence(corrupted, b"".join(ref[sym - 1].bits for sym in Y)):
             continue
         positives += 1
         if not oracles.is_matchable(X, Y, MatchConfig(s=s, t=t, sets=tuple(sets))):
@@ -952,11 +1001,10 @@ def test_planted_implication_violations_keep_their_witness_order(monkeypatch, pa
 def test_corruption_count_is_the_count_of_codewords_not_preserved(KR, density, seed):
     K, R = KR
     params = toy_params(K, R, 2, Fraction(1, 2), 4)
-    book = InnerCodebook(params)
     keep = np.random.default_rng(seed).random(params.L) < density
     sigma = DeletionPattern.from_keep(keep)
-    expected = sum(not preserves(sigma, i, params, book) for i in range(1, K + 1))
-    assert np.count_nonzero(construction.corrupted_flags(book, keep)) == expected
+    expected = sum(not preserves(sigma, i, params) for i in range(1, K + 1))
+    assert np.count_nonzero(construction.corrupted_flags(params, keep)) == expected
 
 
 def loop_corruption_cost(params, mode, samples=0, master_seed=0, preserved=None,
@@ -967,7 +1015,7 @@ def loop_corruption_cost(params, mode, samples=0, master_seed=0, preserved=None,
     if preserved is None:
         def preserved(r, i):
             return r * r >= 4 * R ** (2 * K + 1 - 2 * i)
-    book = InnerCodebook(params)
+    ref = reference_inner_words(params)
     report = oracles.OracleReport(name="corruption-cost", mode=mode)
     report.extras["params"] = (K, R, L, params.lam)
 
@@ -975,7 +1023,7 @@ def loop_corruption_cost(params, mode, samples=0, master_seed=0, preserved=None,
         report.instances += 1
         weight = L - sum(kept)
         corrupted = 0
-        for i, g in enumerate(book.words, start=1):
+        for i, g in enumerate(ref, start=1):
             runs = len([key for key, _ in groupby(b for b, k in zip(g.bits, kept) if k)])
             corrupted += not preserved(runs, i)
         if corrupted and within(weight, L, corrupted, R):

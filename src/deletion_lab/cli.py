@@ -76,7 +76,8 @@ def _read_input(parser, read, path, *rest):
 
 
 def _read_json(path):
-    return json.loads(Path(path).read_text())
+    with open(path) as fh:  # an empty path names no file, where Path("") would be "."
+        return json.load(fh)
 
 
 # each parameter option by its ``args`` attribute, and the options each mode takes
@@ -86,7 +87,7 @@ _MODE_OPTIONS = {"config": (), "toy": ("toy", "n", "K", "R", "lam", "delta"), "p
 
 
 def _params_from_args(parser, args):
-    mode = "config" if args.config else "toy" if args.toy else "paper"
+    mode = "config" if args.config is not None else "toy" if args.toy else "paper"
     stray = [opt for dest, opt in _PARAM_OPTIONS.items()
              if getattr(args, dest) not in (None, False) and dest not in _MODE_OPTIONS[mode]]
     if stray:
@@ -168,6 +169,8 @@ def cmd_corrupt(parser, args) -> int:
         parser.error("--weight required for the uniform family")
     if args.family != "uniform" and (args.weight, args.seed) != (None, None):
         parser.error("--weight and --seed go with --family uniform only")
+    if args.weight is not None and not 0 <= args.weight <= len(words[0]):
+        parser.error(f"--weight {args.weight} must lie in [0, {len(words[0])}], the word length")
     rng = rngmod.py_rng(args.seed if args.seed is not None else 0, "corrupt")
     out_lines = [apply_pattern(_corruption_pattern(args, w, rng), w).to01() for w in words]
     atomic_write_text(args.out, "\n".join(out_lines) + "\n")

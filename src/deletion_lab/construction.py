@@ -12,11 +12,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
-from .reporting import atomic_write_text, read_lines
+from .reporting import read_lines
 from .words import (
     DeletionPattern,
     Word,
@@ -464,7 +464,3 @@ def read_outer_words(path, params: CodeParams) -> list[OuterWord]:
         return check_outer(X, params)
 
     return list(read_lines(path, parse).values())
-
-
-def write_outer_words(path, words: Iterable[Sequence[int]]) -> None:
-    atomic_write_text(path, "".join(",".join(str(s) for s in X) + "\n" for X in words))

@@ -65,35 +65,21 @@ class MatchConfig:
         return cls(s=2**lam, t=exact_sqrt(R), sets=tuple(sets))
 
 
-def pair_type(i: int, j: int, X: Sequence[int], Y: Sequence[int], sets: Sequence[frozenset[int]]) -> str:
-    """'A' iff X_i is in S_i or X_i >= Y_j (indices 1-based)."""
-    if not 1 <= i <= len(X):
-        raise IndexError(f"i = {i} outside [1,{len(X)}]")
-    if not 1 <= j <= len(Y):
-        raise IndexError(f"j = {j} outside [1,{len(Y)}]")
-    return "A" if X[i - 1] in sets[i - 1] or X[i - 1] >= Y[j - 1] else "B"
-
-
 @dataclass(frozen=True)
 class MatchTrace:
     states: tuple[tuple[int, int], ...]  # starts at (1,1)
     moves: tuple[tuple[str, str], ...]  # (move, reason), reason in A|B|forced
     success: bool
 
-    def dump(self) -> str:
-        lines = []
-        for k, ((a, b), (move, reason)) in enumerate(zip(self.states, self.moves), start=1):
-            lines.append(f"step {k}: ({a},{b}) move={move} type={reason}")
-        return "\n".join(lines)
-
 
 def _walk(X: Sequence[int], Y: Sequence[int], cfg: MatchConfig, states=None, moves=None) -> int:
     """Apply the move rules from (1, 1) until one word is exhausted; return the final a.
 
     Rule priority per step: forced B after s consecutive A-moves, forced A
-    after t consecutive B-moves, else the pair's type (``pair_type``)
-    decides.  When ``states`` and ``moves`` are lists, each step appends
-    the state after it to ``states`` and its ``(move, reason)`` to ``moves``.
+    after t consecutive B-moves, else the type of the pair (a, b) decides:
+    'A' iff X_a is in S_a or X_a >= Y_b.  When ``states`` and ``moves`` are
+    lists, each step appends the state after it to ``states`` and its
+    ``(move, reason)`` to ``moves``.
     """
     m, n = len(X), len(Y)
     if m < 1 or n < 1:

@@ -19,7 +19,7 @@ import numpy as np
 from . import rng as rngmod
 from .construction import CodeParams, OuterWord, encode_outer
 from .matching import MatchConfig, batch_matchable, count_matchable, worst_sets
-from .reporting import ExperimentReport, atomic_write_text, read_lines
+from .reporting import ExperimentReport, read_lines
 from .words import DeletionPattern, Word, apply_pattern, as_word, bit_deletion_pattern, is_subsequence
 
 
@@ -177,13 +177,6 @@ class ConfusabilityGraph:
             "max_outdegree": max(outs, default=0),
             "max_indegree": max(ins, default=0),
         }
-
-    def sampled_positive_indegree(self, inclusion_prob: float, rng) -> tuple[int, int]:
-        """(sample size, #sampled vertices with an in-edge from the sample)."""
-        chosen = [i for i in range(len(self.vertices)) if rng.random() < inclusion_prob]
-        chosen_set = set(chosen)
-        hit = {x for y, x in self.edges if y in chosen_set and x in chosen_set}
-        return len(chosen), len(hit)
 
 
 def build_confusability_graph(
@@ -346,10 +339,6 @@ def read_patterns(path, word_length: int) -> list[tuple[str, DeletionPattern]]:
         return DeletionPattern(word_length, tuple(int(tok) for tok in line.split(",") if tok))
 
     return [(f"line{k}", pat) for k, pat in read_lines(path, parse, keep_blank=True).items()]
-
-
-def write_patterns(path, patterns: Iterable[DeletionPattern]) -> None:
-    atomic_write_text(path, "".join(",".join(str(i) for i in pat.deleted) + "\n" for pat in patterns))
 
 
 def oblivious_experiment(

@@ -75,16 +75,6 @@ def _wait_len(keys: Sequence[bytes], k: int) -> int:
     return 1 + max((_common_prefix_len(keys[k], keys[j]) for j in near), default=-1)
 
 
-def wait_length(x: Word, C: Sequence[Word]) -> int:
-    """Smallest prefix length that pins down x among the codewords."""
-    keys = sorted({as_word(c).bits for c in C})
-    bits = as_word(x).bits
-    k = bisect_left(keys, bits)
-    if keys[k : k + 1] != [bits]:
-        raise ValueError("wait length is defined for codewords only")
-    return _wait_len(keys, k)
-
-
 @dataclass(frozen=True)
 class WaitProfile:
     wait_len: int
@@ -106,10 +96,6 @@ def _profile(bits: bytes, ell: int) -> WaitProfile:
     r1 = sum(bits[:ell])
     r0 = ell - r1
     return WaitProfile(wait_len=ell, n=len(bits), r0=r0, r1=r1, b=0 if r0 >= r1 else 1)
-
-
-def wait_profile(x: Word, C: Sequence[Word]) -> WaitProfile:
-    return _profile(as_word(x).bits, wait_length(x, C))
 
 
 @dataclass(frozen=True)
@@ -222,29 +208,22 @@ def build_pairs(C: Sequence[Word], cfg: OnlineConfig) -> PairingTable:
 
 
 class OnlineAdversary:
-    """Per-bit causal channel: decide(state, x, i) may read x[0..i] only.
-
-    ``decisions(state, x)`` gives every bit's decision in order; by default
-    it makes one ``decide`` call per bit.  An adversary that overrides it
-    must decide each bit as that loop would, from the prefix up to the bit.
-    """
+    """Causal channel: ``decisions(state, x)`` gives every bit's decision in
+    order, and the decision on bit i may depend on x[0..i] only."""
 
     def begin(self, n: int, rng) -> dict:
         raise NotImplementedError
 
-    def decide(self, state: dict, x: Word, i: int) -> bool:
-        raise NotImplementedError
-
     def decisions(self, state: dict, x: Word) -> list[bool]:
-        return [self.decide(state, x, i) for i in range(len(x))]
+        raise NotImplementedError
 
 
 class IdentityAdversary(OnlineAdversary):
     def begin(self, n, rng):
         return {}
 
-    def decide(self, state, x, i):
-        return False
+    def decisions(self, state, x):
+        return [False] * len(x)
 
 
 class NonCausalProbeAdversary(OnlineAdversary):
@@ -256,13 +235,14 @@ class NonCausalProbeAdversary(OnlineAdversary):
     def begin(self, n, rng):
         return {"dels": 0, "budget": int(self.budget_fraction * n)}
 
-    def decide(self, state, x, i):
-        if state["dels"] >= state["budget"] or i + 1 >= len(x):
-            return False
-        if x[i + 1] == 1:  # reads the future
-            state["dels"] += 1
-            return True
-        return False
+    def decisions(self, state, x):
+        plan = []
+        for i in range(len(x)):
+            peek = x[i + 1] if i + 1 < len(x) else 0  # reads the future
+            delete = state["dels"] < state["budget"] and peek == 1
+            state["dels"] += delete
+            plan.append(delete)
+        return plan
 
 
 def draw_coin(rng, force_strategy: int | None = None, force_bit: int | None = None) -> tuple[int, int]:
@@ -394,21 +374,6 @@ def transmit(x: Word, adversary: OnlineAdversary, rng) -> TransmitResult:
     )
 
 
-def run_wait_push(
-    table: PairingTable,
-    x: Word,
-    rng=None,
-    force_strategy: int | None = None,
-    force_bit: int | None = None,
-) -> TransmitResult:
-    """Send the codeword ``x`` through a wait-push adversary built from
-    ``table``; without ``rng`` the channel draws from a fixed stream."""
-    if as_word(x).bits not in table.keys:
-        raise ValueError("x must be a codeword")
-    adv = WaitPushAdversary(table, force_strategy, force_bit)
-    return transmit(x, adv, rng if rng is not None else rngmod.py_rng(0, "wait-push"))
-
-
 # ---------------------------------------------------------------------------
 # decoders and simulation
 
@@ -506,8 +471,12 @@ def simulate_online(
         strategy, bit = draw_coin(draw_rng, force_strategy, force_bit)
         if (strategy, bit) not in tables:
             adversary = factory(strategy, bit)
-            seed = rngmod.substream_seed(master_seed, f"online-channel:{strategy}:{bit}")
-            results = [transmit(y, adversary, random.Random(seed)) for y in words]
+            channel = random.Random(rngmod.substream_seed(master_seed, f"online-channel:{strategy}:{bit}"))
+            start = channel.getstate()
+            results = []
+            for y in words:
+                channel.setstate(start)
+                results.append(transmit(y, adversary, channel))
             tables[strategy, bit] = results, Counter(r.output.bits for r in results)
         results, outputs = tables[strategy, bit]
         result = results[idx]

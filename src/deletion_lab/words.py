@@ -127,23 +127,6 @@ def _joined_runs(parts: Sequence[Word]) -> tuple[int, ...]:
     return tuple(runs)
 
 
-class Run(NamedTuple):
-    symbol: int
-    start: int  # 1-based index of the first bit of the run
-    length: int
-
-
-def run_decompose(w: WordLike) -> list[Run]:
-    """Maximal single-symbol intervals partitioning ``w``, in order."""
-    word = as_word(w)
-    runs: list[Run] = []
-    start = 1
-    for k, length in enumerate(word.runs):
-        runs.append(Run(word.bits[0] ^ (k & 1), start, length))
-        start += length
-    return runs
-
-
 def run_count(w: WordLike) -> int:
     return len(as_word(w).runs)
 
@@ -207,14 +190,6 @@ class DeletionPattern:
     @property
     def weight(self) -> int:
         return len(self.deleted)
-
-    def issubset(self, other: "DeletionPattern") -> bool:
-        if self.word_length != other.word_length:
-            raise ValueError("patterns compare only at equal word_length")
-        return set(self.deleted) <= set(other.deleted)
-
-    def __call__(self, w: WordLike) -> Word:
-        return apply_pattern(self, w)
 
 
 def apply_pattern(tau: DeletionPattern, w: WordLike) -> Word:

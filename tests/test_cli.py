@@ -526,6 +526,30 @@ def test_uniform_family_options_elsewhere_are_a_usage_error(family, options, tmp
     assert not out.exists()
 
 
+@pytest.mark.parametrize("weight", ["9", "-1"])
+def test_uniform_weight_outside_the_word_length_is_a_usage_error(weight, tmp_path, capsys):
+    infile = tmp_path / "in.txt"
+    infile.write_text("0101\n")
+    out = tmp_path / "out.txt"
+    with pytest.raises(SystemExit) as err:
+        main(["corrupt", "--in", str(infile), "--out", str(out), "--family", "uniform", "--weight", weight])
+    assert err.value.code == 2
+    assert f"--weight {weight} must lie in [0, 4], the word length" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("options, message", [
+    ([], "cannot read : No such file"),
+    (["--p", "0.5", "--n", "4"], "config mode takes no --p --n"),
+], ids=["alone", "beside-paper-options"])
+def test_empty_config_path_is_a_usage_error(options, message, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["params", "--config", "", *options])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
 def test_uniform_family_takes_weight_and_seed(tmp_path, capsys):
     infile = tmp_path / "in.txt"
     infile.write_text("0101\n0011\n")

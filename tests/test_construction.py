@@ -22,9 +22,10 @@ from deletion_lab.construction import (
     smallest_lambda,
     toy_params,
     weight_admissible,
-    write_outer_words,
 )
 from deletion_lab.words import DeletionPattern, Word, apply_pattern, is_subsequence, run_count
+
+from helpers import write_outer_words
 
 
 def test_derive_params_examples():

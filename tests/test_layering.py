@@ -9,7 +9,9 @@ Only ``cli`` imports ``oracles``.
 """
 
 import ast
+import re
 from pathlib import Path
+from types import ModuleType
 
 import deletion_lab
 
@@ -112,3 +114,11 @@ def test_oracles_judge_no_corruption_themselves():
         elif isinstance(node, ast.Name):
             names.add(node.id)
     assert names & {"masked_run_count", "preserves_runs"} == set()
+
+
+def test_package_exports_only_names_the_readme_documents():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    documented = {token for span in re.findall(r"`([^`\n]+)`", readme) for token in re.findall(r"\w+", span)}
+    assert sorted(set(deletion_lab.__all__) - documented) == []
+    exported = [getattr(deletion_lab, name) for name in deletion_lab.__all__]
+    assert [obj for obj in exported if isinstance(obj, ModuleType)] == []

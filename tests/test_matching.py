@@ -6,11 +6,11 @@ import pytest
 
 from deletion_lab.matching import (
     MatchConfig,
+    all_outer_words,
     batch_matchable,
     exact_sqrt,
     is_matchable,
     match_count_dominance,
-    pair_type,
     remap_bijection,
     run_matching,
     worst_case_remap,
@@ -23,11 +23,13 @@ def cfg_of(s, t, m, lam=1):
 
 
 def test_pair_type_examples():
-    assert pair_type(1, 1, (2,), (1,), (frozenset(),)) == "A"
-    assert pair_type(1, 1, (1,), (3,), (frozenset({1}),)) == "A"
-    assert pair_type(1, 1, (1,), (3,), (frozenset(),)) == "B"
-    with pytest.raises(IndexError):
-        pair_type(2, 1, (1,), (3,), (frozenset(),))
+    # the first move of a walk is the type of the pair (1, 1): A iff X_1 is in S_1 or X_1 >= Y_1
+    def first_move(X, Y, S1):
+        return run_matching(X, Y, MatchConfig(s=2, t=2, sets=(S1, frozenset()))).moves[0]
+
+    assert first_move((2, 1), (1, 1), frozenset()) == ("A", "A")
+    assert first_move((1, 1), (3, 3), frozenset({1})) == ("A", "A")
+    assert first_move((1, 1), (3, 3), frozenset()) == ("B", "B")
 
 
 def test_run_matching_simple_success():
@@ -49,13 +51,6 @@ def test_run_matching_failure_ends_on_y():
     assert not trace.success
     assert trace.states[-1][1] == 2  # b reached |Y|
     assert trace.states[-1][0] < 3
-
-
-def test_trace_dump_format():
-    trace = run_matching((1, 2), (2, 1), cfg_of(2, 2, 2))
-    lines = trace.dump().splitlines()
-    assert lines[0].startswith("step 1: (1,1) move=")
-    assert all(("move=A" in ln or "move=B" in ln) for ln in lines)
 
 
 def test_trace_structure_invariants():
@@ -171,14 +166,16 @@ def test_remap_preserves_success_exhaustively():
             tuple(frozenset({r.randrange(1, K + 1)}) for _ in range(m))
             for _ in range(3)
         ]
+        # every Y of [K]^n is a host, and each host's stack of rows is all of [K]^m
+        Xs, Ys = all_outer_words(K, m), all_outer_words(K, n)
+        host = np.repeat(np.arange(len(Ys)), len(Xs))
         for sets in set_choices:
             cfg = MatchConfig(s=s, t=t, sets=sets)
             worst = MatchConfig(s=s, t=t, sets=worst_sets(m, lam))
-            for Y in product(range(1, K + 1), repeat=n):
-                for X in product(range(1, K + 1), repeat=m):
-                    if is_matchable(X, Y, cfg):
-                        hx = worst_case_remap(X, sets, K)
-                        assert is_matchable(hx, Y, worst)
+            remapped = np.array([worst_case_remap(X, sets, K) for X in Xs.tolist()])
+            success = batch_matchable(np.tile(Xs, (len(Ys), 1)), Ys, cfg, host=host)
+            hx = np.tile(remapped, (len(Ys), 1))[success]
+            assert batch_matchable(hx, Ys, worst, host=host[success]).all()
 
 
 def test_matchable_when_x_large_y_small():

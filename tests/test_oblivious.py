@@ -26,7 +26,6 @@ from deletion_lab.oblivious import (
     standard_pattern_family,
     uniform_pattern,
     unique_decode,
-    write_patterns,
 )
 from deletion_lab.words import (
     DeletionPattern,
@@ -35,6 +34,8 @@ from deletion_lab.words import (
     enumerate_patterns,
     is_subsequence,
 )
+
+from helpers import sampled_positive_indegree, write_patterns
 
 
 def test_estimate_f_exact_examples():
@@ -207,7 +208,7 @@ def test_sparse_graph_sampling_keeps_indegrees_empty():
     ok = 0
     for seed in range(1000):
         srng = rngmod.py_rng(1, "sparsity-sample", seed)
-        size, hit = graph.sampled_positive_indegree(M / len(pool), srng)
+        size, hit = sampled_positive_indegree(graph, M / len(pool), srng)
         if size == 0 or hit <= eps * size:
             ok += 1
     assert ok >= 950

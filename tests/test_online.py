@@ -19,11 +19,8 @@ from deletion_lab.online import (
     causality_check,
     make_first_superstring_decoder,
     make_unique_decoder,
-    run_wait_push,
     simulate_online,
     transmit,
-    wait_length,
-    wait_profile,
 )
 from deletion_lab.words import Word, read_codebook
 
@@ -60,30 +57,33 @@ def test_online_config_regime():
         OnlineConfig(p=Fraction(3, 2), p0_adv=Fraction(1, 4))
 
 
+def profiles(C):
+    """Each codeword's wait profile, as ``build_pairs`` computes it."""
+    return build_pairs(C, CFG).profiles
+
+
 def test_wait_length_examples():
     C = [Word("000"), Word("011"), Word("101")]
-    assert wait_length(Word("000"), C) == 2
-    assert wait_length(Word("101"), C) == 1
-    assert wait_length(Word("011"), C) == 2
+    waits = {x: prof.wait_len for x, prof in profiles(C).items()}
+    assert waits == {Word("000"): 2, Word("101"): 1, Word("011"): 2}
     # two codewords differing only in the last bit need the full word
     D = [Word("0000"), Word("0001")]
-    assert wait_length(Word("0000"), D) == 4
-    assert wait_length(Word("x") if False else Word("0"), [Word("0")]) == 0
-    with pytest.raises(ValueError):
-        wait_length(Word("111"), C)
+    assert profiles(D)[Word("0000")].wait_len == 4
+    assert profiles([Word("0")])[Word("0")].wait_len == 0
+    assert Word("111") not in profiles(C)  # wait lengths are for codewords only
 
 
 def test_wait_profile_counts_and_tiebreak():
     C = [Word("000"), Word("011"), Word("101")]
-    prof = wait_profile(Word("000"), C)
+    prof = profiles(C)[Word("000")]
     assert (prof.wait_len, prof.r0, prof.r1, prof.b) == (2, 2, 0, 0)
     assert prof.r0 + prof.r1 == prof.wait_len
     # balanced prefix ties to 0
     D = [Word("0110"), Word("0111"), Word("1000")]
-    prof = wait_profile(Word("0110"), D)
+    prof = profiles(D)[Word("0110")]
     assert (prof.wait_len, prof.r0, prof.r1, prof.b) == (4, 2, 2, 0)
     E = [Word("0100"), Word("0111")]
-    prof = wait_profile(Word("0100"), E)
+    prof = profiles(E)[Word("0100")]
     assert prof.wait_len == 3 and prof.r0 == 2 and prof.r1 == 1 and prof.b == 0
 
 
@@ -113,8 +113,8 @@ def test_wait_push_pair_outputs_identical():
     code = paired_toy_code()
     table = build_pairs(code, CFG)
     for pair in table.pairs:
-        rx = run_wait_push(table, pair.x, force_strategy=1, force_bit=0)
-        ry = run_wait_push(table, pair.y, force_strategy=1, force_bit=0)
+        rx = transmit(pair.x, WaitPushAdversary(table, 1, 0), rngmod.py_rng(0, "t"))
+        ry = transmit(pair.y, WaitPushAdversary(table, 1, 0), rngmod.py_rng(0, "t"))
         assert rx.output == ry.output == pair.pushed
         assert rx.paired and ry.paired
         assert rx.deletions <= CFG.budget(16)
@@ -122,7 +122,7 @@ def test_wait_push_pair_outputs_identical():
 
 def test_wait_push_strategy_two_truncates():
     code = paired_toy_code()
-    res = run_wait_push(build_pairs(code, CFG), code[0], force_strategy=2)
+    res = transmit(code[0], WaitPushAdversary(build_pairs(code, CFG), 2), rngmod.py_rng(0, "t"))
     assert res.output == code[0][: 16 - CFG.budget(16)]
     assert res.deletions == CFG.budget(16)
 
@@ -130,7 +130,7 @@ def test_wait_push_strategy_two_truncates():
 def test_wait_push_gives_up_on_wrong_bit():
     code = paired_toy_code()
     table = build_pairs(code, CFG)
-    res = run_wait_push(table, code[0], force_strategy=1, force_bit=1)
+    res = transmit(code[0], WaitPushAdversary(table, 1, 1), rngmod.py_rng(0, "t"))
     assert not res.paired
     # wait phase deleted the zeros it saw, then everything is transmitted
     assert res.deletions <= CFG.budget(16)
@@ -141,8 +141,6 @@ def test_wait_push_non_codeword_input_is_handled():
     adv = WaitPushAdversary(table, force_strategy=1, force_bit=0)
     res = transmit(Word("1111111111111111"), adv, rngmod.py_rng(0, "t"))
     assert res.deletions <= CFG.budget(16)
-    with pytest.raises(ValueError):
-        run_wait_push(table, Word("1111111111111111"))
 
 
 def test_budget_respected_over_random_trials():
@@ -244,18 +242,8 @@ def test_wait_push_stays_causal_on_non_codeword_inputs():
         assert res["passed"]
 
 
-class OverBudgetDecide(OnlineAdversary):
-    """Deletes every bit one call at a time, against a budget of 2."""
-
-    def begin(self, n, rng):
-        return {"budget": 2}
-
-    def decide(self, state, x, i):
-        return True
-
-
 class OverBudgetPlan(OnlineAdversary):
-    """Decides the whole word at once: it keeps the budget of 2 and deletes one bit more."""
+    """Keeps a budget of 2 and deletes one bit more."""
 
     def begin(self, n, rng):
         return {"budget": 2}
@@ -274,10 +262,9 @@ class ShortPlan(OnlineAdversary):
         return [False] * (len(x) - 1)
 
 
-@pytest.mark.parametrize("adversary", [OverBudgetDecide(), OverBudgetPlan()])
-def test_transmit_refuses_deletions_over_the_state_budget(adversary):
+def test_transmit_refuses_deletions_over_the_state_budget():
     with pytest.raises(AssertionError, match="budget 2"):
-        transmit(Word("0110"), adversary, rngmod.py_rng(0, "t"))
+        transmit(Word("0110"), OverBudgetPlan(), rngmod.py_rng(0, "t"))
 
 
 def test_transmit_refuses_a_decision_for_each_bit_too_few():
@@ -299,8 +286,8 @@ class KeepOneRandomBit(OnlineAdversary):
     def begin(self, n, rng):
         return {"keep": rng.randrange(n)}
 
-    def decide(self, state, x, i):
-        return i != state["keep"]
+    def decisions(self, state, x):
+        return [i != state["keep"] for i in range(len(x))]
 
 
 def test_confusion_check_gives_every_codeword_the_same_channel_randomness():
@@ -360,8 +347,8 @@ class FirstDrawRecorder(OnlineAdversary):
         self.draws.append(rng.random())
         return {}
 
-    def decide(self, state, x, i):
-        return False
+    def decisions(self, state, x):
+        return [False] * len(x)
 
 
 def test_every_transmission_of_a_table_starts_from_the_channel_seed():

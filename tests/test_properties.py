@@ -42,8 +42,6 @@ from deletion_lab.online import (
     make_unique_decoder,
     simulate_online,
     transmit,
-    wait_length,
-    wait_profile,
 )
 from deletion_lab.words import (
     DeletionPattern,
@@ -638,7 +636,11 @@ class CandidateScanAdversary(OnlineAdversary):
                 "phase": "wait", "candidates": list(range(len(self.C))), "keep": None,
                 "paired": False, "believed": None}
 
+    def decisions(self, state, x):
+        return [self.decide(state, x, i) for i in range(len(x))]
+
     def decide(self, state, x, i):
+        """Bit i's decision, from x[0..i] and what the earlier bits left in ``state``."""
         if state["dels"] >= state["budget"]:
             return False
         if state["strategy"] == 2:
@@ -703,9 +705,8 @@ def test_wait_profiles_and_pairs_agree_with_scans(C):
     table = build_pairs(C, ONLINE_CFG)
     profiles, pairs, unpaired = scan_build_pairs(C, ONLINE_CFG)
     for x in C:
-        prof = wait_profile(x, C)
-        assert wait_length(x, C) == prof.wait_len == scan_wait_length(x, C)
-        assert table.profiles[x] == prof
+        prof = table.profiles[x]
+        assert prof.wait_len == scan_wait_length(x, C)
         assert (prof.wait_len, prof.r0, prof.r1, prof.b) == profiles[x]
     assert [(p.x, p.y, p.s_star, p.x_keep, p.y_keep) for p in table.pairs] == pairs
     assert table.unpaired == unpaired

@@ -242,6 +242,16 @@ def test_wait_push_stays_causal_on_non_codeword_inputs():
         assert res["passed"]
 
 
+class OverBudgetAll(OnlineAdversary):
+    """Deletes every bit, against a budget of 2."""
+
+    def begin(self, n, rng):
+        return {"budget": 2}
+
+    def decisions(self, state, x):
+        return [True] * len(x)
+
+
 class OverBudgetPlan(OnlineAdversary):
     """Keeps a budget of 2 and deletes one bit more."""
 
@@ -262,9 +272,10 @@ class ShortPlan(OnlineAdversary):
         return [False] * (len(x) - 1)
 
 
-def test_transmit_refuses_deletions_over_the_state_budget():
+@pytest.mark.parametrize("adversary", [OverBudgetAll(), OverBudgetPlan()])
+def test_transmit_refuses_deletions_over_the_state_budget(adversary):
     with pytest.raises(AssertionError, match="budget 2"):
-        transmit(Word("0110"), OverBudgetPlan(), rngmod.py_rng(0, "t"))
+        transmit(Word("0110"), adversary, rngmod.py_rng(0, "t"))
 
 
 def test_transmit_refuses_a_decision_for_each_bit_too_few():

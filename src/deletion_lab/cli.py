@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -23,6 +24,7 @@ from .construction import (
     encode_outer,
     json_field,
     json_int,
+    json_typed,
     params_from_json,
     params_to_json,
     rate_info,
@@ -198,13 +200,6 @@ def _master_seed(seed: int | None) -> int:
     return seed
 
 
-def _json_bool(value) -> bool:
-    """A ``json_field`` converter that takes only JSON ``true`` and ``false``."""
-    if not isinstance(value, bool):
-        raise TypeError("must be true or false")
-    return value
-
-
 def _positive(convert):
     """A ``json_field`` converter: ``convert(value)``, which must be positive and finite."""
 
@@ -235,7 +230,8 @@ def cmd_experiment_oblivious(parser, args) -> int:
         raise ValueError(f"{args.config}: the config must be a JSON object with a 'params' key")
     params = params_from_json(cfg["params"])
     params.require_executable()
-    seed = _master_seed(args.seed if args.seed is not None else cfg.get("master_seed"))
+    cfg_seed = json_field(cfg, "master_seed", json_typed(int)) if "master_seed" in cfg else None
+    seed = _master_seed(args.seed if args.seed is not None else cfg_seed)
     pool_cfg = cfg.get("pool", {"random": 128})
     if not isinstance(pool_cfg, dict):
         raise ValueError(f"{args.config}: 'pool' must be a JSON object, got {json.dumps(pool_cfg)}")
@@ -243,26 +239,27 @@ def cmd_experiment_oblivious(parser, args) -> int:
     pool: list[tuple[int, ...]] = []
     if "file" in pool_cfg:
         pool = _read_input(parser, read_outer_words, pool_cfg["file"], params)
-    elif json_field(pool_cfg, "all", _json_bool, False):
+    elif json_field(pool_cfg, "all", json_typed(bool), False):
         pool = [tuple(X) for X in all_outer_words(params.K, params.n).tolist()]
     else:
-        count = min(json_field(pool_cfg, "random", _at_least(0, int), 128), params.K**params.n)
+        count = min(json_field(pool_cfg, "random", _at_least(0, json_typed(int)), 128), params.K**params.n)
         seen = set()
         while len(seen) < count:
             seen.add(tuple(rng.randrange(1, params.K + 1) for _ in range(params.n)))
         pool = sorted(seen)
-    if json_field(pool_cfg, "structured", _json_bool, True):
+    if json_field(pool_cfg, "structured", json_typed(bool), True):
         for sym in range(1, params.K + 1):
             const = tuple([sym] * params.n)
             if const not in pool:
                 pool.append(const)
     if not pool:
         parser.error("the pool holds no outer words")
-    target_size = json_field(cfg, "target_size", _positive(float)) if "target_size" in cfg else None
+    positive_number = _positive(json_typed(int, float))
+    target_size = json_field(cfg, "target_size", positive_number) if "target_size" in cfg else None
     plan = SamplingPlan.from_params(params, target_size=target_size)
-    use_filter = json_field(cfg, "use_filter", _json_bool, True)
-    f_exact = json_field(cfg, "f_exact", _json_bool, True)
-    f_trials = json_field(cfg, "f_trials", _positive(int), 4000)
+    use_filter = json_field(cfg, "use_filter", json_typed(bool), True)
+    f_exact = json_field(cfg, "f_exact", json_typed(bool), True)
+    f_trials = json_field(cfg, "f_trials", _positive(json_typed(int)), 4000)
     if "pattern_file" in cfg:
         patterns = _read_input(parser, read_patterns, cfg["pattern_file"], params.N)
         if not patterns:
@@ -270,18 +267,18 @@ def cmd_experiment_oblivious(parser, args) -> int:
     else:
         ends = (pool[0], pool[-1])[: len(pool)]  # one reference word per pool end
         refs = [encode_outer(X, params) for X in ends]
-        weight = json_field(cfg, "pattern_weight", _at_least(0, int), params.N // 2)
+        weight = json_field(cfg, "pattern_weight", _at_least(0, json_typed(int)), params.N // 2)
         if weight > params.N:
             raise ValueError(f"'pattern_weight' = {weight}: must be at most N = {params.N}")
         patterns = standard_pattern_family(params, weight, refs, master_seed=seed)
     if "seeds" in cfg:
         seeds = cfg["seeds"]
-        if not isinstance(seeds, list) or not all(isinstance(s, int) for s in seeds):
+        if not isinstance(seeds, list) or not all(type(s) is int for s in seeds):
             raise ValueError(f"{args.config}: 'seeds' must be a list of integers")
         if not seeds:
             raise ValueError(f"{args.config}: 'seeds' must name at least one seed")
     else:
-        seeds = list(range(json_field(cfg, "seed_count", _positive(int), 10)))
+        seeds = list(range(json_field(cfg, "seed_count", _positive(json_typed(int)), 10)))
     report = oblivious_experiment(
         params,
         pool,
@@ -501,6 +498,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    out = getattr(args, "out", None)  # every command that writes takes --out
+    folder = os.path.dirname(out or "") or "."
+    if out is not None and (not out or os.path.isdir(out) or not os.path.isdir(folder)):
+        parser.error(f"--out {out!r} names no file in an existing directory")
     try:
         return args.run(parser, args)
     except (ParamsError, NotExecutableError, ValueError) as exc:

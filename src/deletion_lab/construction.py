@@ -28,6 +28,7 @@ from .words import (
 
 OuterWord = tuple[int, ...]
 FractionLike = Union[Fraction, float, int, str]
+MAX_INNER_LENGTH = 1 << 20  # the largest inner block length L that toy_params accepts
 
 
 class ParamsError(ValueError):
@@ -92,13 +93,9 @@ class CodeParams:
         return tuple(Word((bytes(w) + bytes([1]) * w) * (self.L // (2 * w))) for w in widths)
 
 
-def smallest_lambda(p: FractionLike, relaxed: bool = False) -> int:
-    """Smallest integer lam with (1+p)/2 < 1 - 2^-lam (strict rule).
-
-    The relaxed rule only needs p < 1 - 2^-lam, which admits lam=1 for p<1/2.
-    """
-    p = as_fraction(p)
-    target = p if relaxed else (1 + p) / 2
+def smallest_lambda(p: FractionLike) -> int:
+    """Smallest integer lam with (1+p)/2 < 1 - 2^-lam."""
+    target = (1 + as_fraction(p)) / 2
     lam = 1
     while not (target < 1 - Fraction(1, 2**lam)):
         lam += 1
@@ -145,7 +142,6 @@ def toy_params(
     lam: int,
     delta: FractionLike,
     n: int,
-    max_length: int = 1 << 20,
 ) -> CodeParams:
     """Small-scale parameters with the structural invariants enforced."""
     if K < 2:
@@ -166,8 +162,8 @@ def toy_params(
             "pick a conforming delta instead of relying on silent adjustment"
         )
     L = 2 * R**K
-    if L > max_length:
-        raise ParamsError(f"L = 2*R^K = {L} exceeds the configured limit {max_length}")
+    if L > MAX_INNER_LENGTH:
+        raise ParamsError(f"L = 2*R^K = {L} exceeds the configured limit {MAX_INNER_LENGTH}")
     # log2 fields are floors; exact whenever the value is a power of two
     return CodeParams(
         mode="toy",
@@ -431,13 +427,13 @@ def params_from_json(obj: dict) -> CodeParams:
     if missing:
         raise ParamsError(f"{mode} parameters lack key(s): {', '.join(missing)}")
     if mode == "paper":
-        return derive_params(json_field(obj, "p", Fraction), json_field(obj, "n", int))
+        return derive_params(json_field(obj, "p", as_fraction), json_field(obj, "n", json_typed(int)))
     return toy_params(
-        K=json_field(obj, "K", int),
-        R=json_field(obj, "R", int),
-        lam=json_field(obj, "lambda", int, obj.get("lam", 1)),
-        delta=json_field(obj, "delta", lambda v: Fraction(str(v))),
-        n=json_field(obj, "n", int),
+        K=json_field(obj, "K", json_typed(int)),
+        R=json_field(obj, "R", json_typed(int)),
+        lam=json_field(obj, "lambda", json_typed(int), 1),
+        delta=json_field(obj, "delta", as_fraction),
+        n=json_field(obj, "n", json_typed(int)),
     )
 
 
@@ -446,8 +442,19 @@ def json_field(obj: dict, key: str, convert, default=None):
     value = obj.get(key, default)
     try:
         return convert(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ArithmeticError) as exc:
         raise ParamsError(f"{key!r} = {value!r}: {exc}") from None
+
+
+def json_typed(*types: type):
+    """A ``json_field`` converter taking only values of exactly ``types``; ``true`` is no ``int``."""
+
+    def convert(value):
+        if type(value) not in types:
+            raise TypeError(f"must be a JSON {' or '.join(t.__name__ for t in types)}")
+        return value
+
+    return convert
 
 
 def read_outer_words(path, params: CodeParams) -> list[OuterWord]:

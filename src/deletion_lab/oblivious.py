@@ -80,7 +80,6 @@ def estimate_f(
     exact: bool = True,
     trials: int = 4000,
     master_seed: int = 0,
-    zlen: int | None = None,
 ) -> list[FEstimate]:
     """Pr over uniform Z of length delta*n that Z is matchable in Y, one estimate per host Y, in order.
 
@@ -91,7 +90,7 @@ def estimate_f(
     walk, and reports a 95% half-width alongside each estimate.
     """
     K = params.K
-    m = params.delta_n if zlen is None else zlen
+    m = params.delta_n
     cfg = MatchConfig.paper(params.lam, params.R, worst_sets(m, params.lam))
     hosts = [tuple(Y) for Y in Ys]
     if exact:

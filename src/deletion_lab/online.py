@@ -9,7 +9,6 @@ bit-identical outputs.
 
 from __future__ import annotations
 
-import random
 import warnings
 from bisect import bisect_left
 from collections import Counter
@@ -21,7 +20,7 @@ from typing import Callable, Sequence
 
 from . import rng as rngmod
 from . import words as wordsmod
-from .construction import FractionLike, as_fraction
+from .construction import as_fraction
 from .oblivious import unique_decode
 from .reporting import ExperimentReport
 from .words import Word, as_word, lcs, lcs_length
@@ -229,11 +228,8 @@ class IdentityAdversary(OnlineAdversary):
 class NonCausalProbeAdversary(OnlineAdversary):
     """Planted causality violation: peeks one bit ahead."""
 
-    def __init__(self, budget_fraction: FractionLike = Fraction(1, 2)):
-        self.budget_fraction = as_fraction(budget_fraction)
-
     def begin(self, n, rng):
-        return {"dels": 0, "budget": int(self.budget_fraction * n)}
+        return {"dels": 0, "budget": n // 2}
 
     def decisions(self, state, x):
         plan = []
@@ -413,7 +409,6 @@ def simulate_online(
     decoder: Decoder,
     trials: int,
     master_seed: int = 0,
-    adversary_factory: Callable[[int | None, int | None], OnlineAdversary] | None = None,
     force_strategy: int | None = None,
     force_bit: int | None = None,
     version: str = "0",
@@ -424,22 +419,14 @@ def simulate_online(
     with the same strategy/bit draw, produces a bit-identical output; half
     the confusion mass lower-bounds any decoder's error on these trials.
 
-    Each (strategy, bit) pair drawn gets one adversary, and every codeword
-    goes through it in one ``transmit`` call, each starting from the same
-    channel rng; a trial reads its codeword's row of that output table.  So
-    the adversaries ``adversary_factory`` returns must depend only on
-    (strategy, bit), and keep what one transmission changes in the state
-    ``begin`` returns.  The wait-push adversary decides each transmission
-    in one pass over the word, from the pairing table this call builds once.
+    Each (strategy, bit) pair drawn gets one wait-push adversary with that
+    coin, and every codeword goes through it in one ``transmit`` call; a
+    trial reads its codeword's row of that output table.  The adversary
+    decides each transmission in one pass over the word, from the pairing
+    table this call builds once.
     """
     words = [as_word(c) for c in C]
     table = build_pairs(words, cfg)
-
-    def factory(strategy, bit) -> OnlineAdversary:
-        if adversary_factory is not None:
-            return adversary_factory(strategy, bit)
-        return WaitPushAdversary(table, strategy, bit)
-
     report = ExperimentReport(
         kind="online",
         columns=(
@@ -470,21 +457,17 @@ def simulate_online(
         draw_rng = rngmod.py_rng(master_seed, "online-draw", trial)
         strategy, bit = draw_coin(draw_rng, force_strategy, force_bit)
         if (strategy, bit) not in tables:
-            adversary = factory(strategy, bit)
-            channel = random.Random(rngmod.substream_seed(master_seed, f"online-channel:{strategy}:{bit}"))
-            start = channel.getstate()
-            results = []
-            for y in words:
-                channel.setstate(start)
-                results.append(transmit(y, adversary, channel))
+            adversary = WaitPushAdversary(table, strategy, bit)
+            # the coin is forced, so the adversary draws nothing from a channel rng
+            results = [transmit(y, adversary, None) for y in words]
             tables[strategy, bit] = results, Counter(r.output.bits for r in results)
         results, outputs = tables[strategy, bit]
         result = results[idx]
         report.add(
             trial,
             idx,
-            result.strategy if result.strategy is not None else strategy,
-            result.bit if result.bit is not None else bit,
+            strategy,
+            bit,
             result.deletions,
             len(result.output),
             int(decoder(result.output) == words[idx]),

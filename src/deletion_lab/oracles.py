@@ -498,6 +498,9 @@ def verify_matching_decay(
     1/delta host symbols.
     """
     est = matchability_estimates(K, R, lam, delta, ns, trials, master_seed)
+    zero = [n for n in ns if est[n] == 0]
+    if zero:  # log2 of a zero estimate has no value, so the fit cannot take it
+        raise ValueError(f"matching-decay: the estimate at n = {zero[0]} is 0 after {trials} trials")
     fit = fit_log_decay(est)
     report = OracleReport(name="matching-decay", mode=f"trials={trials}")
     report.instances = len(ns)

@@ -378,7 +378,5 @@ def read_codebook(path) -> list[Word]:
     return words
 
 
-def write_codebook(path, words: Iterable[WordLike], header: str | None = None) -> None:
-    lines = [f"# {line}" for line in (header or "").splitlines()]
-    lines += [Word(w).to01() for w in words]
-    atomic_write_text(path, "".join(line + "\n" for line in lines))
+def write_codebook(path, words: Iterable[WordLike]) -> None:
+    atomic_write_text(path, "".join(Word(w).to01() + "\n" for w in words))

@@ -412,6 +412,18 @@ def test_experiment_config_of_the_wrong_json_type_is_usage_error(extra, key, tmp
     pytest.param({"pool": {"random": -4}}, "'random'", id="negative-random"),
     pytest.param({"pattern_weight": -5}, "'pattern_weight'", id="negative-pattern_weight"),
     pytest.param({"pattern_weight": 129}, "'pattern_weight'", id="pattern_weight-past-N"),  # N = 128
+    # integer keys take JSON integers only, and target_size a JSON number
+    pytest.param({"params": {"mode": "toy", "K": 2, "R": 4, "delta": "1/2", "n": 4.9}}, "'n'",
+                 id="float-n"),
+    pytest.param({"params": {"mode": "toy", "K": True, "R": 4, "delta": "1/2", "n": 4}}, "'K'",
+                 id="boolean-K"),
+    pytest.param({"pool": {"random": 3.9}}, "'random'", id="float-random"),
+    pytest.param({"pattern_weight": 2.5}, "'pattern_weight'", id="float-pattern_weight"),
+    pytest.param({"seeds": [True]}, "'seeds'", id="boolean-seed"),
+    pytest.param({"master_seed": "abc"}, "'master_seed'", id="string-master_seed"),
+    pytest.param({"target_size": "8"}, "'target_size'", id="numeric-string-target_size"),
+    pytest.param({"params": {"mode": "toy", "K": 2, "R": 4, "delta": "1/0", "n": 4}}, "'delta'",
+                 id="zero-denominator-delta"),
 ])
 def test_experiment_config_bad_value_is_usage_error(extra, key, tmp_path, capsys):
     # flags must be JSON booleans, and counts and sizes positive
@@ -561,3 +573,48 @@ def test_uniform_family_takes_weight_and_seed(tmp_path, capsys):
         main(argv[:-2])
     assert err.value.code == 2
     assert "--weight required" in capsys.readouterr().err
+
+
+def test_paper_config_reads_p_as_its_decimal(tmp_path, capsys):
+    cfg = tmp_path / "params.json"
+    cfg.write_text(json.dumps({"mode": "paper", "p": 0.3, "n": 10}))
+    code, out, _ = run_cli(["params", "--config", str(cfg)], capsys)
+    assert code == 0
+    assert json.loads(out)["p"] == "3/10"  # as --p 0.3 gives, not the binary float
+
+
+WRITERS = {
+    "encode": lambda d: ["encode", "--toy", "--K", "2", "--R", "2", "--lambda", "1", "--delta", "0.5",
+                         "--n", "4", "--in", str(d / "outer.txt")],
+    "corrupt": lambda d: ["corrupt", "--in", str(d / "book.txt"), "--pattern", "1"],
+    "decode": lambda d: ["decode", "--codebook", str(d / "book.txt"), "--in", str(d / "book.txt")],
+    "oblivious": lambda d: _oblivious_config(d, pool={"random": 4}),  # the last --out given counts
+    "online": lambda d: ["experiment", "online", "--code", str(d / "book.txt"), "--p", "1/2",
+                         "--p0-adv", "2/5", "--trials", "3", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("out", ["", "nodir/x.txt", "adir"], ids=["empty", "no-directory", "directory"])
+@pytest.mark.parametrize("command", list(WRITERS))
+def test_unwritable_out_is_a_usage_error_before_any_work(command, out, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "book.txt").write_text("0011\n1100\n")
+    (tmp_path / "outer.txt").write_text("1,2,1,2\n")
+    (tmp_path / "adir").mkdir()
+    argv = WRITERS[command](tmp_path) + ["--out", out]
+    before = sorted(tmp_path.rglob("*"))
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert f"--out {out!r}" in captured.err and captured.out == ""
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_matching_decay_with_a_zero_estimate_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "matching-decay", "--samples", "1", "--seed", "1"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert "matching-decay: the estimate at n = 8 is 0 after 1 trials" in captured.err
+    assert captured.out == ""

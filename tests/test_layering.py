@@ -5,7 +5,8 @@
 Each module may import only modules to its left (``online`` uses
 ``oblivious``'s decoder, never the reverse).  ``rng`` and ``reporting`` are
 leaves: they import nothing from the package and anyone may import them.
-Only ``cli`` imports ``oracles``.
+Only ``cli`` imports ``oracles``.  The package also keeps no option that
+nothing sets: every parameter with a default is passed somewhere.
 """
 
 import ast
@@ -122,3 +123,87 @@ def test_package_exports_only_names_the_readme_documents():
     assert sorted(set(deletion_lab.__all__) - documented) == []
     exported = [getattr(deletion_lab, name) for name in deletion_lab.__all__]
     assert [obj for obj in exported if isinstance(obj, ModuleType)] == []
+
+
+def defaulted_parameters(tree: ast.Module) -> dict[tuple[str, str], int | None]:
+    """``{(callee, parameter): position}`` for every parameter with a default.
+
+    A class's ``__init__`` is called by the class name.  Inside a class the
+    first parameter (``self`` or ``cls``) is bound, so positions count from the
+    one after it; a keyword-only parameter has no position.
+    """
+    found = {}
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                bound = owner is not None and not any(
+                    getattr(d, "id", None) == "staticmethod" for d in child.decorator_list)
+                callee = owner if child.name == "__init__" else child.name
+                first = len(positional) - len(args.defaults)
+                for k, arg in enumerate(positional[first:], start=first):
+                    found[callee, arg.arg] = k - bound
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        found[callee, arg.arg] = None
+                visit(child, None)
+            else:
+                visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
+def parameters_set_by_calls(tree: ast.Module, defaults: dict) -> set[tuple[str, str]]:
+    """The ``(callee, parameter)`` pairs of ``defaults`` that some call in ``tree`` passes."""
+    passed = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        starred = any(isinstance(a, ast.Starred) for a in node.args)
+        keywords = {kw.arg for kw in node.keywords}
+        for (name, param), position in defaults.items():
+            if name != callee:
+                continue
+            if (param in keywords or None in keywords
+                    or position is not None and (starred or position < len(node.args))):
+                passed.add((name, param))
+    return passed
+
+
+def test_every_defaulted_parameter_is_set_somewhere():
+    # a parameter with a default that no product code and no acceptance
+    # criterion sets is an option with one value in use: a constant
+    trees = [ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))]
+    acceptance = Path(__file__).resolve().parent / "test_acceptance.py"
+    defaults = {}
+    for tree in trees:
+        defaults.update(defaulted_parameters(tree))
+    passed = set()
+    for tree in trees + [ast.parse(acceptance.read_text(), str(acceptance))]:
+        passed |= parameters_set_by_calls(tree, defaults)
+    unset = set(defaults) - passed - {("main", "argv")}  # the argv of ``cli.main`` is for callers
+    assert sorted(unset) == []
+
+
+def test_parameter_scan_sees_every_form():
+    tree = ast.parse(
+        "class A:\n"
+        "    def __init__(self, x, y=1, *, z=2): ...\n"
+        "    def m(self, u=3): ...\n"
+        "    @staticmethod\n"
+        "    def s(v=4): ...\n"
+        "def f(a, b=5, c=6):\n"
+        "    def inner(d=7): ...\n"
+        "A(0, z=1); obj.m(1); f(0, *rest); inner(**kw)\n"
+    )
+    defaults = defaulted_parameters(tree)
+    assert defaults == {("A", "y"): 1, ("A", "z"): None, ("m", "u"): 0, ("s", "v"): 0,
+                        ("f", "b"): 1, ("f", "c"): 2, ("inner", "d"): 0}
+    assert parameters_set_by_calls(tree, defaults) == {
+        ("A", "z"), ("m", "u"), ("f", "b"), ("f", "c"), ("inner", "d")}

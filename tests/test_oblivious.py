@@ -40,19 +40,19 @@ from helpers import sampled_positive_indegree, write_patterns
 
 def test_estimate_f_exact_examples():
     # R = 64 so the B-cap is 8: failures genuinely occur for all-max hosts
-    params = toy_params(3, 64, 1, Fraction(1, 2), 12)
-    ones = estimate_f([(1,) * 12], params, exact=True, zlen=3)[0]
-    maxs = estimate_f([(3,) * 12], params, exact=True, zlen=3)[0]
+    params = toy_params(3, 64, 1, Fraction(1, 2), 4)  # Z has delta n = 2 symbols
+    ones = estimate_f([(1,) * 4], params, exact=True)[0]
+    maxs = estimate_f([(3,) * 4], params, exact=True)[0]
     assert ones.value == 1
-    assert maxs.value == Fraction(5, 9)
+    assert maxs.value == Fraction(1, 3)
     assert maxs.value < ones.value
     assert 0 <= maxs.value <= 1
 
 
 def test_estimate_f_mc_tracks_exact():
-    params = toy_params(3, 64, 1, Fraction(1, 2), 12)
-    mc = estimate_f([(3,) * 12], params, exact=False, trials=4000, master_seed=1, zlen=3)[0]
-    assert abs(float(mc.value) - 5 / 9) < 3 * mc.half_width + 0.01
+    params = toy_params(3, 64, 1, Fraction(1, 2), 4)
+    mc = estimate_f([(3,) * 4], params, exact=False, trials=4000, master_seed=1)[0]
+    assert abs(float(mc.value) - 1 / 3) < 3 * mc.half_width + 0.01
     assert mc.trials == 4000 and not mc.exact
 
 

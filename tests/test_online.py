@@ -191,17 +191,6 @@ def test_simulate_confusion_mass_and_decoders():
     )
 
 
-def test_simulate_identity_adversary_no_errors():
-    code = paired_toy_code()
-    exact = lambda w: w if w in code else None
-    rep = simulate_online(
-        code, CFG, exact, trials=60, master_seed=1,
-        adversary_factory=lambda s, b: IdentityAdversary(),
-    )
-    assert rep.summary()["decoded_ok_mean"] == 1.0
-    assert rep.summary()["confused_mean"] == 0.0
-
-
 def test_causality_checks():
     table = build_pairs(paired_toy_code(), CFG)
     ok = causality_check(lambda: WaitPushAdversary(table), 16, trials=300)
@@ -291,27 +280,6 @@ def test_pair_keep_for_rejects_stranger():
         pair.keep_for(Word("0" * 16))
 
 
-class KeepOneRandomBit(OnlineAdversary):
-    """Deletes all but one bit, at a position drawn in begin()."""
-
-    def begin(self, n, rng):
-        return {"keep": rng.randrange(n)}
-
-    def decisions(self, state, x):
-        return [i != state["keep"] for i in range(len(x))]
-
-
-def test_confusion_check_gives_every_codeword_the_same_channel_randomness():
-    # complementary codewords differ at every position, so under one shared
-    # draw of the kept position their outputs never coincide
-    code = [Word("0101010101"), Word("1010101010")]
-    rep = simulate_online(
-        code, CFG, make_unique_decoder(code), trials=50, master_seed=5,
-        adversary_factory=lambda s, b: KeepOneRandomBit(),
-    )
-    assert rep.summary()["confused_mean"] == 0.0
-
-
 def with_up_to_two_deletions(code):
     """Every codeword with up to two bits deleted: many outputs recur."""
     return [Word(bytes(b for i, b in enumerate(c.bits) if i not in dead))
@@ -346,33 +314,6 @@ def test_first_superstring_decoder_memo_decodes_each_output_once(monkeypatch):
     assert None in answers and set(code) <= set(answers)  # both failures and hits occur
     assert len(probes) == len(set(probes))  # no output is tested against a codeword twice
     assert {s for s, _ in probes} == {s.bits for s in received}
-
-
-class FirstDrawRecorder(OnlineAdversary):
-    """Transmits everything and records the first draw of each begin() rng."""
-
-    def __init__(self, draws):
-        self.draws = draws
-
-    def begin(self, n, rng):
-        self.draws.append(rng.random())
-        return {}
-
-    def decisions(self, state, x):
-        return [False] * len(x)
-
-
-def test_every_transmission_of_a_table_starts_from_the_channel_seed():
-    code = paired_toy_code()
-    draws: dict[tuple[int, int], list[float]] = {}
-    simulate_online(
-        code, CFG, make_unique_decoder(code), trials=40, master_seed=17,
-        adversary_factory=lambda s, b: FirstDrawRecorder(draws.setdefault((s, b), [])),
-    )
-    assert len(draws) == 4  # every (strategy, bit) table was built
-    for (s, b), seen in draws.items():
-        expected = rngmod.py_rng(17, f"online-channel:{s}:{b}").random()
-        assert seen == [expected] * len(code)
 
 
 def test_simulate_online_transmits_each_codeword_once_per_draw(monkeypatch):

@@ -185,7 +185,9 @@ def test_enumerate_patterns():
 def test_codebook_roundtrip(tmp_path):
     path = tmp_path / "code.txt"
     words = [Word("0101"), Word("1100")]
-    write_codebook(path, words, header="two words")
+    write_codebook(path, words)
+    assert read_codebook(path) == words
+    path.write_text("# two words\n0101\n# and a comment\n1100\n")
     assert read_codebook(path) == words
     path.write_text("# comment\n0101\n110\n")
     with pytest.raises(ValueError):

@@ -191,6 +191,11 @@ def cmd_decode(parser, args) -> int:
     return 0
 
 
+def _summary_path(out: str) -> Path:
+    """Where an experiment writes its summary JSON: beside its CSV ``out``."""
+    return Path(out).with_suffix(".summary.json")
+
+
 def _master_seed(seed: int | None) -> int:
     """``seed``, or one drawn from entropy and echoed on stderr when it is None."""
     if seed is not None:
@@ -254,8 +259,9 @@ def cmd_experiment_oblivious(parser, args) -> int:
                 pool.append(const)
     if not pool:
         parser.error("the pool holds no outer words")
-    positive_number = _positive(json_typed(int, float))
-    target_size = json_field(cfg, "target_size", positive_number) if "target_size" in cfg else None
+    # as a float here, so a number too large for one is a usage error naming the key
+    positive_float = _positive(lambda value: float(json_typed(int, float)(value)))
+    target_size = json_field(cfg, "target_size", positive_float) if "target_size" in cfg else None
     plan = SamplingPlan.from_params(params, target_size=target_size)
     use_filter = json_field(cfg, "use_filter", json_typed(bool), True)
     f_exact = json_field(cfg, "f_exact", json_typed(bool), True)
@@ -291,8 +297,7 @@ def cmd_experiment_oblivious(parser, args) -> int:
         f_trials=f_trials,
         version=__version__,
     )
-    out = Path(args.out)
-    report.write(out, out.with_suffix(".summary.json"))
+    report.write(args.out, _summary_path(args.out))
     print(json.dumps(_render(report.summary()), indent=2, sort_keys=True))
     return 0
 
@@ -313,8 +318,7 @@ def cmd_experiment_online(parser, args) -> int:
     report = simulate_online(
         code, cfg, decoder, trials=args.trials, master_seed=seed, version=__version__
     )
-    out = Path(args.out)
-    report.write(out, out.with_suffix(".summary.json"))
+    report.write(args.out, _summary_path(args.out))
     print(json.dumps(_render(report.summary()), indent=2, sort_keys=True))
     return 0
 
@@ -502,6 +506,8 @@ def main(argv=None) -> int:
     folder = os.path.dirname(out or "") or "."
     if out is not None and (not out or os.path.isdir(out) or not os.path.isdir(folder)):
         parser.error(f"--out {out!r} names no file in an existing directory")
+    if out is not None and args.command == "experiment" and os.path.isdir(summary := _summary_path(out)):
+        parser.error(f"--out {out!r}: its summary {str(summary)!r} is a directory")
     try:
         return args.run(parser, args)
     except (ParamsError, NotExecutableError, ValueError) as exc:

@@ -29,6 +29,7 @@ from .words import (
 OuterWord = tuple[int, ...]
 FractionLike = Union[Fraction, float, int, str]
 MAX_INNER_LENGTH = 1 << 20  # the largest inner block length L that toy_params accepts
+MAX_LOG2_K = 1 << 27  # the largest log2 K that derive_params accepts; log2 L has about 2^log2_K bits
 
 
 class ParamsError(ValueError):
@@ -52,10 +53,10 @@ class CodeParams:
     p: Fraction | None
     lam: int
     delta: Fraction
-    K: int
-    R: int
+    K: int | None  # None, as R and L, when not materializable (paper mode)
+    R: int | None
     n: int
-    L: int | None  # None when not materializable (paper mode)
+    L: int | None
     log2_K: int
     log2_R: int
     log2_L: int
@@ -114,22 +115,20 @@ def derive_params(p: FractionLike, n: int) -> CodeParams:
     if delta <= 0:
         raise ParamsError(f"lambda = {lam} leaves delta = {delta} <= 0 for p = {p}")
     log2_K = math.ceil(Fraction(2 ** (lam + 5)) / delta)
-    K = 2**log2_K
+    if log2_K > MAX_LOG2_K:
+        raise ParamsError(f"p = {p} needs log2 K = {log2_K}, past the limit {MAX_LOG2_K}")
+    # K = 2^log2_K, R = 4 K^4 and L = 2 R^K are never built: log2 K > 128 for every p
     log2_R = 2 + 4 * log2_K
-    R = 4 * K**4
-    log2_L = 1 + K * log2_R
-    # paper-mode L is double-exponential; only materialize in the (unreachable
-    # in practice) case that log2 L <= 43
-    L = 2 * R**K if log2_L <= 43 else None
+    log2_L = 1 + (log2_R << log2_K)
     return CodeParams(
         mode="paper",
         p=p,
         lam=lam,
         delta=delta,
-        K=K,
-        R=R,
+        K=None,
+        R=None,
         n=n,
-        L=L,
+        L=None,
         log2_K=log2_K,
         log2_R=log2_R,
         log2_L=log2_L,
@@ -208,37 +207,19 @@ def encode_outer(X: Sequence[int], params: CodeParams) -> Word:
     return concatenate(words[s - 1] for s in X)
 
 
-def weight_within_bound(weight: int, L: int, exp2: int, R: int) -> bool:
-    """weight <= L*(1 - 2^-exp2 - 1/sqrt(R)), decided in exact arithmetic.
-
-    Comparisons against the irrational 1/sqrt(R) are done in squared integer
-    form, so the predicate is exact for every even R.
-    """
-    scale = 2**exp2
-    margin = L * (scale - 1) - scale * weight
-    if margin < 0:
-        return False
-    return (scale * L) ** 2 <= margin * margin * R
-
-
-def weight_admissible(weight: int, ell: int, params: CodeParams) -> bool:
-    """Would an inner pattern of this weight be ell-admissible?"""
-    params.require_executable()
-    return weight_within_bound(weight, params.L, ell + 1, params.R)
-
-
 def admissible_weight_cap(params: CodeParams, ell: int) -> int:
-    """Largest weight an ell-admissible inner pattern may have (-1 if none)."""
-    if not weight_admissible(0, ell, params):
-        return -1
-    lo, hi = 0, params.L
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if weight_admissible(mid, ell, params):
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    """Largest weight w <= L(1 - 2^-(ell+1) - 1/sqrt(R)) of an ell-admissible inner pattern (-1 if none).
+
+    With s = 2^(ell+1) the bound reads s w <= L(s-1) - sL/sqrt(R), and since
+    s w is an integer it may take the ceiling m of sL/sqrt(R): the smallest
+    integer with m^2 R >= (sL)^2, found exactly with ``math.isqrt``.
+    """
+    params.require_executable()
+    s, L = 1 << (ell + 1), params.L
+    q = -(-(s * L) ** 2 // params.R)  # ceil((sL)^2 / R)
+    m = math.isqrt(q)
+    m += m * m < q
+    return max((L * (s - 1) - m) // s, -1)
 
 
 def preserves(sigma: DeletionPattern, i: int, params: CodeParams) -> bool:
@@ -274,18 +255,6 @@ def corruption_sets(params: CodeParams, keep: np.ndarray) -> list[frozenset[int]
     """The padded corruption set of each inner pattern in the stack of keep masks ``keep``."""
     return [pad_corruption_set({i for i, bad in enumerate(row, start=1) if bad}, params)
             for row in corrupted_flags(params, keep).tolist()]
-
-
-def is_admissible(sigma: DeletionPattern, ell: int, params: CodeParams) -> bool:
-    """ell-admissible: at most L*(1 - 2^-(ell+1) - 1/sqrt(R)) deletions."""
-    params.require_executable()
-    if sigma.word_length != params.L:
-        raise ParamsError(
-            f"inner pattern length {sigma.word_length} != L = {params.L}"
-        )
-    if ell < 0:
-        raise ParamsError("admissibility level must be nonnegative")
-    return weight_admissible(sigma.weight, ell, params)
 
 
 def pad_corruption_set(corrupted: set[int], params: CodeParams) -> frozenset[int]:
@@ -371,8 +340,9 @@ def rate_info(params: CodeParams) -> dict:
 
     Exact fractions when K is a power of two and L is materialized; otherwise
     log2 values (floats for the small parts, exact ints where integral).
+    Paper-mode K is not materialized; it is the power of two 2^log2_K.
     """
-    power_of_two = params.K & (params.K - 1) == 0
+    power_of_two = params.K is None or params.K & (params.K - 1) == 0
     if params.executable and power_of_two:
         beta = Fraction(params.log2_K, 16 * params.R)
         gamma = beta / 4
@@ -403,8 +373,8 @@ def params_to_json(params: CodeParams) -> dict:
     out = {
         "mode": params.mode,
         "n": params.n,
-        "K": params.K if params.K.bit_length() <= 64 else None,
-        "R": params.R if params.R.bit_length() <= 64 else None,
+        "K": params.K,
+        "R": params.R,
         "lambda": params.lam,
         "delta": str(params.delta),
         "log2_K": json_int(params.log2_K),

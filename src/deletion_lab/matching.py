@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -265,42 +264,6 @@ def count_matchable(Y: Sequence[int], cfg: MatchConfig, K: int) -> int:
         if len(targets):
             counts[targets] = np.add.reduceat(flows, starts)
     return int(counts.sum()) * K
-
-
-def remap_bijection(A: frozenset[int], lam: int, K: int) -> dict[int, int]:
-    """The involution h_A: swap A \\ [lam-1] with [lam-1] \\ A, ascending pairs.
-
-    h maps A into [lam-1] and never decreases symbols outside A.
-    """
-    if len(A) != lam - 1:
-        raise ValueError(f"|A| = {len(A)} != lambda-1 = {lam - 1}")
-    if A and (min(A) < 1 or max(A) > K):
-        raise ValueError("set elements outside [K]")
-    base = set(range(1, lam))
-    uppers = sorted(A - base)
-    lowers = sorted(base - A)
-    h: dict[int, int] = {}
-    for x, y in zip(uppers, lowers):
-        h[x], h[y] = y, x
-    return h
-
-
-def worst_case_remap(X: Sequence[int], sets: Sequence[frozenset[int]], K: int) -> tuple[int, ...]:
-    """Coordinatewise h_{S_i}(X_i); bijective on [K]^|X|."""
-    if len(sets) != len(X):
-        raise ValueError("need one set per coordinate")
-    return tuple(h.get(x, x) for x, h in zip(X, _coordinate_remaps(tuple(map(frozenset, sets)), K)))
-
-
-@lru_cache(maxsize=256)
-def _coordinate_remaps(sets: Sets, K: int) -> tuple[dict[int, int], ...]:
-    """h_{S_i} for each coordinate, built once per (sets, K); callers only read them."""
-    sizes = {len(S) for S in sets}
-    if len(sizes) != 1:
-        raise ValueError("all sets must share size lambda-1")
-    lam = sizes.pop() + 1
-    hs = {S: remap_bijection(S, lam, K) for S in set(sets)}
-    return tuple(hs[S] for S in sets)
 
 
 def all_outer_words(K: int, m: int) -> np.ndarray:

@@ -30,25 +30,18 @@ class SamplingPlan:
     beta is the matchability exponent log2(K)/(16 R); gamma = beta/4 drives
     the formula code size 2^(gamma n).  Toy scales make the formula size
     degenerate (about one codeword), so the target size may be overridden
-    while keeping the formula exponents.
+    while keeping the formula exponent.
     """
 
     beta: float
-    gamma: float
-    formula_size: float
     target_size: float
 
     @classmethod
     def from_params(cls, params: CodeParams, target_size: float | None = None) -> "SamplingPlan":
         beta = math.log2(params.K) / (16 * params.R)
-        gamma = beta / 4
-        formula = 2.0 ** (gamma * params.n)
-        return cls(
-            beta=beta,
-            gamma=gamma,
-            formula_size=formula,
-            target_size=formula if target_size is None else float(target_size),
-        )
+        if target_size is None:
+            target_size = 2.0 ** (beta / 4 * params.n)
+        return cls(beta=beta, target_size=float(target_size))
 
     def inclusion_prob(self, pool_size: int) -> float:
         if pool_size <= 0:
@@ -57,18 +50,6 @@ class SamplingPlan:
 
     def f_threshold(self, n: int) -> float:
         return 2.0 * 2.0 ** (-self.beta * n)
-
-
-@dataclass(frozen=True)
-class FEstimate:
-    word: OuterWord
-    value: Fraction | float
-    trials: int | str  # trial count, or "exact"
-    half_width: float  # 0 for exact mode
-
-    @property
-    def exact(self) -> bool:
-        return self.trials == "exact"
 
 
 WALK_ROWS = 4800  # Monte-Carlo rows matched in one stacked walk, whole hosts at a time
@@ -80,21 +61,21 @@ def estimate_f(
     exact: bool = True,
     trials: int = 4000,
     master_seed: int = 0,
-) -> list[FEstimate]:
-    """Pr over uniform Z of length delta*n that Z is matchable in Y, one estimate per host Y, in order.
+) -> list[Fraction] | list[float]:
+    """Pr over uniform Z of length delta*n that Z is matchable in Y: one value per host Y, in order.
 
     Matching runs with the worst corruption sets [lambda-1] and the caps
     (2^lambda, sqrt(R)).  Exact mode counts the matchable Z of each host with
-    ``count_matchable``.  Monte-Carlo mode draws each host's Z from its own
-    stream, matches several hosts' rows in one stacked ``batch_matchable``
-    walk, and reports a 95% half-width alongside each estimate.
+    ``count_matchable`` and returns Fractions.  Monte-Carlo mode draws each
+    host's Z from its own stream, matches several hosts' rows in one stacked
+    ``batch_matchable`` walk, and returns the fractions of trials matched.
     """
     K = params.K
     m = params.delta_n
     cfg = MatchConfig.paper(params.lam, params.R, worst_sets(m, params.lam))
     hosts = [tuple(Y) for Y in Ys]
     if exact:
-        return [FEstimate(Y, Fraction(count_matchable(Y, cfg, K), K**m), "exact", 0.0) for Y in hosts]
+        return [Fraction(count_matchable(Y, cfg, K), K**m) for Y in hosts]
     if trials < 1:
         raise ValueError(f"trials = {trials}: Monte-Carlo f needs at least one trial")
     group = max(1, WALK_ROWS // trials)
@@ -105,10 +86,7 @@ def estimate_f(
         for Z, Y in zip(Zs, stack):  # each host's draws, as int64 and from its own stream
             Z[:] = rngmod.np_rng(master_seed, "estimate-f", hash(Y) & 0xFFFFFFFF).integers(1, K + 1, Z.shape)
         matched = batch_matchable(Zs.reshape(-1, m), stack, cfg, np.repeat(np.arange(len(stack)), trials))
-        for Y, wins in zip(stack, matched.reshape(len(stack), trials).sum(axis=1).tolist()):
-            p_hat = wins / trials
-            half = 1.96 * math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / trials) + 0.5 / trials
-            estimates.append(FEstimate(Y, p_hat, trials, half))
+        estimates += [wins / trials for wins in matched.reshape(len(stack), trials).sum(axis=1).tolist()]
     return estimates
 
 
@@ -134,12 +112,14 @@ def filter_candidates(
     """Keep the pool members whose disguise probability stays under the plan's
     threshold 2 * 2^(-beta n).
 
-    A Monte-Carlo estimate is classified by its point value.
+    A Monte-Carlo estimate is classified by its point value.  Each host is
+    a tuple, which names its Monte-Carlo stream.
     """
     thr = plan.f_threshold(params.n)
-    estimates = estimate_f(pool, params, exact=exact, trials=trials, master_seed=master_seed)
-    return FilterOutcome([e.word for e in estimates if e.value < thr],
-                         [e.word for e in estimates if not e.value < thr])
+    hosts = [tuple(Y) for Y in pool]
+    values = estimate_f(hosts, params, exact=exact, trials=trials, master_seed=master_seed)
+    return FilterOutcome([Y for Y, f in zip(hosts, values) if f < thr],
+                         [Y for Y, f in zip(hosts, values) if not f < thr])
 
 
 def sample_outer_code(
@@ -236,24 +216,13 @@ def average_case_error(C: Sequence[Word], tau: DeletionPattern) -> Fraction:
 
 @dataclass
 class StochasticCode:
-    """Messages mapped to disjoint codeword groups; encoding picks uniformly."""
+    """Messages mapped to disjoint codeword groups, one group per message."""
 
     groups: tuple[tuple[Word, ...], ...]
 
     @property
     def codewords(self) -> list[Word]:
         return [c for g in self.groups for c in g]
-
-    @property
-    def messages(self) -> int:
-        return len(self.groups)
-
-    def encode(self, message: int, rng) -> Word:
-        return rng.choice(self.groups[message])
-
-    def decode(self, s: Word) -> int | None:
-        hit = unique_decode(s, self.codewords)  # a codeword, so a member of one group
-        return None if hit is None else next(m for m, group in enumerate(self.groups) if hit in group)
 
 
 def make_stochastic(C: Sequence[Word], group_size: int, rng) -> StochasticCode:

@@ -101,8 +101,8 @@ def _profile(bits: bytes, ell: int) -> WaitProfile:
 class ConfusablePair:
     """Two codewords with a shared wait profile and a long common suffix part.
 
-    ``pushed`` is the common channel output b^r ++ s_star; the keep sets are
-    absolute 0-based positions realizing s_star inside each suffix.
+    Both are pushed onto the common channel output b^r ++ s_star; the keep
+    sets are absolute 0-based positions realizing s_star inside each suffix.
     """
 
     x: Word
@@ -111,10 +111,6 @@ class ConfusablePair:
     s_star: Word
     x_keep: frozenset[int]
     y_keep: frozenset[int]
-
-    @property
-    def pushed(self) -> Word:
-        return Word(bytes([self.profile.b]) * self.profile.r_majority) + self.s_star
 
     def keep_for(self, w: Word) -> frozenset[int]:
         if w == self.x:
@@ -288,25 +284,15 @@ class WaitPushAdversary(OnlineAdversary):
         strategy, bit = draw_coin(rng, self.force_strategy, self.force_bit)
         if n not in self._budgets:
             self._budgets[n] = self.table.cfg.budget(n)
-        return {
-            "strategy": strategy,
-            "bit": bit,
-            "budget": self._budgets[n],
-            "dels": 0,
-            # a degenerate code has wait length 0 and nothing to push toward
-            "phase": "wait" if len(self.table.keys) >= 2 else "push",
-            "keep": None,  # push-phase keep set; None = transmit everything
-            "paired": False,
-        }
+        return {"strategy": strategy, "bit": bit, "budget": self._budgets[n], "paired": False}
 
     def decisions(self, state, x):
         bits, budget = x.bits, state["budget"]
         n = len(bits)
         if state["strategy"] == 2:
             cut = max(n - budget, 0)
-            state["dels"] = n - cut
             return [False] * cut + [True] * (n - cut)
-        if state["phase"] == "push":
+        if len(self.table.keys) < 2:  # a degenerate code has wait length 0 and nothing to push toward
             return [False] * n
         keys, other = self.table.keys, 1 - state["bit"]
         k = bisect_left(keys, bits)
@@ -322,18 +308,14 @@ class WaitPushAdversary(OnlineAdversary):
         t = min(shared + 1, prof.wait_len)
         plan = [b == other for b in bits[:t]] + [False] * (n - t)
         if t <= n and bits.count(other, 0, t - 1) < budget:  # the budget lasts until bit t - 1
-            state["phase"] = "push"
             pair = self.table.partner_of(believed) if shared >= t else None
             if pair is not None and prof.b == state["bit"]:
-                keep = state["keep"] = pair.keep_for(believed)
+                keep = pair.keep_for(believed)
                 state["paired"] = True
                 plan[t:] = [i not in keep for i in range(t, n)]
-        dels = plan.count(True)
-        if dels > budget:
+        if plan.count(True) > budget:
             for i in [i for i, d in enumerate(plan) if d][budget:]:
                 plan[i] = False
-            dels = budget
-        state["dels"] = dels
         return plan
 
 
@@ -342,8 +324,6 @@ class TransmitResult:
     output: Word
     deletions: int
     decisions: tuple[bool, ...]
-    strategy: int | None = None
-    bit: int | None = None
     paired: bool = False
 
 
@@ -364,8 +344,6 @@ def transmit(x: Word, adversary: OnlineAdversary, rng) -> TransmitResult:
         output=Word(kept),
         deletions=dels,
         decisions=decisions,
-        strategy=state.get("strategy"),
-        bit=state.get("bit"),
         paired=bool(state.get("paired")),
     )
 

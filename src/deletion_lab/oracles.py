@@ -537,37 +537,6 @@ def geom_expectation(j: int, K: int, cap: int) -> Fraction:
     return (1 - r**cap) / q
 
 
-def geom_mass_expectation(j: int, K: int, cap: int) -> Fraction:
-    """Same expectation by direct probability-mass summation (independent path)."""
-    if not 1 <= j <= K:
-        raise ValueError(f"j = {j} outside [1,{K}]")
-    q = Fraction(j, K)
-    r = 1 - q
-    total = Fraction(0)
-    for z in range(1, cap):
-        total += z * q * r ** (z - 1)
-    total += cap * r ** (cap - 1)
-    return total
-
-
-def geom1_expectation(K: int, R: int, lam: int) -> Fraction:
-    """E[D] where J ~ U([K]); D = 1 on J < lam, else min(Geom(J/K), sqrt(R))."""
-    cap, _ = geom_cap(R)
-    total = Fraction(lam - 1)
-    for j in range(lam, K + 1):
-        total += geom_expectation(j, K, cap)
-    return total / K
-
-
-def geom2_expectation(K: int, R: int, lam: int, lam_prime: int) -> Fraction:
-    """E[D] where J ~ U([lam, lam']); D = min(Geom(J/K), sqrt(R))."""
-    if not lam <= lam_prime <= K:
-        raise ValueError("need lam <= lam' <= K")
-    cap, _ = geom_cap(R)
-    total = sum(geom_expectation(j, K, cap) for j in range(lam, lam_prime + 1))
-    return Fraction(total, lam_prime - lam + 1)
-
-
 def verify_geom_bounds(
     Ks: Sequence[int] = (16, 32, 64),
     lams: Sequence[int] = (1, 2),
@@ -587,7 +556,7 @@ def verify_geom_bounds(
       4((lam-1) D + P[K] - P[lam-1]) >= log2(K) K D.
 
     The prefix sums are cross-checked, term by term, against the Fraction
-    closed form ``geom_expectation`` at the cap ``geom2_expectation`` uses.
+    closed form ``geom_expectation`` at the cap ``geom_cap`` gives.
     The terms are compared by cross-multiplying: adding Fractions whose
     denominators reach 64^8192 spends its time in ``math.gcd``.  A j-check
     witness carries the exact Fraction value.
@@ -636,10 +605,6 @@ def verify_geom_bounds(
 # alternating absorption and the random bit-flip code demo
 
 
-def alternating_word(length: int) -> Word:
-    return Word(bytes(i % 2 for i in range(length)))
-
-
 def alternating_absorption(
     n: int,
     trials: int = 10_000,
@@ -673,11 +638,6 @@ def binary_entropy(p: float) -> float:
     if p in (0, 1):
         return 0.0
     return -p * math.log2(p) - (1 - p) * math.log2(1 - p)
-
-
-def hamming_ball_size(n: int, radius: int) -> int:
-    """Exact number of words within Hamming distance radius of a fixed word."""
-    return sum(math.comb(n, k) for k in range(min(radius, n) + 1))
 
 
 def oblivious_bitflip_demo(

@@ -127,10 +127,6 @@ def _joined_runs(parts: Sequence[Word]) -> tuple[int, ...]:
     return tuple(runs)
 
 
-def run_count(w: WordLike) -> int:
-    return len(as_word(w).runs)
-
-
 @dataclass(frozen=True)
 class DeletionPattern:
     """A fixed set of 1-based positions to delete from words of one length."""
@@ -203,7 +199,7 @@ def apply_pattern(tau: DeletionPattern, w: WordLike) -> Word:
 
 
 def masked_run_count(w: WordLike, keep: np.ndarray):
-    """``run_count`` of the bits of ``w`` where ``keep`` holds, without building that word.
+    """The number of runs of the bits of ``w`` where ``keep`` holds, without building that word.
 
     ``keep`` is one mask over ``w``, giving an int, or a stack of masks
     (rows x len(w)), giving an int array with one count per row.  The kept

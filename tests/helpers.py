@@ -1,10 +1,19 @@
-"""Writers and samplers that only the tests use; the package reads these files but never writes them."""
+"""Writers, samplers and reference implementations that only the tests use.
 
+The package reads the files these write but never writes them, and the
+references are the slow, independent paths its fast code is compared with.
+"""
+
+from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
+from deletion_lab.matching import Sets
 from deletion_lab.oblivious import ConfusabilityGraph
+from deletion_lab.online import ConfusablePair
+from deletion_lab.oracles import geom_cap, geom_expectation
 from deletion_lab.reporting import atomic_write_text
-from deletion_lab.words import DeletionPattern
+from deletion_lab.words import DeletionPattern, Word
 
 
 def write_patterns(path, patterns: Iterable[DeletionPattern]) -> None:
@@ -22,3 +31,95 @@ def sampled_positive_indegree(graph: ConfusabilityGraph, inclusion_prob: float, 
     chosen = {i for i in range(len(graph.vertices)) if rng.random() < inclusion_prob}
     hit = {x for y, x in graph.edges if y in chosen and x in chosen}
     return len(chosen), len(hit)
+
+
+def weight_within_bound(weight: int, L: int, exp2: int, R: int) -> bool:
+    """weight <= L*(1 - 2^-exp2 - 1/sqrt(R)), decided in exact arithmetic.
+
+    Comparisons against the irrational 1/sqrt(R) are done in squared integer
+    form, so the predicate is exact for every even R.  The reference for
+    ``construction.admissible_weight_cap``.
+    """
+    scale = 2**exp2
+    margin = L * (scale - 1) - scale * weight
+    if margin < 0:
+        return False
+    return (scale * L) ** 2 <= margin * margin * R
+
+
+def pushed(pair: ConfusablePair) -> Word:
+    """The common channel output b^r ++ s_star both codewords of ``pair`` are pushed onto."""
+    return Word(bytes([pair.profile.b]) * pair.profile.r_majority) + pair.s_star
+
+
+# the worst-set remap of the dominance lemma
+
+
+def remap_bijection(A: frozenset[int], lam: int, K: int) -> dict[int, int]:
+    """The involution h_A: swap A \\ [lam-1] with [lam-1] \\ A, ascending pairs.
+
+    h maps A into [lam-1] and never decreases symbols outside A.
+    """
+    if len(A) != lam - 1:
+        raise ValueError(f"|A| = {len(A)} != lambda-1 = {lam - 1}")
+    if A and (min(A) < 1 or max(A) > K):
+        raise ValueError("set elements outside [K]")
+    base = set(range(1, lam))
+    uppers = sorted(A - base)
+    lowers = sorted(base - A)
+    h: dict[int, int] = {}
+    for x, y in zip(uppers, lowers):
+        h[x], h[y] = y, x
+    return h
+
+
+def worst_case_remap(X: Sequence[int], sets: Sequence[frozenset[int]], K: int) -> tuple[int, ...]:
+    """Coordinatewise h_{S_i}(X_i); bijective on [K]^|X|."""
+    if len(sets) != len(X):
+        raise ValueError("need one set per coordinate")
+    return tuple(h.get(x, x) for x, h in zip(X, _coordinate_remaps(tuple(map(frozenset, sets)), K)))
+
+
+@lru_cache(maxsize=256)
+def _coordinate_remaps(sets: Sets, K: int) -> tuple[dict[int, int], ...]:
+    """h_{S_i} for each coordinate, built once per (sets, K); callers only read them."""
+    sizes = {len(S) for S in sets}
+    if len(sizes) != 1:
+        raise ValueError("all sets must share size lambda-1")
+    lam = sizes.pop() + 1
+    hs = {S: remap_bijection(S, lam, K) for S in set(sets)}
+    return tuple(hs[S] for S in sets)
+
+
+# capped-geometric expectations by other paths than ``oracles.geom_expectation``
+
+
+def geom_mass_expectation(j: int, K: int, cap: int) -> Fraction:
+    """Same expectation by direct probability-mass summation (independent path)."""
+    if not 1 <= j <= K:
+        raise ValueError(f"j = {j} outside [1,{K}]")
+    q = Fraction(j, K)
+    r = 1 - q
+    total = Fraction(0)
+    for z in range(1, cap):
+        total += z * q * r ** (z - 1)
+    total += cap * r ** (cap - 1)
+    return total
+
+
+def geom1_expectation(K: int, R: int, lam: int) -> Fraction:
+    """E[D] where J ~ U([K]); D = 1 on J < lam, else min(Geom(J/K), sqrt(R))."""
+    cap, _ = geom_cap(R)
+    total = Fraction(lam - 1)
+    for j in range(lam, K + 1):
+        total += geom_expectation(j, K, cap)
+    return total / K
+
+
+def geom2_expectation(K: int, R: int, lam: int, lam_prime: int) -> Fraction:
+    """E[D] where J ~ U([lam, lam']); D = min(Geom(J/K), sqrt(R))."""
+    if not lam <= lam_prime <= K:
+        raise ValueError("need lam <= lam' <= K")
+    cap, _ = geom_cap(R)
+    total = sum(geom_expectation(j, K, cap) for j in range(lam, lam_prime + 1))
+    return Fraction(total, lam_prime - lam + 1)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -40,6 +41,17 @@ def test_params_invalid_p_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["params", "--p", "1.2", "--n", "10"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("p, log2_K", [("0.9995", 512281405), ("0.9999", 15091241378)])
+def test_paper_exponent_past_the_limit_is_usage_error(p, log2_K, capsys):
+    # at these p, K = 2^log2_K alone would take gigabytes; the refusal builds no big integer
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as err:
+        main(["params", "--p", p, "--n", "1"])
+    assert err.value.code == 2
+    assert f"log2 K = {log2_K}" in capsys.readouterr().err
+    assert time.perf_counter() - start < 10
 
 
 def test_unknown_verify_id_is_usage_error(capsys):
@@ -89,6 +101,17 @@ def test_verify_exit_status_and_json(capsys):
     reports = json.loads(out.out)
     assert reports[0]["violations"] == 0
     assert "levenshtein" in out.err
+
+
+@pytest.mark.parametrize("argv, name, mode, instances", [
+    (["levenshtein", "--exhaustive"], "levenshtein-equivalence", "t=1", 120),  # all pairs of 4-bit words
+    (["corruption-cost", "--exhaustive"], "corruption-cost", "exhaustive", 65536),  # 2^L masks, L = 16
+    (["alternating-absorption", "--samples", "100", "--seed", "3"], "alternating-absorption", "n=200", 100),
+], ids=["levenshtein-exhaustive", "corruption-cost-exhaustive", "alternating-absorption"])
+def test_verify_runner_reports(argv, name, mode, instances, capsys):
+    assert main(["verify", *argv]) == 0
+    [report] = json.loads(capsys.readouterr().out)
+    assert (report["name"], report["mode"], report["instances"]) == (name, mode, instances)
 
 
 def test_verify_accepts_scientific_sample_counts(capsys):
@@ -422,6 +445,7 @@ def test_experiment_config_of_the_wrong_json_type_is_usage_error(extra, key, tmp
     pytest.param({"seeds": [True]}, "'seeds'", id="boolean-seed"),
     pytest.param({"master_seed": "abc"}, "'master_seed'", id="string-master_seed"),
     pytest.param({"target_size": "8"}, "'target_size'", id="numeric-string-target_size"),
+    pytest.param({"target_size": 10**400}, "'target_size'", id="float-overflow-target_size"),
     pytest.param({"params": {"mode": "toy", "K": 2, "R": 4, "delta": "1/0", "n": 4}}, "'delta'",
                  id="zero-denominator-delta"),
 ])
@@ -608,6 +632,22 @@ def test_unwritable_out_is_a_usage_error_before_any_work(command, out, tmp_path,
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert f"--out {out!r}" in captured.err and captured.out == ""
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command", ["oblivious", "online"])
+def test_summary_path_that_is_a_directory_is_a_usage_error(command, tmp_path, capsys, monkeypatch):
+    # an experiment writes its summary beside --out: r.csv -> r.summary.json
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "book.txt").write_text("0011\n1100\n")
+    (tmp_path / "r.summary.json").mkdir()
+    argv = WRITERS[command](tmp_path) + ["--out", "r.csv"]
+    before = sorted(tmp_path.rglob("*"))
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert "'r.summary.json' is a directory" in captured.err and captured.out == ""
     assert sorted(tmp_path.rglob("*")) == before
 
 

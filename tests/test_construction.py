@@ -9,11 +9,11 @@ from deletion_lab.construction import (
     NotExecutableError,
     ParamsError,
     SignatureError,
+    admissible_weight_cap,
     derive_params,
     encode_outer,
     extract_signature,
     inner_codeword,
-    is_admissible,
     params_from_json,
     params_to_json,
     preserves,
@@ -21,9 +21,8 @@ from deletion_lab.construction import (
     read_outer_words,
     smallest_lambda,
     toy_params,
-    weight_admissible,
 )
-from deletion_lab.words import DeletionPattern, Word, apply_pattern, is_subsequence, run_count
+from deletion_lab.words import DeletionPattern, Word, apply_pattern, is_subsequence
 
 from helpers import write_outer_words
 
@@ -35,7 +34,9 @@ def test_derive_params_examples():
     assert p9.lam == 5 and p9.delta == Fraction(11, 160)  # 0.06875
     assert p9.log2_K == 14895
     assert p9.log2_R == 2 + 4 * p9.log2_K
-    assert not p9.executable
+    assert p9.log2_L == 1 + 2**p9.log2_K * p9.log2_R
+    assert not p9.executable and p9.K is p9.R is p9.L is None
+    assert derive_params("0.999", 1).log2_K == 128070352
 
 
 def test_relaxed_lambda_admits_one_below_half():
@@ -100,7 +101,7 @@ def test_inner_codewords():
     # run counts: 2 R^(K+1-i), consecutive ratio exactly R
     for K, R in ((2, 2), (2, 4), (3, 2)):
         params = toy_params(K, R, 1, Fraction(1, 2), 4)
-        counts = [run_count(inner_codeword(i, params)) for i in range(1, K + 1)]
+        counts = [len(inner_codeword(i, params).runs) for i in range(1, K + 1)]
         assert counts == [2 * R ** (K + 1 - i) for i in range(1, K + 1)]
         for a, b in zip(counts, counts[1:]):
             assert a == R * b
@@ -129,14 +130,12 @@ def test_preserves_examples():
 
 def test_admissibility_examples():
     params = toy_params(2, 4, 2, "0.5", 8)  # L=32: 1-admissible cutoff is 8
-    assert is_admissible(DeletionPattern(32, ()), 1, params)
-    assert is_admissible(DeletionPattern(32, tuple(range(1, 9))), 1, params)
-    assert not is_admissible(DeletionPattern(32, tuple(range(1, 10))), 1, params)
-    assert not is_admissible(DeletionPattern(32, tuple(range(1, 33))), 5, params)
-    # the weight-level predicate agrees with a float evaluation away from ties
+    assert admissible_weight_cap(params, 1) == 8
+    assert admissible_weight_cap(params, 5) < 32
+    # the cap agrees with a float evaluation of the bound away from ties
     for ell in range(0, 4):
         for w in range(0, 33):
-            exact = weight_admissible(w, ell, params)
+            exact = w <= admissible_weight_cap(params, ell)
             approx = w <= 32 * (1 - 0.5 ** (ell + 1) - 0.5)
             assert exact == approx
 
@@ -148,7 +147,7 @@ def test_admissibility_exact_at_irrational_threshold():
     for ell in range(0, 3):
         bound = params.L * (1 - 0.5 ** (ell + 1) - 2 ** -0.5)
         for w in range(0, params.L + 1):
-            assert weight_admissible(w, ell, params) == (w <= bound)
+            assert (w <= admissible_weight_cap(params, ell)) == (w <= bound)
 
 
 def test_signature_block_example():
@@ -180,7 +179,7 @@ def test_signature_subsequence_guarantee():
         rhs = apply_pattern(tau, encode_outer(X, params))
         assert is_subsequence(lhs, rhs)
         for block, S in zip(sig.inner_patterns, sig.corruption_sets):
-            assert is_admissible(block, params.lam - 1, params)
+            assert block.weight <= admissible_weight_cap(params, params.lam - 1)
             assert all(preserves(block, j, params) for j in (1, 2) if j not in S)
 
 
@@ -278,7 +277,7 @@ def test_signature_kept_indices_are_first_admissible():
         admissible = [
             i + 1
             for i, blk in enumerate(blocks)
-            if is_admissible(blk, params.lam - 1, params)
+            if blk.weight <= admissible_weight_cap(params, params.lam - 1)
         ]
         if len(admissible) < params.delta_n:
             with pytest.raises(SignatureError):

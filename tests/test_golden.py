@@ -74,6 +74,8 @@ STDOUT_CASES = {
     "verify_costly": ["verify", "geometric-bounds", "bitflip-code", "matching-implication",
                       "--samples", "1e3", "--seed", "11"],
 }
+# paper-mode parameters: exact log2 forms only, K, R and L printed as null
+PARAMS_PAPER = ["params", "--p", "0.9", "--n", "100"]
 
 
 def _fill(obj, golden: Path):
@@ -99,10 +101,10 @@ def run_case(name: str, workdir: Path, golden: Path = GOLDEN) -> dict[str, bytes
     return {".csv": out.read_bytes(), ".summary.json": (workdir / "out.summary.json").read_bytes()}
 
 
-def run_stdout_case(name: str) -> tuple[int, bytes]:
+def run_stdout_case(argv: list[str]) -> tuple[int, bytes]:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        code = main(STDOUT_CASES[name])
+        code = main(argv)
     return code, buf.getvalue().encode()
 
 
@@ -112,8 +114,9 @@ def write_golden(workdir: Path) -> None:
         for suffix, data in run_case(name, workdir).items():
             (GOLDEN / f"{name}{suffix}").write_bytes(data)
     for name in STDOUT_CASES:
-        code, data = run_stdout_case(name)
+        code, data = run_stdout_case(STDOUT_CASES[name])
         (GOLDEN / f"{name}.exit{code}.json").write_bytes(data)
+    (GOLDEN / "params_paper.json").write_bytes(run_stdout_case(PARAMS_PAPER)[1])
 
 
 @pytest.mark.parametrize("name", list(CASES))
@@ -125,5 +128,9 @@ def test_experiment_output_matches_golden_bytes(name, tmp_path, capsys):
 
 @pytest.mark.parametrize("name", list(STDOUT_CASES))
 def test_stdout_matches_golden_bytes(name):
-    code, data = run_stdout_case(name)
+    code, data = run_stdout_case(STDOUT_CASES[name])
     assert data == (GOLDEN / f"{name}.exit{code}.json").read_bytes()
+
+
+def test_paper_params_match_golden_bytes():
+    assert run_stdout_case(PARAMS_PAPER) == (0, (GOLDEN / "params_paper.json").read_bytes())

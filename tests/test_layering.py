@@ -6,7 +6,8 @@ Each module may import only modules to its left (``online`` uses
 ``oblivious``'s decoder, never the reverse).  ``rng`` and ``reporting`` are
 leaves: they import nothing from the package and anyone may import them.
 Only ``cli`` imports ``oracles``.  The package also keeps no option that
-nothing sets: every parameter with a default is passed somewhere.
+nothing sets, every parameter with a default is passed somewhere, and no
+top-level name that nothing reads.
 """
 
 import ast
@@ -207,3 +208,82 @@ def test_parameter_scan_sees_every_form():
                         ("f", "b"): 1, ("f", "c"): 2, ("inner", "d"): 0}
     assert parameters_set_by_calls(tree, defaults) == {
         ("A", "z"), ("m", "u"), ("f", "b"), ("f", "c"), ("inner", "d")}
+
+
+def top_level_definitions(tree: ast.Module) -> dict[str, ast.AST]:
+    """Every function and class a module defines at its top level, by name."""
+    return {node.name: node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+
+
+def names_read(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """The ``ast.Name`` ids and ``ast.Attribute`` attrs in ``tree``, outside the subtree ``skip``.
+
+    An import binds a name without reading it, and a docstring is a string,
+    so neither counts.
+    """
+    found: set[str] = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def unused_top_level_names(modules: dict[str, ast.Module], readers: list[ast.Module],
+                           exempt: set[str]) -> list[str]:
+    """``module.name`` for each top-level definition of ``modules`` that no module and no reader reads.
+
+    A definition's own body does not count as a reader, so recursion alone
+    keeps nothing alive.
+    """
+    trees = [*modules.values(), *readers]
+    return sorted(
+        f"{module}.{name}"
+        for module, tree in modules.items()
+        for name, node in top_level_definitions(tree).items()
+        if name not in exempt and not any(name in names_read(other, node) for other in trees)
+    )
+
+
+def test_every_top_level_name_is_used():
+    # a function or class that only unit tests read is a reference for the
+    # tests (``tests/helpers.py``) or dead code, not package surface
+    modules = {path.stem: ast.parse(path.read_text(), str(path))
+               for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"}
+    acceptance = Path(__file__).resolve().parent / "test_acceptance.py"
+    readers = [ast.parse(acceptance.read_text(), str(acceptance))]
+    assert unused_top_level_names(modules, readers, set(deletion_lab.__all__)) == []
+
+
+def test_name_scan_sees_every_form():
+    modules = {
+        "a": ast.parse(
+            "def used_by_name(): ...\n"
+            "def used_as_attribute(): ...\n"
+            "def only_recursive():\n"
+            "    return only_recursive()\n"
+            "def only_imported(): ...\n"
+            "def only_in_a_docstring(): ...\n"
+            "class Exported: ...\n"
+            "x = used_by_name\n"
+        ),
+    }
+    readers = [
+        ast.parse(
+            "from a import only_imported\n"
+            "import a\n"
+            "def f():\n"
+            "    \"\"\"Calls only_in_a_docstring.\"\"\"\n"
+            "    return a.used_as_attribute()\n"
+            "f()\n"
+        ),
+    ]
+    assert unused_top_level_names(modules, readers, {"Exported"}) == [
+        "a.only_imported", "a.only_in_a_docstring", "a.only_recursive"]

@@ -11,11 +11,11 @@ from deletion_lab.matching import (
     exact_sqrt,
     is_matchable,
     match_count_dominance,
-    remap_bijection,
     run_matching,
-    worst_case_remap,
     worst_sets,
 )
+
+from helpers import remap_bijection, worst_case_remap
 
 
 def cfg_of(s, t, m, lam=1):

@@ -1,3 +1,4 @@
+import math
 import statistics
 import tracemalloc
 from fractions import Fraction
@@ -41,19 +42,16 @@ from helpers import sampled_positive_indegree, write_patterns
 def test_estimate_f_exact_examples():
     # R = 64 so the B-cap is 8: failures genuinely occur for all-max hosts
     params = toy_params(3, 64, 1, Fraction(1, 2), 4)  # Z has delta n = 2 symbols
-    ones = estimate_f([(1,) * 4], params, exact=True)[0]
-    maxs = estimate_f([(3,) * 4], params, exact=True)[0]
-    assert ones.value == 1
-    assert maxs.value == Fraction(1, 3)
-    assert maxs.value < ones.value
-    assert 0 <= maxs.value <= 1
+    ones, maxs = estimate_f([(1,) * 4, (3,) * 4], params, exact=True)
+    assert ones == 1
+    assert maxs == Fraction(1, 3)
 
 
 def test_estimate_f_mc_tracks_exact():
     params = toy_params(3, 64, 1, Fraction(1, 2), 4)
     mc = estimate_f([(3,) * 4], params, exact=False, trials=4000, master_seed=1)[0]
-    assert abs(float(mc.value) - 1 / 3) < 3 * mc.half_width + 0.01
-    assert mc.trials == 4000 and not mc.exact
+    assert type(mc) is float
+    assert abs(mc - 1 / 3) < 5 * math.sqrt(1 / 3 * 2 / 3 / 4000)  # five binomial standard errors
 
 
 def test_filter_keeps_all_when_threshold_exceeds_one():
@@ -104,7 +102,7 @@ def test_graph_outdegree_identity_full_pool():
     outs = graph.out_degrees()
     for y_idx, Y in enumerate(pool):
         fc = estimate_f([Y], params, exact=True)[0]
-        expected = 2 ** (6 - dn) * int(fc.value * 2**dn)
+        expected = 2 ** (6 - dn) * int(fc * 2**dn)
         cfg = MatchConfig(2, 2, worst_sets(dn, 1))
         selfedge = bool(batch_matchable(np.array([Y[:dn]]), Y, cfg)[0])
         assert outs[y_idx] == expected - (1 if selfedge else 0)
@@ -157,7 +155,7 @@ def test_average_case_error_order_invariant():
 def test_make_stochastic_shapes():
     C = [Word(format(v, "06b")) for v in range(8)]
     sc = make_stochastic(C, 2, rngmod.py_rng(0, "wrap"))
-    assert sc.messages == 2
+    assert len(sc.groups) == 2
     assert all(len(g) == 2 for g in sc.groups)
     assert len(set(sc.codewords)) == 4
     with pytest.raises(ValueError):
@@ -170,23 +168,6 @@ def test_make_stochastic_groups_disjoint_over_seeds():
         sc = make_stochastic(C, 2, rngmod.py_rng(4, "wrap", seed))
         flat = sc.codewords
         assert len(flat) == len(set(flat))
-
-
-def test_stochastic_decode_matches_unique_decoding():
-    rng = rngmod.py_rng(5, "code")
-    words = set()
-    while len(words) < 8:
-        words.add(tuple(rng.randrange(2) for _ in range(10)))
-    C = [Word(bytes(w)) for w in sorted(words)]
-    sc = make_stochastic(C, 2, rngmod.py_rng(5, "wrap"))
-    cw = sc.codewords
-    for tau in enumerate_patterns(10, 2):
-        for m, group in enumerate(sc.groups):
-            for c in group:
-                s = apply_pattern(tau, c)
-                hits = [cp for cp in cw if is_subsequence(s, cp)]
-                if hits == [c]:
-                    assert sc.decode(s) == m
 
 
 def test_sparse_graph_sampling_keeps_indegrees_empty():
@@ -273,9 +254,9 @@ def test_estimate_f_exact_at_zlen_30_tracks_monte_carlo(Y):
     params = toy_params(4, 4, 1, Fraction(3, 4), 40)
     exact = estimate_f([Y], params, exact=True)[0]
     mc = estimate_f([Y], params, exact=False, trials=4000, master_seed=1)[0]
-    assert exact.exact and 4**30 % exact.value.denominator == 0
-    assert 0 < exact.value < 1
-    assert abs(float(exact.value) - mc.value) < 3 * mc.half_width
+    assert type(exact) is Fraction and 4**30 % exact.denominator == 0
+    assert 0 < exact < 1
+    assert abs(exact - mc) < 5 * math.sqrt(exact * (1 - exact) / 4000)  # five binomial standard errors
 
 
 def test_inclusion_probability_one_keeps_everything():
@@ -307,14 +288,14 @@ def test_stacked_estimate_f_equals_per_host_scoring(exact):
     dn, trials = params.delta_n, 700
     cfg = MatchConfig.paper(params.lam, params.R, worst_sets(dn, params.lam))
     got = estimate_f(pool, params, exact=exact, trials=trials, master_seed=5)
-    assert [est.word for est in got] == pool
+    assert len(got) == len(pool)
     for est, Y in zip(got, pool):
         if exact:
             expected = Fraction(count_matchable(Y, cfg, 3), 3**dn)
         else:
             gen = rngmod.np_rng(5, "estimate-f", hash(Y) & 0xFFFFFFFF)
             expected = int(batch_matchable(gen.integers(1, 4, size=(trials, dn)), Y, cfg).sum()) / trials
-        assert est.value == expected and est.exact == exact
+        assert est == expected and type(est) is (Fraction if exact else float)
     assert estimate_f([], params, exact=exact, trials=trials) == []
 
 

@@ -24,6 +24,8 @@ from deletion_lab.online import (
 )
 from deletion_lab.words import Word, read_codebook
 
+from helpers import pushed
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -95,9 +97,9 @@ def test_build_pairs_full_pairing():
     assert table.paired_fraction == 1.0
     for pair in table.pairs:
         assert pair.s_star == pair.x[8:] == pair.y[8:]
-        assert pair.pushed == Word(bytes([0]) * pair.profile.r_majority) + pair.s_star
+        assert pushed(pair) == Word(bytes([0]) * pair.profile.r_majority) + pair.s_star
         # pushed output is longer than the (1-p)n strategy-2 output
-        assert len(pair.pushed) > 16 - CFG.budget(16)
+        assert len(pushed(pair)) > 16 - CFG.budget(16)
 
 
 def test_build_pairs_no_pairs_when_wait_too_long():
@@ -115,7 +117,7 @@ def test_wait_push_pair_outputs_identical():
     for pair in table.pairs:
         rx = transmit(pair.x, WaitPushAdversary(table, 1, 0), rngmod.py_rng(0, "t"))
         ry = transmit(pair.y, WaitPushAdversary(table, 1, 0), rngmod.py_rng(0, "t"))
-        assert rx.output == ry.output == pair.pushed
+        assert rx.output == ry.output == pushed(pair)
         assert rx.paired and ry.paired
         assert rx.deletions <= CFG.budget(16)
 
@@ -323,7 +325,7 @@ def test_simulate_online_transmits_each_codeword_once_per_draw(monkeypatch):
 
     def counting(x, adversary, rng):
         res = plain(x, adversary, rng)
-        sent.append((res.strategy, res.bit, x.bits))
+        sent.append((adversary.force_strategy, adversary.force_bit, x.bits))
         return res
 
     monkeypatch.setattr(online, "transmit", counting)

@@ -11,16 +11,11 @@ from deletion_lab.construction import inner_codeword, preserves, toy_params
 from deletion_lab.oracles import (
     admissible_weight_cap,
     alternating_absorption,
-    alternating_word,
     binary_entropy,
     deletion_ball,
     exhaustive_decodable,
-    geom1_expectation,
-    geom2_expectation,
     geom_cap,
     geom_expectation,
-    geom_mass_expectation,
-    hamming_ball_size,
     insertion_ball,
     levenshtein_equivalence,
     max_pairwise_lcs,
@@ -32,6 +27,8 @@ from deletion_lab.oracles import (
     verify_matching_implication,
 )
 from deletion_lab.words import Word, bit_deletion_pattern, is_subsequence
+
+from helpers import geom1_expectation, geom2_expectation, geom_mass_expectation
 
 
 def test_decodable_examples():
@@ -187,7 +184,6 @@ def test_alternating_absorption_estimate_matches_exact_binomial():
     assert rep.extras["word_len"] == m and rep.extras["host_len"] == alen
     assert not rep.extras["rounded"]
     assert is_subsequence("010101", "010101010")
-    assert alternating_word(6) == Word("010101")
 
 
 def test_alternating_absorption_small_n_reports_only():
@@ -201,15 +197,6 @@ def test_binary_entropy():
     assert abs(binary_entropy(0.11) - 0.4999) < 1e-3
     with pytest.raises(ValueError):
         binary_entropy(1.2)
-
-
-def test_hamming_ball_matches_enumeration():
-    for n in (4, 8, 12):
-        for radius in (0, 1, 2, 3):
-            direct = sum(
-                1 for v in range(2**n) if bin(v).count("1") <= radius
-            )
-            assert hamming_ball_size(n, radius) == direct
 
 
 def test_bitflip_demo_zero_errors_without_noise():

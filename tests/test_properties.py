@@ -23,7 +23,6 @@ from deletion_lab.construction import (
     pad_corruption_set,
     preserves,
     toy_params,
-    weight_within_bound,
 )
 from deletion_lab.matching import (
     ENUM_LIMIT,
@@ -54,9 +53,10 @@ from deletion_lab.words import (
     lcs,
     lcs_length,
     masked_run_count,
-    run_count,
     split_pattern,
 )
+
+from helpers import geom2_expectation, geom_mass_expectation, weight_within_bound
 
 PROPS = settings(deadline=None, derandomize=True, max_examples=150)
 
@@ -249,9 +249,9 @@ def test_word_rejects_values_other_than_bits(bits):
 def test_masked_run_count_is_run_count_of_applied_pattern(bits, data):
     dead = data.draw(st.frozensets(st.integers(1, len(bits)))) if bits else frozenset()
     tau = DeletionPattern(len(bits), tuple(dead))
-    assert masked_run_count(Word(bits), tau.keep) == run_count(apply_pattern(tau, bits))
+    assert masked_run_count(Word(bits), tau.keep) == len(apply_pattern(tau, bits).runs)
     other = data.draw(st.lists(st.integers(0, 1), min_size=len(bits), max_size=len(bits)))
-    assert masked_run_count(other, tau.keep) == run_count(apply_pattern(tau, other))
+    assert masked_run_count(other, tau.keep) == len(apply_pattern(tau, other).runs)
 
 
 @PROPS
@@ -678,7 +678,7 @@ def per_trial_rows(C, cfg, pairs, trials, master_seed, force_strategy=None, forc
                      rngmod.py_rng(master_seed, "online-trial", trial)).output == sent.output
             for j, y in enumerate(C) if j != idx
         )
-        rows.append((trial, idx, sent.strategy, sent.bit, sent.deletions, len(sent.output),
+        rows.append((trial, idx, strategy, bit, sent.deletions, len(sent.output),
                      int(decoder(sent.output) == C[idx]), int(confused)))
     return rows
 
@@ -763,7 +763,8 @@ def test_wait_push_agrees_with_candidate_scan(C, cfg, seed):
             ref = CandidateScanAdversary(C, cfg, table, *force)
             assert (transmit(x, new, rngmod.py_rng(seed, "adv", 0))
                     == transmit(x, ref, rngmod.py_rng(seed, "adv", 0)))
-            # the state after the word holds what the per-bit loop leaves there
+            # the state after the word (strategy, bit, budget, paired) holds what
+            # the per-bit loop leaves there
             new_state = new.begin(n, rngmod.py_rng(seed, "adv", 0))
             ref_state = ref.begin(n, rngmod.py_rng(seed, "adv", 0))
             new.decisions(new_state, x), ref.decisions(ref_state, x)
@@ -832,7 +833,7 @@ def fraction_geom_bounds(Ks, lams, expect):
                     report.record_violation(
                         {"K": K, "lam": lam, "lam_prime": lam_prime, "which": "uniform-window"})
             spot = min(lam + 3, K)
-            if (prefix[spot] - prefix[lam - 1]) / (spot - lam + 1) != oracles.geom2_expectation(K, R, lam, spot):
+            if (prefix[spot] - prefix[lam - 1]) / (spot - lam + 1) != geom2_expectation(K, R, lam, spot):
                 report.record_violation(
                     {"K": K, "lam": lam, "lam_prime": spot, "which": "prefix-sum-sweep"})
     return report
@@ -861,7 +862,7 @@ def test_integer_geom_bounds_agree_with_fractions(monkeypatch, K, lams, cap, vio
     rep = oracles.verify_geom_bounds(Ks=(K,), lams=lams)
     refs = [fraction_geom_bounds((K,), lams, oracles.geom_expectation)]
     if cap is not None:  # direct mass summation is cheap at a small cap
-        refs.append(fraction_geom_bounds((K,), lams, oracles.geom_mass_expectation))
+        refs.append(fraction_geom_bounds((K,), lams, geom_mass_expectation))
     for ref in refs:
         assert (rep.instances, rep.violations, rep.witnesses) == \
             (ref.instances, ref.violations, ref.witnesses)
@@ -1006,6 +1007,19 @@ def test_corruption_count_is_the_count_of_codewords_not_preserved(KR, density, s
     sigma = DeletionPattern.from_keep(keep)
     expected = sum(not preserves(sigma, i, params) for i in range(1, K + 1))
     assert np.count_nonzero(construction.corrupted_flags(params, keep)) == expected
+
+
+@PROPS
+@given(st.integers(1, 2**40), st.integers(1, 10**6).map(lambda r: 2 * r), st.integers(0, 12))
+@example(16, 2, 0)  # an irrational 1/sqrt(R)
+@example(32, 4, 1)  # L = 32: the 1-admissible cap is 8
+@example(8, 2, 0)  # no weight is admissible
+def test_weight_cap_is_the_largest_weight_within_the_bound(L, R, ell):
+    params = replace(toy_params(2, 2, 1, Fraction(1, 2), 4), L=L, R=R)
+    cap = admissible_weight_cap(params, ell)
+    # the bound only tightens as the weight grows, so one step each side decides the largest
+    assert cap == -1 or weight_within_bound(cap, L, ell + 1, R)
+    assert not weight_within_bound(cap + 1, L, ell + 1, R)
 
 
 def loop_corruption_cost(params, mode, samples=0, master_seed=0, preserved=None,

@@ -13,7 +13,6 @@ from deletion_lab.words import (
     lcs,
     lcs_length,
     read_codebook,
-    run_count,
     split_pattern,
     write_codebook,
 )
@@ -38,7 +37,6 @@ def test_run_decompose_partitions_word():
         runs = runs_with_symbols(w)
         rebuilt = Word(b"".join(bytes([sym]) * length for sym, _, length in runs))
         assert rebuilt == w
-        assert len(runs) == run_count(w)
 
 
 def test_apply_pattern_examples():
@@ -139,10 +137,10 @@ def test_single_run_deletion_drops_at_most_two_runs():
     for n in range(1, 11):
         for v in range(2**n):
             w = Word(format(v, f"0{n}b"))
-            before = run_count(w)
+            before = len(w.runs)
             for _, start, length in runs_with_symbols(w):
                 tau = DeletionPattern(n, tuple(range(start, start + length)))
-                after = run_count(apply_pattern(tau, w))
+                after = len(apply_pattern(tau, w).runs)
                 assert before - after <= 2
 
 

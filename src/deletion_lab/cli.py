@@ -18,9 +18,9 @@ from pathlib import Path
 from . import __version__
 from . import rng as rngmod
 from .construction import (
+    PARAM_KEYS,
     NotExecutableError,
     ParamsError,
-    derive_params,
     encode_outer,
     json_field,
     json_int,
@@ -38,7 +38,6 @@ from .oblivious import (
     oblivious_experiment,
     read_patterns,
     standard_pattern_family,
-    unique_decode,
     uniform_pattern,
 )
 from .online import (
@@ -69,43 +68,27 @@ from .words import (
 )
 
 
-def _read_input(parser, read, path, *rest):
-    """``read(path, *rest)``, with a missing or unreadable input file as a usage error."""
-    try:
-        return read(path, *rest)
-    except OSError as exc:
-        parser.error(f"cannot read {path}: {exc.strerror or exc}")
-
-
 def _read_json(path):
+    """The JSON value in file ``path``; text that is not JSON is a ``ValueError`` naming ``path``."""
     with open(path) as fh:  # an empty path names no file, where Path("") would be "."
-        return json.load(fh)
-
-
-# each parameter option by its ``args`` attribute, and the options each mode takes
-_PARAM_OPTIONS = {"toy": "--toy", "p": "--p", "n": "--n", "K": "--K", "R": "--R",
-                  "lam": "--lambda", "delta": "--delta"}
-_MODE_OPTIONS = {"config": (), "toy": ("toy", "n", "K", "R", "lam", "delta"), "paper": ("p", "n")}
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _params_from_args(parser, args):
+    """The parameters of ``--config``, or of the JSON object such a file would hold for the flags."""
+    flags = vars(args)
     mode = "config" if args.config is not None else "toy" if args.toy else "paper"
-    stray = [opt for dest, opt in _PARAM_OPTIONS.items()
-             if getattr(args, dest) not in (None, False) and dest not in _MODE_OPTIONS[mode]]
+    keys = PARAM_KEYS.get(mode, ())
+    stray = [f"--{key}" for key in ("toy", "p", *PARAM_KEYS["toy"])  # --toy names its own mode
+             if flags[key] not in (None, False) and key not in (mode, *keys)]
     if stray:
         parser.error(f"{mode} mode takes no {' '.join(stray)}")
-    try:
-        if mode == "config":
-            return params_from_json(_read_input(parser, _read_json, args.config))
-        if mode == "toy":
-            if None in (args.K, args.R, args.lam, args.delta, args.n):
-                parser.error("toy mode needs --K --R --lambda --delta --n")
-            return toy_params(args.K, args.R, args.lam, Fraction(args.delta), args.n)
-        if args.p is None or args.n is None:
-            parser.error("paper mode needs --p and --n (or use --toy / --config)")
-        return derive_params(Fraction(args.p), args.n)
-    except (ParamsError, ValueError, ZeroDivisionError) as exc:
-        parser.error(str(exc))
+    if mode == "config":
+        return params_from_json(_read_json(args.config))
+    return params_from_json({"mode": mode, **{key: flags[key] for key in keys if flags[key] is not None}})
 
 
 def _add_params_options(sub):
@@ -115,28 +98,16 @@ def _add_params_options(sub):
     sub.add_argument("--n", type=int, default=None)
     sub.add_argument("--K", type=int, default=None)
     sub.add_argument("--R", type=int, default=None)
-    sub.add_argument("--lambda", dest="lam", type=int, default=None)
+    sub.add_argument("--lambda", type=int, default=None)
     sub.add_argument("--delta", type=str, default=None)
-
-
-def _render(obj):
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, int):
-        return json_int(obj)
-    if isinstance(obj, dict):
-        return {k: _render(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_render(v) for v in obj]
-    return obj
 
 
 def cmd_params(parser, args) -> int:
     params = _params_from_args(parser, args)
     payload = params_to_json(params)
-    payload["rate"] = _render(rate_info(params))
+    rate = rate_info(params).items()  # a Fraction, a float, or an int of any size
+    payload["rate"] = {key: str(v) if isinstance(v, Fraction) else json_int(v) if isinstance(v, int) else v
+                       for key, v in rate}
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
@@ -144,7 +115,7 @@ def cmd_params(parser, args) -> int:
 def cmd_encode(parser, args) -> int:
     params = _params_from_args(parser, args)
     params.require_executable()
-    outers = _read_input(parser, read_outer_words, args.infile, params)
+    outers = read_outer_words(args.infile, params)
     words = [encode_outer(X, params) for X in outers]
     write_codebook(args.out, words)
     return 0
@@ -162,7 +133,7 @@ def _corruption_pattern(args, w: Word, rng) -> DeletionPattern:
 
 
 def cmd_corrupt(parser, args) -> int:
-    words = _read_input(parser, read_codebook, args.infile)
+    words = read_codebook(args.infile)
     if not words:
         parser.error("no input words")
     if (args.pattern is None) == (args.family is None):
@@ -174,18 +145,16 @@ def cmd_corrupt(parser, args) -> int:
     if args.weight is not None and not 0 <= args.weight <= len(words[0]):
         parser.error(f"--weight {args.weight} must lie in [0, {len(words[0])}], the word length")
     rng = rngmod.py_rng(args.seed if args.seed is not None else 0, "corrupt")
-    out_lines = [apply_pattern(_corruption_pattern(args, w, rng), w).to01() for w in words]
-    atomic_write_text(args.out, "\n".join(out_lines) + "\n")
+    write_codebook(args.out, [apply_pattern(_corruption_pattern(args, w, rng), w) for w in words])
     return 0
 
 
 def cmd_decode(parser, args) -> int:
-    codebook = _read_input(parser, read_codebook, args.codebook)
+    decode = make_unique_decoder(read_codebook(args.codebook))
     # received words come from deletions, so line lengths legitimately vary
-    received = _read_input(parser, read_lines, args.infile, Word).values()
     lines = []
-    for s in received:
-        hit = unique_decode(s, codebook)
+    for s in read_lines(args.infile, Word).values():
+        hit = decode(s)
         lines.append(hit.to01() if hit is not None else "FAIL")
     atomic_write_text(args.out, "\n".join(lines) + "\n")
     return 0
@@ -194,6 +163,13 @@ def cmd_decode(parser, args) -> int:
 def _summary_path(out: str) -> Path:
     """Where an experiment writes its summary JSON: beside its CSV ``out``."""
     return Path(out).with_suffix(".summary.json")
+
+
+def _write_report(report, out: str) -> int:
+    """Write ``report``'s CSV to ``out`` and its summary beside it, and print the summary."""
+    report.write(out, _summary_path(out))
+    sys.stdout.write(report.summary_text())
+    return 0
 
 
 def _master_seed(seed: int | None) -> int:
@@ -205,49 +181,45 @@ def _master_seed(seed: int | None) -> int:
     return seed
 
 
-def _positive(convert):
-    """A ``json_field`` converter: ``convert(value)``, which must be positive and finite."""
+def _checked(convert, ok, message: str):
+    """A ``json_field`` converter: ``convert(value)``, for which ``ok`` must hold, else ``message``."""
 
     def check(value):
         value = convert(value)
-        if not 0 < value < math.inf:
-            raise ValueError("must be positive")
+        if not ok(value):
+            raise ValueError(message)
         return value
 
     return check
 
 
-def _at_least(low: int, convert):
-    """A ``json_field`` converter: ``convert(value)``, which must be at least ``low``."""
-
-    def check(value):
-        value = convert(value)
-        if value < low:
-            raise ValueError(f"must be at least {low}")
-        return value
-
-    return check
+# the keys an ``experiment oblivious`` config and its ``pool`` object may hold
+CONFIG_KEYS = {"params", "pool", "target_size", "pattern_weight", "pattern_file", "seeds",
+               "use_filter", "f_exact", "f_trials"}
+POOL_KEYS = {"file", "all", "random", "structured"}
 
 
 def cmd_experiment_oblivious(parser, args) -> int:
-    cfg = _read_input(parser, _read_json, args.config)
+    cfg = _read_json(args.config)
     if not isinstance(cfg, dict) or "params" not in cfg:
         raise ValueError(f"{args.config}: the config must be a JSON object with a 'params' key")
-    params = params_from_json(cfg["params"])
-    params.require_executable()
-    cfg_seed = json_field(cfg, "master_seed", json_typed(int)) if "master_seed" in cfg else None
-    seed = _master_seed(args.seed if args.seed is not None else cfg_seed)
-    pool_cfg = cfg.get("pool", {"random": 128})
+    pool_cfg = cfg.get("pool", {})
     if not isinstance(pool_cfg, dict):
         raise ValueError(f"{args.config}: 'pool' must be a JSON object, got {json.dumps(pool_cfg)}")
+    for where, obj, known in (("", cfg, CONFIG_KEYS), ("'pool' ", pool_cfg, POOL_KEYS)):
+        if unknown := sorted(set(obj) - known):
+            raise ValueError(f"{args.config}: unknown {where}key(s) {', '.join(map(repr, unknown))}")
+    params = params_from_json(cfg["params"])
+    params.require_executable()
+    seed = _master_seed(args.seed)
     rng = rngmod.py_rng(seed, "pool")
-    pool: list[tuple[int, ...]] = []
     if "file" in pool_cfg:
-        pool = _read_input(parser, read_outer_words, pool_cfg["file"], params)
+        pool = read_outer_words(json_field(pool_cfg, "file", json_typed(str)), params)
     elif json_field(pool_cfg, "all", json_typed(bool), False):
         pool = [tuple(X) for X in all_outer_words(params.K, params.n).tolist()]
     else:
-        count = min(json_field(pool_cfg, "random", _at_least(0, json_typed(int)), 128), params.K**params.n)
+        nonnegative = _checked(json_typed(int), lambda count: count >= 0, "must be at least 0")
+        count = min(json_field(pool_cfg, "random", nonnegative, 128), params.K**params.n)
         seen = set()
         while len(seen) < count:
             seen.add(tuple(rng.randrange(1, params.K + 1) for _ in range(params.n)))
@@ -260,31 +232,28 @@ def cmd_experiment_oblivious(parser, args) -> int:
     if not pool:
         parser.error("the pool holds no outer words")
     # as a float here, so a number too large for one is a usage error naming the key
-    positive_float = _positive(lambda value: float(json_typed(int, float)(value)))
+    positive_float = _checked(lambda size: float(json_typed(int, float)(size)),
+                              lambda size: 0 < size < math.inf, "must be positive")
     target_size = json_field(cfg, "target_size", positive_float) if "target_size" in cfg else None
     plan = SamplingPlan.from_params(params, target_size=target_size)
     use_filter = json_field(cfg, "use_filter", json_typed(bool), True)
     f_exact = json_field(cfg, "f_exact", json_typed(bool), True)
-    f_trials = json_field(cfg, "f_trials", _positive(json_typed(int)), 4000)
+    positive = _checked(json_typed(int), lambda trials: trials > 0, "must be positive")
+    f_trials = json_field(cfg, "f_trials", positive, 4000)
     if "pattern_file" in cfg:
-        patterns = _read_input(parser, read_patterns, cfg["pattern_file"], params.N)
+        pattern_file = json_field(cfg, "pattern_file", json_typed(str))  # a number would name a descriptor
+        patterns = read_patterns(pattern_file, params.N)
         if not patterns:
-            parser.error(f"pattern file {cfg['pattern_file']} holds no patterns")
+            parser.error(f"pattern file {pattern_file} holds no patterns")
     else:
         ends = (pool[0], pool[-1])[: len(pool)]  # one reference word per pool end
         refs = [encode_outer(X, params) for X in ends]
-        weight = json_field(cfg, "pattern_weight", _at_least(0, json_typed(int)), params.N // 2)
-        if weight > params.N:
-            raise ValueError(f"'pattern_weight' = {weight}: must be at most N = {params.N}")
+        in_range = _checked(json_typed(int), lambda w: 0 <= w <= params.N, f"must lie in [0, N = {params.N}]")
+        weight = json_field(cfg, "pattern_weight", in_range, params.N // 2)
         patterns = standard_pattern_family(params, weight, refs, master_seed=seed)
-    if "seeds" in cfg:
-        seeds = cfg["seeds"]
-        if not isinstance(seeds, list) or not all(type(s) is int for s in seeds):
-            raise ValueError(f"{args.config}: 'seeds' must be a list of integers")
-        if not seeds:
-            raise ValueError(f"{args.config}: 'seeds' must name at least one seed")
-    else:
-        seeds = list(range(json_field(cfg, "seed_count", _positive(json_typed(int)), 10)))
+    seed_list = _checked(json_typed(list), lambda seeds: seeds and all(type(s) is int for s in seeds),
+                         "must be a nonempty list of JSON integers")
+    seeds = json_field(cfg, "seeds", seed_list, list(range(10)))
     report = oblivious_experiment(
         params,
         pool,
@@ -297,30 +266,20 @@ def cmd_experiment_oblivious(parser, args) -> int:
         f_trials=f_trials,
         version=__version__,
     )
-    report.write(args.out, _summary_path(args.out))
-    print(json.dumps(_render(report.summary()), indent=2, sort_keys=True))
-    return 0
+    return _write_report(report, args.out)
 
 
 def cmd_experiment_online(parser, args) -> int:
     if args.trials < 0:
         parser.error(f"--trials must be nonnegative, got {args.trials}")
-    code = _read_input(parser, read_codebook, args.code)
+    code = read_codebook(args.code)
     if len(code) < 2:
         parser.error("online experiments need at least two codewords")
     cfg = OnlineConfig(p=args.p, p0_adv=args.p0_adv)
     seed = _master_seed(args.seed)
-    decoder = (
-        make_unique_decoder(code)
-        if args.decoder == "unique"
-        else make_first_superstring_decoder(code)
-    )
-    report = simulate_online(
-        code, cfg, decoder, trials=args.trials, master_seed=seed, version=__version__
-    )
-    report.write(args.out, _summary_path(args.out))
-    print(json.dumps(_render(report.summary()), indent=2, sort_keys=True))
-    return 0
+    decoder = (make_unique_decoder if args.decoder == "unique" else make_first_superstring_decoder)(code)
+    report = simulate_online(code, cfg, decoder, trials=args.trials, master_seed=seed, version=__version__)
+    return _write_report(report, args.out)
 
 
 def cmd_graph(parser, args) -> int:
@@ -512,6 +471,10 @@ def main(argv=None) -> int:
         return args.run(parser, args)
     except (ParamsError, NotExecutableError, ValueError) as exc:
         parser.error(str(exc))
+    except OSError as exc:
+        if exc.filename is None:  # not about a file, such as a closed stdout pipe
+            raise
+        parser.error(f"cannot open {exc.filename}: {exc.strerror or exc}")
 
 
 if __name__ == "__main__":

@@ -388,12 +388,17 @@ def params_to_json(params: CodeParams) -> dict:
     return out
 
 
+# the keys each parameter mode reads; toy "lambda" defaults to 1
+PARAM_KEYS = {"toy": ("K", "R", "lambda", "delta", "n"), "paper": ("p", "n")}
+
+
 def params_from_json(obj: dict) -> CodeParams:
     if not isinstance(obj, dict):
         raise ParamsError("parameters must be a JSON object")
     mode = obj.get("mode", "toy")
-    required = ("p", "n") if mode == "paper" else ("K", "R", "delta", "n")
-    missing = [key for key in required if key not in obj]
+    if mode not in ("toy", "paper"):  # compared, not hashed: a JSON list is unhashable
+        raise ParamsError(f"'mode' = {mode!r}: must be 'toy' or 'paper'")
+    missing = [key for key in PARAM_KEYS[mode] if key not in obj and key != "lambda"]
     if missing:
         raise ParamsError(f"{mode} parameters lack key(s): {', '.join(missing)}")
     if mode == "paper":

@@ -12,7 +12,7 @@ from itertools import combinations
 
 from deletion_lab import rng as rngmod
 from deletion_lab.construction import encode_outer, toy_params
-from deletion_lab.matching import match_count_dominance, worst_sets
+from deletion_lab.matching import match_count_dominance
 from deletion_lab.oblivious import (
     SamplingPlan,
     average_case_error,

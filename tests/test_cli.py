@@ -355,7 +355,7 @@ def test_missing_input_file_is_usage_error(case, tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
-    assert f"cannot read {missing}" in capsys.readouterr().err
+    assert f"cannot open {missing}: No such file" in capsys.readouterr().err
 
 
 def test_failed_write_leaves_no_output_and_no_temp_file(tmp_path):
@@ -408,6 +408,8 @@ def test_params_of_the_wrong_json_type_are_usage_errors(params, key, tmp_path, c
     ({"seeds": 3}, "'seeds'"),
     ({"f_exact": False, "f_trials": "many"}, "'f_trials'"),
     ({"params": {"mode": "toy", "K": None, "R": 4, "delta": "1/2", "n": 4}}, "'K'"),
+    ({"pool": {"file": 1}}, "'file'"),  # not file descriptor 1
+    ({"pattern_file": 0}, "'pattern_file'"),
 ])
 def test_experiment_config_of_the_wrong_json_type_is_usage_error(extra, key, tmp_path, capsys):
     argv = _oblivious_config(tmp_path, **extra)
@@ -430,8 +432,15 @@ def test_experiment_config_of_the_wrong_json_type_is_usage_error(extra, key, tmp
     pytest.param({"target_size": 0}, "'target_size'", id="zero-target_size"),
     pytest.param({"target_size": "big"}, "'target_size'", id="string-target_size"),
     pytest.param({"seeds": []}, "'seeds'", id="empty-seeds"),
-    pytest.param({"seeds": OMIT, "seed_count": -2}, "'seed_count'", id="negative-seed_count"),
-    pytest.param({"seeds": OMIT, "seed_count": 0}, "'seed_count'", id="zero-seed_count"),
+    # keys the reader does not know, including the removed seed_count and master_seed
+    pytest.param({"seeds": OMIT, "seed_count": -2}, "unknown key(s) 'seed_count'",
+                 id="negative-seed_count"),
+    pytest.param({"seeds": OMIT, "seed_count": 0}, "unknown key(s) 'seed_count'", id="zero-seed_count"),
+    pytest.param({"master_seed": "abc"}, "unknown key(s) 'master_seed'", id="string-master_seed"),
+    pytest.param({"use_filtre": False}, "unknown key(s) 'use_filtre'", id="typo-use_filter"),
+    pytest.param({"f_exact": False, "f_trails": 3}, "unknown key(s) 'f_trails'", id="typo-f_trials"),
+    pytest.param({"pool": {"random": 3, "structurd": False}}, "unknown 'pool' key(s) 'structurd'",
+                 id="typo-structured"),
     pytest.param({"pool": {"random": -4}}, "'random'", id="negative-random"),
     pytest.param({"pattern_weight": -5}, "'pattern_weight'", id="negative-pattern_weight"),
     pytest.param({"pattern_weight": 129}, "'pattern_weight'", id="pattern_weight-past-N"),  # N = 128
@@ -443,7 +452,6 @@ def test_experiment_config_of_the_wrong_json_type_is_usage_error(extra, key, tmp
     pytest.param({"pool": {"random": 3.9}}, "'random'", id="float-random"),
     pytest.param({"pattern_weight": 2.5}, "'pattern_weight'", id="float-pattern_weight"),
     pytest.param({"seeds": [True]}, "'seeds'", id="boolean-seed"),
-    pytest.param({"master_seed": "abc"}, "'master_seed'", id="string-master_seed"),
     pytest.param({"target_size": "8"}, "'target_size'", id="numeric-string-target_size"),
     pytest.param({"target_size": 10**400}, "'target_size'", id="float-overflow-target_size"),
     pytest.param({"params": {"mode": "toy", "K": 2, "R": 4, "delta": "1/0", "n": 4}}, "'delta'",
@@ -575,7 +583,7 @@ def test_uniform_weight_outside_the_word_length_is_a_usage_error(weight, tmp_pat
 
 
 @pytest.mark.parametrize("options, message", [
-    ([], "cannot read : No such file"),
+    ([], "cannot open : No such file"),
     (["--p", "0.5", "--n", "4"], "config mode takes no --p --n"),
 ], ids=["alone", "beside-paper-options"])
 def test_empty_config_path_is_a_usage_error(options, message, capsys):
@@ -597,6 +605,43 @@ def test_uniform_family_takes_weight_and_seed(tmp_path, capsys):
         main(argv[:-2])
     assert err.value.code == 2
     assert "--weight required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["params", "oblivious"])
+def test_config_that_is_not_json_is_a_usage_error_naming_the_file(command, tmp_path, capsys):
+    cfg = tmp_path / "cut.json"
+    cfg.write_text('{"params": ')
+    argv = {"params": ["params", "--config", str(cfg)],
+            "oblivious": ["experiment", "oblivious", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]}
+    with pytest.raises(SystemExit) as err:
+        main(argv[command])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert f"{cfg}: Expecting value: line 1" in captured.err and captured.out == ""
+    assert sorted(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--p", "0.9", "--n", "100"],
+    ["--toy", "--K", "2", "--R", "4", "--lambda", "2", "--delta", "0.5", "--n", "8"],
+], ids=["paper", "toy"])
+def test_params_output_reads_back_through_config(argv, tmp_path, capsys):
+    code, out, _ = run_cli(["params", *argv], capsys)
+    assert code == 0
+    cfg = tmp_path / "params.json"
+    cfg.write_text(out)
+    assert run_cli(["params", "--config", str(cfg)], capsys) == (0, out, "")
+
+
+def test_toy_flags_read_as_a_config_file_does(capsys):
+    # --lambda defaults to 1, and a missing option is a missing key
+    toy = ["params", "--toy", "--K", "2", "--R", "4", "--delta", "0.5"]
+    code, out, _ = run_cli([*toy, "--n", "8"], capsys)
+    assert code == 0 and json.loads(out)["lambda"] == 1
+    with pytest.raises(SystemExit) as err:
+        main(toy)
+    assert err.value.code == 2
+    assert "toy parameters lack key(s): n" in capsys.readouterr().err
 
 
 def test_paper_config_reads_p_as_its_decimal(tmp_path, capsys):

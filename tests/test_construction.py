@@ -64,6 +64,8 @@ def test_params_from_json_names_missing_keys():
         params_from_json({"mode": "paper", "n": 4})
     with pytest.raises(ParamsError, match="JSON object"):
         params_from_json([2, 2])
+    with pytest.raises(ParamsError, match="'mode' = 'tooy'"):  # not read as toy mode
+        params_from_json({"mode": "tooy", "K": 2, "R": 4, "delta": "1/2", "n": 4})
 
 
 def test_paper_mode_refuses_to_materialize():

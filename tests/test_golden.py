@@ -38,7 +38,7 @@ CASES = {
     ),
     "oblivious_all": (
         {"params": SMALL, "pool": {"all": True}, "target_size": 6,
-         "pattern_weight": 16, "seed_count": 3},
+         "pattern_weight": 16, "seeds": [0, 1, 2]},
         ["experiment", "oblivious", "--seed", "4"],
     ),
     "oblivious_pattern_file": (

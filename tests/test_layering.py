@@ -7,7 +7,8 @@ Each module may import only modules to its left (``online`` uses
 leaves: they import nothing from the package and anyone may import them.
 Only ``cli`` imports ``oracles``.  The package also keeps no option that
 nothing sets, every parameter with a default is passed somewhere, and no
-top-level name that nothing reads.
+top-level name that nothing reads.  No test module imports a name it never
+reads.
 """
 
 import ast
@@ -287,3 +288,30 @@ def test_name_scan_sees_every_form():
     ]
     assert unused_top_level_names(modules, readers, {"Exported"}) == [
         "a.only_imported", "a.only_in_a_docstring", "a.only_recursive"]
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Each name an import in ``tree`` binds and nothing in ``tree`` reads."""
+    bound = {alias.asname or alias.name.split(".")[0]
+             for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+             for alias in node.names}
+    return sorted(bound - names_read(tree))
+
+
+def test_no_test_module_imports_a_name_it_never_reads():
+    tests = Path(__file__).resolve().parent
+    unused = {path.name: unused_imports(ast.parse(path.read_text(), str(path)))
+              for path in sorted(tests.glob("*.py"))}
+    assert {name: found for name, found in unused.items() if found} == {}
+
+
+def test_import_use_scan_sees_every_form():
+    tree = ast.parse(
+        "import os, os.path\n"
+        "import numpy as np\n"
+        "from a import b, c as d, e\n"
+        "def f():\n"
+        "    from g import h\n"
+        "    return np.zeros(b) + d\n"
+    )
+    assert unused_imports(tree) == ["e", "h", "os"]

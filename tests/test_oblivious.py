@@ -9,7 +9,7 @@ import pytest
 
 from deletion_lab import oblivious
 from deletion_lab import rng as rngmod
-from deletion_lab.construction import CodeParams, encode_outer, toy_params
+from deletion_lab.construction import CodeParams, toy_params
 from deletion_lab.matching import MatchConfig, batch_matchable, count_matchable, worst_sets
 from deletion_lab.oblivious import (
     SamplingPlan,

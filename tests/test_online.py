@@ -9,7 +9,6 @@ from deletion_lab import online
 from deletion_lab import rng as rngmod
 from deletion_lab import words as wordsmod
 from deletion_lab.online import (
-    ConfusablePair,
     IdentityAdversary,
     OnlineAdversary,
     NonCausalProbeAdversary,

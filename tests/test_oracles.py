@@ -2,10 +2,10 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
+from deletion_lab import oracles
 from deletion_lab import rng as rngmod
 from deletion_lab.construction import inner_codeword, preserves, toy_params
 from deletion_lab.oracles import (
@@ -184,6 +184,16 @@ def test_alternating_absorption_estimate_matches_exact_binomial():
     assert rep.extras["word_len"] == m and rep.extras["host_len"] == alen
     assert not rep.extras["rounded"]
     assert is_subsequence("010101", "010101010")
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2024])
+def test_alternating_absorption_chunks_draw_what_one_array_draws(seed, monkeypatch):
+    # 1001 words in chunks of 7 end on a partial chunk; 10**6 holds them all at once
+    reports = []
+    for chunk in (7, 10**6):
+        monkeypatch.setattr(oracles, "ABSORPTION_CHUNK", chunk)
+        reports.append(alternating_absorption(200, trials=1001, master_seed=seed).to_json())
+    assert reports[0] == reports[1]
 
 
 def test_alternating_absorption_small_n_reports_only():

@@ -155,29 +155,21 @@ def _jump(skip: np.ndarray, b: np.ndarray, forced: np.ndarray, cols: np.ndarray,
     return after + np.minimum(steps, t - forced)
 
 
-def batch_matchable(Xs: np.ndarray, Y: Sequence[int] | np.ndarray, cfg: MatchConfig,
-                    host: Sequence[int] | np.ndarray | None = None) -> np.ndarray:
-    """Vectorized matching of many X rows, each against its own host.
+def batch_matchable(Xs: np.ndarray, hosts: Sequence[Sequence[int]] | np.ndarray, cfg: MatchConfig,
+                    host: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Vectorized matching of many X rows, row r against the host ``hosts[host[r]]``.
 
-    ``Y`` is one host shared by every row, one host per row, or, with
-    ``host``, a stack of hosts of which row r reads ``Y[host[r]]``; the first
-    two are the index of zeros and ``arange(T)``.  Semantics are identical to
-    run_matching under the same config.
+    ``hosts`` is a stack of equal-length hosts and ``host`` names one of them
+    per row.  Semantics are identical to run_matching under the same config.
     """
     Xs = np.asarray(Xs)
     if Xs.ndim != 2:
         raise ValueError("Xs must be a 2-d array of outer words")
     T, m = Xs.shape
-    Ys = np.asarray(Y, dtype=np.int64)
-    if host is None:
-        if Ys.ndim == 2 and len(Ys) != T:
-            raise ValueError("per-row Y needs one row per X")
-        host = np.arange(T) if Ys.ndim == 2 else np.zeros(T, dtype=np.intp)
-    else:
-        host = np.asarray(host, dtype=np.intp)
-        if Ys.ndim != 2 or host.shape != (T,) or T and not 0 <= host.min() <= host.max() < len(Ys):
-            raise ValueError(f"a host index needs a stack of hosts and one entry in [0, {len(Ys)}) per row")
-    Ys = np.atleast_2d(Ys)
+    Ys = np.asarray(hosts, dtype=np.int64)
+    host = np.asarray(host, dtype=np.intp)
+    if Ys.ndim != 2 or host.shape != (T,) or T and not 0 <= host.min() <= host.max() < len(Ys):
+        raise ValueError(f"a host index needs a stack of hosts and one entry in [0, {len(Ys)}) per row")
     n = Ys.shape[1]
     if m < 1 or n < 1:
         raise ValueError("matching needs nonempty words")
@@ -290,6 +282,7 @@ def match_count_dominance(
     """
     Xs = all_outer_words(K, m)
     lam = len(sets[0]) + 1
-    count_s = int(batch_matchable(Xs, Y, MatchConfig(s, t, tuple(sets))).sum())
-    count_worst = int(batch_matchable(Xs, Y, MatchConfig(s, t, worst_sets(m, lam))).sum())
+    hosts, host = [Y], np.zeros(len(Xs), dtype=np.intp)
+    count_s = int(batch_matchable(Xs, hosts, MatchConfig(s, t, tuple(sets)), host).sum())
+    count_worst = int(batch_matchable(Xs, hosts, MatchConfig(s, t, worst_sets(m, lam)), host).sum())
     return count_s, count_worst

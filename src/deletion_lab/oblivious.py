@@ -246,7 +246,7 @@ def make_stochastic(C: Sequence[Word], group_size: int, rng) -> StochasticCode:
 
 
 def uniform_pattern(N: int, weight: int, rng) -> DeletionPattern:
-    return DeletionPattern(N, tuple(sorted(rng.sample(range(1, N + 1), weight))))
+    return DeletionPattern(N, rng.sample(range(1, N + 1), weight))
 
 
 def _pad_to_weight(positions: Iterable[int], N: int, weight: int, rng) -> DeletionPattern:
@@ -257,7 +257,7 @@ def _pad_to_weight(positions: Iterable[int], N: int, weight: int, rng) -> Deleti
         taken = set(pos)
         rest = [i for i in range(1, N + 1) if i not in taken]
         pos += rng.sample(rest, weight - len(pos))
-    return DeletionPattern(N, tuple(sorted(pos)))
+    return DeletionPattern(N, pos)
 
 
 def delete_bit_pattern(ref: Word, bit: int, weight: int, rng) -> DeletionPattern:
@@ -356,6 +356,5 @@ def oblivious_experiment(
                 encoded[X] = encode_outer(X, params)
         C = [encoded[X] for X in chosen]
         for pid, tau in patterns:
-            err = average_case_error(C, tau) if C else Fraction(0)
-            report.add(seed, pid, tau.weight, len(C), float(err))
+            report.add(seed, pid, tau.weight, len(C), float(average_case_error(C, tau)))
     return report

@@ -198,18 +198,12 @@ def structured_inner_patterns(params: CodeParams) -> list[tuple[str, DeletionPat
     words = params.inner_words
     out: list[tuple[str, DeletionPattern]] = []
     for order in ([*range(params.K, 0, -1)], [*range(1, params.K + 1)]):
-        dead: set[int] = set()
+        keep = np.ones(params.L, dtype=bool)
         chain: list[int] = []
         for i in order:
-            g = words[i - 1]
-            dead |= {pos for pos in range(1, params.L + 1) if g.bits[pos - 1] == 0}
+            keep &= bit_deletion_pattern(words[i - 1], 0).keep
             chain.append(i)
-            out.append(
-                (
-                    "zeros-of-" + ",".join(map(str, chain)),
-                    DeletionPattern(params.L, tuple(sorted(dead))),
-                )
-            )
+            out.append(("zeros-of-" + ",".join(map(str, chain)), DeletionPattern.from_keep(keep)))
     for i, g in enumerate(words, start=1):
         # delete every other run of g_i (all its zeros), one codeword at a time
         out.append((f"zeros-of-{i}", bit_deletion_pattern(g, 0)))
@@ -464,7 +458,7 @@ def matchability_estimates(
         gen = rngmod.np_rng(master_seed, "matching-decay", n)
         Xs = gen.integers(1, K + 1, size=(trials, dn))
         Ys = gen.integers(1, K + 1, size=(trials, n))
-        wins = batch_matchable(Xs, Ys, MatchConfig.paper(lam, R, worst_sets(dn, lam)))
+        wins = batch_matchable(Xs, Ys, MatchConfig.paper(lam, R, worst_sets(dn, lam)), np.arange(trials))
         out[n] = float(wins.mean())
     return out
 

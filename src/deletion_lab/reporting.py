@@ -51,9 +51,7 @@ class ExperimentReport:
                 vals = [float(r[i]) for r in self.rows]
                 if vals:
                     out[f"{col}_mean"] = statistics.fmean(vals)
-                    out[f"{col}_stdev"] = (
-                        statistics.pstdev(vals) if len(vals) > 1 else 0.0
-                    )
+                    out[f"{col}_stdev"] = statistics.pstdev(vals)
         return out
 
     def summary_text(self) -> str:
@@ -67,22 +65,24 @@ class ExperimentReport:
 
 
 def read_lines(path, parse, keep_blank: bool = False) -> dict:
-    """``{line number: parse(line)}`` over the stripped lines of a text file.
+    """``{line number: parse(line)}`` over the stripped lines of an ASCII text file.
 
-    Lines starting with ``#`` are comments.  Blank lines are skipped, or
-    parsed too when ``keep_blank``.  A ``ValueError`` from ``parse`` is raised
-    again with ``path:line`` in front of its message.
+    Lines end at universal newlines, and those starting with ``#`` are
+    comments.  Blank lines are skipped, or parsed too when ``keep_blank``.
+    A ``ValueError`` from decoding a line or from ``parse`` is raised again
+    with ``path:line`` in front of its message.
     """
     out = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()  # bytes split at \n, \r and \r\n, as text mode does
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("ascii").strip()
             if line.startswith("#") or not (line or keep_blank):
                 continue
-            try:
-                out[lineno] = parse(line)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            out[lineno] = parse(line)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return out
 
 

@@ -7,8 +7,6 @@ bits is 0-based.
 
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
@@ -127,65 +125,51 @@ def _joined_runs(parts: Sequence[Word]) -> tuple[int, ...]:
     return tuple(runs)
 
 
-@dataclass(frozen=True)
 class DeletionPattern:
-    """A fixed set of 1-based positions to delete from words of one length."""
+    """A fixed set of 1-based positions to delete from words of one length, stored as its keep mask."""
 
-    word_length: int
-    deleted: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.word_length < 0:
+    def __init__(self, word_length: int, deleted: Iterable[int] = ()):
+        if word_length < 0:
             raise ValueError("word_length must be nonnegative")
-        d = tuple(self.deleted)
-        if not all(map(operator.lt, d, d[1:])):  # strictly increasing already: keep as is
-            d = tuple(sorted(set(d)))
-        object.__setattr__(self, "deleted", d)
-        if self.deleted:
-            if self.deleted[0] < 1 or self.deleted[-1] > self.word_length:
-                raise ValueError(
-                    f"deleted indices must lie in [1, {self.word_length}]"
-                )
+        d = tuple(deleted)
+        if d and (min(d) < 1 or max(d) > word_length):
+            raise ValueError(f"deleted indices must lie in [1, {word_length}]")
+        keep = np.ones(word_length, dtype=bool)
+        keep[np.array(d, dtype=np.intp) - 1] = False
+        keep.flags.writeable = False
+        self.keep = keep  # False where the pattern deletes; shared, so read-only
 
     @classmethod
     def from_keep(cls, keep: np.ndarray) -> "DeletionPattern":
-        """The pattern deleting where the boolean ``keep`` is False; a copy of ``keep`` is its mask.
-
-        The positions read off a mask are strictly increasing and in range,
-        so the checks of ``__post_init__`` are skipped, and they are read
-        only when ``deleted`` is first asked for (``__getattr__``): applying
-        the pattern needs only the mask.
-        """
-        keep = np.array(keep, dtype=bool)  # a copy, so the caller cannot change the mask
-        keep.flags.writeable = False
-        pattern = object.__new__(cls)
-        object.__setattr__(pattern, "word_length", keep.size)
-        pattern.__dict__["keep"] = keep  # fills the cache of ``keep`` below
+        """The pattern deleting where the boolean ``keep`` is False; a read-only copy of ``keep`` is its mask."""
+        pattern = cls.__new__(cls)
+        pattern.keep = np.array(keep, dtype=bool)  # a copy, so the caller cannot change the mask
+        pattern.keep.flags.writeable = False
         return pattern
 
-    def __getattr__(self, name: str):
-        # called only for attributes not set on the instance: ``deleted`` of a
-        # pattern made by ``from_keep`` before it is first read
-        if name != "deleted" or "keep" not in self.__dict__:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        deleted = tuple((np.flatnonzero(~self.keep) + 1).tolist())
-        object.__setattr__(self, "deleted", deleted)
-        return deleted
-
-    @cached_property
-    def keep(self) -> np.ndarray:
-        """Boolean mask over positions 1..word_length (0-based), False where the pattern deletes.
-
-        Built once per pattern and shared, so it is read-only.
-        """
-        keep = np.ones(self.word_length, dtype=bool)
-        keep[np.array(self.deleted, dtype=np.int64) - 1] = False
-        keep.flags.writeable = False
-        return keep
+    @property
+    def word_length(self) -> int:
+        return self.keep.size
 
     @property
     def weight(self) -> int:
-        return len(self.deleted)
+        return self.keep.size - np.count_nonzero(self.keep)
+
+    @cached_property
+    def deleted(self) -> tuple[int, ...]:
+        """The deleted positions in increasing order, read off the mask when first asked for."""
+        return tuple((np.flatnonzero(~self.keep) + 1).tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DeletionPattern):
+            return NotImplemented
+        return np.array_equal(self.keep, other.keep)
+
+    def __hash__(self) -> int:
+        return hash(self.keep.tobytes())
+
+    def __repr__(self) -> str:
+        return f"DeletionPattern(word_length={self.word_length}, deleted={self.deleted!r})"
 
 
 def apply_pattern(tau: DeletionPattern, w: WordLike) -> Word:

@@ -296,6 +296,28 @@ def test_bad_outer_word_is_a_usage_error_naming_path_and_line(caller, line, tmp_
     assert [p.name for p in tmp_path.iterdir() if p.name.startswith(out.name)] == []
 
 
+@pytest.mark.parametrize("case", ["codebook", "received", "outer-words", "pattern-file"])
+def test_non_ascii_input_line_is_a_usage_error_naming_path_and_line(case, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    out = tmp_path / "o.csv"
+    book = tmp_path / "book.txt"
+    book.write_text("0011\n1100\n")
+    first = {"codebook": "0011", "received": "01", "outer-words": "1,2,1,2", "pattern-file": "1,2"}[case]
+    bad.write_bytes(first.encode() + "\r\n# caf\u00e9\n".encode("utf-8"))  # the second line is not ASCII
+    argv = {
+        "codebook": ["corrupt", "--in", str(bad), "--out", str(out), "--pattern", ""],
+        "received": ["decode", "--codebook", str(book), "--in", str(bad), "--out", str(out)],
+        "outer-words": ["encode", "--toy", "--K", "2", "--R", "2", "--lambda", "1", "--delta", "0.5",
+                        "--n", "4", "--in", str(bad), "--out", str(out)],
+        "pattern-file": _oblivious_config(tmp_path, pool={"random": 4}, pattern_file=str(bad)),
+    }[case]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert f"error: {bad}:2: 'ascii' codec can't decode byte 0xc3" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir() if p.name.startswith(out.name)] == []
+
+
 def test_pool_that_repeats_a_word_is_a_usage_error_before_scoring(tmp_path, capsys, monkeypatch):
     words = tmp_path / "pool.txt"
     words.write_text("1,2,1,2\n2,2,1,1\n1,2,1,2\n")

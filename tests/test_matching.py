@@ -87,7 +87,7 @@ def test_batch_matches_scalar():
         X = tuple(r.randrange(1, K + 1) for _ in range(m))
         Y = tuple(r.randrange(1, K + 1) for _ in range(n))
         scalar = is_matchable(X, Y, cfg_of(s, t, m, lam))
-        batched = bool(batch_matchable(np.array([X]), Y, cfg_of(s, t, m, lam))[0])
+        batched = bool(batch_matchable(np.array([X]), [Y], cfg_of(s, t, m, lam), [0])[0])
         assert scalar == batched
 
 
@@ -96,9 +96,9 @@ def test_batch_per_row_hosts():
     Xs = rng.integers(1, 4, size=(50, 4))
     Ys = rng.integers(1, 4, size=(50, 7))
     cfg = cfg_of(2, 2, 4, 1)
-    joint = batch_matchable(Xs, Ys, cfg)
+    joint = batch_matchable(Xs, Ys, cfg, np.arange(50))
     singly = [
-        bool(batch_matchable(Xs[i : i + 1], tuple(Ys[i]), cfg)[0])
+        bool(batch_matchable(Xs[i : i + 1], [tuple(Ys[i])], cfg, [0])[0])
         for i in range(50)
     ]
     assert list(joint) == singly
@@ -204,7 +204,7 @@ def test_batch_in_sets_mode_matches_scalar():
         )
         cfg = MatchConfig(s=s, t=t, sets=sets)
         scalar = is_matchable(X, Y, cfg)
-        batched = bool(batch_matchable(np.array([X]), Y, cfg)[0])
+        batched = bool(batch_matchable(np.array([X]), [Y], cfg, [0])[0])
         assert scalar == batched
 
 

@@ -104,7 +104,7 @@ def test_graph_outdegree_identity_full_pool():
         fc = estimate_f([Y], params, exact=True)[0]
         expected = 2 ** (6 - dn) * int(fc * 2**dn)
         cfg = MatchConfig(2, 2, worst_sets(dn, 1))
-        selfedge = bool(batch_matchable(np.array([Y[:dn]]), Y, cfg)[0])
+        selfedge = bool(batch_matchable(np.array([Y[:dn]]), [Y], cfg, [0])[0])
         assert outs[y_idx] == expected - (1 if selfedge else 0)
 
 
@@ -248,6 +248,16 @@ def test_experiment_report_deterministic():
     assert len(runs[0].splitlines()) == 1 + 3
 
 
+def test_family_patterns_hold_only_their_masks_through_an_experiment():
+    # scoring a pattern reads its mask and weight, never its positions
+    params = toy_params(2, 4, 1, Fraction(1, 2), 4)
+    pool = [tuple(X) for X in product((1, 2), repeat=4)]
+    fam = standard_pattern_family(params, params.N // 2, [Word("0110") * (params.N // 4)], master_seed=3)
+    plan = SamplingPlan.from_params(params, target_size=6)
+    oblivious_experiment(params, pool, plan, fam, seeds=[0, 1], use_filter=False)
+    assert [list(vars(pattern)) for _, pattern in fam] == [["keep"]] * len(fam)
+
+
 @pytest.mark.parametrize("Y", [(3, 4) * 20, (4,) * 40])
 def test_estimate_f_exact_at_zlen_30_tracks_monte_carlo(Y):
     # criterion-11 scale: 4^30 words, far past what enumeration could list
@@ -294,7 +304,8 @@ def test_stacked_estimate_f_equals_per_host_scoring(exact):
             expected = Fraction(count_matchable(Y, cfg, 3), 3**dn)
         else:
             gen = rngmod.np_rng(5, "estimate-f", hash(Y) & 0xFFFFFFFF)
-            expected = int(batch_matchable(gen.integers(1, 4, size=(trials, dn)), Y, cfg).sum()) / trials
+            Zs = gen.integers(1, 4, size=(trials, dn))
+            expected = int(batch_matchable(Zs, [Y], cfg, np.zeros(trials, dtype=int)).sum()) / trials
         assert est == expected and type(est) is (Fraction if exact else float)
     assert estimate_f([], params, exact=exact, trials=trials) == []
 
@@ -312,7 +323,8 @@ def test_graph_edges_equal_one_walk_per_host(monkeypatch):
     cfg = MatchConfig(2, 2, worst_sets(4, 1))
     selected = np.array(pool)[:, [0, 2, 3, 5]]
     expected = [(y, int(x)) for y, Y in enumerate(pool)
-                for x in np.flatnonzero(batch_matchable(selected, Y, cfg)) if x != y]
+                for x in np.flatnonzero(batch_matchable(selected, [Y], cfg, np.zeros(len(pool), dtype=int)))
+                if x != y]
     monkeypatch.setattr(oblivious, "WALK_ROWS", 5 * len(pool))  # 13 walks, the last of 4 hosts
     assert build_confusability_graph(pool, sigma, cfg).edges == expected
 

@@ -92,8 +92,9 @@ def test_batch_matchable_agrees_with_run_matching(inst):
     cfg, Xs, Ys, Y = inst
     m, n = len(cfg.sets), len(Y)
     rows = np.array(Xs, dtype=np.int64).reshape(len(Xs), m)
-    per_row = batch_matchable(rows, np.array(Ys, dtype=np.int64).reshape(len(Xs), n), cfg)
-    shared = batch_matchable(rows, Y, cfg)
+    stack = np.array(Ys, dtype=np.int64).reshape(len(Xs), n)
+    per_row = batch_matchable(rows, stack, cfg, np.arange(len(Xs)))
+    shared = batch_matchable(rows, [Y], cfg, np.zeros(len(Xs), dtype=int))
     assert per_row.shape == shared.shape == (len(Xs),)
     for i, X in enumerate(Xs):
         assert per_row[i] == run_matching(X, Ys[i], cfg).success == is_matchable(X, Ys[i], cfg)
@@ -117,7 +118,8 @@ def count_instances(draw):
 def test_count_matchable_agrees_with_enumeration(inst):
     cfg, K, Y = inst
     Zs = all_outer_words(K, len(cfg.sets))
-    assert count_matchable(Y, cfg, K) == int(batch_matchable(Zs, Y, cfg).sum())
+    matched = batch_matchable(Zs, [Y], cfg, np.zeros(len(Zs), dtype=int))
+    assert count_matchable(Y, cfg, K) == int(matched.sum())
 
 
 def test_per_row_hosts_agree_across_table_blocks(monkeypatch):
@@ -126,15 +128,15 @@ def test_per_row_hosts_agree_across_table_blocks(monkeypatch):
     cfg = MatchConfig(s=2, t=3, sets=(frozenset({2}),) * 6)
     expected = [is_matchable(tuple(X), tuple(Y), cfg) for X, Y in zip(Xs.tolist(), Ys.tolist())]
     assert any(expected) and not all(expected)
-    assert batch_matchable(Xs, Ys, cfg).tolist() == expected
+    assert batch_matchable(Xs, Ys, cfg, np.arange(50)).tolist() == expected
     monkeypatch.setattr(matching, "TABLE_BYTES", 200)  # 3 rows of 60 table bytes per block
-    assert batch_matchable(Xs, Ys, cfg).tolist() == expected
+    assert batch_matchable(Xs, Ys, cfg, np.arange(50)).tolist() == expected
 
 
 def test_batch_matchable_needs_one_set_per_position():
     cfg = MatchConfig(s=2, t=2, sets=(frozenset(),) * 2)
     with pytest.raises(ValueError, match="sets"):
-        batch_matchable(np.ones((4, 3), dtype=np.int64), (1, 2, 3), cfg)
+        batch_matchable(np.ones((4, 3), dtype=np.int64), [(1, 2, 3)], cfg, [0] * 4)
 
 
 @st.composite
@@ -176,14 +178,20 @@ def test_host_indexed_batch_matchable_agrees_with_one_call_per_host(inst):
     assert stacked.tolist() == [run_matching(X, hosts[h], cfg).success for X, h in zip(Xs, host)]
     for h, Y in enumerate(hosts):
         mine = [r for r, g in enumerate(host) if g == h]
-        assert stacked[mine].tolist() == batch_matchable(rows[mine], Y, cfg).tolist()
+        assert stacked[mine].tolist() == batch_matchable(rows[mine], [Y], cfg, [0] * len(mine)).tolist()
 
 
-@pytest.mark.parametrize("host", [[0, 2], [-1, 0], [0], [[0, 1]]])
+@pytest.mark.parametrize("host", [[0, 2], [-1, 0], [0], [[0, 1]], [0, 1, 0]])
 def test_host_index_outside_the_stack_is_a_value_error(host):
     cfg = MatchConfig(s=2, t=2, sets=(frozenset(),) * 2)
     with pytest.raises(ValueError, match="host index"):
         batch_matchable(np.ones((2, 2), dtype=np.int64), [(1, 2, 3), (3, 2, 1)], cfg, host)
+
+
+def test_a_lone_host_is_not_a_stack_of_hosts():
+    cfg = MatchConfig(s=2, t=2, sets=(frozenset(),) * 2)
+    with pytest.raises(ValueError, match="host index needs a stack of hosts"):
+        batch_matchable(np.ones((2, 2), dtype=np.int64), (1, 2, 3), cfg, [0, 0])
 
 
 @PROPS
@@ -227,7 +235,12 @@ def test_deletion_pattern_sorts_and_dedups_any_order(length, data):
     positions = data.draw(st.lists(st.integers(1, max(length, 1)), max_size=2 * length))
     tau = DeletionPattern(length, positions)
     assert tau.deleted == tuple(sorted(set(positions)))
+    assert tau.weight == len(set(positions)) and tau.word_length == length
     assert DeletionPattern(length, tau.deleted) == tau
+    # the pattern of the same keep mask is equal in value and in hash
+    from_mask = DeletionPattern.from_keep([pos not in positions for pos in range(1, length + 1)])
+    assert tau == from_mask and hash(tau) == hash(from_mask)
+    assert from_mask.deleted == tau.deleted and from_mask.weight == tau.weight
 
 
 def test_deletion_pattern_unsorted_duplicates_and_range():

@@ -3,6 +3,7 @@ from itertools import accumulate
 
 import pytest
 
+from deletion_lab.reporting import read_lines
 from deletion_lab.words import (
     DeletionPattern,
     Word,
@@ -202,3 +203,12 @@ def test_word_basics():
     assert (Word("01") * 2) == Word("0101")
     with pytest.raises(ValueError):
         Word("012")
+
+
+def test_read_lines_splits_where_text_mode_does(tmp_path):
+    path = tmp_path / "lines.txt"
+    path.write_bytes(b"01\r10\r\n# note\n\n 11 \r\x0c0\n")  # a form feed ends no line
+    with open(path, encoding="ascii") as fh:
+        stripped = [line.strip() for line in fh]
+    expected = {k: line for k, line in enumerate(stripped, start=1) if line and not line.startswith("#")}
+    assert read_lines(path, str) == expected == {1: "01", 2: "10", 5: "11", 6: "0"}

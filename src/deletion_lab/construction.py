@@ -21,7 +21,6 @@ from .words import (
     DeletionPattern,
     Word,
     concatenate,
-    join_patterns,
     masked_run_count,
     split_pattern,
 )
@@ -273,29 +272,15 @@ class SignatureError(ValueError):
 
 @dataclass(frozen=True)
 class Signature:
-    """(outer pattern, corruption sets) summary of a full deletion pattern."""
+    """(outer pattern, corruption sets) summary of a full deletion pattern.
+
+    The outer pattern deletes the positions of [n] outside ``kept_indices``.
+    """
 
     n: int
     kept_indices: tuple[int, ...]
     corruption_sets: tuple[frozenset[int], ...]
     inner_patterns: tuple[DeletionPattern, ...]
-
-    @property
-    def outer_pattern(self) -> DeletionPattern:
-        kept = set(self.kept_indices)
-        return DeletionPattern(
-            self.n, tuple(i for i in range(1, self.n + 1) if i not in kept)
-        )
-
-    @property
-    def tau_prime(self) -> DeletionPattern:
-        return join_patterns(self.inner_patterns)
-
-    def select(self, X: Sequence[int]) -> OuterWord:
-        """sigma(X): the outer symbols at the kept positions."""
-        if len(X) != self.n:
-            raise ValueError(f"outer word has length {len(X)}, expected {self.n}")
-        return tuple(X[i - 1] for i in self.kept_indices)
 
 
 def extract_signature(tau: DeletionPattern, params: CodeParams) -> Signature:

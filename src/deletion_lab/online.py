@@ -14,7 +14,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
+from itertools import combinations, compress
 from operator import not_
 from typing import Callable, Sequence
 
@@ -23,7 +23,7 @@ from . import words as wordsmod
 from .construction import as_fraction
 from .oblivious import unique_decode
 from .reporting import ExperimentReport
-from .words import Word, as_word, lcs, lcs_length
+from .words import Word, as_word, lcs, lcs_lengths
 
 Decoder = Callable[[Word], Word | None]
 
@@ -64,14 +64,6 @@ def _common_prefix_len(a: bytes, b: bytes) -> int:
         if u != v:
             return k
     return min(len(a), len(b))
-
-
-def _wait_len(keys: Sequence[bytes], k: int) -> int:
-    """Wait length of ``keys[k]`` among the sorted, distinct ``keys``: one
-    more than the longest prefix it shares with a sorted neighbour, which is
-    the longest it shares with any other key; 0 for a lone key."""
-    near = (j for j in (k - 1, k + 1) if 0 <= j < len(keys))
-    return 1 + max((_common_prefix_len(keys[k], keys[j]) for j in near), default=-1)
 
 
 @dataclass(frozen=True)
@@ -147,42 +139,58 @@ def build_pairs(C: Sequence[Word], cfg: OnlineConfig) -> PairingTable:
     Only classes with relative wait length at most 1-p are eligible, and a
     pair forms only when the suffix LCS strictly exceeds
     (1-q)(1-p0_adv)n.  Pairs with the largest suffix LCS are taken first.
-    Every pair is scored by its LCS length; only the pairs taken get the
-    witness alignment of ``lcs``.  The table keeps ``cfg``, so an adversary
-    built from it needs nothing else.
+    Every eligible pair is scored in one ``lcs_lengths`` call; only the
+    pairs taken get the witness alignment of ``lcs``.  The table keeps
+    ``cfg``, so an adversary built from it needs nothing else.
     """
     words = [as_word(c) for c in C]
     if len(set(words)) != len(words):
         raise ValueError("codewords must be distinct")
+    if len({len(x) for x in words}) > 1:
+        raise ValueError("codewords must all have equal length")
     n = len(words[0]) if words else 0
     keys = sorted(x.bits for x in words)
-    wait = {key: _wait_len(keys, k) for k, key in enumerate(keys)}
+    # a wait length is one more than the longest prefix shared with a sorted
+    # neighbour, which is the longest shared with any other codeword; 0 alone
+    shared = [-1, *map(_common_prefix_len, keys, keys[1:]), -1]
+    wait = {key: 1 + max(shared[k], shared[k + 1]) for k, key in enumerate(keys)}
     profiles = {x: _profile(x.bits, wait[x.bits]) for x in words}
-    classes: dict[tuple[int, int, int], list[Word]] = {}
-    for x in words:
+    classes: dict[tuple[int, int, int], list[int]] = {}
+    for k, x in enumerate(words):
         prof = profiles[x]
-        classes.setdefault((prof.wait_len, prof.b, prof.r_majority), []).append(x)
+        classes.setdefault((prof.wait_len, prof.b, prof.r_majority), []).append(k)
+    rest = 1 - cfg.p
+    eligible = {ell for ell, _b, _r in classes if ell * rest.denominator <= rest.numerator * n}  # ell/n <= 1-p
+    tails = [x.bits[wait[x.bits]:] for x in words]
+    # one lane per same-class pair of an eligible class, class by class;
+    # members are in codebook order, so i < j.  The lanes are two lists of
+    # ints: a thousand pair tuples would stay in the tuple free list and
+    # raise the call's peak memory
+    first: list[int] = []
+    second: list[int] = []
+    spans: list[range] = []  # each class's lanes
+    for (ell, _b, _r), members in classes.items():
+        start = len(first)
+        if ell in eligible:
+            for i, j in combinations(members, 2):
+                first.append(i)
+                second.append(j)
+        spans.append(range(start, len(first)))
+    lengths = lcs_lengths(tails, first, second)
+    num, den = (1 - cfg.p0_adv).as_integer_ratio()
     pairs: list[ConfusablePair] = []
     unpaired: list[Word] = []
-    for (ell, _b, _r), members in classes.items():
-        if Fraction(ell, n) > 1 - cfg.p:
-            unpaired.extend(members)
-            continue
-        threshold = (1 - Fraction(ell, n)) * (1 - cfg.p0_adv) * n
-        tails = [x[ell:] for x in members]
-        candidates = []
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                length = lcs_length(tails[i], tails[j])
-                if length > threshold:
-                    candidates.append((-length, i, j))
-        candidates.sort()
+    for ((ell, _b, _r), members), span in zip(classes.items(), spans):
         used: set[int] = set()
-        for _, i, j in candidates:
+        # longest first; a stable sort keeps (i, j) order among equal lengths
+        for lane in sorted(span, key=lengths.__getitem__, reverse=True):
+            if lengths[lane] * den <= num * (n - ell):  # LCS > (1 - q)(1 - p0_adv)n fails from here on
+                break
+            i, j = first[lane], second[lane]
             if i in used or j in used:
                 continue
             used.update((i, j))
-            x, y = members[i], members[j]
+            x, y = words[i], words[j]
             res = lcs(tails[i], tails[j])
             pairs.append(
                 ConfusablePair(
@@ -194,7 +202,7 @@ def build_pairs(C: Sequence[Word], cfg: OnlineConfig) -> PairingTable:
                     y_keep=frozenset(ell + p for p in res.b_positions),
                 )
             )
-        unpaired.extend(members[i] for i in range(len(members)) if i not in used)
+        unpaired.extend(words[k] for k in members if k not in used)
     return PairingTable(pairs=pairs, unpaired=unpaired, profiles=profiles, keys=keys, cfg=cfg)
 
 

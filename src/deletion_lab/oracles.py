@@ -144,11 +144,11 @@ def max_pairwise_lcs(C: Sequence[Word]) -> int | None:
     """Max LCS over distinct codeword pairs; None for |C| < 2 (read: -inf).
 
     The lengths come from ``words.lcs``, which runs the same bit-parallel
-    rows as ``words.lcs_length``.  The oracle's independent check is
-    exhaustive decodability: ``levenshtein_equivalence`` compares this
-    maximum with ``exhaustive_decodable`` and the insertion and mixed-edit
-    searches.  (perfbench's verify-all trace expects calls at the
-    ``words.lcs`` site.)
+    update as one lane of ``words.lcs_lengths``.  The oracle's independent
+    check is exhaustive decodability: ``levenshtein_equivalence`` compares
+    this maximum with ``exhaustive_decodable`` and the insertion and
+    mixed-edit searches.  (perfbench's verify-all trace expects calls at
+    the ``words.lcs`` site.)
     """
     best = None
     for x, y in combinations([Word(c) for c in C], 2):

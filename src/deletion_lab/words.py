@@ -265,11 +265,12 @@ def lcs(a: WordLike, b: WordLike) -> LcsResult:
     Tie-break: among optimal alignments, the one with lexicographically
     smallest a-positions, then smallest b-positions.
 
-    The bit-parallel update of ``lcs_length`` runs over the reversed words
-    and keeps every row: LCS(aa[i:], bb[j:]) is (m - i) minus the number of
-    ones in the low m - i bits of ``rows[n - j]``.  Suffix LCS never grows
-    with j, so at each a-position the walk probes only the first matching
-    b-position at or after j, O(m + n) probes in all.
+    The bit-parallel update of one ``lcs_lengths`` lane runs over the
+    reversed words and keeps every row: LCS(aa[i:], bb[j:]) is (m - i)
+    minus the number of ones in the low m - i bits of ``rows[n - j]``.
+    Suffix LCS never grows with j, so at each a-position the walk probes
+    only the first matching b-position at or after j, O(m + n) probes in
+    all.
     """
     aa, bb = as_word(a).bits, as_word(b).bits
     m, n = len(aa), len(bb)
@@ -303,24 +304,57 @@ def lcs(a: WordLike, b: WordLike) -> LcsResult:
     return LcsResult(len(a_pos), witness, tuple(a_pos), tuple(b_pos))
 
 
-def lcs_length(a: WordLike, b: WordLike) -> int:
-    """Length of a longest common subsequence, bit-parallel on Python ints.
+LANE_BLOCK = 128  # lanes per Python int, so each int stays near 1 KB however many pairs come in
 
-    Bit i of ``v`` stands for position i of ``a``; each bit of ``b`` updates
-    all of them with a few big-int operations (Allison and Dix 1986, Hyyro
-    2004), and the LCS length is the number of zero bits left in ``v``.  The
-    cost is O(len(b)) such operations, not the len(a) * len(b) cells of a
-    table fill.
+
+def lcs_lengths(rows: Sequence[WordLike], first: Sequence[int], second: Sequence[int]) -> list[int]:
+    """LCS length of ``rows[first[k]]`` and ``rows[second[k]]`` for every k, in one call.
+
+    Each pair is one lane of floor(m / 8) + 1 bytes, m the longest row, so
+    a lane holds every row and a spare top bit; ``LANE_BLOCK`` lanes sit side
+    by side in one Python int, and bit i of a lane stands for position i of
+    its a-row.  The bit-parallel update of Allison and Dix (1986) and Hyyro
+    (2004), ``v = ((v + u) | (v & ~M)) & full`` with ``u = v & M`` and M the
+    a-positions equal to the b-bit, runs once per b-position across all the
+    lanes of an int: one big-int add, whose carries ripple within a lane and
+    stop at its spare bit.  M is built per lane from its b-bit at that
+    position, and a lane whose b-row has ended gets an all-zero M, which
+    leaves it as it is.  A lane's LCS length is the number of zero bits left
+    among its a-row's positions.
     """
-    aa, bb = as_word(a).bits, as_word(b).bits
-    if not aa:
-        return 0
-    full, match = _match_masks(aa)
-    v = full
-    for sym in bb:
-        u = v & match[sym]
-        v = ((v + u) | (v - u)) & full
-    return len(aa) - v.bit_count()
+    bits = [as_word(row).bits for row in rows]
+    size = max(map(len, bits), default=0) // 8 + 1  # bytes per lane
+
+    def as_lanes(masks: Iterable[int]) -> list[bytes]:
+        return [mask.to_bytes(size, "little") for mask in masks]
+
+    def lanes(masks: list[bytes], rows_of: Sequence[int]) -> int:
+        """One lane per row in ``rows_of``, holding that row's mask from ``masks``."""
+        return int.from_bytes(b"".join([masks[k] for k in rows_of]), "little")
+
+    # each row's full, ones and zeros masks, as the little-endian bytes of one lane
+    row_fulls = [(1 << len(row)) - 1 for row in bits]
+    row_ones = [int(b"0" + row[::-1].translate(_ASCII01), 2) for row in bits]  # bit i set iff row[i] == 1
+    fulls_of, ones_of = as_lanes(row_fulls), as_lanes(row_ones)
+    zeros_of = as_lanes(map(int.__xor__, row_fulls, row_ones))
+
+    spread = (1 << 8 * size) - 1  # times a lane's bit 0: that whole lane
+    lengths: list[int] = []
+    for at in range(0, len(first), LANE_BLOCK):
+        a_rows, b_rows = first[at:at + LANE_BLOCK], second[at:at + LANE_BLOCK]
+        full, zeros, ones = lanes(fulls_of, a_rows), lanes(zeros_of, a_rows), lanes(ones_of, a_rows)
+        b_zeros, b_ones = lanes(zeros_of, b_rows), lanes(ones_of, b_rows)  # the b-rows' bits, one per position
+        low = int.from_bytes((b"\x01" + bytes(size - 1)) * len(a_rows), "little")  # bit 0 of every lane
+        v = full
+        for t in range(max(len(bits[k]) for k in b_rows)):
+            # M: the a-ones where the b-bit t is 1, the a-zeros where it is 0
+            mask = ((b_ones >> t) & low) * spread & ones | ((b_zeros >> t) & low) * spread & zeros
+            u = v & mask
+            v = ((v + u) | (v ^ u)) & full  # v ^ u is v & ~M, as u lies in v
+        left = v.to_bytes(len(a_rows) * size, "little")
+        lengths += [len(bits[k]) - int.from_bytes(left[i * size:(i + 1) * size], "little").bit_count()
+                    for i, k in enumerate(a_rows)]
+    return lengths
 
 
 def split_pattern(tau: DeletionPattern, n: int, L: int) -> list[DeletionPattern]:
@@ -328,18 +362,6 @@ def split_pattern(tau: DeletionPattern, n: int, L: int) -> list[DeletionPattern]
     if tau.word_length != n * L:
         raise ValueError(f"pattern length {tau.word_length} != {n}*{L}")
     return [DeletionPattern.from_keep(row) for row in tau.keep.reshape(n, L)]
-
-
-def join_patterns(parts: Sequence[DeletionPattern]) -> DeletionPattern:
-    """Inverse of split_pattern: concatenate blockwise patterns.
-
-    The joined mask is the concatenation of the parts' masks, and the joined
-    pattern keeps it, so applying the pattern builds no mask of its own.
-    """
-    if len({part.word_length for part in parts}) > 1:
-        raise ValueError("all blocks must share one word_length")
-    masks = [part.keep for part in parts]
-    return DeletionPattern.from_keep(np.concatenate(masks) if masks else np.ones(0, dtype=bool))
 
 
 def enumerate_patterns(n: int, m: int) -> Iterator[DeletionPattern]:

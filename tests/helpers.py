@@ -8,12 +8,15 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
+import numpy as np
+
+from deletion_lab.construction import OuterWord, Signature
 from deletion_lab.matching import Sets
 from deletion_lab.oblivious import ConfusabilityGraph
 from deletion_lab.online import ConfusablePair
 from deletion_lab.oracles import geom_cap, geom_expectation
 from deletion_lab.reporting import atomic_write_text
-from deletion_lab.words import DeletionPattern, Word
+from deletion_lab.words import DeletionPattern, Word, WordLike
 
 
 def write_patterns(path, patterns: Iterable[DeletionPattern]) -> None:
@@ -24,6 +27,54 @@ def write_patterns(path, patterns: Iterable[DeletionPattern]) -> None:
 def write_outer_words(path, words: Iterable[Sequence[int]]) -> None:
     """One outer word per line, as ``construction.read_outer_words`` reads them."""
     atomic_write_text(path, "".join(",".join(str(s) for s in X) + "\n" for X in words))
+
+
+def lcs_length(a: WordLike, b: WordLike) -> int:
+    """Length of a longest common subsequence, bit-parallel on one Python int.
+
+    Bit i of ``v`` stands for position i of ``a``; each bit of ``b`` updates
+    all of them with a few big-int operations (Allison and Dix 1986, Hyyro
+    2004), and the LCS length is the number of zero bits left in ``v``.  The
+    reference for the lanes of ``words.lcs_lengths``.
+    """
+    aa, bb = Word(a).bits, Word(b).bits
+    full = (1 << len(aa)) - 1
+    ones = sum(1 << i for i, bit in enumerate(aa) if bit)
+    match = (full ^ ones, ones)
+    v = full
+    for sym in bb:
+        u = v & match[sym]
+        v = ((v + u) | (v - u)) & full
+    return len(aa) - v.bit_count()
+
+
+def join_patterns(parts: Sequence[DeletionPattern]) -> DeletionPattern:
+    """Inverse of ``words.split_pattern``: the pattern whose mask is the concatenation of the parts' masks."""
+    if len({part.word_length for part in parts}) > 1:
+        raise ValueError("all blocks must share one word_length")
+    masks = [part.keep for part in parts]
+    return DeletionPattern.from_keep(np.concatenate(masks) if masks else np.ones(0, dtype=bool))
+
+
+# what a signature says about the full pattern it summarises
+
+
+def outer_pattern(sig: Signature) -> DeletionPattern:
+    """The pattern on outer words that deletes every position outside ``sig.kept_indices``."""
+    kept = set(sig.kept_indices)
+    return DeletionPattern(sig.n, tuple(i for i in range(1, sig.n + 1) if i not in kept))
+
+
+def tau_prime(sig: Signature) -> DeletionPattern:
+    """The kept inner patterns joined into one pattern on the encoding of ``select(sig, X)``."""
+    return join_patterns(sig.inner_patterns)
+
+
+def select(sig: Signature, X: Sequence[int]) -> OuterWord:
+    """sigma(X): the outer symbols at the kept positions."""
+    if len(X) != sig.n:
+        raise ValueError(f"outer word has length {len(X)}, expected {sig.n}")
+    return tuple(X[i - 1] for i in sig.kept_indices)
 
 
 def sampled_positive_indegree(graph: ConfusabilityGraph, inclusion_prob: float, rng) -> tuple[int, int]:

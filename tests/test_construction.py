@@ -24,7 +24,7 @@ from deletion_lab.construction import (
 )
 from deletion_lab.words import DeletionPattern, Word, apply_pattern, is_subsequence
 
-from helpers import write_outer_words
+from helpers import join_patterns, outer_pattern, select, tau_prime, write_outer_words
 
 
 def test_derive_params_examples():
@@ -158,7 +158,7 @@ def test_signature_block_example():
     sig = extract_signature(tau, params)
     assert sig.kept_indices == (2, 3)
     assert all(s == frozenset({1}) for s in sig.corruption_sets)
-    assert sig.outer_pattern.deleted == (1, 4)
+    assert outer_pattern(sig).deleted == (1, 4)
 
 
 def test_signature_of_empty_pattern():
@@ -177,7 +177,7 @@ def test_signature_subsequence_guarantee():
         tau = DeletionPattern(params.N, tuple(r.sample(range(1, params.N + 1), w)))
         sig = extract_signature(tau, params)
         X = tuple(r.randrange(1, 3) for _ in range(4))
-        lhs = apply_pattern(sig.tau_prime, encode_outer(sig.select(X), params))
+        lhs = apply_pattern(tau_prime(sig), encode_outer(select(sig, X), params))
         rhs = apply_pattern(tau, encode_outer(X, params))
         assert is_subsequence(lhs, rhs)
         for block, S in zip(sig.inner_patterns, sig.corruption_sets):
@@ -260,7 +260,7 @@ def test_weight_bound_guarantees_enough_admissible_blocks():
 
 def test_signature_kept_indices_are_first_admissible():
     from deletion_lab.construction import pad_corruption_set
-    from deletion_lab.words import bit_deletion_pattern, join_patterns, split_pattern
+    from deletion_lab.words import bit_deletion_pattern, split_pattern
 
     small = toy_params(2, 4, 2, "0.5", 4)
     r = random.Random(13)

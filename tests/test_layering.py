@@ -7,8 +7,8 @@ Each module may import only modules to its left (``online`` uses
 leaves: they import nothing from the package and anyone may import them.
 Only ``cli`` imports ``oracles``.  The package also keeps no option that
 nothing sets, every parameter with a default is passed somewhere, and no
-top-level name that nothing reads.  No test module imports a name it never
-reads.
+top-level name, method or property that nothing reads.  No test module
+imports a name it never reads.
 """
 
 import ast
@@ -217,6 +217,15 @@ def top_level_definitions(tree: ast.Module) -> dict[str, ast.AST]:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
 
 
+def class_members(tree: ast.Module) -> dict[str, ast.AST]:
+    """Every method and property of a module's top-level classes, dunders aside, as ``Class.member``."""
+    return {f"{cls.name}.{node.name}": node
+            for cls in top_level_definitions(tree).values() if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))}
+
+
 def names_read(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
     """The ``ast.Name`` ids and ``ast.Attribute`` attrs in ``tree``, outside the subtree ``skip``.
 
@@ -237,30 +246,43 @@ def names_read(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
     return found
 
 
-def unused_top_level_names(modules: dict[str, ast.Module], readers: list[ast.Module],
-                           exempt: set[str]) -> list[str]:
-    """``module.name`` for each top-level definition of ``modules`` that no module and no reader reads.
+def unused_definitions(modules: dict[str, ast.Module], readers: list[ast.Module], definitions,
+                       exempt: set[str]) -> list[str]:
+    """``module.label`` for each of the ``definitions(tree)`` of ``modules`` that nothing reads.
 
-    A definition's own body does not count as a reader, so recursion alone
-    keeps nothing alive.
+    A definition counts as read when a module or a reader reads its name.
+    Its own body does not count as a reader, so recursion alone keeps
+    nothing alive.
     """
     trees = [*modules.values(), *readers]
     return sorted(
-        f"{module}.{name}"
+        f"{module}.{label}"
         for module, tree in modules.items()
-        for name, node in top_level_definitions(tree).items()
-        if name not in exempt and not any(name in names_read(other, node) for other in trees)
+        for label, node in definitions(tree).items()
+        if node.name not in exempt and not any(node.name in names_read(other, node) for other in trees)
     )
+
+
+def package_and_acceptance() -> tuple[dict[str, ast.Module], list[ast.Module]]:
+    """The package's modules but ``__init__``, by name, and the acceptance tests as the one reader."""
+    modules = {path.stem: ast.parse(path.read_text(), str(path))
+               for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"}
+    acceptance = Path(__file__).resolve().parent / "test_acceptance.py"
+    return modules, [ast.parse(acceptance.read_text(), str(acceptance))]
 
 
 def test_every_top_level_name_is_used():
     # a function or class that only unit tests read is a reference for the
     # tests (``tests/helpers.py``) or dead code, not package surface
-    modules = {path.stem: ast.parse(path.read_text(), str(path))
-               for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"}
-    acceptance = Path(__file__).resolve().parent / "test_acceptance.py"
-    readers = [ast.parse(acceptance.read_text(), str(acceptance))]
-    assert unused_top_level_names(modules, readers, set(deletion_lab.__all__)) == []
+    modules, readers = package_and_acceptance()
+    assert unused_definitions(modules, readers, top_level_definitions, set(deletion_lab.__all__)) == []
+
+
+def test_every_class_member_is_used():
+    # the same holds for the methods and properties of package classes; a
+    # member is matched by name alone, so any read of that attribute keeps it
+    modules, readers = package_and_acceptance()
+    assert unused_definitions(modules, readers, class_members, set()) == []
 
 
 def test_name_scan_sees_every_form():
@@ -272,7 +294,15 @@ def test_name_scan_sees_every_form():
             "    return only_recursive()\n"
             "def only_imported(): ...\n"
             "def only_in_a_docstring(): ...\n"
-            "class Exported: ...\n"
+            "class Exported:\n"
+            "    def __init__(self): ...\n"
+            "    def called(self): ...\n"
+            "    @property\n"
+            "    def read(self): ...\n"
+            "    def only_self_called(self):\n"
+            "        return self.only_self_called()\n"
+            "    @property\n"
+            "    def never_read(self): ...\n"
             "x = used_by_name\n"
         ),
     }
@@ -283,11 +313,13 @@ def test_name_scan_sees_every_form():
             "def f():\n"
             "    \"\"\"Calls only_in_a_docstring.\"\"\"\n"
             "    return a.used_as_attribute()\n"
-            "f()\n"
+            "f(); a.Exported().called(); a.Exported().read\n"
         ),
     ]
-    assert unused_top_level_names(modules, readers, {"Exported"}) == [
+    assert unused_definitions(modules, readers, top_level_definitions, {"Exported"}) == [
         "a.only_imported", "a.only_in_a_docstring", "a.only_recursive"]
+    assert unused_definitions(modules, readers, class_members, set()) == [
+        "a.Exported.never_read", "a.Exported.only_self_called"]
 
 
 def unused_imports(tree: ast.Module) -> list[str]:

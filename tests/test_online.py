@@ -101,6 +101,16 @@ def test_build_pairs_full_pairing():
         assert len(pushed(pair)) > 16 - CFG.budget(16)
 
 
+def test_codewords_of_unequal_length_are_refused():
+    # at the parent the 8-bit word got n = 10 and wait length 9, and the
+    # simulation reported rows for this code
+    code = [Word("0000000000"), Word("0000000001"), Word("11110000"), Word("1111000011")]
+    with pytest.raises(ValueError, match="codewords must all have equal length"):
+        build_pairs(code, CFG)
+    with pytest.raises(ValueError, match="codewords must all have equal length"):
+        simulate_online(code, CFG, make_unique_decoder(code), trials=2)
+
+
 def test_build_pairs_no_pairs_when_wait_too_long():
     # distinct suffixes everywhere: wait length is the full word, classes
     # fail the q <= 1-p requirement

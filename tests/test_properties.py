@@ -49,14 +49,19 @@ from deletion_lab.words import (
     bit_deletion_pattern,
     concatenate,
     is_subsequence,
-    join_patterns,
     lcs,
-    lcs_length,
+    lcs_lengths,
     masked_run_count,
     split_pattern,
 )
 
-from helpers import geom2_expectation, geom_mass_expectation, weight_within_bound
+from helpers import (
+    geom2_expectation,
+    geom_mass_expectation,
+    join_patterns,
+    lcs_length,
+    weight_within_bound,
+)
 
 PROPS = settings(deadline=None, derandomize=True, max_examples=150)
 
@@ -583,6 +588,51 @@ def test_lcs_length_agrees_with_lcs_table(a, b):
     assert lcs_length(a, b) == table_lcs(a, b)[0]
 
 
+def lane_lcs_lengths(pairs) -> list[int]:
+    """``lcs_lengths`` of the (a, b) pairs in one call: row 2k is a and row 2k + 1 is b of pair k."""
+    rows = [row for pair in pairs for row in pair]
+    return lcs_lengths(rows, range(0, len(rows), 2), range(1, len(rows), 2))
+
+
+@PROPS
+@given(st.lists(lcs_words, max_size=6), st.data())
+def test_lcs_lengths_agrees_with_lcs_table(rows, data):
+    # lanes pick their rows at random, so rows repeat and a row may be a or b
+    index = st.integers(0, max(len(rows) - 1, 0))
+    pairs = data.draw(st.lists(st.tuples(index, index), max_size=8)) if rows else []
+    got = lcs_lengths(rows, [i for i, _ in pairs], [j for _, j in pairs])
+    assert got == [table_lcs(rows[i], rows[j])[0] for i, j in pairs]
+
+
+def run_word(rng: random.Random, n: int) -> list[int]:
+    """n bits in runs of mostly 63 to 130 bits, so runs cross many byte boundaries of a lane."""
+    bits, bit = [], rng.randrange(2)
+    while len(bits) < n:
+        bits += [bit] * rng.choice([1, 63, 64, 65, rng.randrange(1, 131)])
+        bit ^= 1
+    return bits[:n]
+
+
+def test_lcs_lengths_at_lane_boundaries():
+    # a lane is as wide as the longest row needs; 1^m against a leading 1
+    # carries out of the lane's top a-position, which its spare bit must
+    # take before the lane above sees it
+    rng = random.Random(199)
+    uniform = lambda n: [rng.randrange(2) for _ in range(n)]  # noqa: E731
+    pairs = []
+    for m in (0, 63, 64, 65, 127, 128, 129, 199):
+        group = [([1] * m, [1]), ([1] * m, [1] * m), ([0] * m, [0] * (m // 2) + [1] * (m - m // 2))]
+        for _ in range(10):
+            group += [(uniform(m), uniform(m)), (run_word(rng, m), run_word(rng, m)),
+                      (run_word(rng, m), uniform(rng.randrange(m + 1)))]
+        assert lane_lcs_lengths(group) == [lcs_length(a, b) for a, b in group]
+        pairs += group
+    expected = [lcs_length(a, b) for a, b in pairs]
+    assert lane_lcs_lengths(pairs) == expected
+    assert [lane_lcs_lengths([pair])[0] for pair in pairs] == expected  # one lane per call
+    assert lane_lcs_lengths([]) == []
+
+
 # ---------------------------------------------------------------------------
 # online layer, against references: the O(|C|^2) scans and the per-trial
 # re-transmission loop
@@ -728,11 +778,17 @@ def test_wait_profiles_and_pairs_agree_with_scans(C):
         assert table.partner_of(x) is expected
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_pairs_agree_with_scan_on_uniform_codes(seed):
-    # 64 uniform words of 20 bits: classes with many competing candidate pairs
+@pytest.mark.parametrize("seed, size, n", [
+    pytest.param(0, 64, 20, id="0"),
+    pytest.param(1, 64, 20, id="1"),
+    pytest.param(2, 64, 20, id="2"),
+    pytest.param(0, 64, 70, id="n70"),  # lanes wider than 64 bits; pairs with suffixes of 61 to 65 bits
+    pytest.param(1, 256, 48, id="256x48"),  # the shape of perfbench's online-waitpush code
+])
+def test_pairs_agree_with_scan_on_uniform_codes(seed, size, n):
+    # uniform words: classes with many competing candidate pairs
     rng = random.Random(seed)
-    C = list(dict.fromkeys(Word([rng.randrange(2) for _ in range(20)]) for _ in range(64)))
+    C = list(dict.fromkeys(Word([rng.randrange(2) for _ in range(n)]) for _ in range(size)))
     table = build_pairs(C, ONLINE_CFG)
     _, pairs, unpaired = scan_build_pairs(C, ONLINE_CFG)
     assert [(p.x, p.y, p.s_star, p.x_keep, p.y_keep) for p in table.pairs] == pairs

@@ -10,13 +10,13 @@ from deletion_lab.words import (
     apply_pattern,
     enumerate_patterns,
     is_subsequence,
-    join_patterns,
     lcs,
-    lcs_length,
     read_codebook,
     split_pattern,
     write_codebook,
 )
+
+from helpers import join_patterns, lcs_length
 
 
 def runs_with_symbols(w: Word) -> list[tuple[int, int, int]]:

@@ -13,6 +13,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -23,18 +24,15 @@ from .construction import (
     ParamsError,
     encode_outer,
     json_field,
-    json_int,
     json_typed,
     params_from_json,
     params_to_json,
-    rate_info,
     read_outer_words,
-    toy_params,
 )
-from .matching import MatchConfig, all_outer_words, worst_sets
 from .oblivious import (
     SamplingPlan,
-    build_confusability_graph,
+    every_outer_word,
+    full_confusability_graph,
     oblivious_experiment,
     read_patterns,
     standard_pattern_family,
@@ -46,17 +44,7 @@ from .online import (
     make_unique_decoder,
     simulate_online,
 )
-from .oracles import (
-    OracleReport,
-    alternating_absorption,
-    levenshtein_equivalence,
-    oblivious_bitflip_demo,
-    verify_corruption_cost,
-    verify_geom_bounds,
-    verify_matching_decay,
-    verify_matching_implication,
-    verify_worst_sets_dominance,
-)
+from .oracles import LEMMAS
 from .reporting import atomic_write_text, read_lines
 from .words import (
     DeletionPattern,
@@ -103,12 +91,7 @@ def _add_params_options(sub):
 
 
 def cmd_params(parser, args) -> int:
-    params = _params_from_args(parser, args)
-    payload = params_to_json(params)
-    rate = rate_info(params).items()  # a Fraction, a float, or an int of any size
-    payload["rate"] = {key: str(v) if isinstance(v, Fraction) else json_int(v) if isinstance(v, int) else v
-                       for key, v in rate}
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json.dumps(params_to_json(_params_from_args(parser, args)), indent=2, sort_keys=True))
     return 0
 
 
@@ -213,10 +196,14 @@ def cmd_experiment_oblivious(parser, args) -> int:
     params.require_executable()
     seed = _master_seed(args.seed)
     rng = rngmod.py_rng(seed, "pool")
+    take_all = json_field(pool_cfg, "all", json_typed(bool), False)
+    sources = [key for key in ("file", "all", "random") if (take_all if key == "all" else key in pool_cfg)]
+    if len(sources) > 1:
+        raise ValueError(f"{args.config}: 'pool' takes one source, got {' and '.join(map(repr, sources))}")
     if "file" in pool_cfg:
         pool = read_outer_words(json_field(pool_cfg, "file", json_typed(str)), params)
-    elif json_field(pool_cfg, "all", json_typed(bool), False):
-        pool = [tuple(X) for X in all_outer_words(params.K, params.n).tolist()]
+    elif take_all:
+        pool = every_outer_word(params)
     else:
         nonnegative = _checked(json_typed(int), lambda count: count >= 0, "must be at least 0")
         count = min(json_field(pool_cfg, "random", nonnegative, 128), params.K**params.n)
@@ -283,80 +270,14 @@ def cmd_experiment_online(parser, args) -> int:
 
 
 def cmd_graph(parser, args) -> int:
-    params = _params_from_args(parser, args)
-    params.require_executable()
-    if params.K**params.n > 1 << 16:
-        parser.error("pool K^n too large for graph enumeration")
-    pool = [tuple(X) for X in all_outer_words(params.K, params.n).tolist()]
-    dn = params.delta_n
-    sigma = DeletionPattern(params.n, tuple(range(dn + 1, params.n + 1)))
-    graph = build_confusability_graph(
-        pool, sigma, MatchConfig.paper(params.lam, params.R, worst_sets(dn, params.lam))
-    )
+    graph = full_confusability_graph(_params_from_args(parser, args))
     print(json.dumps(graph.stats(), indent=2, sort_keys=True))
     return 0
 
 
+# perfbench/tracing.py patches this name to trace each runner as cli.<lemma id>
 def _verify_runners(samples: int, seed: int, exhaustive: bool) -> dict:
-    def run_levenshtein() -> OracleReport:
-        rng = rngmod.py_rng(seed, "verify-levenshtein")
-        codes = []
-        if exhaustive:
-            from itertools import combinations
-
-            universe = [Word(format(v, "04b")) for v in range(16)]
-            codes = [list(pair) for pair in combinations(universe, 2)]
-        else:
-            for _ in range(max(1, samples // 100)):
-                size = rng.choice((2, 3, 4))
-                codes.append(
-                    [Word([rng.randrange(2) for _ in range(6)]) for _ in range(size)]
-                )
-        return levenshtein_equivalence(codes, t=1)
-
-    def run_corruption() -> OracleReport:
-        if exhaustive:
-            return verify_corruption_cost(
-                toy_params(3, 2, 2, Fraction(1, 2), 4), mode="exhaustive"
-            )
-        return verify_corruption_cost(
-            toy_params(2, 16, 2, Fraction(1, 2), 4),
-            mode="sampled",
-            samples=samples,
-            master_seed=seed,
-        )
-
-    def run_matching_implication() -> OracleReport:
-        return verify_matching_implication(
-            toy_params(2, 16, 2, Fraction(1, 2), 8),
-            instances=min(samples, 10_000),
-            master_seed=seed,
-        )
-
-    def run_dominance() -> OracleReport:
-        return verify_worst_sets_dominance(master_seed=seed)
-
-    def run_decay() -> OracleReport:
-        return verify_matching_decay(trials=min(samples, 100_000), master_seed=seed)
-
-    def run_alternating() -> OracleReport:
-        # reporting-only estimator: the asymptotic claim has no finite-n
-        # threshold here, thresholds live in the acceptance suite
-        return alternating_absorption(200, trials=samples, master_seed=seed)
-
-    def run_bitflip() -> OracleReport:
-        return oblivious_bitflip_demo(master_seed=seed)
-
-    return {
-        "levenshtein": run_levenshtein,
-        "corruption-cost": run_corruption,
-        "matching-implication": run_matching_implication,
-        "worst-sets-dominance": run_dominance,
-        "matching-decay": run_decay,
-        "geometric-bounds": verify_geom_bounds,
-        "alternating-absorption": run_alternating,
-        "bitflip-code": run_bitflip,
-    }
+    return {rid: partial(run, samples, seed, exhaustive) for rid, run in LEMMAS.items()}
 
 
 def _sample_count(text: str) -> int:
@@ -379,12 +300,11 @@ def _fraction(text: str) -> Fraction:
 
 
 def cmd_verify(parser, args) -> int:
-    samples = args.samples if args.samples is not None else 10_000
-    runners = _verify_runners(samples, args.seed or 0, args.exhaustive)
-    ids = list(runners) if "all" in args.lemmas else args.lemmas
-    unknown = [lem for lem in ids if lem not in runners]
+    unknown = [lem for lem in args.lemmas if lem != "all" and lem not in LEMMAS]
     if unknown:
         parser.error(f"unknown lemma ids: {', '.join(unknown)}")
+    runners = _verify_runners(args.samples, args.seed, args.exhaustive)
+    ids = list(runners) if "all" in args.lemmas else args.lemmas
     reports = []
     for lem in ids:
         report = runners[lem]()
@@ -452,8 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(run=cmd_verify)
     sp.add_argument("lemmas", nargs="+")
     sp.add_argument("--exhaustive", action="store_true")
-    sp.add_argument("--samples", type=_sample_count, default=None)
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--samples", type=_sample_count, default=10_000)
+    sp.add_argument("--seed", type=int, default=0)
 
     return parser
 

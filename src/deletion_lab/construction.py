@@ -370,6 +370,9 @@ def params_to_json(params: CodeParams) -> dict:
     }
     if params.p is not None:
         out["p"] = str(params.p)
+    # each rate figure is a Fraction, a float, or an int of any size
+    out["rate"] = {key: str(v) if isinstance(v, Fraction) else json_int(v) if isinstance(v, int) else v
+                   for key, v in rate_info(params).items()}
     return out
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .construction import CodeParams, OuterWord, encode_outer
-from .matching import MatchConfig, batch_matchable, count_matchable, worst_sets
+from .matching import MatchConfig, all_outer_words, batch_matchable, count_matchable, worst_sets
 from .reporting import ExperimentReport, read_lines
 from .words import DeletionPattern, Word, apply_pattern, as_word, bit_deletion_pattern, is_subsequence
 
@@ -182,6 +182,25 @@ def build_confusability_graph(
         ys, xs = np.nonzero(wins.reshape(len(stack), len(pool)))
         edges += [(g + y, x) for y, x in zip(ys.tolist(), xs.tolist()) if g + y != x]
     return ConfusabilityGraph(list(pool), edges)
+
+
+def every_outer_word(params: CodeParams) -> list[OuterWord]:
+    """All K^n outer words of ``params``, in lexicographic order."""
+    return [tuple(X) for X in all_outer_words(params.K, params.n).tolist()]
+
+
+def full_confusability_graph(params: CodeParams) -> ConfusabilityGraph:
+    """The confusability graph of all of [K]^n under the σ that keeps the first δn positions.
+
+    The A/B-move caps are the paper's, with the worst corruption sets.
+    """
+    params.require_executable()
+    if params.K**params.n > 1 << 16:
+        raise ValueError("pool K^n too large for graph enumeration")
+    dn = params.delta_n
+    sigma = DeletionPattern(params.n, tuple(range(dn + 1, params.n + 1)))
+    cfg = MatchConfig.paper(params.lam, params.R, worst_sets(dn, params.lam))
+    return build_confusability_graph(every_outer_word(params), sigma, cfg)
 
 
 def unique_decode(s: Word, C: Sequence[Word]) -> Word | None:

@@ -28,6 +28,7 @@ from .construction import (
     encode_outer,
     pad_corruption_set,
     preserves,
+    toy_params,
 )
 from .matching import (
     MatchConfig,
@@ -708,3 +709,37 @@ def oblivious_bitflip_demo(
     if passing < math.ceil(0.95 * seeds):
         report.record_violation({"passing": passing, "needed": math.ceil(0.95 * seeds)})
     return report
+
+
+# ---------------------------------------------------------------------------
+# the lemma table ``verify`` runs
+
+
+def _levenshtein_codes(samples: int, seed: int, exhaustive: bool) -> list[list[Word]]:
+    """Every pair of 4-bit words, or samples // 100 codes of 2 to 4 random 6-bit words."""
+    if exhaustive:
+        return [list(pair) for pair in combinations([Word(format(v, "04b")) for v in range(16)], 2)]
+    rng = rngmod.py_rng(seed, "verify-levenshtein")
+    return [[Word([rng.randrange(2) for _ in range(6)]) for _ in range(rng.choice((2, 3, 4)))]
+            for _ in range(max(1, samples // 100))]
+
+
+# lemma id -> run(samples, seed, exhaustive), in the order ``verify all`` runs them
+LEMMAS: dict[str, Callable[[int, int, bool], OracleReport]] = {
+    "levenshtein": lambda samples, seed, exhaustive: levenshtein_equivalence(
+        _levenshtein_codes(samples, seed, exhaustive), t=1),
+    "corruption-cost": lambda samples, seed, exhaustive: (
+        verify_corruption_cost(toy_params(3, 2, 2, Fraction(1, 2), 4), mode="exhaustive") if exhaustive
+        else verify_corruption_cost(toy_params(2, 16, 2, Fraction(1, 2), 4), mode="sampled",
+                                    samples=samples, master_seed=seed)),
+    "matching-implication": lambda samples, seed, exhaustive: verify_matching_implication(
+        toy_params(2, 16, 2, Fraction(1, 2), 8), instances=min(samples, 10_000), master_seed=seed),
+    "worst-sets-dominance": lambda samples, seed, exhaustive: verify_worst_sets_dominance(master_seed=seed),
+    "matching-decay": lambda samples, seed, exhaustive: verify_matching_decay(
+        trials=min(samples, 100_000), master_seed=seed),
+    "geometric-bounds": lambda samples, seed, exhaustive: verify_geom_bounds(),
+    # reporting only: the asymptotic claim has no finite-n threshold; the acceptance suite holds it
+    "alternating-absorption": lambda samples, seed, exhaustive: alternating_absorption(
+        200, trials=samples, master_seed=seed),
+    "bitflip-code": lambda samples, seed, exhaustive: oblivious_bitflip_demo(master_seed=seed),
+}

@@ -60,6 +60,16 @@ def test_unknown_verify_id_is_usage_error(capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("lemmas", [["all", "bogus"], ["bogus", "all"]])
+def test_unknown_verify_id_beside_all_is_a_usage_error_before_any_oracle(lemmas, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_verify_runners", lambda *args: pytest.fail("an oracle ran"))
+    with pytest.raises(SystemExit) as err:
+        main(["verify", *lemmas])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert "unknown lemma ids: bogus" in captured.err and captured.out == ""
+
+
 def test_encode_corrupt_decode_roundtrip(tmp_path, capsys):
     cfg = tmp_path / "params.json"
     cfg.write_text(json.dumps(
@@ -230,6 +240,21 @@ def test_experiment_oblivious_rejects_empty_pool(tmp_path, capsys):
         main(argv)
     assert err.value.code == 2
     assert "no outer words" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("pool, named", [
+    ({"file": "p.txt", "random": 5, "all": True}, "'file' and 'all' and 'random'"),
+    ({"file": "p.txt", "random": 5}, "'file' and 'random'"),
+    ({"all": True, "random": 5}, "'all' and 'random'"),
+], ids=["three-sources", "file-and-random", "all-and-random"])
+def test_pool_with_more_than_one_source_is_a_usage_error(pool, named, tmp_path, capsys, monkeypatch):
+    (tmp_path / "p.txt").write_text("1,2,1,2\n2,2,1,1\n")
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        main(_oblivious_config(tmp_path, pool=pool))
+    assert err.value.code == 2
+    assert f"'pool' takes one source, got {named}" in capsys.readouterr().err
     assert not (tmp_path / "o.csv").exists()
 
 

@@ -17,6 +17,7 @@ from pathlib import Path
 from types import ModuleType
 
 import deletion_lab
+from deletion_lab import oracles
 
 PACKAGE = Path(deletion_lab.__file__).resolve().parent
 LAYERS = ["words", "construction", "matching", "oblivious", "online", "oracles", "cli"]
@@ -101,6 +102,26 @@ def test_cli_builds_no_oracle_report():
         and "OracleReport" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     ]
     assert calls == []
+
+
+def test_cli_assembles_no_experiment_or_oracle_itself():
+    # lemma parameters, pools, σ and match configs are chosen in the modules
+    # that own them; from ``oracles`` the CLI takes the lemma table only
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    bound = {alias.name.split(".")[-1] for node in imports for alias in node.names}
+    assembly = {"toy_params", "all_outer_words", "MatchConfig", "worst_sets", "rate_info", "json_int"}
+    assert sorted((bound | names_read(tree)) & assembly) == []
+    from_oracles = {alias.name for node in imports if isinstance(node, ast.ImportFrom)
+                    and (node.module or "").split(".")[-1] == "oracles" for alias in node.names}
+    assert "oracles" not in bound and from_oracles == {"LEMMAS"}
+
+
+def test_readme_lists_the_lemma_table_in_order():
+    # README's lemma table: the rows after its "| lemma |" header, up to the first blank line
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme[readme.index("\n| lemma |"):].split("\n\n")[0]
+    assert re.findall(r"^\| `([a-z-]+)` \|", table, flags=re.MULTILINE) == list(oracles.LEMMAS)
 
 
 def test_oracles_judge_no_corruption_themselves():

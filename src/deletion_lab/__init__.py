@@ -7,7 +7,7 @@ oracles for the small-scale checkable facts.  The package exports the names
 README documents; everything else is reached through its module.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .construction import CodeParams, encode_outer, extract_signature, inner_codeword, preserves
 from .matching import MatchConfig, is_matchable, run_matching

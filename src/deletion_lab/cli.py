@@ -275,9 +275,12 @@ def cmd_graph(parser, args) -> int:
     return 0
 
 
+DEFAULT_SAMPLES = 10_000  # verify's --samples when the option is not given
+
+
 # perfbench/tracing.py patches this name to trace each runner as cli.<lemma id>
 def _verify_runners(samples: int, seed: int, exhaustive: bool) -> dict:
-    return {rid: partial(run, samples, seed, exhaustive) for rid, run in LEMMAS.items()}
+    return {rid: partial(lemma.run, samples, seed, exhaustive) for rid, lemma in LEMMAS.items()}
 
 
 def _sample_count(text: str) -> int:
@@ -303,8 +306,11 @@ def cmd_verify(parser, args) -> int:
     unknown = [lem for lem in args.lemmas if lem != "all" and lem not in LEMMAS]
     if unknown:
         parser.error(f"unknown lemma ids: {', '.join(unknown)}")
-    runners = _verify_runners(args.samples, args.seed, args.exhaustive)
-    ids = list(runners) if "all" in args.lemmas else args.lemmas
+    ids = list(LEMMAS) if "all" in args.lemmas else args.lemmas
+    for option, given in (("exhaustive", args.exhaustive), ("samples", args.samples is not None)):
+        if given and not any(option in LEMMAS[lem].reads for lem in ids):
+            print(f"note: --{option} is read by none of {', '.join(ids)}", file=sys.stderr)
+    runners = _verify_runners(args.samples or DEFAULT_SAMPLES, args.seed, args.exhaustive)
     reports = []
     for lem in ids:
         report = runners[lem]()
@@ -372,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(run=cmd_verify)
     sp.add_argument("lemmas", nargs="+")
     sp.add_argument("--exhaustive", action="store_true")
-    sp.add_argument("--samples", type=_sample_count, default=10_000)
+    sp.add_argument("--samples", type=_sample_count)  # DEFAULT_SAMPLES when not given
     sp.add_argument("--seed", type=int, default=0)
 
     return parser

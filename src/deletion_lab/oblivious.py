@@ -67,8 +67,12 @@ def estimate_f(
     Matching runs with the worst corruption sets [lambda-1] and the caps
     (2^lambda, sqrt(R)).  Exact mode counts the matchable Z of each host with
     ``count_matchable`` and returns Fractions.  Monte-Carlo mode draws each
-    host's Z from its own stream, matches several hosts' rows in one stacked
-    ``batch_matchable`` walk, and returns the fractions of trials matched.
+    host's Z from its own stream, ``rng.np_rng(master_seed, "estimate-f",
+    s)`` with s the host's symbols joined by commas, in the smallest dtype
+    that holds K.  So a host's value depends only on its symbols, the master
+    seed and ``trials``, not on its position or its pool.  Several hosts'
+    rows are matched in one stacked ``batch_matchable`` walk, and the values
+    are the fractions of trials matched.
     """
     K = params.K
     m = params.delta_n
@@ -83,8 +87,9 @@ def estimate_f(
     for g in range(0, len(hosts), group):
         stack = hosts[g:g + group]
         Zs = np.empty((len(stack), trials, m), dtype=np.min_scalar_type(K))
-        for Z, Y in zip(Zs, stack):  # each host's draws, as int64 and from its own stream
-            Z[:] = rngmod.np_rng(master_seed, "estimate-f", hash(Y) & 0xFFFFFFFF).integers(1, K + 1, Z.shape)
+        for Z, Y in zip(Zs, stack):  # each host's draws, from the stream its symbols name
+            Z[:] = rngmod.np_rng(master_seed, "estimate-f", ",".join(map(str, Y))).integers(
+                1, K + 1, Z.shape, dtype=Zs.dtype)
         matched = batch_matchable(Zs.reshape(-1, m), stack, cfg, np.repeat(np.arange(len(stack)), trials))
         estimates += [wins / trials for wins in matched.reshape(len(stack), trials).sum(axis=1).tolist()]
     return estimates
@@ -112,8 +117,9 @@ def filter_candidates(
     """Keep the pool members whose disguise probability stays under the plan's
     threshold 2 * 2^(-beta n).
 
-    A Monte-Carlo estimate is classified by its point value.  Each host is
-    a tuple, which names its Monte-Carlo stream.
+    A Monte-Carlo estimate is classified by its point value.  Each host's
+    symbols name its Monte-Carlo stream, so a host is kept or dropped
+    whatever else the pool holds.
     """
     thr = plan.f_threshold(params.n)
     hosts = [tuple(Y) for Y in pool]

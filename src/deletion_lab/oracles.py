@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -228,9 +228,10 @@ def verify_corruption_cost(
     (weight-stratified uniform patterns plus the structured adversaries).
 
     The keep masks are checked in stacks of MASK_CHUNK_BITS bits: exhaustive
-    mode reads the masks of a stack off the bits of their numbers, and
-    sampled mode draws the masks of a stack one after another from its one
-    generator, so the draws come in the order of a one-mask-at-a-time loop.
+    mode reads the masks of a stack off the bits of their numbers.  Sampled
+    mode makes two draws per stack from the call's one generator: the
+    stack's weights, each uniform in [0, max_useful], then its masks, each a
+    uniform subset of its weight from ``rng.uniform_keep_masks``.
     A pattern of weight w that corrupts c >= 1 codewords breaks the bound iff
     w is at most the weight cap of (c-1)-admissible patterns.
     """
@@ -267,12 +268,8 @@ def verify_corruption_cost(
         # bound everything is vacuous)
         max_useful = min(L, math.ceil(L * (1 - 0.5**K)) + 2)
         for lo in range(0, samples, rows):
-            keep = np.ones((min(rows, samples - lo), L), dtype=bool)
-            for kept in keep:
-                w = int(gen.integers(0, max_useful + 1))
-                if w:
-                    kept[gen.choice(L, size=w, replace=False)] = False
-            check(keep, lambda row, lo=lo: f"sample-{lo + row}")
+            weights = gen.integers(0, max_useful + 1, size=min(rows, samples - lo))
+            check(rngmod.uniform_keep_masks(gen, L, weights), lambda row, lo=lo: f"sample-{lo + row}")
         labels, patterns = zip(*structured_inner_patterns(params))
         check(np.stack([pat.keep for pat in patterns]), labels.__getitem__)
     return report
@@ -282,64 +279,54 @@ def verify_corruption_cost(
 # matching implication: subsequence containment forces matchability
 
 
-def _draw_block(gen, L: int, cap: int, zero_weights: Sequence[int]) -> int | np.ndarray:
-    """A random (lambda-1)-admissible inner pattern, biased toward hard cases.
-
-    The draw names a shared pattern or returns the 0-based positions a fresh
-    one deletes.  Shared pattern 0 deletes nothing, and shared pattern i
-    deletes all zeros of g_i, which ``zero_weights[i - 1]`` bits are.
-    """
-    kind = gen.integers(0, 4)
-    if kind == 0 or cap <= 0:
-        return 0
-    if kind == 2:
-        # delete all zeros of some inner codeword when that stays admissible
-        for i in gen.permutation(len(zero_weights)) + 1:
-            if zero_weights[i - 1] <= cap:
-                return int(i)
-        return 0
-    w = int(gen.integers(1, cap + 1)) if kind == 1 else cap  # kind 3: full admissible weight
-    return gen.choice(L, size=w, replace=False)
-
-
 def _draw_implication_chunk(
-    params: CodeParams, master_seed: int, trials: range, cap: int, zero_weights: Sequence[int]
+    params: CodeParams, gen: np.random.Generator, count: int, cap: int, admissible: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The draw phase of ``verify_matching_implication`` for ``trials``.
+    """The draw phase of ``verify_matching_implication`` for ``count`` instances.
 
-    Each trial makes its own ``np_rng`` draws in a fixed order: X, the style
-    of Y, Y, then the delta n blocks.  Returns one row per trial of X, of Y
-    and of block ids, and the stacked keep masks of the fresh blocks.  Block
-    id i <= K names shared pattern i, and id K + 1 + r the fresh mask r.
+    The chunk's arrays come whole from its generator ``gen``, in this order:
+
+    1. X (count x delta n), then the style of Y (count), uniform in {0, 1, 2};
+    2. uniform rows in [K]^n and low-symbol rows in [max(2, K) - 1]^n
+       (count x n each), then, for each style-1 row, the delta n positions
+       at which its Y takes X's symbols in order;
+    3. the kind of every block (count x delta n), uniform in {0, 1, 2, 3};
+    4. for each kind-2 block, a pick uniform among ``admissible``, the g_i
+       whose zeros all fit in the weight cap;
+    5. for each kind-1 block, a weight uniform in [1, cap];
+    6. the keys of the fresh masks, one per block of kind 1 or 3.
+
+    Style 0 and 1 take Y from the uniform rows, style 2 from the low ones.
+    A block of kind 0, or of any kind when cap <= 0, is the empty pattern.
+    Kind 2 deletes all zeros of its pick (nothing when no g_i is
+    admissible), kind 1 a uniform subset of its weight and kind 3 one of
+    weight cap; the subsets and style 1's positions come from
+    ``rng.uniform_keep_masks``.  Returns the rows of X, of Y and of block
+    ids, and the stacked keep masks of the fresh blocks.  Block id i <= K
+    names shared pattern i (0: the empty pattern, i: the zeros of g_i), and
+    id K + 1 + r the fresh mask r, numbered in row-major block order.
     """
     K, L, n, dn = params.K, params.L, params.n, params.delta_n
-    Xs = np.empty((len(trials), dn), dtype=np.int64)
-    Ys = np.empty((len(trials), n), dtype=np.int64)
-    blocks = np.empty((len(trials), dn), dtype=np.int64)
-    fresh = np.ones((len(trials) * dn, L), dtype=bool)
-    count = 0  # fresh masks drawn so far
-    for row, trial in enumerate(trials):
-        gen = rngmod.np_rng(master_seed, "matching-implication", trial)
-        X = Xs[row] = gen.integers(1, K + 1, size=dn)
-        style = gen.integers(0, 3)
-        if style == 0:
-            Ys[row] = gen.integers(1, K + 1, size=n)
-        elif style == 1:
-            # embed X's symbols at random positions: psi(X) embeds in psi(Y)
-            Ys[row] = gen.integers(1, K + 1, size=n)
-            Ys[row, np.sort(gen.choice(n, size=dn, replace=False))] = X
-        else:
-            # low symbols in Y make containments frequent
-            Ys[row] = gen.integers(1, max(2, K), size=n)
-        for b in range(dn):
-            drawn = _draw_block(gen, L, cap, zero_weights)
-            if isinstance(drawn, int):
-                blocks[row, b] = drawn
-            else:
-                blocks[row, b] = K + 1 + count
-                fresh[count, drawn] = False
-                count += 1
-    return Xs, Ys, blocks, fresh[:count]
+    Xs = gen.integers(1, K + 1, size=(count, dn))
+    style = gen.integers(0, 3, size=count)
+    Ys = gen.integers(1, K + 1, size=(count, n))
+    low = gen.integers(1, max(2, K), size=(count, n))
+    Ys[style == 2] = low[style == 2]
+    embedded = Ys[style == 1]
+    embedded[~rngmod.uniform_keep_masks(gen, n, np.full(len(embedded), dn))] = Xs[style == 1].reshape(-1)
+    Ys[style == 1] = embedded
+    kinds = gen.integers(0, 4, size=(count, dn))
+    if cap <= 0:
+        kinds[:] = 0  # no block may delete anything
+    blocks = np.zeros((count, dn), dtype=np.int64)
+    if admissible:
+        picks = gen.integers(0, len(admissible), size=np.count_nonzero(kinds == 2))
+        blocks[kinds == 2] = np.asarray(admissible)[picks]
+    fresh = (kinds == 1) | (kinds == 3)
+    weights = np.full(np.count_nonzero(fresh), cap)
+    weights[kinds[fresh] == 1] = gen.integers(1, cap + 1, size=np.count_nonzero(kinds == 1))
+    blocks[fresh] = K + 1 + np.arange(len(weights))
+    return Xs, Ys, blocks, rngmod.uniform_keep_masks(gen, L, weights)
 
 
 # matching-implication instances drawn, then decided, together; memory grows
@@ -361,11 +348,12 @@ def verify_matching_implication(
 
     The instances run IMPLICATION_CHUNK at a time, in two phases.
 
-    - Draw: each trial seeds its own generator and makes its draws in the
-      order a one-instance-at-a-time loop makes them.  A block that draws
+    - Draw: chunk c seeds its own generator, ``rng.np_rng(master_seed,
+      "matching-implication", c)``, and ``_draw_implication_chunk`` draws
+      the chunk's arrays from it whole, in a fixed order.  A block that is
       the empty pattern or the deletion of all zeros of some g_i names one
-      of these K + 1 shared patterns; every other block writes its keep mask
-      into one stacked array of the chunk.
+      of these K + 1 shared patterns; every other block gets a fresh keep
+      mask in one stacked array of the chunk.
     - Decide: one ``corruption_sets`` call gives the sets of every fresh
       mask of the chunk, from one stacked run count per inner codeword.  The
       shared patterns got theirs from ``preserves`` once per call.  One
@@ -382,15 +370,16 @@ def verify_matching_implication(
     K = params.K
     shared = [DeletionPattern(params.L, ())] + [bit_deletion_pattern(g, 0) for g in params.inner_words]
     cap = admissible_weight_cap(params, params.lam - 1)
-    zero_weights = [pat.weight for pat in shared[1:]]
+    admissible = [i for i, pat in enumerate(shared[1:], 1) if pat.weight <= cap]
     shared_keep = np.stack([pat.keep for pat in shared])
     shared_sets = [pad_corruption_set({i for i in range(1, K + 1) if not preserves(pat, i, params)}, params)
                    for pat in shared]
     report = OracleReport(name="matching-implication", mode=f"instances={instances}")
 
-    def check_chunk(trials: range) -> int:
-        """Draw and decide the instances ``trials``; returns how many are containments."""
-        Xs, Ys, blocks, fresh = _draw_implication_chunk(params, master_seed, trials, cap, zero_weights)
+    def check_chunk(chunk: int, count: int) -> int:
+        """Draw and decide the ``count`` instances of chunk ``chunk``; returns how many are containments."""
+        gen = rngmod.np_rng(master_seed, "matching-implication", chunk)
+        Xs, Ys, blocks, fresh = _draw_implication_chunk(params, gen, count, cap, admissible)
         masks = np.concatenate([shared_keep, fresh])
         sets = shared_sets + corruption_sets(params, fresh)
         # every block of the chunk, joined, applied to psi of the chunk's X words
@@ -413,7 +402,7 @@ def verify_matching_implication(
         return positives
 
     report.extras["positives"] = sum(
-        check_chunk(range(lo, min(lo + IMPLICATION_CHUNK, instances)))
+        check_chunk(lo // IMPLICATION_CHUNK, min(IMPLICATION_CHUNK, instances - lo))
         for lo in range(0, instances, IMPLICATION_CHUNK)
     )
     return report
@@ -724,22 +713,31 @@ def _levenshtein_codes(samples: int, seed: int, exhaustive: bool) -> list[list[W
             for _ in range(max(1, samples // 100))]
 
 
-# lemma id -> run(samples, seed, exhaustive), in the order ``verify all`` runs them
-LEMMAS: dict[str, Callable[[int, int, bool], OracleReport]] = {
-    "levenshtein": lambda samples, seed, exhaustive: levenshtein_equivalence(
-        _levenshtein_codes(samples, seed, exhaustive), t=1),
-    "corruption-cost": lambda samples, seed, exhaustive: (
+class Lemma(NamedTuple):
+    """A row of the lemma table: how ``verify`` runs it, and which of its options that reads."""
+
+    run: Callable[[int, int, bool], OracleReport]  # run(samples, seed, exhaustive)
+    reads: tuple[str, ...]  # among "samples" and "exhaustive"
+
+
+# lemma id -> its row, in the order ``verify all`` runs them
+LEMMAS: dict[str, Lemma] = {
+    "levenshtein": Lemma(lambda samples, seed, exhaustive: levenshtein_equivalence(
+        _levenshtein_codes(samples, seed, exhaustive), t=1), ("samples", "exhaustive")),
+    "corruption-cost": Lemma(lambda samples, seed, exhaustive: (
         verify_corruption_cost(toy_params(3, 2, 2, Fraction(1, 2), 4), mode="exhaustive") if exhaustive
         else verify_corruption_cost(toy_params(2, 16, 2, Fraction(1, 2), 4), mode="sampled",
-                                    samples=samples, master_seed=seed)),
-    "matching-implication": lambda samples, seed, exhaustive: verify_matching_implication(
+                                    samples=samples, master_seed=seed)), ("samples", "exhaustive")),
+    "matching-implication": Lemma(lambda samples, seed, exhaustive: verify_matching_implication(
         toy_params(2, 16, 2, Fraction(1, 2), 8), instances=min(samples, 10_000), master_seed=seed),
-    "worst-sets-dominance": lambda samples, seed, exhaustive: verify_worst_sets_dominance(master_seed=seed),
-    "matching-decay": lambda samples, seed, exhaustive: verify_matching_decay(
-        trials=min(samples, 100_000), master_seed=seed),
-    "geometric-bounds": lambda samples, seed, exhaustive: verify_geom_bounds(),
+        ("samples",)),
+    "worst-sets-dominance": Lemma(lambda samples, seed, exhaustive: verify_worst_sets_dominance(
+        master_seed=seed), ()),
+    "matching-decay": Lemma(lambda samples, seed, exhaustive: verify_matching_decay(
+        trials=min(samples, 100_000), master_seed=seed), ("samples",)),
+    "geometric-bounds": Lemma(lambda samples, seed, exhaustive: verify_geom_bounds(), ()),
     # reporting only: the asymptotic claim has no finite-n threshold; the acceptance suite holds it
-    "alternating-absorption": lambda samples, seed, exhaustive: alternating_absorption(
-        200, trials=samples, master_seed=seed),
-    "bitflip-code": lambda samples, seed, exhaustive: oblivious_bitflip_demo(master_seed=seed),
+    "alternating-absorption": Lemma(lambda samples, seed, exhaustive: alternating_absorption(
+        200, trials=samples, master_seed=seed), ("samples",)),
+    "bitflip-code": Lemma(lambda samples, seed, exhaustive: oblivious_bitflip_demo(master_seed=seed), ()),
 }

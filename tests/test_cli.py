@@ -129,6 +129,24 @@ def test_verify_accepts_scientific_sample_counts(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("lemmas, options, read, notes", [
+    (["worst-sets-dominance"], ["--exhaustive", "--samples", "7"], [],
+     ["note: --exhaustive is read by none of worst-sets-dominance",
+      "note: --samples is read by none of worst-sets-dominance"]),
+    (["matching-implication", "geometric-bounds"], ["--exhaustive", "--samples", "50"], ["--samples", "50"],
+     ["note: --exhaustive is read by none of matching-implication, geometric-bounds"]),
+    (["geometric-bounds", "levenshtein"], ["--exhaustive"], ["--exhaustive"], []),
+    (["all"], ["--exhaustive", "--samples", "100"], ["--exhaustive", "--samples", "100"], []),
+], ids=["neither", "exhaustive-unread", "read-by-one", "all"])
+def test_verify_notes_an_option_that_no_named_lemma_reads(lemmas, options, read, notes, capsys):
+    # the note goes to stderr only: the exit status and the reports are those
+    # of the same call with only the options some lemma reads
+    code = main(["verify", *lemmas, *options, "--seed", "3"])
+    out = capsys.readouterr()
+    assert [line for line in out.err.splitlines() if line.startswith("note:")] == notes
+    assert (code, out.out) == (main(["verify", *lemmas, *read, "--seed", "3"]), capsys.readouterr().out)
+
+
 @pytest.mark.parametrize("samples", ["0", "-5", "abc", "2.5", "nan"])
 def test_verify_sample_count_must_be_a_positive_integer(samples, capsys):
     with pytest.raises(SystemExit) as err:

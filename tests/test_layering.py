@@ -92,6 +92,37 @@ def test_package_holds_no_assert_statement():
     assert found == []
 
 
+def hash_outside_dunder_hash(source: str) -> list[int]:
+    """Lines of ``source`` that spell ``hash(`` outside every ``__hash__`` method."""
+    inside = {line for node in ast.walk(ast.parse(source))
+              if isinstance(node, ast.FunctionDef) and node.name == "__hash__"
+              for line in range(node.lineno, node.end_lineno + 1)}
+    return [k for k, line in enumerate(source.splitlines(), 1)
+            if re.search(r"\bhash\(", line) and k not in inside]
+
+
+def test_package_calls_hash_only_in_dunder_hash():
+    # ``hash()`` of str or bytes changes with PYTHONHASHSEED, and a truncated
+    # hash lets two values share a random stream: nothing may rest on it
+    found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+             for line in hash_outside_dunder_hash(path.read_text())]
+    assert found == []
+
+
+def test_hash_scan_sees_every_form():
+    source = (
+        "class A:\n"
+        "    def __hash__(self):\n"
+        "        return hash(self.x)\n"
+        "def f(y):\n"
+        "    return hash(y) & 0xFFFF\n"
+        "# hash(y) names a stream\n"
+        "digest = hashlib.sha256(b'')\n"
+        "g = rehash(1)\n"
+    )
+    assert hash_outside_dunder_hash(source) == [5, 6]
+
+
 def test_cli_builds_no_oracle_report():
     # the CLI holds no oracle: every OracleReport is made in ``oracles``
     tree = ast.parse((PACKAGE / "cli.py").read_text())

@@ -303,11 +303,28 @@ def test_stacked_estimate_f_equals_per_host_scoring(exact):
         if exact:
             expected = Fraction(count_matchable(Y, cfg, 3), 3**dn)
         else:
-            gen = rngmod.np_rng(5, "estimate-f", hash(Y) & 0xFFFFFFFF)
-            Zs = gen.integers(1, 4, size=(trials, dn))
+            gen = rngmod.np_rng(5, "estimate-f", ",".join(map(str, Y)))
+            Zs = gen.integers(1, 4, size=(trials, dn), dtype=np.uint8)
             expected = int(batch_matchable(Zs, [Y], cfg, np.zeros(trials, dtype=int)).sum()) / trials
         assert est == expected and type(est) is (Fraction if exact else float)
     assert estimate_f([], params, exact=exact, trials=trials) == []
+
+
+def test_monte_carlo_f_of_a_host_depends_only_on_its_symbols_and_the_master_seed():
+    # 700 trials: six hosts per walk, so the positions below fall in different walks
+    params = toy_params(3, 64, 1, Fraction(1, 2), 12)
+    rng = rngmod.py_rng(8, "hosts")
+    pool = [tuple(rng.choices((1, 2, 3), k=12)) for _ in range(9)]
+    others = [tuple(rng.choices((1, 2, 3), k=12)) for _ in range(7)]
+    Y = pool[4]
+
+    def f(hosts, seed=5):
+        return estimate_f(hosts, params, exact=False, trials=700, master_seed=seed)
+
+    alone = f([Y])[0]
+    assert f([list(Y)]) == [alone]
+    assert f(pool)[4] == f([Y] + others)[0] == f(others + [Y])[7] == alone
+    assert f(pool, seed=6) != f(pool)
 
 
 @pytest.mark.parametrize("trials", [0, -5])

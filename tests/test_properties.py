@@ -987,26 +987,58 @@ def test_vectorized_bitflip_demo_agrees_with_loop(n, rate, p, seeds, vectors, ma
     assert rep.instances == seeds
 
 
+def lowest_keys(keys, w) -> list[int]:
+    """The 0-based positions of the w lowest keys, ties to the lower position."""
+    return sorted(range(len(keys)), key=lambda pos: (keys[pos], pos))[:w]
+
+
+class TiedKeys:
+    """A generator stand-in whose keys come from {0, 1, 2}, so that most rows tie."""
+
+    def __init__(self, seed):
+        self.gen = np.random.default_rng(seed)
+
+    def integers(self, low, high, size):
+        return self.gen.integers(0, 3, size=size)
+
+
+@PROPS
+@given(st.integers(1, 70), st.data(), st.integers(0, 2**32 - 1), st.booleans())
+def test_uniform_keep_masks_delete_their_lowest_keys(L, data, seed, ties):
+    # every row deletes exactly its weight, w = 0 and w = L included, and the
+    # rows are those of ranking each row's keys, whatever KEY_BLOCK is
+    weights = np.array([0, L] + data.draw(st.lists(st.integers(0, L), max_size=40)))
+    gen, keys_gen = (TiedKeys(seed), TiedKeys(seed)) if ties else (
+        np.random.default_rng(seed), np.random.default_rng(seed))
+    block = data.draw(st.sampled_from([1, 7, 64, rngmod.KEY_BLOCK]))
+    with patch.object(rngmod, "KEY_BLOCK", block):
+        keep = rngmod.uniform_keep_masks(gen, L, weights)
+    keys = keys_gen.integers(0, 1 << 62, size=(len(weights), L)).tolist()
+    assert keep.shape == (len(weights), L)
+    assert (np.count_nonzero(~keep, axis=1) == weights).all()
+    for kept, w, row_keys in zip(keep.tolist(), weights.tolist(), keys):
+        dead = set(lowest_keys(row_keys, w))
+        assert kept == [pos not in dead for pos in range(L)]
+
+
+def test_uniform_keep_masks_draw_every_subset_alike():
+    # L = 5, w = 2: each of the 10 subsets within 5 standard errors of 2,000 in 20,000 draws
+    keep = rngmod.uniform_keep_masks(np.random.default_rng(2027), 5, np.full(20_000, 2))
+    subsets, counts = np.unique(~keep, axis=0, return_counts=True)
+    assert len(subsets) == 10 and (subsets.sum(axis=1) == 2).all()
+    assert (abs(counts - 2000) <= 5 * math.sqrt(20_000 * 0.1 * 0.9)).all()
+
+
 def loop_matching_implication(params, instances, master_seed):
-    """Reference ``verify_matching_implication``: each instance builds its patterns,
-    words and run counts afresh, from bytes, and embeds bit by bit."""
+    """Reference ``verify_matching_implication``: each chunk draws its documented
+    arrays in order, ranks keys in pure Python, and each instance builds its
+    patterns, words and run counts afresh, from bytes, and embeds bit by bit."""
     ref = reference_inner_words(params)
     dn, n, K, L = params.delta_n, params.n, params.K, params.L
     s, t = 2**params.lam, oracles.exact_sqrt(params.R)
     cap = oracles.admissible_weight_cap(params, params.lam - 1)
-
-    def random_block(gen):
-        kind = gen.integers(0, 4)
-        if kind == 0 or cap <= 0:
-            return DeletionPattern(L, ())
-        if kind == 2:
-            for i in gen.permutation(K) + 1:
-                zeros = tuple(pos for pos, b in enumerate(ref[int(i) - 1].bits, 1) if b == 0)
-                if len(zeros) <= cap:
-                    return DeletionPattern(L, zeros)
-            return DeletionPattern(L, ())
-        w = int(gen.integers(1, cap + 1)) if kind == 1 else cap
-        return DeletionPattern(L, tuple((gen.choice(L, size=w, replace=False) + 1).tolist()))
+    zeros = [tuple(pos for pos, b in enumerate(g.bits, 1) if b == 0) for g in ref]
+    admissible = [i for i in range(1, K + 1) if len(zeros[i - 1]) <= cap]
 
     def preserved(block, i):
         dead = set(block.deleted)
@@ -1016,47 +1048,66 @@ def loop_matching_implication(params, instances, master_seed):
 
     report = oracles.OracleReport(name="matching-implication", mode=f"instances={instances}")
     positives = 0
-    for trial in range(instances):
-        gen = rngmod.np_rng(master_seed, "matching-implication", trial)
-        X = tuple(int(v) for v in gen.integers(1, K + 1, size=dn))
-        style = gen.integers(0, 3)
-        if style == 0:
-            Y = tuple(int(v) for v in gen.integers(1, K + 1, size=n))
-        elif style == 1:
-            Y_arr = gen.integers(1, K + 1, size=n)
-            Y_arr[np.sort(gen.choice(n, size=dn, replace=False))] = X
-            Y = tuple(int(v) for v in Y_arr)
-        else:
-            Y = tuple(int(v) for v in gen.integers(1, max(2, K), size=n))
-        blocks = [random_block(gen) for _ in range(dn)]
-        sets = [pad_corruption_set({j for j in range(1, K + 1) if not preserved(b, j)}, params)
-                for b in blocks]
-        dead = {k * L + d for k, b in enumerate(blocks) for d in b.deleted}
-        psi_x = b"".join(ref[sym - 1].bits for sym in X)
-        corrupted = bytes(b for pos, b in enumerate(psi_x, 1) if pos not in dead)
-        report.instances += 1
-        if not bytewise_is_subsequence(corrupted, b"".join(ref[sym - 1].bits for sym in Y)):
-            continue
-        positives += 1
-        if not oracles.is_matchable(X, Y, MatchConfig(s=s, t=t, sets=tuple(sets))):
-            report.record_violation({"X": X, "Y": Y, "blocks": [b.deleted for b in blocks]})
+    for chunk, lo in enumerate(range(0, instances, oracles.IMPLICATION_CHUNK)):
+        count = min(oracles.IMPLICATION_CHUNK, instances - lo)
+        gen = rngmod.np_rng(master_seed, "matching-implication", chunk)
+        Xs = gen.integers(1, K + 1, size=(count, dn)).tolist()
+        styles = gen.integers(0, 3, size=count).tolist()
+        uniform = gen.integers(1, K + 1, size=(count, n)).tolist()
+        low = gen.integers(1, max(2, K), size=(count, n)).tolist()
+        embeddings = iter(gen.integers(0, 1 << 62, size=(styles.count(1), n)).tolist())
+        kinds = [[kind if cap > 0 else 0 for kind in row]
+                 for row in gen.integers(0, 4, size=(count, dn)).tolist()]
+        flat = [kind for row in kinds for kind in row]
+        picks = iter(gen.integers(0, len(admissible), size=flat.count(2)).tolist() if admissible else [])
+        weights = iter(gen.integers(1, cap + 1, size=flat.count(1)).tolist())
+        keys = iter(gen.integers(0, 1 << 62, size=(flat.count(1) + flat.count(3), L)).tolist())
+        for X, style, u, l, row in zip(Xs, styles, uniform, low, kinds):
+            Y = list(l if style == 2 else u)
+            if style == 1:
+                for pos, sym in zip(sorted(lowest_keys(next(embeddings), dn)), X):
+                    Y[pos] = sym
+            X, Y = tuple(X), tuple(Y)
+            blocks = []
+            for kind in row:
+                if kind == 0 or (kind == 2 and not admissible):
+                    blocks.append(DeletionPattern(L, ()))
+                elif kind == 2:
+                    blocks.append(DeletionPattern(L, zeros[admissible[next(picks)] - 1]))
+                else:
+                    w = next(weights) if kind == 1 else cap
+                    blocks.append(DeletionPattern(L, tuple(pos + 1 for pos in lowest_keys(next(keys), w))))
+            sets = [pad_corruption_set({j for j in range(1, K + 1) if not preserved(b, j)}, params)
+                    for b in blocks]
+            dead = {k * L + d for k, b in enumerate(blocks) for d in b.deleted}
+            psi_x = b"".join(ref[sym - 1].bits for sym in X)
+            corrupted = bytes(b for pos, b in enumerate(psi_x, 1) if pos not in dead)
+            report.instances += 1
+            if not bytewise_is_subsequence(corrupted, b"".join(ref[sym - 1].bits for sym in Y)):
+                continue
+            positives += 1
+            if not oracles.is_matchable(X, Y, MatchConfig(s=s, t=t, sets=tuple(sets))):
+                report.record_violation({"X": X, "Y": Y, "blocks": [b.deleted for b in blocks]})
     report.extras["positives"] = positives
     return report
 
 
-# The verify-all parameters (kind-2 blocks delete all zeros of a codeword) and
-# K = 4, where random blocks corrupt g_1 and the sets come from 4 symbols.
-IMPLICATION_PARAMS = [toy_params(2, 16, 2, Fraction(1, 2), 8), toy_params(4, 4, 3, Fraction(1, 2), 8)]
+# The verify-all parameters (kind-2 blocks delete all zeros of a codeword);
+# K = 4, where random blocks corrupt g_1 and the sets come from 4 symbols, and
+# no g_i's zeros fit in the cap; and lambda = 1, whose cap 0 admits no deletion.
+IMPLICATION_PARAMS = [toy_params(2, 16, 2, Fraction(1, 2), 8), toy_params(4, 4, 3, Fraction(1, 2), 8),
+                      toy_params(4, 4, 1, Fraction(1, 2), 8)]
+IMPLICATION_IDS = ["K2", "K4", "K4cap0"]
 
 
-@pytest.mark.parametrize("params", IMPLICATION_PARAMS, ids=["K2", "K4"])
+@pytest.mark.parametrize("params", IMPLICATION_PARAMS, ids=IMPLICATION_IDS)
 @pytest.mark.parametrize("master_seed", [0, 7, 2026])
 def test_matching_implication_agrees_with_per_instance_loop(params, master_seed):
     rep = oracles.verify_matching_implication(params, instances=150, master_seed=master_seed)
     assert rep.to_json() == loop_matching_implication(params, 150, master_seed).to_json()
 
 
-@pytest.mark.parametrize("params", IMPLICATION_PARAMS, ids=["K2", "K4"])
+@pytest.mark.parametrize("params", IMPLICATION_PARAMS, ids=IMPLICATION_IDS)
 def test_planted_implication_violations_keep_their_witness_order(monkeypatch, params):
     # a matcher that fails by X and the corruption sets pins which instances,
     # in which order, become witnesses
@@ -1117,14 +1168,16 @@ def loop_corruption_cost(params, mode, samples=0, master_seed=0, preserved=None,
         for mask in range(2**L):
             check([(mask >> i) & 1 == 0 for i in range(L)], f"mask={mask:#x}")
     else:
+        # per stack: the weights, then L keys per mask
         gen = rngmod.np_rng(master_seed, "corruption-cost")
         max_useful = min(L, math.ceil(L * (1 - 0.5**K)) + 2)
-        for trial in range(samples):
-            w = int(gen.integers(0, max_useful + 1))
-            kept = np.ones(L, dtype=bool)
-            if w:
-                kept[gen.choice(L, size=w, replace=False)] = False
-            check(kept.tolist(), f"sample-{trial}")
+        stack = max(1, oracles.MASK_CHUNK_BITS // L)
+        for lo in range(0, samples, stack):
+            weights = gen.integers(0, max_useful + 1, size=min(stack, samples - lo)).tolist()
+            keys = gen.integers(0, 1 << 62, size=(len(weights), L)).tolist()
+            for row, (w, row_keys) in enumerate(zip(weights, keys)):
+                dead = set(lowest_keys(row_keys, w))
+                check([pos not in dead for pos in range(L)], f"sample-{lo + row}")
         for label, pat in oracles.structured_inner_patterns(params):
             check(pat.keep.tolist(), label)
     return report

@@ -227,6 +227,12 @@ def cmd_experiment_oblivious(parser, args) -> int:
     f_exact = json_field(cfg, "f_exact", json_typed(bool), True)
     positive = _checked(json_typed(int), lambda trials: trials > 0, "must be positive")
     f_trials = json_field(cfg, "f_trials", positive, 4000)
+    for key, unread, when in (("f_exact", not use_filter, "when 'use_filter' is true"),
+                              ("f_trials", not use_filter, "when 'use_filter' is true"),
+                              ("f_trials", f_exact, "when 'f_exact' is false"),
+                              ("pattern_weight", "pattern_file" in cfg, "without 'pattern_file'")):
+        if unread and key in cfg:  # a key nothing reads would change no byte of the output
+            raise ValueError(f"{args.config}: {key!r} is read only {when}")
     if "pattern_file" in cfg:
         pattern_file = json_field(cfg, "pattern_file", json_typed(str))  # a number would name a descriptor
         patterns = read_patterns(pattern_file, params.N)

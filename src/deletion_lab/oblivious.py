@@ -12,7 +12,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -204,7 +204,7 @@ def full_confusability_graph(params: CodeParams) -> ConfusabilityGraph:
     if params.K**params.n > 1 << 16:
         raise ValueError("pool K^n too large for graph enumeration")
     dn = params.delta_n
-    sigma = DeletionPattern(params.n, tuple(range(dn + 1, params.n + 1)))
+    sigma = DeletionPattern.from_keep(np.arange(params.n) < dn)
     cfg = MatchConfig.paper(params.lam, params.R, worst_sets(dn, params.lam))
     return build_confusability_graph(every_outer_word(params), sigma, cfg)
 
@@ -267,43 +267,42 @@ def make_stochastic(C: Sequence[Word], group_size: int, rng) -> StochasticCode:
 
 
 # ---------------------------------------------------------------------------
-# fixed deletion-pattern families
+# fixed deletion-pattern families, built as keep masks
+
+
+def _pad_to_weight(keep: np.ndarray, weight: int, rng) -> DeletionPattern:
+    """The pattern of mask ``keep`` cut to its first ``weight`` deletions, or padded
+    with ``rng.sample`` of its kept positions, listed in ascending order."""
+    if not 0 <= weight <= len(keep):
+        raise ValueError(f"weight {weight} must lie in [0, {len(keep)}]")
+    keep = np.array(keep, dtype=bool)
+    deleted = np.flatnonzero(~keep)
+    keep[deleted[weight:]] = True
+    if weight > len(deleted):
+        keep[rng.sample(np.flatnonzero(keep).tolist(), weight - len(deleted))] = False
+    return DeletionPattern.from_keep(keep)
 
 
 def uniform_pattern(N: int, weight: int, rng) -> DeletionPattern:
-    return DeletionPattern(N, rng.sample(range(1, N + 1), weight))
-
-
-def _pad_to_weight(positions: Iterable[int], N: int, weight: int, rng) -> DeletionPattern:
-    pos = sorted(set(positions))
-    if len(pos) > weight:
-        pos = pos[:weight]
-    elif len(pos) < weight:
-        taken = set(pos)
-        rest = [i for i in range(1, N + 1) if i not in taken]
-        pos += rng.sample(rest, weight - len(pos))
-    return DeletionPattern(N, pos)
+    """``weight`` positions drawn uniformly: the all-kept mask padded to ``weight``."""
+    return _pad_to_weight(np.ones(N, dtype=bool), weight, rng)
 
 
 def delete_bit_pattern(ref: Word, bit: int, weight: int, rng) -> DeletionPattern:
     """Delete the positions carrying ``bit`` in the reference word."""
-    return _pad_to_weight(bit_deletion_pattern(ref, bit).deleted, len(ref), weight, rng)
+    return _pad_to_weight(bit_deletion_pattern(ref, bit).keep, weight, rng)
 
 
-def blockwise_periodic_pattern(
-    N: int, L: int, weight: int, rng
-) -> DeletionPattern:
+def blockwise_periodic_pattern(N: int, L: int, weight: int, rng) -> DeletionPattern:
     """Delete every other bit inside randomly chosen length-L blocks."""
     if N % L != 0:
         raise ValueError("N must be a multiple of the block length")
     blocks = list(range(N // L))
     rng.shuffle(blocks)
-    positions: list[int] = []
-    for blk in blocks:
-        if len(positions) >= weight:
-            break
-        positions.extend(blk * L + off for off in range(1, L + 1, 2))
-    return _pad_to_weight(positions, N, weight, rng)
+    keep = np.ones((N // L, L), dtype=bool)  # one row per block
+    per_block = (L + 1) // 2  # every other bit of a block, from its first
+    keep[blocks[:-(-weight // per_block)], ::2] = False  # whole blocks until ``weight`` are deleted
+    return _pad_to_weight(keep.ravel(), weight, rng)
 
 
 def standard_pattern_family(

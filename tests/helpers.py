@@ -16,7 +16,7 @@ from deletion_lab.oblivious import ConfusabilityGraph
 from deletion_lab.online import ConfusablePair
 from deletion_lab.oracles import geom_cap, geom_expectation
 from deletion_lab.reporting import atomic_write_text
-from deletion_lab.words import DeletionPattern, Word, WordLike
+from deletion_lab.words import DeletionPattern, Word, WordLike, bit_deletion_pattern
 
 
 def write_patterns(path, patterns: Iterable[DeletionPattern]) -> None:
@@ -54,6 +54,41 @@ def join_patterns(parts: Sequence[DeletionPattern]) -> DeletionPattern:
         raise ValueError("all blocks must share one word_length")
     masks = [part.keep for part in parts]
     return DeletionPattern.from_keep(np.concatenate(masks) if masks else np.ones(0, dtype=bool))
+
+
+# the position-list builders of the standard pattern family, the references
+# for the keep-mask builders of ``oblivious``
+
+
+def pad_positions_to_weight(positions: Iterable[int], N: int, weight: int, rng) -> DeletionPattern:
+    """The first ``weight`` of the sorted positions, or them and ``rng.sample`` of the rest."""
+    pos = sorted(set(positions))
+    if len(pos) > weight:
+        pos = pos[:weight]
+    elif len(pos) < weight:
+        taken = set(pos)
+        rest = [i for i in range(1, N + 1) if i not in taken]
+        pos += rng.sample(rest, weight - len(pos))
+    return DeletionPattern(N, pos)
+
+
+def uniform_positions(N: int, weight: int, rng) -> DeletionPattern:
+    return DeletionPattern(N, rng.sample(range(1, N + 1), weight))
+
+
+def delete_bit_positions(ref: Word, bit: int, weight: int, rng) -> DeletionPattern:
+    return pad_positions_to_weight(bit_deletion_pattern(ref, bit).deleted, len(ref), weight, rng)
+
+
+def blockwise_positions(N: int, L: int, weight: int, rng) -> DeletionPattern:
+    blocks = list(range(N // L))
+    rng.shuffle(blocks)
+    positions: list[int] = []
+    for blk in blocks:
+        if len(positions) >= weight:
+            break
+        positions.extend(blk * L + off for off in range(1, L + 1, 2))
+    return pad_positions_to_weight(positions, N, weight, rng)
 
 
 # what a signature says about the full pattern it summarises

@@ -1,4 +1,5 @@
 import json
+import math
 import time
 
 import pytest
@@ -13,6 +14,20 @@ def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_params_of_a_toy_K_that_is_no_power_of_two_give_log2_rates(capsys):
+    code, out, _ = run_cli(["params", "--toy", "--K", "3", "--R", "4", "--lambda", "1",
+                            "--delta", "1/2", "--n", "4"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    log2_beta = math.log2(math.log2(3) / (16 * 4))  # beta = log2(K) / (16 R)
+    assert payload["L"] == 128
+    assert payload["rate"] == {
+        "log2_beta": pytest.approx(log2_beta, rel=1e-12),
+        "log2_gamma": pytest.approx(log2_beta - 2, rel=1e-12),  # gamma = beta / 4
+        "log2_rate": pytest.approx(log2_beta - 2 - math.log2(128), rel=1e-12),  # rate = gamma / L
+    }
 
 
 def test_params_paper_mode(capsys):
@@ -92,6 +107,29 @@ def test_corrupt_delete_zeros_family(tmp_path, capsys):
     out = tmp_path / "out.txt"
     assert main(["corrupt", "--in", str(infile), "--out", str(out), "--family", "delete-zeros"]) == 0
     assert out.read_text() == "11\n"
+
+
+def test_corrupt_delete_ones_family(tmp_path, capsys):
+    infile = tmp_path / "in.txt"
+    infile.write_text("0101\n0011\n")
+    out = tmp_path / "out.txt"
+    assert main(["corrupt", "--in", str(infile), "--out", str(out), "--family", "delete-ones"]) == 0
+    assert out.read_text() == "00\n00\n"
+
+
+@pytest.mark.parametrize("words, choice, message", [
+    ("", ["--family", "delete-zeros"], "no input words"),
+    ("0101\n", [], "pass exactly one of --pattern / --family"),
+    ("0101\n", ["--pattern", "1", "--family", "delete-ones"], "pass exactly one of --pattern / --family"),
+], ids=["no-words", "neither", "both"])
+def test_corrupt_needs_words_and_one_pattern_source(words, choice, message, tmp_path, capsys):
+    infile = tmp_path / "in.txt"
+    infile.write_text(words)
+    with pytest.raises(SystemExit) as err:
+        main(["corrupt", "--in", str(infile), "--out", str(tmp_path / "out.txt"), *choice])
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [infile]
 
 
 def test_decode_ambiguous_writes_fail(tmp_path, capsys):
@@ -532,6 +570,38 @@ def test_experiment_config_bad_value_is_usage_error(extra, key, tmp_path, capsys
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize("extra, named", [
+    pytest.param({"use_filter": True, "f_trials": 7}, ("'f_trials'", "'f_exact'"), id="f_trials-with-exact-f"),
+    pytest.param({"use_filter": True, "f_exact": True, "f_trials": 7}, ("'f_trials'", "'f_exact'"),
+                 id="f_trials-with-f_exact-true"),
+    pytest.param({"f_exact": False, "f_trials": 9}, ("'f_exact'", "'use_filter'"), id="f_exact-without-filter"),
+    pytest.param({"f_trials": 9}, ("'f_trials'", "'use_filter'"), id="f_trials-without-filter"),
+    pytest.param({"pattern_weight": 3, "pattern_file": "patterns.txt"}, ("'pattern_weight'", "'pattern_file'"),
+                 id="pattern_weight-beside-pattern_file"),
+])
+def test_config_key_that_nothing_reads_is_a_usage_error(extra, named, tmp_path, capsys, monkeypatch):
+    # without the check each of these runs, ignores the key and writes the same bytes as without it
+    (tmp_path / "patterns.txt").write_text("1,2,3\n")
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        main(_oblivious_config(tmp_path, **extra))
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert all(key in message for key in named), message
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_online_experiment_needs_two_codewords(tmp_path, capsys):
+    book = tmp_path / "code.txt"
+    book.write_text("0011\n")
+    with pytest.raises(SystemExit) as err:
+        main(["experiment", "online", "--code", str(book), "--p", "1/2", "--p0-adv", "2/5",
+              "--seed", "1", "--out", str(tmp_path / "online.csv")])
+    assert err.value.code == 2
+    assert "need at least two codewords" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [book]
+
+
 def test_negative_trial_count_is_usage_error(tmp_path, capsys):
     book = tmp_path / "code.txt"
     book.write_text("0011\n1100\n")
@@ -759,6 +829,17 @@ def test_summary_path_that_is_a_directory_is_a_usage_error(command, tmp_path, ca
     captured = capsys.readouterr()
     assert "'r.summary.json' is a directory" in captured.err and captured.out == ""
     assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_matching_decay_violation_exits_1(capsys, monkeypatch):
+    # estimates that grow with n break both the order and the slope
+    growth = {n: 2.0 ** (n - 40) for n in (8, 16, 24, 32)}
+    monkeypatch.setattr(oracles, "matchability_estimates", lambda *args: growth)
+    code, out, err = run_cli(["verify", "matching-decay", "--samples", "10", "--seed", "1"], capsys)
+    assert code == 1 and "VIOLATIONS" in err
+    (report,) = json.loads(out)
+    assert report["violations"] == 2
+    assert "not nonincreasing" in report["witnesses"][0] and "slope not negative" in report["witnesses"][1]
 
 
 def test_matching_decay_with_a_zero_estimate_is_a_usage_error(capsys):

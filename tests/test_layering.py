@@ -148,6 +148,17 @@ def test_cli_assembles_no_experiment_or_oracle_itself():
     assert "oracles" not in bound and from_oracles == {"LEMMAS"}
 
 
+def test_oblivious_builds_patterns_from_masks_and_parses_positions_only_in_read_patterns():
+    # the pattern family is built on keep masks; 1-based positions are parsed
+    # from pattern files and printed, never built or read in between
+    tree = ast.parse((PACKAGE / "oblivious.py").read_text())
+    parser = set(ast.walk(top_level_definitions(tree)["read_patterns"]))
+    built = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "DeletionPattern" and node not in parser]
+    read = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "deleted"]
+    assert (built, read) == ([], [])
+
+
 def test_readme_lists_the_lemma_table_in_order():
     # README's lemma table: the rows after its "| lemma |" header, up to the first blank line
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

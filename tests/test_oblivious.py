@@ -360,7 +360,8 @@ def test_pad_to_weight_equals_the_padding_it_replaced():
         for seed in range(8):
             positions = rngmod.py_rng(seed, "positions").sample(range(1, N + 1), seed % (N + 1))
             for weight in range(N + 1):
-                got = _pad_to_weight(positions, N, weight, rngmod.py_rng(seed, "pad", weight))
+                keep = DeletionPattern(N, positions).keep
+                got = _pad_to_weight(keep, weight, rngmod.py_rng(seed, "pad", weight))
                 assert got == reference(positions, N, weight, rngmod.py_rng(seed, "pad", weight))
 
 

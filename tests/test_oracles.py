@@ -138,6 +138,24 @@ def test_matching_decay_defaults():
     assert rep.extras["slope"] < 0 and rep.extras["r2"] >= 0.9
 
 
+DECAY_NS = tuple(range(8, 72, 8))
+DECAY = {n: 2.0 ** (-n / 4) for n in DECAY_NS}  # log-linear decay, fitted exactly
+
+
+@pytest.mark.parametrize("planted, reasons", [
+    pytest.param(DECAY, [], id="decay"),
+    pytest.param({**DECAY, 40: DECAY[32] * 1.01}, ["not nonincreasing"], id="one-rise"),
+    pytest.param({n: 2.0 ** (n / 4 - 20) for n in DECAY_NS}, ["not nonincreasing", "slope not negative"],
+                 id="growth"),
+    pytest.param({**dict.fromkeys(DECAY_NS, 0.5), 64: 2.0**-10}, ["poor linear fit"], id="step"),
+])
+def test_matching_decay_names_each_violated_property(planted, reasons, monkeypatch):
+    monkeypatch.setattr(oracles, "matchability_estimates", lambda *args: planted)
+    rep = verify_matching_decay(ns=DECAY_NS, trials=10, master_seed=1)
+    assert [w["reason"] for w in rep.witnesses] == reasons
+    assert rep.violations == len(reasons)
+
+
 def test_geom_expectation_closed_form_vs_mass():
     for K in (7, 16):
         for j in range(1, K + 1):

@@ -14,6 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from deletion_lab import construction, matching, oracles
+from deletion_lab.oblivious import blockwise_periodic_pattern, delete_bit_pattern, uniform_pattern
 from deletion_lab import rng as rngmod
 from deletion_lab.construction import (
     admissible_weight_cap,
@@ -56,10 +57,13 @@ from deletion_lab.words import (
 )
 
 from helpers import (
+    blockwise_positions,
+    delete_bit_positions,
     geom2_expectation,
     geom_mass_expectation,
     join_patterns,
     lcs_length,
+    uniform_positions,
     weight_within_bound,
 )
 
@@ -218,6 +222,30 @@ def test_apply_pattern_agrees_with_bytewise_reference(length, seed):
 def test_bit_deletion_pattern_leaves_only_the_other_bit(bits, bit):
     w = Word(bits)
     assert apply_pattern(bit_deletion_pattern(w, bit), w).bits == bytes(b for b in bits if b != bit)
+
+
+@st.composite
+def family_instances(draw):
+    """Block length L, word length N = L * blocks, a weight in [0, N], a seed and a reference word."""
+    L, blocks = draw(st.integers(1, 12)), draw(st.integers(0, 6))
+    N = L * blocks
+    bits = draw(st.lists(st.integers(0, 1), min_size=N, max_size=N))
+    return L, N, draw(st.integers(0, N)), draw(st.integers(0, 2**32 - 1)), bits
+
+
+@PROPS
+@given(family_instances())
+@example((512, 20480, 10240, 7, [0, 1, 1] * 6826 + [0, 1]))  # the benchmark's scale, half deleted
+def test_mask_pattern_builders_agree_with_their_position_references(inst):
+    # the same pattern, and the same stream left behind: every draw kept its population length and k
+    L, N, weight, seed, bits = inst
+    builders = [(uniform_pattern, uniform_positions, (N,)),
+                (blockwise_periodic_pattern, blockwise_positions, (N, L))]
+    builders += [(delete_bit_pattern, delete_bit_positions, (Word(bits), bit)) for bit in (0, 1)]
+    for build, reference, args in builders:
+        fast, slow = random.Random(seed), random.Random(seed)
+        assert build(*args, weight, fast) == reference(*args, weight, slow), build.__name__
+        assert fast.getstate() == slow.getstate(), build.__name__
 
 
 @PROPS

@@ -269,6 +269,9 @@ def cmd_experiment_online(parser, args) -> int:
     if len(code) < 2:
         parser.error("online experiments need at least two codewords")
     cfg = OnlineConfig(p=args.p, p0_adv=args.p0_adv)
+    if not cfg.in_regime:
+        print(f"note: p = {cfg.p} is outside the regime p > 1/(3-2*p0_adv) = {cfg.regime_bound}; "
+              "deletions stop at floor(p n), so a push may end short", file=sys.stderr)
     seed = _master_seed(args.seed)
     decoder = (make_unique_decoder if args.decoder == "unique" else make_first_superstring_decoder)(code)
     report = simulate_online(code, cfg, decoder, trials=args.trials, master_seed=seed, version=__version__)

@@ -56,9 +56,9 @@ class CodeParams:
     R: int | None
     n: int
     L: int | None
-    log2_K: int
-    log2_R: int
-    log2_L: int
+    log2_K: int | None = None  # None, as log2_R and log2_L, when K, R and L are exact (toy mode)
+    log2_R: int | None = None
+    log2_L: int | None = None
 
     @property
     def N(self) -> int | None:
@@ -162,7 +162,6 @@ def toy_params(
     L = 2 * R**K
     if L > MAX_INNER_LENGTH:
         raise ParamsError(f"L = 2*R^K = {L} exceeds the configured limit {MAX_INNER_LENGTH}")
-    # log2 fields are floors; exact whenever the value is a power of two
     return CodeParams(
         mode="toy",
         p=None,
@@ -172,9 +171,6 @@ def toy_params(
         R=R,
         n=n,
         L=L,
-        log2_K=K.bit_length() - 1,
-        log2_R=R.bit_length() - 1,
-        log2_L=L.bit_length() - 1,
     )
 
 
@@ -320,38 +316,49 @@ def extract_signature(tau: DeletionPattern, params: CodeParams) -> Signature:
     )
 
 
+def matchability_exponent(params: CodeParams) -> Fraction | float:
+    """beta = log2(K) / (16 R): a Fraction when K is a power of two, else a float."""
+    params.require_executable()
+    if params.K & (params.K - 1) == 0:
+        return Fraction(params.K.bit_length() - 1, 16 * params.R)
+    return math.log2(params.K) / (16 * params.R)
+
+
+def filter_threshold(params: CodeParams) -> float:
+    """2 * 2^(-beta n): the disguise probability an outer word must stay under to be kept."""
+    return 2.0 * 2.0 ** (-float(matchability_exponent(params)) * params.n)
+
+
 def rate_info(params: CodeParams) -> dict:
     """Sampling exponent beta, outer exponent gamma = beta/4, and rate gamma/L.
 
-    Exact fractions when K is a power of two and L is materialized; otherwise
-    log2 values (floats for the small parts, exact ints where integral).
-    Paper-mode K is not materialized; it is the power of two 2^log2_K.
+    Exact fractions when ``matchability_exponent`` is one; otherwise log2
+    values (floats for the small parts, exact ints where integral).  Paper
+    mode builds no K or R; its beta comes from the exact log2 K and log2 R.
     """
-    power_of_two = params.K is None or params.K & (params.K - 1) == 0
-    if params.executable and power_of_two:
-        beta = Fraction(params.log2_K, 16 * params.R)
-        gamma = beta / 4
-        return {"beta": beta, "gamma": gamma, "rate": gamma / params.L}
-    log2K = params.log2_K if power_of_two else math.log2(params.K)
-    log2_beta = math.log2(log2K) - 4 - params.log2_R
-    log2_gamma = log2_beta - 2
-    if params.executable:
+    if not params.executable:
+        log2_beta = math.log2(params.log2_K) - 4 - params.log2_R
+        # log2(L) dwarfs the float part; keep the exact integer dominant term.
         return {
             "log2_beta": log2_beta,
-            "log2_gamma": log2_gamma,
-            "log2_rate": log2_gamma - math.log2(params.L),
+            "log2_gamma": log2_beta - 2,
+            "log2_rate_floor": math.floor(log2_beta - 2) - params.log2_L,
         }
-    # log2(L) dwarfs the float part; keep the exact integer dominant term.
+    beta = matchability_exponent(params)
+    if isinstance(beta, Fraction):
+        gamma = beta / 4
+        return {"beta": beta, "gamma": gamma, "rate": gamma / params.L}
+    log2_beta = math.log2(beta)
     return {
         "log2_beta": log2_beta,
-        "log2_gamma": log2_gamma,
-        "log2_rate_floor": math.floor(log2_gamma) - params.log2_L,
+        "log2_gamma": log2_beta - 2,
+        "log2_rate": log2_beta - 2 - math.log2(params.L),
     }
 
 
-def json_int(value: int):
-    """Arbitrary-size integers for JSON: hex text once decimal gets silly."""
-    return value if value.bit_length() <= 256 else hex(value)
+def json_int(value: int | None):
+    """Arbitrary-size integers for JSON: hex text once decimal gets silly; None passes through."""
+    return value if value is None or value.bit_length() <= 256 else hex(value)
 
 
 def params_to_json(params: CodeParams) -> dict:

@@ -8,7 +8,6 @@ average-case error under families of fixed deletion patterns.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import rng as rngmod
-from .construction import CodeParams, OuterWord, encode_outer
+from .construction import CodeParams, OuterWord, encode_outer, filter_threshold, matchability_exponent
 from .matching import MatchConfig, all_outer_words, batch_matchable, count_matchable, worst_sets
 from .reporting import ExperimentReport, read_lines
 from .words import DeletionPattern, Word, apply_pattern, as_word, bit_deletion_pattern, is_subsequence
@@ -25,31 +24,25 @@ from .words import DeletionPattern, Word, apply_pattern, as_word, bit_deletion_p
 
 @dataclass(frozen=True)
 class SamplingPlan:
-    """Exponents and targets for the random outer-code drawing.
+    """The target size of the random outer-code drawing.
 
-    beta is the matchability exponent log2(K)/(16 R); gamma = beta/4 drives
-    the formula code size 2^(gamma n).  Toy scales make the formula size
-    degenerate (about one codeword), so the target size may be overridden
-    while keeping the formula exponent.
+    The formula size is 2^(gamma n), with gamma = beta/4 and beta
+    ``construction.matchability_exponent``.  Toy scales make it degenerate
+    (about one codeword), so the target size may be overridden.
     """
 
-    beta: float
     target_size: float
 
     @classmethod
     def from_params(cls, params: CodeParams, target_size: float | None = None) -> "SamplingPlan":
-        beta = math.log2(params.K) / (16 * params.R)
         if target_size is None:
-            target_size = 2.0 ** (beta / 4 * params.n)
-        return cls(beta=beta, target_size=float(target_size))
+            target_size = 2.0 ** (float(matchability_exponent(params)) / 4 * params.n)
+        return cls(target_size=float(target_size))
 
     def inclusion_prob(self, pool_size: int) -> float:
         if pool_size <= 0:
             return 0.0
         return min(1.0, self.target_size / pool_size)
-
-    def f_threshold(self, n: int) -> float:
-        return 2.0 * 2.0 ** (-self.beta * n)
 
 
 WALK_ROWS = 4800  # Monte-Carlo rows matched in one stacked walk, whole hosts at a time
@@ -109,19 +102,18 @@ class FilterOutcome:
 def filter_candidates(
     pool: Sequence[OuterWord],
     params: CodeParams,
-    plan: SamplingPlan,
     exact: bool = True,
     trials: int = 4000,
     master_seed: int = 0,
 ) -> FilterOutcome:
-    """Keep the pool members whose disguise probability stays under the plan's
-    threshold 2 * 2^(-beta n).
+    """Keep the pool members whose disguise probability stays under
+    ``construction.filter_threshold``, 2 * 2^(-beta n).
 
     A Monte-Carlo estimate is classified by its point value.  Each host's
     symbols name its Monte-Carlo stream, so a host is kept or dropped
     whatever else the pool holds.
     """
-    thr = plan.f_threshold(params.n)
+    thr = filter_threshold(params)
     hosts = [tuple(Y) for Y in pool]
     values = estimate_f(hosts, params, exact=exact, trials=trials, master_seed=master_seed)
     return FilterOutcome([Y for Y, f in zip(hosts, values) if f < thr],
@@ -350,7 +342,7 @@ def oblivious_experiment(
     repeated = [X for X, count in Counter(map(tuple, pool)).items() if count > 1]
     if repeated:
         raise ValueError(f"the pool repeats the outer word {','.join(map(str, repeated[0]))}")
-    outcome = (filter_candidates(pool, params, plan, exact=f_exact, trials=f_trials, master_seed=master_seed)
+    outcome = (filter_candidates(pool, params, exact=f_exact, trials=f_trials, master_seed=master_seed)
                if use_filter else FilterOutcome(list(pool), []))
     candidates, discarded_fraction = outcome.kept, outcome.discarded_fraction
     report = ExperimentReport(
@@ -366,7 +358,7 @@ def oblivious_experiment(
             "use_filter": use_filter,
             "discarded_fraction": discarded_fraction,
             "plan_target_size": plan.target_size,
-            "plan_beta": plan.beta,
+            "plan_beta": float(matchability_exponent(params)),
         },
         master_seed=master_seed,
         version=version,

@@ -9,11 +9,11 @@ bit-identical outputs.
 
 from __future__ import annotations
 
-import warnings
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, compress
 from operator import not_
 from typing import Callable, Sequence
@@ -40,12 +40,6 @@ class OnlineConfig:
             raise ValueError("p must lie in (0,1)")
         if not 0 < self.p0_adv < Fraction(1, 2):
             raise ValueError("p0_adv must lie in (0, 1/2)")
-        if not self.in_regime:
-            warnings.warn(
-                f"p = {self.p} is outside the regime p > 1/(3-2*p0_adv) = "
-                f"{self.regime_bound}; pushes may exceed the budget",
-                stacklevel=2,
-            )
 
     @property
     def regime_bound(self) -> Fraction:
@@ -360,23 +354,10 @@ def transmit(x: Word, adversary: OnlineAdversary, rng) -> TransmitResult:
 # decoders and simulation
 
 
-def _memoised(decode: Decoder) -> Decoder:
-    """``decode``, run once per distinct output and answered from a memo after."""
-    answers: dict[bytes, Word | None] = {}
-
-    def memo(s: Word) -> Word | None:
-        s = as_word(s)
-        if s.bits not in answers:
-            answers[s.bits] = decode(s)
-        return answers[s.bits]
-
-    return memo
-
-
 def make_unique_decoder(C: Sequence[Word]) -> Decoder:
     """``unique_decode`` against C; each distinct output is decoded once."""
     words = [as_word(c) for c in C]
-    return _memoised(lambda s: unique_decode(s, words))
+    return cache(lambda s: unique_decode(s, words))
 
 
 def make_first_superstring_decoder(C: Sequence[Word]) -> Decoder:
@@ -386,7 +367,7 @@ def make_first_superstring_decoder(C: Sequence[Word]) -> Decoder:
     on ``words`` at call time, so a patched ``words.is_subsequence`` is used.
     """
     words = [as_word(c) for c in C]
-    return _memoised(lambda s: next((c for c in words if wordsmod.is_subsequence(s, c)), None))
+    return cache(lambda s: next((c for c in words if wordsmod.is_subsequence(s, c)), None))
 
 
 def simulate_online(

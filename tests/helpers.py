@@ -4,6 +4,7 @@ The package reads the files these write but never writes them, and the
 references are the slow, independent paths its fast code is compared with.
 """
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -89,6 +90,24 @@ def blockwise_positions(N: int, L: int, weight: int, rng) -> DeletionPattern:
             break
         positions.extend(blk * L + off for off in range(1, L + 1, 2))
     return pad_positions_to_weight(positions, N, weight, rng)
+
+
+# the float expressions of beta = log2(K) / (16 R), written out on their own:
+# ``construction.matchability_exponent`` and its readers must give these bit for bit
+
+
+def float_beta(K: int, R: int) -> float:
+    return math.log2(K) / (16 * R)
+
+
+def float_filter_threshold(K: int, R: int, n: int) -> float:
+    """2 * 2^(-beta n)."""
+    return 2.0 * 2.0 ** (-float_beta(K, R) * n)
+
+
+def float_formula_target_size(K: int, R: int, n: int) -> float:
+    """2^(gamma n) with gamma = beta / 4."""
+    return 2.0 ** (float_beta(K, R) / 4 * n)
 
 
 # what a signature says about the full pattern it summarises

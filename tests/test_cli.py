@@ -30,6 +30,16 @@ def test_params_of_a_toy_K_that_is_no_power_of_two_give_log2_rates(capsys):
     }
 
 
+def test_params_of_a_toy_R_that_is_no_power_of_two_read_the_exact_R(capsys):
+    # toy mode keeps K, R and L exact and prints no log2 of them, as paper mode prints no K, R or L
+    code, out, _ = run_cli(["params", "--toy", "--K", "3", "--R", "6", "--lambda", "1",
+                            "--delta", "1/2", "--n", "4"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["rate"]["log2_beta"] == math.log2(math.log2(3) / 96)  # beta = log2(K) / (16 R)
+    assert (payload["log2_K"], payload["log2_R"], payload["log2_L"]) == (None, None, None)
+
+
 def test_params_paper_mode(capsys):
     code, out, _ = run_cli(["params", "--p", "0.9", "--n", "100"], capsys)
     assert code == 0

@@ -123,6 +123,27 @@ def test_hash_scan_sees_every_form():
     assert hash_outside_dunder_hash(source) == [5, 6]
 
 
+def calls_named(tree: ast.AST, name: str) -> list[int]:
+    """Lines of the calls in ``tree`` of a function or method called ``name``."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
+def test_package_raises_no_python_warning():
+    # a warning prints the line of whatever frame it names, not a message of the
+    # command; the CLI says what a user must know as a ``note:`` on stderr
+    found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+             for line in calls_named(ast.parse(path.read_text(), str(path)), "warn")]
+    assert found == []
+
+
+def test_oblivious_takes_beta_from_construction():
+    # beta = log2(K) / (16 R) and the filter threshold have one home,
+    # ``construction.matchability_exponent`` and ``filter_threshold``
+    found = calls_named(ast.parse((PACKAGE / "oblivious.py").read_text()), "log2")
+    assert [f"oblivious.py:{line}" for line in found] == []
+
+
 def test_cli_builds_no_oracle_report():
     # the CLI holds no oracle: every OracleReport is made in ``oracles``
     tree = ast.parse((PACKAGE / "cli.py").read_text())
@@ -391,6 +412,15 @@ def unused_imports(tree: ast.Module) -> list[str]:
              for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
              for alias in node.names}
     return sorted(bound - names_read(tree))
+
+
+def test_no_package_module_imports_a_name_it_never_reads():
+    # ``from __future__ import annotations`` acts by being there; ``__init__``
+    # imports the public API to re-export it
+    unused = {path.name: sorted(set(unused_imports(ast.parse(path.read_text(), str(path))))
+                                - {"annotations"} - (set(deletion_lab.__all__) if path.stem == "__init__" else set()))
+              for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: found for name, found in unused.items() if found} == {}
 
 
 def test_no_test_module_imports_a_name_it_never_reads():

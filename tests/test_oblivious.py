@@ -9,7 +9,7 @@ import pytest
 
 from deletion_lab import oblivious
 from deletion_lab import rng as rngmod
-from deletion_lab.construction import CodeParams, toy_params
+from deletion_lab.construction import CodeParams, filter_threshold, toy_params
 from deletion_lab.matching import MatchConfig, batch_matchable, count_matchable, worst_sets
 from deletion_lab.oblivious import (
     SamplingPlan,
@@ -56,10 +56,9 @@ def test_estimate_f_mc_tracks_exact():
 
 def test_filter_keeps_all_when_threshold_exceeds_one():
     params = toy_params(2, 4, 1, Fraction(1, 3), 6)
-    plan = SamplingPlan.from_params(params)
-    assert plan.f_threshold(6) > 1
+    assert filter_threshold(params) > 1
     pool = [tuple(X) for X in product((1, 2), repeat=6)]
-    out = filter_candidates(pool, params, plan, exact=True)
+    out = filter_candidates(pool, params, exact=True)
     assert out.kept == pool and not out.discarded
     assert out.discarded_fraction == 0.0
 
@@ -67,12 +66,11 @@ def test_filter_keeps_all_when_threshold_exceeds_one():
 def test_filter_discards_universal_disguisers():
     # threshold below 1 removes hosts in which every word is matchable
     params = toy_params(4, 4, 1, Fraction(3, 4), 40)
-    plan = SamplingPlan.from_params(params, target_size=12)
-    assert plan.f_threshold(40) < 1
+    assert filter_threshold(params) < 1
     rng = rngmod.py_rng(0, "pool")
     pool = [tuple(rng.choices((3, 4), weights=(1, 3), k=40)) for _ in range(12)]
     pool += [tuple([1] * 40)]
-    out = filter_candidates(pool, params, plan, exact=False, trials=800, master_seed=2)
+    out = filter_candidates(pool, params, exact=False, trials=800, master_seed=2)
     assert tuple([1] * 40) in out.discarded
 
 
@@ -379,13 +377,12 @@ def criterion11_pool() -> list[tuple[int, ...]]:
 def test_filter_memory_peak_stays_small():
     # a row cap set too large holds the draws and walk arrays of too many hosts at once
     params = toy_params(4, 4, 1, Fraction(3, 4), 40)
-    plan = SamplingPlan.from_params(params, target_size=8)
     pool = criterion11_pool()
     assert len(set(pool)) == 72
-    filter_candidates(pool, params, plan, exact=False, trials=600, master_seed=7)  # warm caches
+    filter_candidates(pool, params, exact=False, trials=600, master_seed=7)  # warm caches
     tracemalloc.start()
     try:
-        filter_candidates(pool, params, plan, exact=False, trials=600, master_seed=7)
+        filter_candidates(pool, params, exact=False, trials=600, master_seed=7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,4 +1,3 @@
-import warnings
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -8,6 +7,7 @@ import pytest
 from deletion_lab import online
 from deletion_lab import rng as rngmod
 from deletion_lab import words as wordsmod
+from deletion_lab.cli import main
 from deletion_lab.online import (
     IdentityAdversary,
     OnlineAdversary,
@@ -46,14 +46,19 @@ def paired_toy_code():
 CFG = OnlineConfig(p=Fraction(1, 2), p0_adv=Fraction(2, 5))
 
 
-def test_online_config_regime():
+def test_online_config_regime(tmp_path, capsys):
     assert CFG.regime_bound == Fraction(5, 11)
     assert CFG.in_regime
     assert CFG.budget(16) == 8
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        OnlineConfig(p=Fraction(2, 5), p0_adv=Fraction(2, 5))
-    assert caught and "regime" in str(caught[0].message)
+    assert not OnlineConfig(p=Fraction(2, 5), p0_adv=Fraction(2, 5)).in_regime
+    # out of regime is no error: the CLI notes it once on stderr, and nothing else does
+    run = ["experiment", "online", "--code", str(GOLDEN / "code.txt"), "--p0-adv", "2/5",
+           "--trials", "3", "--seed", "1"]
+    for p, notes in (("2/5", ["note: p = 2/5 is outside the regime p > 1/(3-2*p0_adv) = 5/11; "
+                              "deletions stop at floor(p n), so a push may end short"]),
+                     ("1/2", [])):
+        assert main(run + ["--p", p, "--out", str(tmp_path / "out.csv")]) == 0
+        assert capsys.readouterr().err.splitlines() == notes
     with pytest.raises(ValueError):
         OnlineConfig(p=Fraction(3, 2), p0_adv=Fraction(1, 4))
 
@@ -215,9 +220,7 @@ def test_causality_checks():
 @pytest.mark.parametrize("p, p0_adv", [(Fraction(1, 5), Fraction(2, 5)),
                                         (Fraction(9, 10), Fraction(1, 10))])
 def test_wait_push_stays_causal_off_the_default_config(p, p0_adv):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # p = 1/5 lies outside the regime
-        cfg = OnlineConfig(p=p, p0_adv=p0_adv)
+    cfg = OnlineConfig(p=p, p0_adv=p0_adv)
     table = build_pairs(paired_toy_code(), cfg)
     # the adversary takes its budget from the table's config, not the default one
     assert WaitPushAdversary(table).begin(16, rngmod.py_rng(0, "t"))["budget"] == table.cfg.budget(16)

@@ -2,7 +2,6 @@
 
 import math
 import random
-import warnings
 from dataclasses import replace
 from fractions import Fraction
 from itertools import groupby, product
@@ -14,15 +13,24 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from deletion_lab import construction, matching, oracles
-from deletion_lab.oblivious import blockwise_periodic_pattern, delete_bit_pattern, uniform_pattern
+from deletion_lab.oblivious import (
+    SamplingPlan,
+    blockwise_periodic_pattern,
+    delete_bit_pattern,
+    oblivious_experiment,
+    uniform_pattern,
+)
 from deletion_lab import rng as rngmod
 from deletion_lab.construction import (
     admissible_weight_cap,
     corruption_sets,
     encode_outer,
     extract_signature,
+    filter_threshold,
+    matchability_exponent,
     pad_corruption_set,
     preserves,
+    rate_info,
     toy_params,
 )
 from deletion_lab.matching import (
@@ -59,6 +67,9 @@ from deletion_lab.words import (
 from helpers import (
     blockwise_positions,
     delete_bit_positions,
+    float_beta,
+    float_filter_threshold,
+    float_formula_target_size,
     geom2_expectation,
     geom_mass_expectation,
     join_patterns,
@@ -823,17 +834,10 @@ def test_pairs_agree_with_scan_on_uniform_codes(seed, size, n):
     assert table.unpaired == unpaired
 
 
-def quiet_config(p, p0_adv):
-    """An ``OnlineConfig`` built without its out-of-regime warning."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return OnlineConfig(p=p, p0_adv=p0_adv)
-
-
 # p = 1/5 and 1/3 run out of budget before the last wait bit of many codewords
-WAIT_PUSH_CFGS = [ONLINE_CFG, quiet_config(Fraction(1, 5), Fraction(2, 5)),
-                  quiet_config(Fraction(1, 3), Fraction(1, 4)),
-                  quiet_config(Fraction(9, 10), Fraction(1, 10))]
+WAIT_PUSH_CFGS = [ONLINE_CFG, OnlineConfig(p=Fraction(1, 5), p0_adv=Fraction(2, 5)),
+                  OnlineConfig(p=Fraction(1, 3), p0_adv=Fraction(1, 4)),
+                  OnlineConfig(p=Fraction(9, 10), p0_adv=Fraction(1, 10))]
 # two pairs, like PAIRED_TOY, but each wait prefix holds three ones before its
 # last bit: at p = 1/5, n = 16 the budget of 3 runs out there when the coin bit is 0
 BUDGET_SHORT_TOY = [Word("01010100" "10110010"), Word("01011000" "10110010"),
@@ -1247,3 +1251,33 @@ def test_planted_corruption_violations_keep_their_labels_and_order(monkeypatch, 
     assert rep.violations > len(rep.witnesses) == oracles.MAX_WITNESSES
     reference = loop_corruption_cost(params, mode, 300, 3, preserved=planted, within=within)
     assert rep.to_json() == reference.to_json()
+
+
+@st.composite
+def toy_grid_points(draw):
+    """Toy (K, R, n) with K from 2 to 8, R even and L = 2 R^K at most 2^12."""
+    K = draw(st.integers(2, 8))
+    R = draw(st.sampled_from([R for R in range(2, 46, 2) if 2 * R**K <= 1 << 12]))
+    return K, R, 4 * draw(st.integers(1, 10))
+
+
+@PROPS
+@given(toy_grid_points(), st.none() | st.floats(0.5, 1e6))
+def test_beta_readers_give_the_float_expressions_bit_for_bit(point, target_size):
+    K, R, n = point
+    params = toy_params(K, R, 1, Fraction(1, 2), n)
+    beta = matchability_exponent(params)
+    assert type(beta) is (Fraction if K & (K - 1) == 0 else float)
+    assert float(beta) == float_beta(K, R)
+    assert filter_threshold(params) == float_filter_threshold(K, R, n)
+    plan = SamplingPlan.from_params(params, target_size=target_size)
+    expected_size = float_formula_target_size(K, R, n) if target_size is None else target_size
+    assert plan.target_size == expected_size
+    report = oblivious_experiment(params, [(1,) * n], plan, [], [0], use_filter=False)
+    assert (report.config["plan_beta"], report.config["plan_target_size"]) == (float_beta(K, R), expected_size)
+    info = rate_info(params)
+    if isinstance(beta, Fraction):
+        assert info["beta"] == beta and info["rate"] == beta / 4 / params.L
+    else:
+        assert 2 ** info["log2_beta"] == pytest.approx(beta, rel=1e-12)
+        assert 2 ** info["log2_rate"] == pytest.approx(beta / 4 / params.L, rel=1e-12)

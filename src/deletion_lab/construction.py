@@ -11,19 +11,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
 from typing import Sequence, Union
 
 import numpy as np
 
 from .reporting import read_lines
-from .words import (
-    DeletionPattern,
-    Word,
-    concatenate,
-    masked_run_count,
-    split_pattern,
-)
+from .words import DeletionPattern, Word, concatenate, masked_run_count
 
 OuterWord = tuple[int, ...]
 FractionLike = Union[Fraction, float, int, str]
@@ -292,17 +285,17 @@ def extract_signature(tau: DeletionPattern, params: CodeParams) -> Signature:
     params.require_executable()
     if tau.word_length != params.N:
         raise ParamsError(f"pattern length {tau.word_length} != N = {params.N}")
-    blocks = split_pattern(tau, params.n, params.L)
+    rows = tau.keep.reshape(params.n, params.L)  # row i - 1 is inner block i's keep mask
     dn = params.delta_n
     cap = admissible_weight_cap(params, params.lam - 1)
-    kept = list(islice((idx for idx, block in enumerate(blocks, start=1) if block.weight <= cap), dn))
+    kept = np.flatnonzero(params.L - np.count_nonzero(rows, axis=1) <= cap)[:dn]  # 0-based
     if len(kept) < dn:
         raise SignatureError(
             f"only {len(kept)} admissible inner patterns, need {dn}: "
             "the pattern deletes too much for signature extraction"
         )
-    inner = [blocks[idx - 1] for idx in kept]
-    sets = corruption_sets(params, np.stack([block.keep for block in inner]))
+    inner = rows[kept]
+    sets = corruption_sets(params, inner)
     for S in sets:  # padding stops at lambda-1, so an oversize set is the corrupted set itself
         if len(S) > params.lam - 1:
             raise AssertionError(
@@ -310,9 +303,9 @@ def extract_signature(tau: DeletionPattern, params: CodeParams) -> Signature:
             )
     return Signature(
         n=params.n,
-        kept_indices=tuple(kept),
+        kept_indices=tuple((kept + 1).tolist()),
         corruption_sets=tuple(sets),
-        inner_patterns=tuple(inner),
+        inner_patterns=tuple(map(DeletionPattern.from_keep, inner)),
     )
 
 

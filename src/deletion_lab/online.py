@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations, compress
 from operator import not_
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import rng as rngmod
 from . import words as wordsmod
@@ -204,39 +204,39 @@ def build_pairs(C: Sequence[Word], cfg: OnlineConfig) -> PairingTable:
 # adversaries
 
 
+class Plan(NamedTuple):
+    """An adversary's plan for one word: each bit's decision, in order, and
+    the deletion budget and push flag it was made under."""
+
+    decisions: Sequence[bool]
+    budget: int | None = None
+    paired: bool = False
+
+
 class OnlineAdversary:
-    """Causal channel: ``decisions(state, x)`` gives every bit's decision in
-    order, and the decision on bit i may depend on x[0..i] only."""
+    """Causal channel: ``plan(x, rng)`` gives every bit's decision in order,
+    and the decision on bit i may depend on x[0..i] and rng only."""
 
-    def begin(self, n: int, rng) -> dict:
-        raise NotImplementedError
-
-    def decisions(self, state: dict, x: Word) -> list[bool]:
+    def plan(self, x: Word, rng) -> Plan:
         raise NotImplementedError
 
 
 class IdentityAdversary(OnlineAdversary):
-    def begin(self, n, rng):
-        return {}
-
-    def decisions(self, state, x):
-        return [False] * len(x)
+    def plan(self, x, rng):
+        return Plan([False] * len(x))
 
 
 class NonCausalProbeAdversary(OnlineAdversary):
     """Planted causality violation: peeks one bit ahead."""
 
-    def begin(self, n, rng):
-        return {"dels": 0, "budget": n // 2}
-
-    def decisions(self, state, x):
-        plan = []
+    def plan(self, x, rng):
+        budget, dels, decisions = len(x) // 2, 0, []
         for i in range(len(x)):
             peek = x[i + 1] if i + 1 < len(x) else 0  # reads the future
-            delete = state["dels"] < state["budget"] and peek == 1
-            state["dels"] += delete
-            plan.append(delete)
-        return plan
+            delete = dels < budget and peek == 1
+            dels += delete
+            decisions.append(delete)
+        return Plan(decisions, budget)
 
 
 def draw_coin(rng, force_strategy: int | None = None, force_bit: int | None = None) -> tuple[int, int]:
@@ -256,11 +256,11 @@ class WaitPushAdversary(OnlineAdversary):
     A coin picks between the wait-push strategy and plain truncation (delete
     the last budget bits); ``force_strategy`` / ``force_bit`` pin the draws
     for certificate-style runs.  All decisions are functions of the received
-    prefix, the codebook, and the begin()-time randomness.
+    prefix, the codebook, and the coin, which ``plan`` draws first.
 
     The adversary reads all it knows off the ``build_pairs`` table
     ``table``: the codebook sorted by its bytes, the wait profiles, the
-    partners, and the config that sets the budget.  ``decisions`` settles a
+    partners, and the config that sets the budget.  ``plan`` settles a
     whole word in one pass.  Let l1 >= l2 be the two longest prefixes the
     word shares with codewords, and t = l2 + 1.  The wait phase, bits
     [0, t), deletes every bit equal to 1 - coin bit.  Bit t - 1 pins down
@@ -282,21 +282,18 @@ class WaitPushAdversary(OnlineAdversary):
         self.force_bit = force_bit
         self._budgets: dict[int, int] = {}  # word length -> cfg.budget
 
-    def begin(self, n, rng):
-        strategy, bit = draw_coin(rng, self.force_strategy, self.force_bit)
+    def plan(self, x, rng):
+        strategy, coin = draw_coin(rng, self.force_strategy, self.force_bit)
+        bits, n = x.bits, len(x)
         if n not in self._budgets:
             self._budgets[n] = self.table.cfg.budget(n)
-        return {"strategy": strategy, "bit": bit, "budget": self._budgets[n], "paired": False}
-
-    def decisions(self, state, x):
-        bits, budget = x.bits, state["budget"]
-        n = len(bits)
-        if state["strategy"] == 2:
+        budget = self._budgets[n]
+        if strategy == 2:
             cut = max(n - budget, 0)
-            return [False] * cut + [True] * (n - cut)
+            return Plan([False] * cut + [True] * (n - cut), budget)
         if len(self.table.keys) < 2:  # a degenerate code has wait length 0 and nothing to push toward
-            return [False] * n
-        keys, other = self.table.keys, 1 - state["bit"]
+            return Plan([False] * n, budget)
+        keys, other = self.table.keys, 1 - coin
         k = bisect_left(keys, bits)
         if keys[k : k + 1] == [bits]:
             shared, believed = n, x
@@ -308,17 +305,18 @@ class WaitPushAdversary(OnlineAdversary):
         # t = l2 + 1: any other codeword shares with the word the shorter of
         # l1 = shared and its own prefix with the believed codeword
         t = min(shared + 1, prof.wait_len)
-        plan = [b == other for b in bits[:t]] + [False] * (n - t)
+        decisions = [b == other for b in bits[:t]] + [False] * (n - t)
+        paired = False
         if t <= n and bits.count(other, 0, t - 1) < budget:  # the budget lasts until bit t - 1
             pair = self.table.partner_of(believed) if shared >= t else None
-            if pair is not None and prof.b == state["bit"]:
+            if pair is not None and prof.b == coin:
                 keep = pair.keep_for(believed)
-                state["paired"] = True
-                plan[t:] = [i not in keep for i in range(t, n)]
-        if plan.count(True) > budget:
-            for i in [i for i, d in enumerate(plan) if d][budget:]:
-                plan[i] = False
-        return plan
+                paired = True
+                decisions[t:] = [i not in keep for i in range(t, n)]
+        if decisions.count(True) > budget:
+            for i in [i for i, d in enumerate(decisions) if d][budget:]:
+                decisions[i] = False
+        return Plan(decisions, budget, paired)
 
 
 @dataclass(frozen=True)
@@ -330,24 +328,18 @@ class TransmitResult:
 
 
 def transmit(x: Word, adversary: OnlineAdversary, rng) -> TransmitResult:
-    """Run one word through the channel; enforces the deletion budget."""
+    """Run one word through the channel; enforces the plan's deletion budget."""
     x = as_word(x)
     bits = x.bits
-    state = adversary.begin(len(bits), rng)
-    decisions = tuple(adversary.decisions(state, x))
+    plan = adversary.plan(x, rng)
+    decisions = tuple(plan.decisions)
     if len(decisions) != len(bits):
         raise AssertionError(f"adversary decided {len(decisions)} of {len(bits)} bits")
     kept = bytes(compress(bits, map(not_, decisions)))
     dels = len(bits) - len(kept)
-    budget = state.get("budget")
-    if budget is not None and dels > budget:
-        raise AssertionError(f"adversary deleted {dels} > budget {budget}")
-    return TransmitResult(
-        output=Word(kept),
-        deletions=dels,
-        decisions=decisions,
-        paired=bool(state.get("paired")),
-    )
+    if plan.budget is not None and dels > plan.budget:
+        raise AssertionError(f"adversary deleted {dels} > budget {plan.budget}")
+    return TransmitResult(output=Word(kept), deletions=dels, decisions=decisions, paired=plan.paired)
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +347,11 @@ def transmit(x: Word, adversary: OnlineAdversary, rng) -> TransmitResult:
 
 
 def make_unique_decoder(C: Sequence[Word]) -> Decoder:
-    """``unique_decode`` against C; each distinct output is decoded once."""
+    """``unique_decode`` against C, which may not repeat a codeword; each distinct output is decoded once."""
     words = [as_word(c) for c in C]
+    repeated = next((w for w, count in Counter(words).items() if count > 1), None)
+    if repeated is not None:
+        raise ValueError(f"the codebook repeats the codeword {repeated.to01()}")
     return cache(lambda s: unique_decode(s, words))
 
 
@@ -450,7 +445,7 @@ def causality_check(
     master_seed: int = 0,
 ) -> dict:
     """Behavioral causality test: identical prefixes must force identical
-    decisions up to the shared length, under identical begin() randomness."""
+    decisions up to the shared length, under identical channel randomness."""
     violations = 0
     witness = None
     for trial in range(trials):

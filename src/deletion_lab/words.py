@@ -7,6 +7,7 @@ bits is 0-based.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
@@ -134,6 +135,9 @@ class DeletionPattern:
         d = tuple(deleted)
         if d and (min(d) < 1 or max(d) > word_length):
             raise ValueError(f"deleted indices must lie in [1, {word_length}]")
+        if len(set(d)) != len(d):
+            twice = next(i for i, count in Counter(d).items() if count > 1)
+            raise ValueError(f"deleted index {twice} is repeated")
         keep = np.ones(word_length, dtype=bool)
         keep[np.array(d, dtype=np.intp) - 1] = False
         keep.flags.writeable = False
@@ -355,13 +359,6 @@ def lcs_lengths(rows: Sequence[WordLike], first: Sequence[int], second: Sequence
         lengths += [len(bits[k]) - int.from_bytes(left[i * size:(i + 1) * size], "little").bit_count()
                     for i, k in enumerate(a_rows)]
     return lengths
-
-
-def split_pattern(tau: DeletionPattern, n: int, L: int) -> list[DeletionPattern]:
-    """Split a pattern on words of length n*L into n blockwise patterns, one per row of its mask."""
-    if tau.word_length != n * L:
-        raise ValueError(f"pattern length {tau.word_length} != {n}*{L}")
-    return [DeletionPattern.from_keep(row) for row in tau.keep.reshape(n, L)]
 
 
 def enumerate_patterns(n: int, m: int) -> Iterator[DeletionPattern]:

@@ -49,8 +49,15 @@ def lcs_length(a: WordLike, b: WordLike) -> int:
     return len(aa) - v.bit_count()
 
 
+def split_pattern(tau: DeletionPattern, n: int, L: int) -> list[DeletionPattern]:
+    """Split a pattern on words of length n*L into n blockwise patterns, one per row of its mask."""
+    if tau.word_length != n * L:
+        raise ValueError(f"pattern length {tau.word_length} != {n}*{L}")
+    return [DeletionPattern.from_keep(row) for row in tau.keep.reshape(n, L)]
+
+
 def join_patterns(parts: Sequence[DeletionPattern]) -> DeletionPattern:
-    """Inverse of ``words.split_pattern``: the pattern whose mask is the concatenation of the parts' masks."""
+    """Inverse of ``split_pattern``: the pattern whose mask is the concatenation of the parts' masks."""
     if len({part.word_length for part in parts}) > 1:
         raise ValueError("all blocks must share one word_length")
     masks = [part.keep for part in parts]

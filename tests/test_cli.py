@@ -152,6 +152,19 @@ def test_decode_ambiguous_writes_fail(tmp_path, capsys):
     assert out.read_text().splitlines() == ["FAIL", "0011"]
 
 
+def test_decode_refuses_a_codebook_that_repeats_a_codeword(tmp_path, capsys):
+    book = tmp_path / "book.txt"
+    book.write_text("0011\n0011\n1100\n")
+    rec = tmp_path / "rec.txt"
+    rec.write_text("01\n")
+    out = tmp_path / "dec.txt"
+    with pytest.raises(SystemExit) as err:
+        main(["decode", "--codebook", str(book), "--in", str(rec), "--out", str(out)])
+    assert err.value.code == 2
+    assert "repeats the codeword 0011" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_exit_status_and_json(capsys):
     code = main(["verify", "levenshtein", "--samples", "200", "--seed", "3"])
     out = capsys.readouterr()
@@ -270,6 +283,16 @@ def test_usage_error_leaves_no_partial_output(tmp_path):
     assert not out.exists()
 
 
+def test_repeated_pattern_position_is_a_usage_error(tmp_path, capsys):
+    infile = tmp_path / "in.txt"
+    infile.write_text("0101\n")
+    with pytest.raises(SystemExit) as err:
+        main(["corrupt", "--in", str(infile), "--out", str(tmp_path / "out.txt"), "--pattern", "3,3"])
+    assert err.value.code == 2
+    assert "deleted index 3 is repeated" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [infile]
+
+
 def test_missing_seed_is_drawn_and_echoed(tmp_path, capsys):
     book = tmp_path / "code.txt"
     book.write_text("000011\n001100\n110000\n111111\n")
@@ -350,7 +373,7 @@ def test_pattern_file_replaces_the_standard_family(tmp_path, capsys, monkeypatch
     assert [r.split(",")[1:3] for r in rows] == [["line1", "3"], ["line2", "0"]]
 
 
-@pytest.mark.parametrize("case", ["received", "pattern-token", "pattern-index"])
+@pytest.mark.parametrize("case", ["received", "pattern-token", "pattern-index", "pattern-repeat"])
 def test_bad_input_line_is_a_usage_error_naming_path_and_line(case, tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     out = tmp_path / "o.csv"
@@ -360,7 +383,7 @@ def test_bad_input_line_is_a_usage_error_naming_path_and_line(case, tmp_path, ca
         bad.write_text("# received\n01x1\n")
         argv = ["decode", "--codebook", str(book), "--in", str(bad), "--out", str(out)]
     else:
-        bad.write_text("1,2\n" + ("zz\n" if case == "pattern-token" else "5000\n"))
+        bad.write_text("1,2\n" + {"pattern-token": "zz\n", "pattern-index": "5000\n", "pattern-repeat": "3,3\n"}[case])
         argv = _oblivious_config(tmp_path, pool={"random": 4}, pattern_file=str(bad))
     with pytest.raises(SystemExit) as err:
         main(argv)

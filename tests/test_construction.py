@@ -24,7 +24,7 @@ from deletion_lab.construction import (
 )
 from deletion_lab.words import DeletionPattern, Word, apply_pattern, is_subsequence
 
-from helpers import join_patterns, outer_pattern, select, tau_prime, write_outer_words
+from helpers import join_patterns, outer_pattern, select, split_pattern, tau_prime, write_outer_words
 
 
 def test_derive_params_examples():
@@ -260,7 +260,7 @@ def test_weight_bound_guarantees_enough_admissible_blocks():
 
 def test_signature_kept_indices_are_first_admissible():
     from deletion_lab.construction import pad_corruption_set
-    from deletion_lab.words import bit_deletion_pattern, split_pattern
+    from deletion_lab.words import bit_deletion_pattern
 
     small = toy_params(2, 4, 2, "0.5", 4)
     r = random.Random(13)

@@ -13,6 +13,7 @@ from deletion_lab.online import (
     OnlineAdversary,
     NonCausalProbeAdversary,
     OnlineConfig,
+    Plan,
     WaitPushAdversary,
     build_pairs,
     causality_check,
@@ -223,7 +224,8 @@ def test_wait_push_stays_causal_off_the_default_config(p, p0_adv):
     cfg = OnlineConfig(p=p, p0_adv=p0_adv)
     table = build_pairs(paired_toy_code(), cfg)
     # the adversary takes its budget from the table's config, not the default one
-    assert WaitPushAdversary(table).begin(16, rngmod.py_rng(0, "t"))["budget"] == table.cfg.budget(16)
+    plan = WaitPushAdversary(table).plan(paired_toy_code()[0], rngmod.py_rng(0, "t"))
+    assert plan.budget == table.cfg.budget(16)
     for force in [(None, None), (1, 0), (1, 1)]:
         res = causality_check(lambda: WaitPushAdversary(table, *force), 16, trials=300)
         assert res["passed"]
@@ -248,35 +250,26 @@ def test_wait_push_stays_causal_on_non_codeword_inputs():
 class OverBudgetAll(OnlineAdversary):
     """Deletes every bit, against a budget of 2."""
 
-    def begin(self, n, rng):
-        return {"budget": 2}
-
-    def decisions(self, state, x):
-        return [True] * len(x)
+    def plan(self, x, rng):
+        return Plan([True] * len(x), budget=2)
 
 
 class OverBudgetPlan(OnlineAdversary):
     """Keeps a budget of 2 and deletes one bit more."""
 
-    def begin(self, n, rng):
-        return {"budget": 2}
-
-    def decisions(self, state, x):
-        return [i < 3 for i in range(len(x))]
+    def plan(self, x, rng):
+        return Plan([i < 3 for i in range(len(x))], budget=2)
 
 
 class ShortPlan(OnlineAdversary):
     """Decides one bit fewer than the word has."""
 
-    def begin(self, n, rng):
-        return {}
-
-    def decisions(self, state, x):
-        return [False] * (len(x) - 1)
+    def plan(self, x, rng):
+        return Plan([False] * (len(x) - 1))
 
 
 @pytest.mark.parametrize("adversary", [OverBudgetAll(), OverBudgetPlan()])
-def test_transmit_refuses_deletions_over_the_state_budget(adversary):
+def test_transmit_refuses_deletions_over_the_plan_budget(adversary):
     with pytest.raises(AssertionError, match="budget 2"):
         transmit(Word("0110"), adversary, rngmod.py_rng(0, "t"))
 

@@ -45,6 +45,7 @@ from deletion_lab.matching import (
 from deletion_lab.online import (
     OnlineAdversary,
     OnlineConfig,
+    Plan,
     WaitPushAdversary,
     build_pairs,
     make_unique_decoder,
@@ -61,7 +62,6 @@ from deletion_lab.words import (
     lcs,
     lcs_lengths,
     masked_run_count,
-    split_pattern,
 )
 
 from helpers import (
@@ -74,6 +74,7 @@ from helpers import (
     geom_mass_expectation,
     join_patterns,
     lcs_length,
+    split_pattern,
     uniform_positions,
     weight_within_bound,
 )
@@ -275,11 +276,15 @@ def test_all_outer_words_refuses_past_the_limit():
 
 @PROPS
 @given(st.integers(0, 40), st.data())
-def test_deletion_pattern_sorts_and_dedups_any_order(length, data):
+def test_deletion_pattern_sorts_any_order_and_refuses_repeats(length, data):
     positions = data.draw(st.lists(st.integers(1, max(length, 1)), max_size=2 * length))
+    if len(set(positions)) < len(positions):
+        with pytest.raises(ValueError, match=r"deleted index \d+ is repeated"):
+            DeletionPattern(length, positions)
+        positions = list(dict.fromkeys(positions))
     tau = DeletionPattern(length, positions)
-    assert tau.deleted == tuple(sorted(set(positions)))
-    assert tau.weight == len(set(positions)) and tau.word_length == length
+    assert tau.deleted == tuple(sorted(positions))
+    assert tau.weight == len(positions) and tau.word_length == length
     assert DeletionPattern(length, tau.deleted) == tau
     # the pattern of the same keep mask is equal in value and in hash
     from_mask = DeletionPattern.from_keep([pos not in positions for pos in range(1, length + 1)])
@@ -288,8 +293,10 @@ def test_deletion_pattern_sorts_and_dedups_any_order(length, data):
 
 
 def test_deletion_pattern_unsorted_duplicates_and_range():
-    assert DeletionPattern(6, (5, 2, 5, 1, 2)).deleted == (1, 2, 5)
-    assert DeletionPattern(6, [3, 3]).deleted == (3,)
+    assert DeletionPattern(6, (5, 2, 1)).deleted == (1, 2, 5)
+    for twice, pos in (((5, 2, 5, 1, 2), 5), ([3, 3], 3)):
+        with pytest.raises(ValueError, match=f"deleted index {pos} is repeated"):
+            DeletionPattern(6, twice)
     for bad in ((0,), (7,), (3, 7, 7), (2, 0, 2)):
         with pytest.raises(ValueError, match=r"deleted indices must lie in \[1, 6\]"):
             DeletionPattern(6, bad)
@@ -731,37 +738,31 @@ class CandidateScanAdversary(OnlineAdversary):
         self.C, self.cfg, self.pairs = list(C), cfg, pairs
         self.force_strategy, self.force_bit = force_strategy, force_bit
 
-    def begin(self, n, rng):
+    def plan(self, x, rng):
         strategy = self.force_strategy or (1 if rng.random() < 0.5 else 2)
         bit = self.force_bit if self.force_bit is not None else rng.randrange(2)
-        return {"strategy": strategy, "bit": bit, "budget": self.cfg.budget(n), "dels": 0,
-                "phase": "wait", "candidates": list(range(len(self.C))), "keep": None,
-                "paired": False, "believed": None}
-
-    def decisions(self, state, x):
-        return [self.decide(state, x, i) for i in range(len(x))]
-
-    def decide(self, state, x, i):
-        """Bit i's decision, from x[0..i] and what the earlier bits left in ``state``."""
-        if state["dels"] >= state["budget"]:
-            return False
-        if state["strategy"] == 2:
-            delete = i >= len(x) - state["budget"]
-        elif state["phase"] == "wait":
-            delete = x[i] == 1 - state["bit"]
-            state["candidates"] = [c for c in state["candidates"] if self.C[c][i] == x[i]]
-            if len(state["candidates"]) <= 1:
-                state["phase"] = "push"
-                if len(state["candidates"]) == 1:
-                    k = state["candidates"][0]
-                    state["believed"] = k
-                    pair = next((p for p in self.pairs.pairs if self.C[k] in (p.x, p.y)), None)
-                    if pair is not None and self.pairs.profiles[self.C[k]].b == state["bit"]:
-                        state["keep"], state["paired"] = pair.keep_for(self.C[k]), True
-        else:
-            delete = state["keep"] is not None and i not in state["keep"]
-        state["dels"] += delete
-        return delete
+        budget, dels, decisions = self.cfg.budget(len(x)), 0, []
+        waiting, candidates, keep, paired = True, list(range(len(self.C))), None, False
+        for i in range(len(x)):  # bit i's decision, from x[0..i] and what the earlier bits left
+            if dels >= budget:
+                delete = False
+            elif strategy == 2:
+                delete = i >= len(x) - budget
+            elif waiting:
+                delete = x[i] == 1 - bit
+                candidates = [c for c in candidates if self.C[c][i] == x[i]]
+                if len(candidates) <= 1:
+                    waiting = False
+                    if len(candidates) == 1:
+                        believed = self.C[candidates[0]]
+                        pair = next((p for p in self.pairs.pairs if believed in (p.x, p.y)), None)
+                        if pair is not None and self.pairs.profiles[believed].b == bit:
+                            keep, paired = pair.keep_for(believed), True
+            else:
+                delete = keep is not None and i not in keep
+            dels += delete
+            decisions.append(delete)
+        return Plan(decisions, budget, paired)
 
 
 def per_trial_rows(C, cfg, pairs, trials, master_seed, force_strategy=None, force_bit=None):
@@ -864,12 +865,9 @@ def test_wait_push_agrees_with_candidate_scan(C, cfg, seed):
             ref = CandidateScanAdversary(C, cfg, table, *force)
             assert (transmit(x, new, rngmod.py_rng(seed, "adv", 0))
                     == transmit(x, ref, rngmod.py_rng(seed, "adv", 0)))
-            # the state after the word (strategy, bit, budget, paired) holds what
-            # the per-bit loop leaves there
-            new_state = new.begin(n, rngmod.py_rng(seed, "adv", 0))
-            ref_state = ref.begin(n, rngmod.py_rng(seed, "adv", 0))
-            new.decisions(new_state, x), ref.decisions(ref_state, x)
-            assert new_state == {key: ref_state[key] for key in new_state}
+            # the plans agree on the budget and the push flag too, which the
+            # per-bit loop leaves behind
+            assert new.plan(x, rngmod.py_rng(seed, "adv", 0)) == ref.plan(x, rngmod.py_rng(seed, "adv", 0))
 
 
 def test_wait_push_gives_up_when_the_budget_ends_before_the_last_wait_bit():

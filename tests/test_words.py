@@ -12,11 +12,10 @@ from deletion_lab.words import (
     is_subsequence,
     lcs,
     read_codebook,
-    split_pattern,
     write_codebook,
 )
 
-from helpers import join_patterns, lcs_length
+from helpers import join_patterns, lcs_length, split_pattern
 
 
 def runs_with_symbols(w: Word) -> list[tuple[int, int, int]]:
@@ -66,7 +65,9 @@ def test_pattern_validation():
         DeletionPattern(3, (0,))
     with pytest.raises(ValueError):
         DeletionPattern(3, (4,))
-    assert DeletionPattern(3, (2, 1, 2)).deleted == (1, 2)
+    assert DeletionPattern(3, (2, 1)).deleted == (1, 2)
+    with pytest.raises(ValueError, match="deleted index 2 is repeated"):
+        DeletionPattern(3, (2, 1, 2))
 
 
 def test_is_subsequence_examples():

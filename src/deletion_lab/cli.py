@@ -30,7 +30,6 @@ from .construction import (
     read_outer_words,
 )
 from .oblivious import (
-    SamplingPlan,
     every_outer_word,
     full_confusability_graph,
     oblivious_experiment,
@@ -51,6 +50,7 @@ from .words import (
     Word,
     apply_pattern,
     bit_deletion_pattern,
+    parse_positions,
     read_codebook,
     write_codebook,
 )
@@ -107,7 +107,7 @@ def cmd_encode(parser, args) -> int:
 def _corruption_pattern(args, w: Word, rng) -> DeletionPattern:
     """The pattern ``corrupt`` applies to ``w``: ``--pattern``, or one of ``--family``."""
     if args.pattern is not None:
-        return DeletionPattern(len(w), tuple(int(t) for t in args.pattern.split(",") if t))
+        return DeletionPattern(len(w), args.pattern)
     if args.family == "delete-zeros":
         return bit_deletion_pattern(w, 0)
     if args.family == "delete-ones":
@@ -222,7 +222,6 @@ def cmd_experiment_oblivious(parser, args) -> int:
     positive_float = _checked(lambda size: float(json_typed(int, float)(size)),
                               lambda size: 0 < size < math.inf, "must be positive")
     target_size = json_field(cfg, "target_size", positive_float) if "target_size" in cfg else None
-    plan = SamplingPlan.from_params(params, target_size=target_size)
     use_filter = json_field(cfg, "use_filter", json_typed(bool), True)
     f_exact = json_field(cfg, "f_exact", json_typed(bool), True)
     positive = _checked(json_typed(int), lambda trials: trials > 0, "must be positive")
@@ -250,13 +249,12 @@ def cmd_experiment_oblivious(parser, args) -> int:
     report = oblivious_experiment(
         params,
         pool,
-        plan,
         patterns,
         seeds,
         master_seed=seed,
+        target_size=target_size,
         use_filter=use_filter,
-        f_exact=f_exact,
-        f_trials=f_trials,
+        f_trials=None if f_exact else f_trials,
         version=__version__,
     )
     return _write_report(report, args.out)
@@ -292,23 +290,24 @@ def _verify_runners(samples: int, seed: int, exhaustive: bool) -> dict:
     return {rid: partial(lemma.run, samples, seed, exhaustive) for rid, lemma in LEMMAS.items()}
 
 
+def _option_type(convert, what: str):
+    """An argparse type: ``convert(text)``, where a value it refuses must be ``what``."""
+
+    def parse(text: str):
+        try:
+            return convert(text)
+        except (ValueError, ZeroDivisionError):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}") from None
+
+    return parse
+
+
 def _sample_count(text: str) -> int:
     """``--samples``: a positive integer, also in scientific notation (``1e4``)."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
+    value = float(text)
     if not (value >= 1 and value.is_integer()):
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+        raise ValueError(text)
     return int(value)
-
-
-def _fraction(text: str) -> Fraction:
-    """A rational option value such as ``1/2`` or ``0.4``."""
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"must be a fraction, got {text!r}") from None
 
 
 def cmd_verify(parser, args) -> int:
@@ -351,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(run=cmd_corrupt)
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--pattern", help="comma-separated 1-based deleted indices")
+    positions = _option_type(parse_positions, "comma-separated 1-based positions")
+    sp.add_argument("--pattern", type=positions, help="comma-separated 1-based deleted indices")
     sp.add_argument("--family", choices=("delete-zeros", "delete-ones", "uniform"))
     sp.add_argument("--weight", type=int, default=None)
     sp.add_argument("--seed", type=int, default=None)
@@ -372,8 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
     spn = exp.add_parser("online", help="wait-push adversary simulation")
     spn.set_defaults(run=cmd_experiment_online)
     spn.add_argument("--code", required=True)
-    spn.add_argument("--p", type=_fraction, required=True)
-    spn.add_argument("--p0-adv", dest="p0_adv", type=_fraction, required=True)
+    fraction = _option_type(Fraction, "a fraction")  # a rational such as ``1/2`` or ``0.4``
+    spn.add_argument("--p", type=fraction, required=True)
+    spn.add_argument("--p0-adv", dest="p0_adv", type=fraction, required=True)
     spn.add_argument("--trials", type=int, default=1000)
     spn.add_argument("--seed", type=int, default=None)
     spn.add_argument("--decoder", choices=("unique", "ml"), default="unique")
@@ -387,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(run=cmd_verify)
     sp.add_argument("lemmas", nargs="+")
     sp.add_argument("--exhaustive", action="store_true")
-    sp.add_argument("--samples", type=_sample_count)  # DEFAULT_SAMPLES when not given
+    count = _option_type(_sample_count, "a positive integer")
+    sp.add_argument("--samples", type=count)  # DEFAULT_SAMPLES when not given
     sp.add_argument("--seed", type=int, default=0)
 
     return parser

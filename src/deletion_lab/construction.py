@@ -322,6 +322,11 @@ def filter_threshold(params: CodeParams) -> float:
     return 2.0 * 2.0 ** (-float(matchability_exponent(params)) * params.n)
 
 
+def outer_code_size(params: CodeParams) -> float:
+    """2^(gamma n), gamma = beta/4: the random outer code's expected size, about one word at toy scales."""
+    return 2.0 ** (float(matchability_exponent(params)) / 4 * params.n)
+
+
 def rate_info(params: CodeParams) -> dict:
     """Sampling exponent beta, outer exponent gamma = beta/4, and rate gamma/L.
 

@@ -16,33 +16,13 @@ from typing import Sequence
 import numpy as np
 
 from . import rng as rngmod
-from .construction import CodeParams, OuterWord, encode_outer, filter_threshold, matchability_exponent
+from .construction import CodeParams, OuterWord, encode_outer, filter_threshold, matchability_exponent, outer_code_size
 from .matching import MatchConfig, all_outer_words, batch_matchable, count_matchable, worst_sets
 from .reporting import ExperimentReport, read_lines
-from .words import DeletionPattern, Word, apply_pattern, as_word, bit_deletion_pattern, is_subsequence
-
-
-@dataclass(frozen=True)
-class SamplingPlan:
-    """The target size of the random outer-code drawing.
-
-    The formula size is 2^(gamma n), with gamma = beta/4 and beta
-    ``construction.matchability_exponent``.  Toy scales make it degenerate
-    (about one codeword), so the target size may be overridden.
-    """
-
-    target_size: float
-
-    @classmethod
-    def from_params(cls, params: CodeParams, target_size: float | None = None) -> "SamplingPlan":
-        if target_size is None:
-            target_size = 2.0 ** (float(matchability_exponent(params)) / 4 * params.n)
-        return cls(target_size=float(target_size))
-
-    def inclusion_prob(self, pool_size: int) -> float:
-        if pool_size <= 0:
-            return 0.0
-        return min(1.0, self.target_size / pool_size)
+from .words import (
+    DeletionPattern, Word, apply_pattern, as_word, bit_deletion_pattern, first_repeat, is_subsequence,
+    parse_positions,
+)
 
 
 WALK_ROWS = 4800  # Monte-Carlo rows matched in one stacked walk, whole hosts at a time
@@ -51,15 +31,14 @@ WALK_ROWS = 4800  # Monte-Carlo rows matched in one stacked walk, whole hosts at
 def estimate_f(
     Ys: Sequence[Sequence[int]],
     params: CodeParams,
-    exact: bool = True,
-    trials: int = 4000,
+    trials: int | None = None,
     master_seed: int = 0,
 ) -> list[Fraction] | list[float]:
     """Pr over uniform Z of length delta*n that Z is matchable in Y: one value per host Y, in order.
 
     Matching runs with the worst corruption sets [lambda-1] and the caps
-    (2^lambda, sqrt(R)).  Exact mode counts the matchable Z of each host with
-    ``count_matchable`` and returns Fractions.  Monte-Carlo mode draws each
+    (2^lambda, sqrt(R)).  ``trials=None`` counts the matchable Z of each host
+    with ``count_matchable`` and returns Fractions.  A trial count draws each
     host's Z from its own stream, ``rng.np_rng(master_seed, "estimate-f",
     s)`` with s the host's symbols joined by commas, in the smallest dtype
     that holds K.  So a host's value depends only on its symbols, the master
@@ -71,7 +50,7 @@ def estimate_f(
     m = params.delta_n
     cfg = MatchConfig.paper(params.lam, params.R, worst_sets(m, params.lam))
     hosts = [tuple(Y) for Y in Ys]
-    if exact:
+    if trials is None:
         return [Fraction(count_matchable(Y, cfg, K), K**m) for Y in hosts]
     if trials < 1:
         raise ValueError(f"trials = {trials}: Monte-Carlo f needs at least one trial")
@@ -102,8 +81,7 @@ class FilterOutcome:
 def filter_candidates(
     pool: Sequence[OuterWord],
     params: CodeParams,
-    exact: bool = True,
-    trials: int = 4000,
+    trials: int | None = None,
     master_seed: int = 0,
 ) -> FilterOutcome:
     """Keep the pool members whose disguise probability stays under
@@ -115,16 +93,14 @@ def filter_candidates(
     """
     thr = filter_threshold(params)
     hosts = [tuple(Y) for Y in pool]
-    values = estimate_f(hosts, params, exact=exact, trials=trials, master_seed=master_seed)
+    values = estimate_f(hosts, params, trials, master_seed)
     return FilterOutcome([Y for Y, f in zip(hosts, values) if f < thr],
                          [Y for Y, f in zip(hosts, values) if not f < thr])
 
 
-def sample_outer_code(
-    W: Sequence[OuterWord], plan: SamplingPlan, rng
-) -> list[OuterWord]:
-    """Include each candidate independently with probability target/|W|."""
-    prob = plan.inclusion_prob(len(W))
+def sample_outer_code(W: Sequence[OuterWord], target_size: float, rng) -> list[OuterWord]:
+    """Include each candidate independently with probability min(1, target_size/|W|)."""
+    prob = min(1.0, target_size / len(W)) if W else 0.0
     return [X for X in W if rng.random() < prob]
 
 
@@ -219,8 +195,8 @@ def average_case_error(C: Sequence[Word], tau: DeletionPattern) -> Fraction:
     caches serve every pattern it is tested under.
     """
     words = [as_word(c) for c in C]
-    if len(set(words)) != len(words):
-        raise ValueError("codewords must be distinct")
+    if (twice := first_repeat(words)) is not None:
+        raise ValueError(f"the code repeats the codeword {twice.brief()}")
     if not words:
         return Fraction(0)
     bad = 0
@@ -318,31 +294,27 @@ def standard_pattern_family(
 
 def read_patterns(path, word_length: int) -> list[tuple[str, DeletionPattern]]:
     """One pattern per line: comma-separated deleted indices ('' = empty)."""
-
-    def parse(line: str) -> DeletionPattern:
-        return DeletionPattern(word_length, tuple(int(tok) for tok in line.split(",") if tok))
-
-    return [(f"line{k}", pat) for k, pat in read_lines(path, parse, keep_blank=True).items()]
+    by_line = read_lines(path, lambda line: DeletionPattern(word_length, parse_positions(line)), keep_blank=True)
+    return [(f"line{k}", pat) for k, pat in by_line.items()]
 
 
 def oblivious_experiment(
     params: CodeParams,
     pool: Sequence[OuterWord],
-    plan: SamplingPlan,
     patterns: Sequence[tuple[str, DeletionPattern]],
     seeds: Sequence[int],
     master_seed: int = 0,
+    target_size: float | None = None,
     use_filter: bool = True,
-    f_exact: bool = True,
-    f_trials: int = 4000,
+    f_trials: int | None = None,
     version: str = "0",
 ) -> ExperimentReport:
     """Assemble codes per seed and measure average-case error per pattern."""
     params.require_executable()
-    repeated = [X for X, count in Counter(map(tuple, pool)).items() if count > 1]
-    if repeated:
-        raise ValueError(f"the pool repeats the outer word {','.join(map(str, repeated[0]))}")
-    outcome = (filter_candidates(pool, params, exact=f_exact, trials=f_trials, master_seed=master_seed)
+    if (twice := first_repeat(map(tuple, pool))) is not None:
+        raise ValueError(f"the pool repeats the outer word {','.join(map(str, twice))}")
+    target_size = outer_code_size(params) if target_size is None else float(target_size)
+    outcome = (filter_candidates(pool, params, f_trials, master_seed)
                if use_filter else FilterOutcome(list(pool), []))
     candidates, discarded_fraction = outcome.kept, outcome.discarded_fraction
     report = ExperimentReport(
@@ -357,7 +329,7 @@ def oblivious_experiment(
             "pool_size": len(pool),
             "use_filter": use_filter,
             "discarded_fraction": discarded_fraction,
-            "plan_target_size": plan.target_size,
+            "plan_target_size": target_size,
             "plan_beta": float(matchability_exponent(params)),
         },
         master_seed=master_seed,
@@ -366,7 +338,7 @@ def oblivious_experiment(
     encoded: dict[OuterWord, Word] = {}
     for seed in seeds:
         rng = rngmod.py_rng(master_seed, "outer-sample", seed)
-        chosen = sample_outer_code(candidates, plan, rng)
+        chosen = sample_outer_code(candidates, target_size, rng)
         for X in chosen:
             if X not in encoded:
                 encoded[X] = encode_outer(X, params)

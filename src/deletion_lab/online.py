@@ -23,7 +23,7 @@ from . import words as wordsmod
 from .construction import as_fraction
 from .oblivious import unique_decode
 from .reporting import ExperimentReport
-from .words import Word, as_word, lcs, lcs_lengths
+from .words import Word, as_word, first_repeat, lcs, lcs_lengths
 
 Decoder = Callable[[Word], Word | None]
 
@@ -138,8 +138,8 @@ def build_pairs(C: Sequence[Word], cfg: OnlineConfig) -> PairingTable:
     ``cfg``, so an adversary built from it needs nothing else.
     """
     words = [as_word(c) for c in C]
-    if len(set(words)) != len(words):
-        raise ValueError("codewords must be distinct")
+    if (twice := first_repeat(words)) is not None:
+        raise ValueError(f"the codebook repeats the codeword {twice.brief()}")
     if len({len(x) for x in words}) > 1:
         raise ValueError("codewords must all have equal length")
     n = len(words[0]) if words else 0
@@ -349,9 +349,8 @@ def transmit(x: Word, adversary: OnlineAdversary, rng) -> TransmitResult:
 def make_unique_decoder(C: Sequence[Word]) -> Decoder:
     """``unique_decode`` against C, which may not repeat a codeword; each distinct output is decoded once."""
     words = [as_word(c) for c in C]
-    repeated = next((w for w, count in Counter(words).items() if count > 1), None)
-    if repeated is not None:
-        raise ValueError(f"the codebook repeats the codeword {repeated.to01()}")
+    if (twice := first_repeat(words)) is not None:
+        raise ValueError(f"the codebook repeats the codeword {twice.brief()}")
     return cache(lambda s: unique_decode(s, words))
 
 

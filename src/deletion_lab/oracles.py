@@ -218,14 +218,13 @@ MASK_CHUNK_BITS = 1 << 16
 
 def verify_corruption_cost(
     params: CodeParams,
-    mode: str,
-    samples: int = 100_000,
+    samples: int | None = None,
     master_seed: int = 0,
 ) -> OracleReport:
     """Corrupting c inner codewords needs more than L(1-2^-c-1/sqrt(R)) deletions.
 
-    ``mode`` is "exhaustive" (all 2^L inner patterns, L <= 20) or "sampled"
-    (weight-stratified uniform patterns plus the structured adversaries).
+    ``samples=None`` checks all 2^L inner patterns (mode "exhaustive", L <= 20); a count checks
+    that many weight-stratified uniform ones plus the structured adversaries (mode "sampled").
 
     The keep masks are checked in stacks of MASK_CHUNK_BITS bits: exhaustive
     mode reads the masks of a stack off the bits of their numbers.  Sampled
@@ -235,11 +234,9 @@ def verify_corruption_cost(
     A pattern of weight w that corrupts c >= 1 codewords breaks the bound iff
     w is at most the weight cap of (c-1)-admissible patterns.
     """
-    if mode not in ("exhaustive", "sampled"):
-        raise ValueError(f"unknown corruption-cost mode {mode!r}")
     params.require_executable()
     L, K = params.L, params.K
-    report = OracleReport(name="corruption-cost", mode=mode)
+    report = OracleReport(name="corruption-cost", mode="exhaustive" if samples is None else "sampled")
     report.extras["params"] = (K, params.R, L, params.lam)
     # caps[c]: the largest weight within L(1 - 2^-c - 1/sqrt(R)); caps[0] = -1 admits no pattern
     caps = np.array([-1] + [admissible_weight_cap(params, c - 1) for c in range(1, K + 1)])
@@ -255,7 +252,7 @@ def verify_corruption_cost(
                 {"pattern": label(row), "weight": int(weights[row]), "corrupted": int(corrupted[row])}
             )
 
-    if mode == "exhaustive":
+    if samples is None:
         if L > 20:
             raise ValueError(f"exhaustive mode infeasible at L = {L}")
         positions = np.arange(L)
@@ -724,10 +721,9 @@ class Lemma(NamedTuple):
 LEMMAS: dict[str, Lemma] = {
     "levenshtein": Lemma(lambda samples, seed, exhaustive: levenshtein_equivalence(
         _levenshtein_codes(samples, seed, exhaustive), t=1), ("samples", "exhaustive")),
-    "corruption-cost": Lemma(lambda samples, seed, exhaustive: (
-        verify_corruption_cost(toy_params(3, 2, 2, Fraction(1, 2), 4), mode="exhaustive") if exhaustive
-        else verify_corruption_cost(toy_params(2, 16, 2, Fraction(1, 2), 4), mode="sampled",
-                                    samples=samples, master_seed=seed)), ("samples", "exhaustive")),
+    "corruption-cost": Lemma(lambda samples, seed, exhaustive: verify_corruption_cost(
+        toy_params(3, 2, 2, Fraction(1, 2), 4) if exhaustive else toy_params(2, 16, 2, Fraction(1, 2), 4),
+        None if exhaustive else samples, seed), ("samples", "exhaustive")),
     "matching-implication": Lemma(lambda samples, seed, exhaustive: verify_matching_implication(
         toy_params(2, 16, 2, Fraction(1, 2), 8), instances=min(samples, 10_000), master_seed=seed),
         ("samples",)),

@@ -10,13 +10,23 @@ from __future__ import annotations
 from collections import Counter
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
 from .reporting import atomic_write_text, read_lines
 
 WordLike = Union["Word", str, bytes, Sequence[int]]
+
+
+def first_repeat(items: Iterable[Hashable]) -> Hashable | None:
+    """The first item, in order of first appearance, that ``items`` holds more than once, or None."""
+    return next((item for item, count in Counter(items).items() if count > 1), None)
+
+
+def parse_positions(text: str) -> tuple[int, ...]:
+    """The 1-based positions of comma-separated ``text``, in order; empty items are skipped."""
+    return tuple(int(tok) for tok in text.split(",") if tok)
 
 
 class Word:
@@ -85,10 +95,13 @@ class Word:
     def __hash__(self) -> int:
         return hash(self._bits)
 
+    def brief(self) -> str:
+        """The 0/1 text, or past 40 bits its first 37 and the length, as ``repr`` shows it."""
+        return self.to01() if len(self) <= 40 else f"{self.to01()[:37]}..., len={len(self)}"
+
     def __repr__(self) -> str:
-        if len(self) <= 40:
-            return f"Word({self.to01()!r})"
-        return f"Word({self.to01()[:37]!r}..., len={len(self)})"
+        bits, cut, size = self.brief().partition("...")
+        return f"Word({bits!r}{cut}{size})"
 
 
 def as_word(w: WordLike) -> Word:
@@ -135,8 +148,7 @@ class DeletionPattern:
         d = tuple(deleted)
         if d and (min(d) < 1 or max(d) > word_length):
             raise ValueError(f"deleted indices must lie in [1, {word_length}]")
-        if len(set(d)) != len(d):
-            twice = next(i for i, count in Counter(d).items() if count > 1)
+        if (twice := first_repeat(d)) is not None:
             raise ValueError(f"deleted index {twice} is repeated")
         keep = np.ones(word_length, dtype=bool)
         keep[np.array(d, dtype=np.intp) - 1] = False

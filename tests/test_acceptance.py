@@ -14,7 +14,6 @@ from deletion_lab import rng as rngmod
 from deletion_lab.construction import encode_outer, toy_params
 from deletion_lab.matching import match_count_dominance
 from deletion_lab.oblivious import (
-    SamplingPlan,
     average_case_error,
     make_stochastic,
     oblivious_experiment,
@@ -84,10 +83,10 @@ def test_criterion_01_deletion_insertion_lcs_equivalence():
 
 def test_criterion_02_corruption_cost_bound():
     reports = [
-        verify_corruption_cost(toy_params(2, 2, 1, "0.5", 4), mode="exhaustive"),
-        verify_corruption_cost(toy_params(3, 2, 2, "0.5", 4), mode="exhaustive"),
+        verify_corruption_cost(toy_params(2, 2, 1, "0.5", 4)),
+        verify_corruption_cost(toy_params(3, 2, 2, "0.5", 4)),
         verify_corruption_cost(
-            toy_params(2, 16, 2, "0.5", 4), mode="sampled",
+            toy_params(2, 16, 2, "0.5", 4),
             samples=100_000, master_seed=2024,
         ),
     ]
@@ -347,7 +346,6 @@ def test_criterion_10b_bitflip_stochastic_code():
 
 def test_criterion_11_filter_halves_average_error():
     params = toy_params(4, 4, 1, Fraction(3, 4), 40)
-    plan = SamplingPlan.from_params(params, target_size=16)
     rng = rngmod.py_rng(0, "pool")
     pool = set()
     while len(pool) < 60:
@@ -365,11 +363,11 @@ def test_criterion_11_filter_halves_average_error():
     patterns = standard_pattern_family(params, params.N // 2, refs, master_seed=5)
     seeds = list(range(30))
     filtered = oblivious_experiment(
-        params, pool, plan, patterns, seeds, master_seed=7,
-        use_filter=True, f_exact=False, f_trials=1200,
+        params, pool, patterns, seeds, master_seed=7, target_size=16,
+        use_filter=True, f_trials=1200,
     )
     unfiltered = oblivious_experiment(
-        params, pool, plan, patterns, seeds, master_seed=7, use_filter=False
+        params, pool, patterns, seeds, master_seed=7, target_size=16, use_filter=False
     )
 
     def per_seed_means(rep):

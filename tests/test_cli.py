@@ -293,6 +293,17 @@ def test_repeated_pattern_position_is_a_usage_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [infile]
 
 
+@pytest.mark.parametrize("pattern", ["1,a", "1;2", "2.0"])
+def test_pattern_that_is_not_positions_is_a_usage_error_naming_the_option(pattern, tmp_path, capsys):
+    infile = tmp_path / "in.txt"
+    infile.write_text("0101\n")
+    with pytest.raises(SystemExit) as err:
+        main(["corrupt", "--in", str(infile), "--out", str(tmp_path / "out.txt"), "--pattern", pattern])
+    assert err.value.code == 2
+    assert f"argument --pattern: must be comma-separated 1-based positions, got {pattern!r}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [infile]
+
+
 def test_missing_seed_is_drawn_and_echoed(tmp_path, capsys):
     book = tmp_path / "code.txt"
     book.write_text("000011\n001100\n110000\n111111\n")
@@ -632,6 +643,18 @@ def test_online_experiment_needs_two_codewords(tmp_path, capsys):
               "--seed", "1", "--out", str(tmp_path / "online.csv")])
     assert err.value.code == 2
     assert "need at least two codewords" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [book]
+
+
+@pytest.mark.parametrize("decoder", ["unique", "ml"])
+def test_online_experiment_names_the_repeated_codeword(decoder, tmp_path, capsys):
+    book = tmp_path / "code.txt"
+    book.write_text("0011\n0011\n1100\n")
+    with pytest.raises(SystemExit) as err:
+        main(["experiment", "online", "--code", str(book), "--p", "1/2", "--p0-adv", "2/5",
+              "--seed", "1", "--decoder", decoder, "--out", str(tmp_path / "online.csv")])
+    assert err.value.code == 2
+    assert "repeats the codeword 0011" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [book]
 
 

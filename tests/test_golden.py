@@ -73,6 +73,7 @@ STDOUT_CASES = {
                "matching-decay", "--samples", "300", "--seed", "5"],
     "verify_costly": ["verify", "geometric-bounds", "bitflip-code", "matching-implication",
                       "--samples", "1e3", "--seed", "11"],
+    "verify_exhaustive": ["verify", "corruption-cost", "levenshtein", "--exhaustive"],
 }
 # paper-mode parameters: exact log2 forms only, K, R and L printed as null
 PARAMS_PAPER = ["params", "--p", "0.9", "--n", "100"]

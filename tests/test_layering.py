@@ -17,7 +17,7 @@ from pathlib import Path
 from types import ModuleType
 
 import deletion_lab
-from deletion_lab import oracles
+from deletion_lab import cli, oracles
 
 PACKAGE = Path(deletion_lab.__file__).resolve().parent
 LAYERS = ["words", "construction", "matching", "oblivious", "online", "oracles", "cli"]
@@ -185,6 +185,19 @@ def test_readme_lists_the_lemma_table_in_order():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     table = readme[readme.index("\n| lemma |"):].split("\n\n")[0]
     assert re.findall(r"^\| `([a-z-]+)` \|", table, flags=re.MULTILINE) == list(oracles.LEMMAS)
+
+
+def test_readme_config_table_lists_the_keys_the_cli_reads():
+    # README's oblivious config table: its first column is every top-level key
+    # plus pool.structured, and the pool rows name every pool key
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("### `experiment oblivious` config"):]
+    table = section[section.index("\n| key |"):].split("\n\n")[0]
+    rows = dict(re.findall(r"^\| `([a-z_.]+)` \|(.*)$", table, flags=re.MULTILINE))
+    assert len(rows) == len(re.findall(r"^\| `", table, flags=re.MULTILINE))
+    assert set(rows) == cli.CONFIG_KEYS | {"pool.structured"}
+    pool_rows = " ".join(text for key, text in rows.items() if key.split(".")[0] == "pool")
+    assert [key for key in sorted(cli.POOL_KEYS) if f'"{key}"' not in pool_rows and f"pool.{key}" not in pool_rows] == []
 
 
 def test_oracles_judge_no_corruption_themselves():

@@ -12,7 +12,6 @@ from deletion_lab import rng as rngmod
 from deletion_lab.construction import CodeParams, filter_threshold, toy_params
 from deletion_lab.matching import MatchConfig, batch_matchable, count_matchable, worst_sets
 from deletion_lab.oblivious import (
-    SamplingPlan,
     _pad_to_weight,
     average_case_error,
     blockwise_periodic_pattern,
@@ -42,14 +41,14 @@ from helpers import sampled_positive_indegree, write_patterns
 def test_estimate_f_exact_examples():
     # R = 64 so the B-cap is 8: failures genuinely occur for all-max hosts
     params = toy_params(3, 64, 1, Fraction(1, 2), 4)  # Z has delta n = 2 symbols
-    ones, maxs = estimate_f([(1,) * 4, (3,) * 4], params, exact=True)
+    ones, maxs = estimate_f([(1,) * 4, (3,) * 4], params)
     assert ones == 1
     assert maxs == Fraction(1, 3)
 
 
 def test_estimate_f_mc_tracks_exact():
     params = toy_params(3, 64, 1, Fraction(1, 2), 4)
-    mc = estimate_f([(3,) * 4], params, exact=False, trials=4000, master_seed=1)[0]
+    mc = estimate_f([(3,) * 4], params, trials=4000, master_seed=1)[0]
     assert type(mc) is float
     assert abs(mc - 1 / 3) < 5 * math.sqrt(1 / 3 * 2 / 3 / 4000)  # five binomial standard errors
 
@@ -58,7 +57,7 @@ def test_filter_keeps_all_when_threshold_exceeds_one():
     params = toy_params(2, 4, 1, Fraction(1, 3), 6)
     assert filter_threshold(params) > 1
     pool = [tuple(X) for X in product((1, 2), repeat=6)]
-    out = filter_candidates(pool, params, exact=True)
+    out = filter_candidates(pool, params)
     assert out.kept == pool and not out.discarded
     assert out.discarded_fraction == 0.0
 
@@ -70,24 +69,22 @@ def test_filter_discards_universal_disguisers():
     rng = rngmod.py_rng(0, "pool")
     pool = [tuple(rng.choices((3, 4), weights=(1, 3), k=40)) for _ in range(12)]
     pool += [tuple([1] * 40)]
-    out = filter_candidates(pool, params, exact=False, trials=800, master_seed=2)
+    out = filter_candidates(pool, params, trials=800, master_seed=2)
     assert tuple([1] * 40) in out.discarded
 
 
 def test_sampling_mean_within_three_sigma():
     params = toy_params(2, 4, 1, Fraction(1, 3), 6)
-    plan = SamplingPlan.from_params(params, target_size=32)
     W = [tuple(X) for X in product((1, 2), repeat=6)]
-    assert plan.inclusion_prob(len(W)) == 0.5
     sizes = [
-        len(sample_outer_code(W, plan, rngmod.py_rng(3, "draw", seed)))
+        len(sample_outer_code(W, 32, rngmod.py_rng(3, "draw", seed)))
         for seed in range(10_000)
     ]
     sigma = (64 * 0.25) ** 0.5
     assert abs(statistics.fmean(sizes) - 32) < 3 * sigma / 100
     # determinism under a fixed seed
-    again = sample_outer_code(W, plan, rngmod.py_rng(3, "draw", 17))
-    assert again == sample_outer_code(W, plan, rngmod.py_rng(3, "draw", 17))
+    again = sample_outer_code(W, 32, rngmod.py_rng(3, "draw", 17))
+    assert again == sample_outer_code(W, 32, rngmod.py_rng(3, "draw", 17))
 
 
 def test_graph_outdegree_identity_full_pool():
@@ -99,7 +96,7 @@ def test_graph_outdegree_identity_full_pool():
     graph = build_confusability_graph(pool, sigma, MatchConfig(2, 2, worst_sets(dn, 1)))
     outs = graph.out_degrees()
     for y_idx, Y in enumerate(pool):
-        fc = estimate_f([Y], params, exact=True)[0]
+        fc = estimate_f([Y], params)[0]
         expected = 2 ** (6 - dn) * int(fc * 2**dn)
         cfg = MatchConfig(2, 2, worst_sets(dn, 1))
         selfedge = bool(batch_matchable(np.array([Y[:dn]]), [Y], cfg, [0])[0])
@@ -232,11 +229,10 @@ def test_failed_pattern_write_leaves_no_file(tmp_path):
 def test_experiment_report_deterministic():
     params = toy_params(2, 4, 1, Fraction(1, 2), 4)
     pool = [tuple(X) for X in product((1, 2), repeat=4)]
-    plan = SamplingPlan.from_params(params, target_size=6)
     pats = [("solo", uniform_pattern(params.N, params.N // 2, rngmod.py_rng(0, "p")))]
     runs = [
         oblivious_experiment(
-            params, pool, plan, pats, seeds=[0, 1, 2], master_seed=9, use_filter=False
+            params, pool, pats, seeds=[0, 1, 2], master_seed=9, target_size=6, use_filter=False
         ).csv_text()
         for _ in range(2)
     ]
@@ -251,8 +247,7 @@ def test_family_patterns_hold_only_their_masks_through_an_experiment():
     params = toy_params(2, 4, 1, Fraction(1, 2), 4)
     pool = [tuple(X) for X in product((1, 2), repeat=4)]
     fam = standard_pattern_family(params, params.N // 2, [Word("0110") * (params.N // 4)], master_seed=3)
-    plan = SamplingPlan.from_params(params, target_size=6)
-    oblivious_experiment(params, pool, plan, fam, seeds=[0, 1], use_filter=False)
+    oblivious_experiment(params, pool, fam, seeds=[0, 1], target_size=6, use_filter=False)
     assert [list(vars(pattern)) for _, pattern in fam] == [["keep"]] * len(fam)
 
 
@@ -260,8 +255,8 @@ def test_family_patterns_hold_only_their_masks_through_an_experiment():
 def test_estimate_f_exact_at_zlen_30_tracks_monte_carlo(Y):
     # criterion-11 scale: 4^30 words, far past what enumeration could list
     params = toy_params(4, 4, 1, Fraction(3, 4), 40)
-    exact = estimate_f([Y], params, exact=True)[0]
-    mc = estimate_f([Y], params, exact=False, trials=4000, master_seed=1)[0]
+    exact = estimate_f([Y], params)[0]
+    mc = estimate_f([Y], params, trials=4000, master_seed=1)[0]
     assert type(exact) is Fraction and 4**30 % exact.denominator == 0
     assert 0 < exact < 1
     assert abs(exact - mc) < 5 * math.sqrt(exact * (1 - exact) / 4000)  # five binomial standard errors
@@ -269,19 +264,16 @@ def test_estimate_f_exact_at_zlen_30_tracks_monte_carlo(Y):
 
 def test_inclusion_probability_one_keeps_everything():
     params = toy_params(2, 4, 1, Fraction(1, 3), 6)
-    plan = SamplingPlan.from_params(params, target_size=10_000)
     W = [tuple(X) for X in product((1, 2), repeat=6)]
-    assert plan.inclusion_prob(len(W)) == 1.0
-    assert sample_outer_code(W, plan, rngmod.py_rng(0, "all")) == W
+    assert sample_outer_code(W, 10_000, rngmod.py_rng(0, "all")) == W
 
 
 def test_experiment_empty_pattern_has_zero_error():
     params = toy_params(2, 4, 1, Fraction(1, 2), 4)
     pool = [tuple(X) for X in product((1, 2), repeat=4)]
-    plan = SamplingPlan.from_params(params, target_size=8)
     pats = [("identity", DeletionPattern(params.N, ()))]
     rep = oblivious_experiment(
-        params, pool, plan, pats, seeds=[0, 1], master_seed=3, use_filter=False
+        params, pool, pats, seeds=[0, 1], master_seed=3, target_size=8, use_filter=False
     )
     assert len(rep.rows) == 2
     assert all(row[-1] == 0.0 for row in rep.rows)
@@ -295,7 +287,7 @@ def test_stacked_estimate_f_equals_per_host_scoring(exact):
     pool = [tuple(rng.choices((1, 2, 3), k=12)) for _ in range(23)] + [(3,) * 12, (1,) * 12]
     dn, trials = params.delta_n, 700
     cfg = MatchConfig.paper(params.lam, params.R, worst_sets(dn, params.lam))
-    got = estimate_f(pool, params, exact=exact, trials=trials, master_seed=5)
+    got = estimate_f(pool, params, None if exact else trials, master_seed=5)
     assert len(got) == len(pool)
     for est, Y in zip(got, pool):
         if exact:
@@ -305,7 +297,7 @@ def test_stacked_estimate_f_equals_per_host_scoring(exact):
             Zs = gen.integers(1, 4, size=(trials, dn), dtype=np.uint8)
             expected = int(batch_matchable(Zs, [Y], cfg, np.zeros(trials, dtype=int)).sum()) / trials
         assert est == expected and type(est) is (Fraction if exact else float)
-    assert estimate_f([], params, exact=exact, trials=trials) == []
+    assert estimate_f([], params, None if exact else trials) == []
 
 
 def test_monte_carlo_f_of_a_host_depends_only_on_its_symbols_and_the_master_seed():
@@ -317,7 +309,7 @@ def test_monte_carlo_f_of_a_host_depends_only_on_its_symbols_and_the_master_seed
     Y = pool[4]
 
     def f(hosts, seed=5):
-        return estimate_f(hosts, params, exact=False, trials=700, master_seed=seed)
+        return estimate_f(hosts, params, trials=700, master_seed=seed)
 
     alone = f([Y])[0]
     assert f([list(Y)]) == [alone]
@@ -329,7 +321,7 @@ def test_monte_carlo_f_of_a_host_depends_only_on_its_symbols_and_the_master_seed
 def test_monte_carlo_estimate_f_needs_a_positive_trial_count(trials):
     params = toy_params(3, 64, 1, Fraction(1, 2), 12)
     with pytest.raises(ValueError, match="trials"):
-        estimate_f([(3,) * 12], params, exact=False, trials=trials)
+        estimate_f([(3,) * 12], params, trials=trials)
 
 
 def test_graph_edges_equal_one_walk_per_host(monkeypatch):
@@ -379,10 +371,10 @@ def test_filter_memory_peak_stays_small():
     params = toy_params(4, 4, 1, Fraction(3, 4), 40)
     pool = criterion11_pool()
     assert len(set(pool)) == 72
-    filter_candidates(pool, params, exact=False, trials=600, master_seed=7)  # warm caches
+    filter_candidates(pool, params, trials=600, master_seed=7)  # warm caches
     tracemalloc.start()
     try:
-        filter_candidates(pool, params, exact=False, trials=600, master_seed=7)
+        filter_candidates(pool, params, trials=600, master_seed=7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

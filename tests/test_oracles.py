@@ -70,20 +70,15 @@ def test_balls():
 
 
 def test_corruption_cost_exhaustive_small():
-    rep = verify_corruption_cost(toy_params(2, 2, 1, Fraction(1, 2), 4), mode="exhaustive")
+    rep = verify_corruption_cost(toy_params(2, 2, 1, Fraction(1, 2), 4))
     assert rep.ok and rep.instances == 2**8
-    rep = verify_corruption_cost(toy_params(3, 2, 2, Fraction(1, 2), 4), mode="exhaustive")
+    rep = verify_corruption_cost(toy_params(3, 2, 2, Fraction(1, 2), 4))
     assert rep.ok and rep.instances == 2**16
-
-
-def test_corruption_cost_rejects_an_unknown_mode():
-    with pytest.raises(ValueError, match="exhaustiv"):
-        verify_corruption_cost(toy_params(2, 2, 1, Fraction(1, 2), 4), mode="exhaustiv", samples=10)
 
 
 def test_corruption_cost_sampled():
     params = toy_params(2, 16, 2, Fraction(1, 2), 4)
-    rep = verify_corruption_cost(params, mode="sampled", samples=5000, master_seed=1)
+    rep = verify_corruption_cost(params, samples=5000, master_seed=1)
     assert rep.ok
     assert rep.instances > 5000  # structured adversaries ride along
 

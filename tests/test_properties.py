@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from deletion_lab import construction, matching, oracles
 from deletion_lab.oblivious import (
-    SamplingPlan,
     blockwise_periodic_pattern,
     delete_bit_pattern,
     oblivious_experiment,
@@ -28,6 +27,7 @@ from deletion_lab.construction import (
     extract_signature,
     filter_threshold,
     matchability_exponent,
+    outer_code_size,
     pad_corruption_set,
     preserves,
     rate_info,
@@ -1217,13 +1217,13 @@ def loop_corruption_cost(params, mode, samples=0, master_seed=0, preserved=None,
 @pytest.mark.parametrize("KR", [(2, 16), (3, 2)], ids=["K2R16", "K3R2"])
 def test_sampled_corruption_cost_agrees_with_per_mask_loop(KR, master_seed):
     params = toy_params(*KR, 2, Fraction(1, 2), 4)
-    rep = oracles.verify_corruption_cost(params, mode="sampled", samples=600, master_seed=master_seed)
+    rep = oracles.verify_corruption_cost(params, samples=600, master_seed=master_seed)
     assert rep.to_json() == loop_corruption_cost(params, "sampled", 600, master_seed).to_json()
 
 
 def test_exhaustive_corruption_cost_agrees_with_per_mask_loop():
     params = toy_params(2, 2, 1, Fraction(1, 2), 4)  # L = 8
-    rep = oracles.verify_corruption_cost(params, mode="exhaustive")
+    rep = oracles.verify_corruption_cost(params)
     assert rep.to_json() == loop_corruption_cost(params, "exhaustive").to_json()
 
 
@@ -1245,7 +1245,7 @@ def test_planted_corruption_violations_keep_their_labels_and_order(monkeypatch, 
             return weight <= c + 1
     else:
         params, within = toy_params(2, 16, 2, Fraction(1, 2), 4), weight_within_bound
-    rep = oracles.verify_corruption_cost(params, mode=mode, samples=300, master_seed=3)
+    rep = oracles.verify_corruption_cost(params, None if mode == "exhaustive" else 300, master_seed=3)
     assert rep.violations > len(rep.witnesses) == oracles.MAX_WITNESSES
     reference = loop_corruption_cost(params, mode, 300, 3, preserved=planted, within=within)
     assert rep.to_json() == reference.to_json()
@@ -1268,10 +1268,9 @@ def test_beta_readers_give_the_float_expressions_bit_for_bit(point, target_size)
     assert type(beta) is (Fraction if K & (K - 1) == 0 else float)
     assert float(beta) == float_beta(K, R)
     assert filter_threshold(params) == float_filter_threshold(K, R, n)
-    plan = SamplingPlan.from_params(params, target_size=target_size)
+    assert outer_code_size(params) == float_formula_target_size(K, R, n)
     expected_size = float_formula_target_size(K, R, n) if target_size is None else target_size
-    assert plan.target_size == expected_size
-    report = oblivious_experiment(params, [(1,) * n], plan, [], [0], use_filter=False)
+    report = oblivious_experiment(params, [(1,) * n], [], [0], target_size=target_size, use_filter=False)
     assert (report.config["plan_beta"], report.config["plan_target_size"]) == (float_beta(K, R), expected_size)
     info = rate_info(params)
     if isinstance(beta, Fraction):

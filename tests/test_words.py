@@ -9,8 +9,10 @@ from deletion_lab.words import (
     Word,
     apply_pattern,
     enumerate_patterns,
+    first_repeat,
     is_subsequence,
     lcs,
+    parse_positions,
     read_codebook,
     write_codebook,
 )
@@ -213,3 +215,24 @@ def test_read_lines_splits_where_text_mode_does(tmp_path):
         stripped = [line.strip() for line in fh]
     expected = {k: line for k, line in enumerate(stripped, start=1) if line and not line.startswith("#")}
     assert read_lines(path, str) == expected == {1: "01", 2: "10", 5: "11", 6: "0"}
+
+
+def test_first_repeat_is_the_first_repeated_item_by_first_appearance():
+    assert first_repeat([1, 2, 2, 1]) == 1
+    assert first_repeat([3, 1, 2, 1, 3, 3]) == 3
+    assert first_repeat("abc") is None and first_repeat([]) is None
+
+
+def test_brief_cuts_a_word_as_repr_does():
+    head = "01" * 18 + "0"  # the first 37 bits of a long word
+    for w, text in [(Word("0011"), "0011"), (Word("01" * 20), "01" * 20),
+                    (Word("01" * 25), f"{head}..., len=50")]:
+        assert w.brief() == text
+    assert repr(Word("0011")) == "Word('0011')"
+    assert repr(Word("01" * 25)) == f"Word({head!r}..., len=50)"
+
+
+def test_parse_positions_skips_empty_items_and_refuses_other_text():
+    assert parse_positions("") == () and parse_positions("3,,1,") == (3, 1)
+    with pytest.raises(ValueError):
+        parse_positions("1,a")

@@ -20,9 +20,8 @@ from . import __version__
 from . import rng as rngmod
 from .construction import (
     PARAM_KEYS,
-    NotExecutableError,
-    ParamsError,
     encode_outer,
+    executable_params,
     json_field,
     json_typed,
     params_from_json,
@@ -96,8 +95,7 @@ def cmd_params(parser, args) -> int:
 
 
 def cmd_encode(parser, args) -> int:
-    params = _params_from_args(parser, args)
-    params.require_executable()
+    params = executable_params(_params_from_args(parser, args))
     outers = read_outer_words(args.infile, params)
     words = [encode_outer(X, params) for X in outers]
     write_codebook(args.out, words)
@@ -192,8 +190,7 @@ def cmd_experiment_oblivious(parser, args) -> int:
     for where, obj, known in (("", cfg, CONFIG_KEYS), ("'pool' ", pool_cfg, POOL_KEYS)):
         if unknown := sorted(set(obj) - known):
             raise ValueError(f"{args.config}: unknown {where}key(s) {', '.join(map(repr, unknown))}")
-    params = params_from_json(cfg["params"])
-    params.require_executable()
+    params = executable_params(params_from_json(cfg["params"]))
     seed = _master_seed(args.seed)
     rng = rngmod.py_rng(seed, "pool")
     take_all = json_field(pool_cfg, "all", json_typed(bool), False)
@@ -277,7 +274,7 @@ def cmd_experiment_online(parser, args) -> int:
 
 
 def cmd_graph(parser, args) -> int:
-    graph = full_confusability_graph(_params_from_args(parser, args))
+    graph = full_confusability_graph(executable_params(_params_from_args(parser, args)))
     print(json.dumps(graph.stats(), indent=2, sort_keys=True))
     return 0
 
@@ -406,7 +403,7 @@ def main(argv=None) -> int:
         parser.error(f"--out {out!r}: its summary {str(summary)!r} is a directory")
     try:
         return args.run(parser, args)
-    except (ParamsError, NotExecutableError, ValueError) as exc:
+    except ValueError as exc:
         parser.error(str(exc))
     except OSError as exc:
         if exc.filename is None:  # not about a file, such as a closed stdout pipe

@@ -1,12 +1,13 @@
 """Concatenated-code construction: parameters, inner codewords, signatures.
 
-Parameter rules (paper mode) blow up double-exponentially, so anything that
-would materialize an inner codeword is guarded: toy mode carries exact small
-integers, paper mode carries exact log2 forms only.
+Parameter rules (paper mode) blow up double-exponentially, so paper mode has
+its own type, ``PaperParams``: exact log2 forms only, printed but refused by
+``executable_params``.  Everything that builds words takes toy ``CodeParams``.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,10 +29,6 @@ class ParamsError(ValueError):
     pass
 
 
-class NotExecutableError(RuntimeError):
-    """Raised when an operation would materialize paper-scale objects."""
-
-
 def as_fraction(x: FractionLike) -> Fraction:
     # str() round-trips decimal literals exactly; Fraction(float) would not.
     if isinstance(x, float):
@@ -41,21 +38,18 @@ def as_fraction(x: FractionLike) -> Fraction:
 
 @dataclass(frozen=True)
 class CodeParams:
-    mode: str  # "paper" | "toy"
-    p: Fraction | None
+    """Toy-mode parameters: exact K, R and L = 2 R^K, small enough to build."""
+
     lam: int
     delta: Fraction
-    K: int | None  # None, as R and L, when not materializable (paper mode)
-    R: int | None
+    K: int
+    R: int
     n: int
-    L: int | None
-    log2_K: int | None = None  # None, as log2_R and log2_L, when K, R and L are exact (toy mode)
-    log2_R: int | None = None
-    log2_L: int | None = None
+    L: int
 
     @property
-    def N(self) -> int | None:
-        return None if self.L is None else self.n * self.L
+    def N(self) -> int:
+        return self.n * self.L
 
     @property
     def delta_n(self) -> int:
@@ -64,26 +58,35 @@ class CodeParams:
             raise ParamsError(f"delta*n = {dn} is not an integer")
         return int(dn)
 
-    @property
-    def executable(self) -> bool:
-        return self.L is not None
-
-    def require_executable(self) -> None:
-        if not self.executable:
-            raise NotExecutableError(
-                "paper-scale parameters not executable: "
-                f"log2 of the inner block length L is a {self.log2_L.bit_length()}-bit integer"
-            )
-
     @cached_property
     def inner_words(self) -> tuple[Word, ...]:
         """(g_1, ..., g_K): g_i alternates 0/1 blocks of width R^(i-1) over L bits.
 
         Built once per params object; equality and hashing read only the fields.
         """
-        self.require_executable()
         widths = (self.R ** (i - 1) for i in range(1, self.K + 1))
         return tuple(Word((bytes(w) + bytes([1]) * w) * (self.L // (2 * w))) for w in widths)
+
+
+@dataclass(frozen=True)
+class PaperParams:
+    """Paper-mode parameters: K = 2^log2_K, R = 4 K^4 and L = 2 R^K only as exact log2 forms."""
+
+    p: Fraction
+    lam: int
+    delta: Fraction
+    n: int
+    log2_K: int
+    log2_R: int
+    log2_L: int
+
+
+def executable_params(params: CodeParams | PaperParams) -> CodeParams:
+    """``params`` when they are toy parameters; paper-scale ones are a ``ParamsError``."""
+    if isinstance(params, PaperParams):
+        raise ParamsError("paper-scale parameters not executable: log2 of the inner block length L is a "
+                          f"{params.log2_L.bit_length()}-bit integer")
+    return params
 
 
 def smallest_lambda(p: FractionLike) -> int:
@@ -95,7 +98,7 @@ def smallest_lambda(p: FractionLike) -> int:
     return lam
 
 
-def derive_params(p: FractionLike, n: int) -> CodeParams:
+def derive_params(p: FractionLike, n: int) -> PaperParams:
     """Paper-mode parameter derivation for deletion fraction p."""
     p = as_fraction(p)
     if not (0 < p < 1):
@@ -112,19 +115,7 @@ def derive_params(p: FractionLike, n: int) -> CodeParams:
     # K = 2^log2_K, R = 4 K^4 and L = 2 R^K are never built: log2 K > 128 for every p
     log2_R = 2 + 4 * log2_K
     log2_L = 1 + (log2_R << log2_K)
-    return CodeParams(
-        mode="paper",
-        p=p,
-        lam=lam,
-        delta=delta,
-        K=None,
-        R=None,
-        n=n,
-        L=None,
-        log2_K=log2_K,
-        log2_R=log2_R,
-        log2_L=log2_L,
-    )
+    return PaperParams(p=p, lam=lam, delta=delta, n=n, log2_K=log2_K, log2_R=log2_R, log2_L=log2_L)
 
 
 def toy_params(
@@ -155,24 +146,14 @@ def toy_params(
     L = 2 * R**K
     if L > MAX_INNER_LENGTH:
         raise ParamsError(f"L = 2*R^K = {L} exceeds the configured limit {MAX_INNER_LENGTH}")
-    return CodeParams(
-        mode="toy",
-        p=None,
-        lam=lam,
-        delta=delta,
-        K=K,
-        R=R,
-        n=n,
-        L=L,
-    )
+    return CodeParams(lam=lam, delta=delta, K=K, R=R, n=n, L=L)
 
 
 def inner_codeword(i: int, params: CodeParams) -> Word:
     """g_i: alternating 0/1 blocks of width R^(i-1), total length L; ``params.inner_words[i - 1]``."""
-    words = params.inner_words
     if not 1 <= i <= params.K:
         raise ParamsError(f"inner symbol must lie in [1,{params.K}], got {i}")
-    return words[i - 1]
+    return params.inner_words[i - 1]
 
 
 def check_outer(X: Sequence[int], params: CodeParams) -> OuterWord:
@@ -202,7 +183,6 @@ def admissible_weight_cap(params: CodeParams, ell: int) -> int:
     s w is an integer it may take the ceiling m of sL/sqrt(R): the smallest
     integer with m^2 R >= (sL)^2, found exactly with ``math.isqrt``.
     """
-    params.require_executable()
     s, L = 1 << (ell + 1), params.L
     q = -(-(s * L) ** 2 // params.R)  # ceil((sL)^2 / R)
     m = math.isqrt(q)
@@ -212,7 +192,6 @@ def admissible_weight_cap(params: CodeParams, ell: int) -> int:
 
 def preserves(sigma: DeletionPattern, i: int, params: CodeParams) -> bool:
     """True iff sigma(g_i) keeps at least 2*R^(K+1-i)/sqrt(R) runs."""
-    params.require_executable()
     if sigma.word_length != params.L:
         raise ParamsError(
             f"inner pattern length {sigma.word_length} != L = {params.L}"
@@ -282,7 +261,6 @@ def extract_signature(tau: DeletionPattern, params: CodeParams) -> Signature:
     sets from one ``corruption_sets`` call over their stacked keep masks,
     which reads the inner codewords off ``params.inner_words``.
     """
-    params.require_executable()
     if tau.word_length != params.N:
         raise ParamsError(f"pattern length {tau.word_length} != N = {params.N}")
     rows = tau.keep.reshape(params.n, params.L)  # row i - 1 is inner block i's keep mask
@@ -311,7 +289,6 @@ def extract_signature(tau: DeletionPattern, params: CodeParams) -> Signature:
 
 def matchability_exponent(params: CodeParams) -> Fraction | float:
     """beta = log2(K) / (16 R): a Fraction when K is a power of two, else a float."""
-    params.require_executable()
     if params.K & (params.K - 1) == 0:
         return Fraction(params.K.bit_length() - 1, 16 * params.R)
     return math.log2(params.K) / (16 * params.R)
@@ -327,14 +304,14 @@ def outer_code_size(params: CodeParams) -> float:
     return 2.0 ** (float(matchability_exponent(params)) / 4 * params.n)
 
 
-def rate_info(params: CodeParams) -> dict:
+def rate_info(params: CodeParams | PaperParams) -> dict:
     """Sampling exponent beta, outer exponent gamma = beta/4, and rate gamma/L.
 
     Exact fractions when ``matchability_exponent`` is one; otherwise log2
     values (floats for the small parts, exact ints where integral).  Paper
     mode builds no K or R; its beta comes from the exact log2 K and log2 R.
     """
-    if not params.executable:
+    if isinstance(params, PaperParams):
         log2_beta = math.log2(params.log2_K) - 4 - params.log2_R
         # log2(L) dwarfs the float part; keep the exact integer dominant term.
         return {
@@ -354,27 +331,21 @@ def rate_info(params: CodeParams) -> dict:
     }
 
 
-def json_int(value: int | None):
-    """Arbitrary-size integers for JSON: hex text once decimal gets silly; None passes through."""
-    return value if value is None or value.bit_length() <= 256 else hex(value)
+def json_int(value: int):
+    """Arbitrary-size integers for JSON: hex text once decimal gets silly."""
+    return value if value.bit_length() <= 256 else hex(value)
 
 
-def params_to_json(params: CodeParams) -> dict:
-    out = {
-        "mode": params.mode,
-        "n": params.n,
-        "K": params.K,
-        "R": params.R,
-        "lambda": params.lam,
-        "delta": str(params.delta),
-        "log2_K": json_int(params.log2_K),
-        "log2_R": json_int(params.log2_R),
-        "log2_L": json_int(params.log2_L),
-        "L": params.L,
-        "N": params.N,
-    }
-    if params.p is not None:
-        out["p"] = str(params.p)
+def params_to_json(params: CodeParams | PaperParams) -> dict:
+    """K, R, L and N print as null in paper mode, and log2_K, log2_R and log2_L in toy mode."""
+    out = {"n": params.n, "lambda": params.lam, "delta": str(params.delta)}
+    logs = ("log2_K", "log2_R", "log2_L")
+    if isinstance(params, PaperParams):
+        out |= {"mode": "paper", "p": str(params.p), "K": None, "R": None, "L": None, "N": None}
+        out |= {key: json_int(getattr(params, key)) for key in logs}
+    else:
+        out |= {"mode": "toy", "K": params.K, "R": params.R, "L": params.L, "N": params.N}
+        out |= dict.fromkeys(logs)
     # each rate figure is a Fraction, a float, or an int of any size
     out["rate"] = {key: str(v) if isinstance(v, Fraction) else json_int(v) if isinstance(v, int) else v
                    for key, v in rate_info(params).items()}
@@ -385,7 +356,9 @@ def params_to_json(params: CodeParams) -> dict:
 PARAM_KEYS = {"toy": ("K", "R", "lambda", "delta", "n"), "paper": ("p", "n")}
 
 
-def params_from_json(obj: dict) -> CodeParams:
+def params_from_json(obj: dict) -> CodeParams | PaperParams:
+    """Toy or paper parameters; any key besides ``mode`` and those its mode reads must be
+    one ``params_to_json`` prints for them, with the value it prints."""
     if not isinstance(obj, dict):
         raise ParamsError("parameters must be a JSON object")
     mode = obj.get("mode", "toy")
@@ -395,14 +368,23 @@ def params_from_json(obj: dict) -> CodeParams:
     if missing:
         raise ParamsError(f"{mode} parameters lack key(s): {', '.join(missing)}")
     if mode == "paper":
-        return derive_params(json_field(obj, "p", as_fraction), json_field(obj, "n", json_typed(int)))
-    return toy_params(
-        K=json_field(obj, "K", json_typed(int)),
-        R=json_field(obj, "R", json_typed(int)),
-        lam=json_field(obj, "lambda", json_typed(int), 1),
-        delta=json_field(obj, "delta", as_fraction),
-        n=json_field(obj, "n", json_typed(int)),
-    )
+        params = derive_params(json_field(obj, "p", as_fraction), json_field(obj, "n", json_typed(int)))
+    else:
+        params = toy_params(
+            K=json_field(obj, "K", json_typed(int)),
+            R=json_field(obj, "R", json_typed(int)),
+            lam=json_field(obj, "lambda", json_typed(int), 1),
+            delta=json_field(obj, "delta", as_fraction),
+            n=json_field(obj, "n", json_typed(int)),
+        )
+    echoed = [key for key in obj if key not in ("mode", *PARAM_KEYS[mode])]
+    printed = params_to_json(params) if echoed else {}
+    for key in echoed:
+        if key not in printed:
+            raise ParamsError(f"{mode} parameters take no key {key!r}")
+        if json.dumps(obj[key], sort_keys=True) != json.dumps(printed[key], sort_keys=True):  # 1.0 is no 1
+            raise ParamsError(f"{key!r} = {json.dumps(obj[key])} is not what these parameters print")
+    return params
 
 
 def json_field(obj: dict, key: str, convert, default=None):

@@ -168,7 +168,6 @@ def full_confusability_graph(params: CodeParams) -> ConfusabilityGraph:
 
     The A/B-move caps are the paper's, with the worst corruption sets.
     """
-    params.require_executable()
     if params.K**params.n > 1 << 16:
         raise ValueError("pool K^n too large for graph enumeration")
     dn = params.delta_n
@@ -310,7 +309,8 @@ def oblivious_experiment(
     version: str = "0",
 ) -> ExperimentReport:
     """Assemble codes per seed and measure average-case error per pattern."""
-    params.require_executable()
+    if not use_filter and f_trials is not None:
+        raise ValueError("'f_trials' is read only when 'use_filter' is true")
     if (twice := first_repeat(map(tuple, pool))) is not None:
         raise ValueError(f"the pool repeats the outer word {','.join(map(str, twice))}")
     target_size = outer_code_size(params) if target_size is None else float(target_size)

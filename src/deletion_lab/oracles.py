@@ -234,7 +234,6 @@ def verify_corruption_cost(
     A pattern of weight w that corrupts c >= 1 codewords breaks the bound iff
     w is at most the weight cap of (c-1)-admissible patterns.
     """
-    params.require_executable()
     L, K = params.L, params.K
     report = OracleReport(name="corruption-cost", mode="exhaustive" if samples is None else "sampled")
     report.extras["params"] = (K, params.R, L, params.lam)
@@ -363,7 +362,6 @@ def verify_matching_implication(
     grows with the chunk and not with ``instances``.  A witness's ``blocks``
     are read off the mask rows only when a violation is recorded.
     """
-    params.require_executable()
     K = params.K
     shared = [DeletionPattern(params.L, ())] + [bit_deletion_pattern(g, 0) for g in params.inner_words]
     cap = admissible_weight_cap(params, params.lam - 1)

@@ -549,6 +549,34 @@ def test_params_of_the_wrong_json_type_are_usage_errors(params, key, tmp_path, c
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("params, message", [
+    # "lamda" was read as the default lambda = 1
+    ({"mode": "toy", "K": 2, "R": 4, "lamda": 2, "delta": "1/2", "n": 4}, "toy parameters take no key 'lamda'"),
+    ({"mode": "paper", "p": "0.4", "n": 4, "K": 8}, "'K' = 8 is not what these parameters print"),
+    ({"mode": "toy", "K": 2, "R": 4, "delta": "1/2", "n": 4, "L": 100}, "'L' = 100 is not"),
+    ({"mode": "toy", "K": 2, "R": 4, "delta": "1/2", "n": 4, "L": 32.0}, "'L' = 32.0 is not"),  # L = 32
+    ({"mode": "toy", "K": 2, "R": 4, "delta": "1/2", "n": 4, "p": "1/2"}, "toy parameters take no key 'p'"),
+], ids=["misspelled-lambda", "paper-K", "wrong-L", "float-L", "toy-p"])
+@pytest.mark.parametrize("command", ["params", "encode", "oblivious"])
+def test_a_parameter_key_nothing_reads_or_prints_is_a_usage_error(command, params, message, tmp_path, capsys):
+    # a parameter object holds the keys its mode reads, and the keys ``params``
+    # prints for it only with the values it prints
+    cfg = tmp_path / "params.json"
+    cfg.write_text(json.dumps(params))
+    outer = tmp_path / "outer.txt"
+    outer.write_text("1,2,1,2\n")
+    argv = {"params": ["params", "--config", str(cfg)],
+            "encode": ["encode", "--config", str(cfg), "--in", str(outer), "--out", str(tmp_path / "code.txt")],
+            "oblivious": _oblivious_config(tmp_path, params=params)}[command]
+    inputs = sorted(tmp_path.iterdir())
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+    assert sorted(tmp_path.iterdir()) == inputs
+
+
 @pytest.mark.parametrize("extra, key", [
     ({"pool": 3}, "'pool'"),
     ({"pool": {"random": None}}, "'random'"),

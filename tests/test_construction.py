@@ -3,15 +3,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deletion_lab import construction
 from deletion_lab.construction import (
-    NotExecutableError,
+    MAX_INNER_LENGTH,
+    PaperParams,
     ParamsError,
     SignatureError,
     admissible_weight_cap,
     derive_params,
     encode_outer,
+    executable_params,
     extract_signature,
     inner_codeword,
     params_from_json,
@@ -35,7 +39,7 @@ def test_derive_params_examples():
     assert p9.log2_K == 14895
     assert p9.log2_R == 2 + 4 * p9.log2_K
     assert p9.log2_L == 1 + 2**p9.log2_K * p9.log2_R
-    assert not p9.executable and p9.K is p9.R is p9.L is None
+    assert isinstance(p9, PaperParams)
     assert derive_params("0.999", 1).log2_K == 128070352
 
 
@@ -70,9 +74,11 @@ def test_params_from_json_names_missing_keys():
 
 def test_paper_mode_refuses_to_materialize():
     params = derive_params("0.5", 10)
-    with pytest.raises(NotExecutableError):
-        inner_codeword(1, params)
+    with pytest.raises(ParamsError, match="not executable: log2 of the inner block length L is a 695-bit integer"):
+        executable_params(params)
     assert "log2" in str(rate_info(params).keys()) or "log2_rate_floor" in rate_info(params)
+    toy = toy_params(2, 4, 1, "1/2", 4)
+    assert executable_params(toy) is toy
 
 
 def test_toy_params_examples():
@@ -224,6 +230,30 @@ def test_params_json_roundtrip():
     paper = derive_params("0.9", 10)
     back = params_from_json(json.loads(json.dumps(params_to_json(paper))))
     assert back.log2_K == paper.log2_K and back.lam == paper.lam
+
+
+@st.composite
+def toy_instances(draw):
+    """Toy parameters anywhere within ``toy_params``' limits: even R, L = 2 R^K in range, even delta*n."""
+    K = draw(st.integers(2, 19))
+    R = draw(st.sampled_from([R for R in range(2, 726, 2) if 2 * R**K <= MAX_INNER_LENGTH]))
+    n = draw(st.integers(3, 200))
+    delta = Fraction(2 * draw(st.integers(1, (n - 1) // 2)), n)
+    return toy_params(K, R, draw(st.integers(1, 10)), delta, n)
+
+
+@st.composite
+def paper_instances(draw):
+    b = draw(st.integers(2, 16))
+    return derive_params(Fraction(draw(st.integers(1, b - 1)), b), draw(st.integers(1, 1000)))
+
+
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(st.one_of(toy_instances(), paper_instances()))
+def test_printed_params_read_back_as_themselves(params):
+    printed = params_to_json(params)
+    assert params_from_json(printed) == params
+    assert params_from_json(json.loads(json.dumps(printed))) == params
 
 
 def test_outer_word_file_roundtrip(tmp_path):

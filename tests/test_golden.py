@@ -8,10 +8,14 @@ output.  A refactor must reproduce them exactly; regenerate them (with
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import deletion_lab
 from deletion_lab.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -135,3 +139,18 @@ def test_stdout_matches_golden_bytes(name):
 
 def test_paper_params_match_golden_bytes():
     assert run_stdout_case(PARAMS_PAPER) == (0, (GOLDEN / "params_paper.json").read_bytes())
+
+
+def test_golden_bytes_hold_under_python_O_and_another_hash_seed():
+    # this module again, on the same package, in a child ``python -O``, which
+    # strips every ``assert``, with PYTHONHASHSEED fixed at 777
+    src = str(Path(deletion_lab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONHASHSEED": "777",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__,
+         "-k", "not test_golden_bytes_hold_under_python_O"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert child.returncode == 0, child.stdout[-3000:] + child.stderr[-3000:]
+    assert " passed" in child.stdout and "deselected" in child.stdout

@@ -137,6 +137,15 @@ def test_package_raises_no_python_warning():
     assert found == []
 
 
+def test_only_construction_and_the_cli_know_paper_parameters():
+    # paper-scale parameters are refused at one edge, ``construction.executable_params``
+    # called by the CLI; every other module takes toy ``CodeParams`` and checks nothing
+    named = [path.stem for path in PACKAGE.glob("*.py") if re.search(r"\bPaperParams\b", path.read_text())]
+    checks = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+              for line in calls_named(ast.parse(path.read_text(), str(path)), "require_executable")]
+    assert set(named) <= {"construction", "cli"} and "construction" in named and checks == []
+
+
 def test_oblivious_takes_beta_from_construction():
     # beta = log2(K) / (16 R) and the filter threshold have one home,
     # ``construction.matchability_exponent`` and ``filter_threshold``

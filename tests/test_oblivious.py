@@ -9,7 +9,7 @@ import pytest
 
 from deletion_lab import oblivious
 from deletion_lab import rng as rngmod
-from deletion_lab.construction import CodeParams, filter_threshold, toy_params
+from deletion_lab.construction import filter_threshold, toy_params
 from deletion_lab.matching import MatchConfig, batch_matchable, count_matchable, worst_sets
 from deletion_lab.oblivious import (
     _pad_to_weight,
@@ -169,10 +169,6 @@ def test_sparse_graph_sampling_keeps_indegrees_empty():
     # induced subgraphs of a sparse confusability graph are mostly isolated
     # vertices: at least (1-eps) of sampled words keep indegree 0 in at
     # least 95% of a thousand samples
-    params = CodeParams(
-        mode="toy", p=None, lam=1, delta=Fraction(3, 4), K=32, R=4096,
-        n=128, L=None, log2_K=5, log2_R=12, log2_L=0,
-    )
     rng = rngmod.py_rng(0, "sparsity-pool")
     pool = [tuple(rng.randrange(1, 33) for _ in range(128)) for _ in range(400)]
     dn = 96
@@ -249,6 +245,14 @@ def test_family_patterns_hold_only_their_masks_through_an_experiment():
     fam = standard_pattern_family(params, params.N // 2, [Word("0110") * (params.N // 4)], master_seed=3)
     oblivious_experiment(params, pool, fam, seeds=[0, 1], target_size=6, use_filter=False)
     assert [list(vars(pattern)) for _, pattern in fam] == [["keep"]] * len(fam)
+
+
+def test_trial_count_without_the_filter_is_refused():
+    # without the filter no f(Y) is estimated, so a trial count would change nothing
+    params = toy_params(2, 4, 1, Fraction(1, 2), 4)
+    pats = [("identity", DeletionPattern(params.N, ()))]
+    with pytest.raises(ValueError, match="'f_trials' is read only when 'use_filter' is true"):
+        oblivious_experiment(params, [(1, 1, 1, 1)], pats, seeds=[0], use_filter=False, f_trials=10)
 
 
 @pytest.mark.parametrize("Y", [(3, 4) * 20, (4,) * 40])

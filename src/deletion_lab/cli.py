@@ -1,6 +1,8 @@
 """Command-line front end: parameters, codec pipeline, experiments, verify.
 
-Exit statuses: 0 ok, 1 oracle violations found, 2 usage error.  All stochastic
+Exit statuses: 0 ok, 1 oracle violations found, 2 usage error.  A command
+refuses bad input by raising ``ValueError``, and ``main`` alone turns that, or
+a file that cannot be opened, into exit 2 with the message.  All stochastic
 subcommands take --seed; identical config plus seed reproduces byte-identical
 output files.
 """
@@ -13,7 +15,7 @@ import math
 import os
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from . import __version__
@@ -64,7 +66,7 @@ def _read_json(path):
             raise ValueError(f"{path}: {exc}") from None
 
 
-def _params_from_args(parser, args):
+def _params_from_args(args):
     """The parameters of ``--config``, or of the JSON object such a file would hold for the flags."""
     flags = vars(args)
     mode = "config" if args.config is not None else "toy" if args.toy else "paper"
@@ -72,7 +74,7 @@ def _params_from_args(parser, args):
     stray = [f"--{key}" for key in ("toy", "p", *PARAM_KEYS["toy"])  # --toy names its own mode
              if flags[key] not in (None, False) and key not in (mode, *keys)]
     if stray:
-        parser.error(f"{mode} mode takes no {' '.join(stray)}")
+        raise ValueError(f"{mode} mode takes no {' '.join(stray)}")
     if mode == "config":
         return params_from_json(_read_json(args.config))
     return params_from_json({"mode": mode, **{key: flags[key] for key in keys if flags[key] is not None}})
@@ -89,13 +91,13 @@ def _add_params_options(sub):
     sub.add_argument("--delta", type=str, default=None)
 
 
-def cmd_params(parser, args) -> int:
-    print(json.dumps(params_to_json(_params_from_args(parser, args)), indent=2, sort_keys=True))
+def cmd_params(args) -> int:
+    print(json.dumps(params_to_json(_params_from_args(args)), indent=2, sort_keys=True))
     return 0
 
 
-def cmd_encode(parser, args) -> int:
-    params = executable_params(_params_from_args(parser, args))
+def cmd_encode(args) -> int:
+    params = executable_params(_params_from_args(args))
     outers = read_outer_words(args.infile, params)
     words = [encode_outer(X, params) for X in outers]
     write_codebook(args.out, words)
@@ -113,24 +115,24 @@ def _corruption_pattern(args, w: Word, rng) -> DeletionPattern:
     return uniform_pattern(len(w), args.weight, rng)
 
 
-def cmd_corrupt(parser, args) -> int:
+def cmd_corrupt(args) -> int:
     words = read_codebook(args.infile)
     if not words:
-        parser.error("no input words")
+        raise ValueError("no input words")
     if (args.pattern is None) == (args.family is None):
-        parser.error("pass exactly one of --pattern / --family")
+        raise ValueError("pass exactly one of --pattern / --family")
     if args.family == "uniform" and args.weight is None:
-        parser.error("--weight required for the uniform family")
+        raise ValueError("--weight required for the uniform family")
     if args.family != "uniform" and (args.weight, args.seed) != (None, None):
-        parser.error("--weight and --seed go with --family uniform only")
+        raise ValueError("--weight and --seed go with --family uniform only")
     if args.weight is not None and not 0 <= args.weight <= len(words[0]):
-        parser.error(f"--weight {args.weight} must lie in [0, {len(words[0])}], the word length")
+        raise ValueError(f"--weight {args.weight} must lie in [0, {len(words[0])}], the word length")
     rng = rngmod.py_rng(args.seed if args.seed is not None else 0, "corrupt")
     write_codebook(args.out, [apply_pattern(_corruption_pattern(args, w, rng), w) for w in words])
     return 0
 
 
-def cmd_decode(parser, args) -> int:
+def cmd_decode(args) -> int:
     decode = make_unique_decoder(read_codebook(args.codebook))
     # received words come from deletions, so line lengths legitimately vary
     lines = []
@@ -180,7 +182,7 @@ CONFIG_KEYS = {"params", "pool", "target_size", "pattern_weight", "pattern_file"
 POOL_KEYS = {"file", "all", "random", "structured"}
 
 
-def cmd_experiment_oblivious(parser, args) -> int:
+def cmd_experiment_oblivious(args) -> int:
     cfg = _read_json(args.config)
     if not isinstance(cfg, dict) or "params" not in cfg:
         raise ValueError(f"{args.config}: the config must be a JSON object with a 'params' key")
@@ -214,7 +216,7 @@ def cmd_experiment_oblivious(parser, args) -> int:
             if const not in pool:
                 pool.append(const)
     if not pool:
-        parser.error("the pool holds no outer words")
+        raise ValueError("the pool holds no outer words")
     # as a float here, so a number too large for one is a usage error naming the key
     positive_float = _checked(lambda size: float(json_typed(int, float)(size)),
                               lambda size: 0 < size < math.inf, "must be positive")
@@ -233,7 +235,7 @@ def cmd_experiment_oblivious(parser, args) -> int:
         pattern_file = json_field(cfg, "pattern_file", json_typed(str))  # a number would name a descriptor
         patterns = read_patterns(pattern_file, params.N)
         if not patterns:
-            parser.error(f"pattern file {pattern_file} holds no patterns")
+            raise ValueError(f"pattern file {pattern_file} holds no patterns")
     else:
         ends = (pool[0], pool[-1])[: len(pool)]  # one reference word per pool end
         refs = [encode_outer(X, params) for X in ends]
@@ -257,12 +259,12 @@ def cmd_experiment_oblivious(parser, args) -> int:
     return _write_report(report, args.out)
 
 
-def cmd_experiment_online(parser, args) -> int:
+def cmd_experiment_online(args) -> int:
     if args.trials < 0:
-        parser.error(f"--trials must be nonnegative, got {args.trials}")
+        raise ValueError(f"--trials must be nonnegative, got {args.trials}")
     code = read_codebook(args.code)
     if len(code) < 2:
-        parser.error("online experiments need at least two codewords")
+        raise ValueError("online experiments need at least two codewords")
     cfg = OnlineConfig(p=args.p, p0_adv=args.p0_adv)
     if not cfg.in_regime:
         print(f"note: p = {cfg.p} is outside the regime p > 1/(3-2*p0_adv) = {cfg.regime_bound}; "
@@ -273,8 +275,8 @@ def cmd_experiment_online(parser, args) -> int:
     return _write_report(report, args.out)
 
 
-def cmd_graph(parser, args) -> int:
-    graph = full_confusability_graph(executable_params(_params_from_args(parser, args)))
+def cmd_graph(args) -> int:
+    graph = full_confusability_graph(executable_params(_params_from_args(args)))
     print(json.dumps(graph.stats(), indent=2, sort_keys=True))
     return 0
 
@@ -307,15 +309,16 @@ def _sample_count(text: str) -> int:
     return int(value)
 
 
-def cmd_verify(parser, args) -> int:
+def cmd_verify(args) -> int:
     unknown = [lem for lem in args.lemmas if lem != "all" and lem not in LEMMAS]
     if unknown:
-        parser.error(f"unknown lemma ids: {', '.join(unknown)}")
+        raise ValueError(f"unknown lemma ids: {', '.join(unknown)}")
     ids = list(LEMMAS) if "all" in args.lemmas else args.lemmas
-    for option, given in (("exhaustive", args.exhaustive), ("samples", args.samples is not None)):
+    for option, given in (("exhaustive", args.exhaustive), ("samples", args.samples is not None),
+                          ("seed", args.seed is not None)):
         if given and not any(option in LEMMAS[lem].reads for lem in ids):
             print(f"note: --{option} is read by none of {', '.join(ids)}", file=sys.stderr)
-    runners = _verify_runners(args.samples or DEFAULT_SAMPLES, args.seed, args.exhaustive)
+    runners = _verify_runners(args.samples or DEFAULT_SAMPLES, args.seed or 0, args.exhaustive)
     reports = []
     for lem in ids:
         report = runners[lem]()
@@ -325,6 +328,7 @@ def cmd_verify(parser, args) -> int:
     return 0 if all(r.ok for r in reports) else 1
 
 
+@cache  # one parser per process: ``main`` reuses the one a caller built before it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="deletion-lab",
@@ -387,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--exhaustive", action="store_true")
     count = _option_type(_sample_count, "a positive integer")
     sp.add_argument("--samples", type=count)  # DEFAULT_SAMPLES when not given
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int, default=None)  # 0 when not given
 
     return parser
 
@@ -397,12 +401,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     out = getattr(args, "out", None)  # every command that writes takes --out
     folder = os.path.dirname(out or "") or "."
-    if out is not None and (not out or os.path.isdir(out) or not os.path.isdir(folder)):
-        parser.error(f"--out {out!r} names no file in an existing directory")
-    if out is not None and args.command == "experiment" and os.path.isdir(summary := _summary_path(out)):
-        parser.error(f"--out {out!r}: its summary {str(summary)!r} is a directory")
     try:
-        return args.run(parser, args)
+        if out is not None and (not out or os.path.isdir(out) or not os.path.isdir(folder)):
+            raise ValueError(f"--out {out!r} names no file in an existing directory")
+        if out is not None and args.command == "experiment" and os.path.isdir(summary := _summary_path(out)):
+            raise ValueError(f"--out {out!r}: its summary {str(summary)!r} is a directory")
+        return args.run(args)
     except ValueError as exc:
         parser.error(str(exc))
     except OSError as exc:

@@ -50,7 +50,7 @@ class OnlineConfig:
         return self.p > self.regime_bound
 
     def budget(self, n: int) -> int:
-        return int(self.p * n)  # floor
+        return self.p.numerator * n // self.p.denominator  # floor(p n), exactly
 
 
 def _common_prefix_len(a: bytes, b: bytes) -> int:
@@ -280,14 +280,11 @@ class WaitPushAdversary(OnlineAdversary):
         self.table = table
         self.force_strategy = force_strategy
         self.force_bit = force_bit
-        self._budgets: dict[int, int] = {}  # word length -> cfg.budget
 
     def plan(self, x, rng):
         strategy, coin = draw_coin(rng, self.force_strategy, self.force_bit)
         bits, n = x.bits, len(x)
-        if n not in self._budgets:
-            self._budgets[n] = self.table.cfg.budget(n)
-        budget = self._budgets[n]
+        budget = self.table.cfg.budget(n)
         if strategy == 2:
             cut = max(n - budget, 0)
             return Plan([False] * cut + [True] * (n - cut), budget)

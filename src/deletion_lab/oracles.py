@@ -712,26 +712,26 @@ class Lemma(NamedTuple):
     """A row of the lemma table: how ``verify`` runs it, and which of its options that reads."""
 
     run: Callable[[int, int, bool], OracleReport]  # run(samples, seed, exhaustive)
-    reads: tuple[str, ...]  # among "samples" and "exhaustive"
+    reads: tuple[str, ...]  # among "samples", "seed" and "exhaustive"
 
 
 # lemma id -> its row, in the order ``verify all`` runs them
 LEMMAS: dict[str, Lemma] = {
     "levenshtein": Lemma(lambda samples, seed, exhaustive: levenshtein_equivalence(
-        _levenshtein_codes(samples, seed, exhaustive), t=1), ("samples", "exhaustive")),
+        _levenshtein_codes(samples, seed, exhaustive), t=1), ("samples", "seed", "exhaustive")),
     "corruption-cost": Lemma(lambda samples, seed, exhaustive: verify_corruption_cost(
         toy_params(3, 2, 2, Fraction(1, 2), 4) if exhaustive else toy_params(2, 16, 2, Fraction(1, 2), 4),
-        None if exhaustive else samples, seed), ("samples", "exhaustive")),
+        None if exhaustive else samples, seed), ("samples", "seed", "exhaustive")),
     "matching-implication": Lemma(lambda samples, seed, exhaustive: verify_matching_implication(
         toy_params(2, 16, 2, Fraction(1, 2), 8), instances=min(samples, 10_000), master_seed=seed),
-        ("samples",)),
+        ("samples", "seed")),
     "worst-sets-dominance": Lemma(lambda samples, seed, exhaustive: verify_worst_sets_dominance(
-        master_seed=seed), ()),
+        master_seed=seed), ("seed",)),
     "matching-decay": Lemma(lambda samples, seed, exhaustive: verify_matching_decay(
-        trials=min(samples, 100_000), master_seed=seed), ("samples",)),
+        trials=min(samples, 100_000), master_seed=seed), ("samples", "seed")),
     "geometric-bounds": Lemma(lambda samples, seed, exhaustive: verify_geom_bounds(), ()),
     # reporting only: the asymptotic claim has no finite-n threshold; the acceptance suite holds it
     "alternating-absorption": Lemma(lambda samples, seed, exhaustive: alternating_absorption(
-        200, trials=samples, master_seed=seed), ("samples",)),
-    "bitflip-code": Lemma(lambda samples, seed, exhaustive: oblivious_bitflip_demo(master_seed=seed), ()),
+        200, trials=samples, master_seed=seed), ("samples", "seed")),
+    "bitflip-code": Lemma(lambda samples, seed, exhaustive: oblivious_bitflip_demo(master_seed=seed), ("seed",)),
 }

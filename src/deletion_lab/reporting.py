@@ -58,10 +58,9 @@ class ExperimentReport:
         """``summary()`` as indented JSON with sorted keys and a final newline."""
         return json.dumps(self.summary(), indent=2, sort_keys=True) + "\n"
 
-    def write(self, csv_path, summary_path=None) -> None:
+    def write(self, csv_path, summary_path) -> None:
         atomic_write_text(csv_path, self.csv_text())
-        if summary_path is not None:
-            atomic_write_text(summary_path, self.summary_text())
+        atomic_write_text(summary_path, self.summary_text())
 
 
 def read_lines(path, parse, keep_blank: bool = False) -> dict:

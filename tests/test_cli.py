@@ -198,7 +198,8 @@ def test_verify_accepts_scientific_sample_counts(capsys):
      ["note: --exhaustive is read by none of matching-implication, geometric-bounds"]),
     (["geometric-bounds", "levenshtein"], ["--exhaustive"], ["--exhaustive"], []),
     (["all"], ["--exhaustive", "--samples", "100"], ["--exhaustive", "--samples", "100"], []),
-], ids=["neither", "exhaustive-unread", "read-by-one", "all"])
+    (["geometric-bounds"], [], [], ["note: --seed is read by none of geometric-bounds"]),
+], ids=["neither", "exhaustive-unread", "read-by-one", "all", "seed-unread"])
 def test_verify_notes_an_option_that_no_named_lemma_reads(lemmas, options, read, notes, capsys):
     # the note goes to stderr only: the exit status and the reports are those
     # of the same call with only the options some lemma reads
@@ -696,6 +697,19 @@ def test_negative_trial_count_is_usage_error(tmp_path, capsys):
     assert err.value.code == 2
     assert "--trials" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [book]
+
+
+def test_trial_count_of_minus_one_is_refused_by_name_before_any_output(tmp_path, capsys):
+    book = tmp_path / "code.txt"
+    book.write_text("0011\n1100\n")
+    out = tmp_path / "online.csv"
+    with pytest.raises(SystemExit) as err:
+        main(["experiment", "online", "--code", str(book), "--p", "1/2", "--p0-adv", "2/5",
+              "--trials", "-1", "--seed", "1", "--out", str(out)])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert "--trials must be nonnegative, got -1" in captured.err and captured.out == ""
+    assert not out.exists() and not cli._summary_path(str(out)).exists()
 
 
 @pytest.mark.parametrize("option, value", [("--p", "1/0"), ("--p0-adv", "1/0"),

@@ -189,6 +189,41 @@ def test_oblivious_builds_patterns_from_masks_and_parses_positions_only_in_read_
     assert (built, read) == ([], [])
 
 
+def second_usage_error_exits(source: str) -> list[str]:
+    """Where ``source`` calls ``.error(`` outside ``main``, or names a parameter ``parser``."""
+    tree = ast.parse(source)
+    functions = [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.Lambda))]
+    in_main = {line for fn in functions if getattr(fn, "name", None) == "main" for line in calls_named(fn, "error")}
+    found = [f"error:{line}" for line in calls_named(tree, "error") if line not in in_main]
+    for fn in functions:
+        params = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs + [fn.args.vararg, fn.args.kwarg]
+        found += [f"parser:{fn.lineno}" for arg in params if arg is not None and arg.arg == "parser"]
+    return sorted(found)
+
+
+def test_only_main_turns_a_refusal_into_a_usage_error():
+    # a command refuses input by raising ValueError, and ``main``'s ``except``
+    # alone calls ``parser.error``, so no other function is handed the parser
+    assert second_usage_error_exits((PACKAGE / "cli.py").read_text()) == []
+
+
+def test_usage_error_scan_sees_every_form():
+    source = (
+        "def main(argv=None):\n"
+        "    parser.error('ok')\n"
+        "def cmd(parser, args):\n"
+        "    parser.error('no')\n"
+        "run = lambda *, parser: parser.error('no')\n"
+        "def helper(args):\n"
+        "    args.parser.error('no')\n"
+    )
+    assert second_usage_error_exits(source) == ["error:4", "error:5", "error:7", "parser:3", "parser:5"]
+
+
+def test_the_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_readme_lists_the_lemma_table_in_order():
     # README's lemma table: the rows after its "| lemma |" header, up to the first blank line
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

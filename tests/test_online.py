@@ -1,8 +1,11 @@
+import math
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deletion_lab import online
 from deletion_lab import rng as rngmod
@@ -45,6 +48,14 @@ def paired_toy_code():
 
 
 CFG = OnlineConfig(p=Fraction(1, 2), p0_adv=Fraction(2, 5))
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(st.integers(2, 10**6).flatmap(lambda b: st.tuples(st.integers(1, b - 1), st.just(b))),
+       st.integers(0, 10**4))
+def test_budget_is_the_exact_floor_of_p_n(ratio, n):
+    p = Fraction(*ratio)
+    assert OnlineConfig(p=p, p0_adv=Fraction(2, 5)).budget(n) == math.floor(p * n)
 
 
 def test_online_config_regime(tmp_path, capsys):

@@ -316,7 +316,7 @@ def cmd_verify(args) -> int:
     ids = list(LEMMAS) if "all" in args.lemmas else args.lemmas
     for option, given in (("exhaustive", args.exhaustive), ("samples", args.samples is not None),
                           ("seed", args.seed is not None)):
-        if given and not any(option in LEMMAS[lem].reads for lem in ids):
+        if given and not any(option in LEMMAS[lem].reads(args.exhaustive) for lem in ids):
             print(f"note: --{option} is read by none of {', '.join(ids)}", file=sys.stderr)
     runners = _verify_runners(args.samples or DEFAULT_SAMPLES, args.seed or 0, args.exhaustive)
     reports = []

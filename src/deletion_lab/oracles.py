@@ -712,16 +712,21 @@ class Lemma(NamedTuple):
     """A row of the lemma table: how ``verify`` runs it, and which of its options that reads."""
 
     run: Callable[[int, int, bool], OracleReport]  # run(samples, seed, exhaustive)
-    reads: tuple[str, ...]  # among "samples", "seed" and "exhaustive"
+    sampled: tuple[str, ...]  # the options a run reads, among "samples" and "seed"
+    exhaustive: bool = False  # whether --exhaustive runs a fixed check instead, which reads no other option
+
+    def reads(self, exhaustive: bool) -> tuple[str, ...]:
+        """The options a run with ``--exhaustive`` set or not reads, among "samples", "seed" and "exhaustive"."""
+        return ("exhaustive",) if exhaustive and self.exhaustive else self.sampled
 
 
 # lemma id -> its row, in the order ``verify all`` runs them
 LEMMAS: dict[str, Lemma] = {
     "levenshtein": Lemma(lambda samples, seed, exhaustive: levenshtein_equivalence(
-        _levenshtein_codes(samples, seed, exhaustive), t=1), ("samples", "seed", "exhaustive")),
+        _levenshtein_codes(samples, seed, exhaustive), t=1), ("samples", "seed"), exhaustive=True),
     "corruption-cost": Lemma(lambda samples, seed, exhaustive: verify_corruption_cost(
         toy_params(3, 2, 2, Fraction(1, 2), 4) if exhaustive else toy_params(2, 16, 2, Fraction(1, 2), 4),
-        None if exhaustive else samples, seed), ("samples", "seed", "exhaustive")),
+        None if exhaustive else samples, seed), ("samples", "seed"), exhaustive=True),
     "matching-implication": Lemma(lambda samples, seed, exhaustive: verify_matching_implication(
         toy_params(2, 16, 2, Fraction(1, 2), 8), instances=min(samples, 10_000), master_seed=seed),
         ("samples", "seed")),

@@ -7,9 +7,11 @@ bits is 0-based.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, islice
+from operator import length_hint
 from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -17,6 +19,14 @@ import numpy as np
 from .reporting import atomic_write_text, read_lines
 
 WordLike = Union["Word", str, bytes, Sequence[int]]
+
+MIN_STRETCH = 96  # fewest width-1 host runs that ``is_subsequence`` crosses in one jump (measured break-even: ~80)
+
+_ASCII01 = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_ASCII01 = bytes.maketrans(b"01", b"\x00\x01")
+# over one flag byte per run, 1 where the run has width 1: a first or last stretch of any length,
+# or one of at least MIN_STRETCH; a match begins where its stretch does, so each is maximal
+_WIDTH1_STRETCH = re.compile(rb"\A\x01+|\x01{%d,}|\x01+\Z" % MIN_STRETCH)
 
 
 def first_repeat(items: Iterable[Hashable]) -> Hashable | None:
@@ -32,19 +42,21 @@ def parse_positions(text: str) -> tuple[int, ...]:
 class Word:
     """An immutable binary word. Bits are stored one byte per bit (0/1)."""
 
-    __slots__ = ("_bits", "_runs", "_parts")
+    __slots__ = ("_bits", "_runs", "_parts", "_width1", "_stretches")
 
     def __init__(self, bits: WordLike = b""):
-        self._runs = None
+        self._runs = self._width1 = self._stretches = None
         self._parts = None  # set by ``concatenate``: the nonempty words whose runs make this one's
         if isinstance(bits, Word):
             self._bits = bits._bits
             self._runs = bits._runs
             self._parts = bits._parts
+            self._width1 = bits._width1
+            self._stretches = bits._stretches
         elif isinstance(bits, str):
             if bits and set(bits) - {"0", "1"}:
                 raise ValueError(f"word text must be over 0/1, got {bits!r}")
-            self._bits = bytes(1 if c == "1" else 0 for c in bits)
+            self._bits = bits.encode("ascii").translate(_FROM_ASCII01)
         else:
             vals = bits if isinstance(bits, bytes) else bytes(int(b) for b in bits)
             if vals.translate(None, b"\x00\x01"):  # any byte left is not a bit
@@ -60,7 +72,7 @@ class Word:
         """Run lengths in order, computed once per word; the first run holds ``bits[0]``."""
         if self._runs is None:
             if self._parts is not None:
-                self._runs = _joined_runs(self._parts)
+                self._runs, self._width1 = _joined_runs(self._parts)
                 self._parts = None
             else:
                 b = np.frombuffer(self._bits, dtype=np.uint8)
@@ -69,8 +81,33 @@ class Word:
                 self._runs = tuple(np.diff(np.flatnonzero(cut)).tolist())
         return self._runs
 
+    @property
+    def stretches(self) -> tuple[tuple[int, int], ...]:
+        """The maximal stretches of at least ``MIN_STRETCH`` runs of width 1, as (first, end) run indices.
+
+        Computed once per word, and taken from the parts' when
+        ``concatenate`` built it, with no pass over its bits or runs.
+        """
+        if self._stretches is None:
+            self._stretches = tuple((s, e) for s, e in self._width1_stretches if e - s >= MIN_STRETCH)
+        return self._stretches
+
+    @property
+    def _width1_stretches(self) -> tuple[tuple[int, int], ...]:
+        """``stretches``, and also the first and the last maximal stretch of width-1 runs at any length.
+
+        A concatenation carries its parts' first and last stretches on
+        across its boundaries, so ``_joined_runs`` fills this from the
+        parts' along with the runs.  A word of its own reads it off its runs.
+        """
+        runs = self.runs
+        if self._width1 is None:
+            flags = bytes(map((1).__eq__, runs))
+            self._width1 = tuple(m.span() for m in _WIDTH1_STRETCH.finditer(flags))
+        return self._width1
+
     def to01(self) -> str:
-        return "".join("1" if b else "0" for b in self._bits)
+        return self._bits.translate(_ASCII01).decode("ascii")
 
     def __len__(self) -> int:
         return len(self._bits)
@@ -110,13 +147,14 @@ def as_word(w: WordLike) -> Word:
 
 
 def concatenate(parts: Iterable[WordLike]) -> Word:
-    """The concatenation of ``parts``, whose runs are taken from the parts' runs when first read.
+    """The concatenation of ``parts``, whose runs and stretches are taken from the parts' when first read.
 
     Where a part begins with the bit the previous nonempty part ends with,
-    the two runs at that boundary merge into one.  A part's runs are computed
-    once and cached on it, so the inner codewords of a concatenated code give
-    every word built from them its runs without a pass over its bits, and a
-    word whose runs are never read costs only the join of its bits.
+    the two runs at that boundary merge into one.  A part's runs and
+    stretches are computed once and cached on it, so the inner codewords of
+    a concatenated code give every word built from them its runs and
+    stretches without a pass over its bits, and a word whose runs are never
+    read costs only the join of its bits.
     """
     nonempty = tuple(part for part in map(as_word, parts) if part.bits)
     word = Word(b"".join(part.bits for part in nonempty))
@@ -124,19 +162,40 @@ def concatenate(parts: Iterable[WordLike]) -> Word:
     return word
 
 
-def _joined_runs(parts: Sequence[Word]) -> tuple[int, ...]:
-    """The runs of the concatenation of the nonempty ``parts``, merged at the boundaries."""
+def _joined_runs(parts: Sequence[Word]) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """The runs and the ``_width1_stretches`` of the concatenation of the nonempty ``parts``.
+
+    The two runs at a boundary merge where a part begins with the bit the
+    previous one ends with.  The merged run has width at least 2, so it ends
+    the stretches on both sides.  At any other boundary a stretch that
+    reaches the end of a part runs on into one that starts the next.
+    """
     runs: list[int] = []
+    width1: list[tuple[int, int]] = []
     last = -1  # the bit the concatenation ends with so far; -1 while it is empty
     for part in parts:
         part_runs = part.runs
-        if part.bits[0] == last:
+        merged = part.bits[0] == last
+        offset = len(runs) - merged  # where the part's first run lands
+        if merged:
             runs[-1] += part_runs[0]
             runs += part_runs[1:]
+            if width1 and width1[-1][1] == offset + 1:  # it ended in the merged run
+                first, _ = width1.pop()
+                if first < offset:
+                    width1.append((first, offset))
         else:
             runs += part_runs
+        for first, end in part._width1_stretches:
+            first, end = offset + max(first, merged), offset + end
+            if width1 and width1[-1][1] == first:  # one stretch across the boundary
+                first = width1.pop()[0]
+            if first < end:
+                width1.append((first, end))
         last = part.bits[-1]
-    return tuple(runs)
+    total = len(runs)
+    return tuple(runs), tuple((first, end) for first, end in width1
+                              if end - first >= MIN_STRETCH or first == 0 or end == total)
 
 
 class DeletionPattern:
@@ -228,13 +287,46 @@ def bit_deletion_pattern(w: WordLike, bit: int) -> DeletionPattern:
     return DeletionPattern.from_keep(np.frombuffer(as_word(w).bits, dtype=np.uint8) != bit)
 
 
+def _runs_that_fit(runs: tuple[int, ...], k: int, room: int) -> tuple[int, int]:
+    """The most runs k..fit-1 that fit in ``room`` b-runs of width 1, as (fit, the b-runs they take).
+
+    A run of length v that starts on a fresh b-run of width 1 takes 2v - 1
+    of them, so runs k..i-1 take 2 * (their bits) - (i - k).  A binary
+    search over i sums the run lengths between its probes, and at most
+    ``room`` runs can fit.
+    """
+    fit, last, used = k, min(len(runs), k + room), 0
+    while fit < last:
+        mid = (fit + last + 1) // 2
+        more = 2 * sum(runs[fit:mid]) - (mid - fit)
+        if used + more <= room:
+            fit, used = mid, used + more
+        else:
+            last = mid - 1
+    return fit, used
+
+
 def is_subsequence(a: WordLike, b: WordLike) -> bool:
     """Greedy left-to-right embedding of ``a`` in ``b``; exact for subsequences.
 
     The walk goes run by run: each run of ``a`` takes its bits from the
-    b-runs of its symbol, two b-runs apart, so it gives the bitwise greedy
-    answer in O(runs(a) + runs(b)) steps.  The runs of ``a`` end in distinct
-    b-runs, so an ``a`` with more runs than ``b`` is refused before the walk.
+    b-runs of its symbol, two b-runs apart, and the next run of ``a`` starts
+    on the b-run after the one where it ends.  So every run of ``a`` starts
+    on a fresh b-run, and the walk gives the bitwise greedy answer.  The runs
+    of ``a`` end in distinct b-runs, so an ``a`` with more runs than ``b`` is
+    refused before the walk.
+
+    Inside one of ``b.stretches`` every b-run has width 1, so a run of
+    ``a`` of length v that starts there takes exactly 2v - 1 b-runs.  Where
+    the walk reaches a stretch, one binary search in ``_runs_that_fit``
+    places every run of ``a`` that fits in the rest of it; the step above
+    walks the run that crosses the stretch's end, and every run outside
+    stretches.  That makes O(runs(a) + b-runs outside stretches +
+    stretches * log runs(a)) steps, besides the b-runs walked by a run of
+    ``a`` that crosses a stretch's end.  The search sums run lengths in C,
+    over no more runs than the stretch can hold, so a walk that fails before
+    it reaches a stretch sums none.  A host with no stretch takes the step
+    alone.
     """
     a, b = as_word(a), as_word(b)
     ra, rb = a.runs, b.runs
@@ -244,9 +336,22 @@ def is_subsequence(a: WordLike, b: WordLike) -> bool:
     if len(ra) > nb:  # each run of ``a`` ends in a b-run of its own
         return False
     j = 0 if a.bits[0] == b.bits[0] else 1  # first b-run holding a's first symbol
-    for need in ra:
-        if j >= nb:
-            return False
+    stretches = iter(b.stretches if nb >= MIN_STRETCH else ())
+    start, end = next(stretches, (nb, nb))  # the next stretch; (nb, nb) stands for b's end
+    needle = iter(ra)
+    for need in needle:
+        while j >= start:  # the walk has reached the next stretch, or b's end
+            if j >= nb:
+                return False
+            if j < end:
+                k = len(ra) - length_hint(needle) - 1  # ``need`` is run k of ``a``: a tuple iterator's hint is exact
+                fit, used = _runs_that_fit(ra, k, end - j)  # a call keeps this loop short and fast
+                j += used
+                if fit == len(ra):
+                    return True
+                if fit > k:  # run fit is the next to place: it crosses the stretch's end
+                    need = next(islice(needle, fit - k - 1, None))
+            start, end = next(stretches, (nb, nb))
         left = rb[j]
         while need > left:
             need -= left
@@ -263,9 +368,6 @@ class LcsResult(NamedTuple):
     witness: Word
     a_positions: tuple[int, ...]  # 0-based, strictly increasing
     b_positions: tuple[int, ...]
-
-
-_ASCII01 = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _match_masks(aa: bytes) -> tuple[int, tuple[int, int]]:

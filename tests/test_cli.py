@@ -196,7 +196,8 @@ def test_verify_accepts_scientific_sample_counts(capsys):
       "note: --samples is read by none of worst-sets-dominance"]),
     (["matching-implication", "geometric-bounds"], ["--exhaustive", "--samples", "50"], ["--samples", "50"],
      ["note: --exhaustive is read by none of matching-implication, geometric-bounds"]),
-    (["geometric-bounds", "levenshtein"], ["--exhaustive"], ["--exhaustive"], []),
+    (["geometric-bounds", "levenshtein"], ["--exhaustive"], ["--exhaustive"],
+     ["note: --seed is read by none of geometric-bounds, levenshtein"]),
     (["all"], ["--exhaustive", "--samples", "100"], ["--exhaustive", "--samples", "100"], []),
     (["geometric-bounds"], [], [], ["note: --seed is read by none of geometric-bounds"]),
 ], ids=["neither", "exhaustive-unread", "read-by-one", "all", "seed-unread"])
@@ -207,6 +208,20 @@ def test_verify_notes_an_option_that_no_named_lemma_reads(lemmas, options, read,
     out = capsys.readouterr()
     assert [line for line in out.err.splitlines() if line.startswith("note:")] == notes
     assert (code, out.out) == (main(["verify", *lemmas, *read, "--seed", "3"]), capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("argv, read, note", [
+    (["levenshtein", "--exhaustive", "--seed", "5"], ["levenshtein", "--exhaustive"],
+     "note: --seed is read by none of levenshtein"),
+    (["corruption-cost", "--exhaustive", "--samples", "10"], ["corruption-cost", "--exhaustive"],
+     "note: --samples is read by none of corruption-cost"),
+], ids=["levenshtein-seed", "corruption-cost-samples"])
+def test_verify_notes_an_option_that_exhaustive_mode_leaves_unread(argv, read, note, capsys):
+    # an exhaustive run checks a fixed set, so it reads neither --seed nor --samples
+    code = main(["verify", *argv])
+    out = capsys.readouterr()
+    assert [line for line in out.err.splitlines() if line.startswith("note:")] == [note]
+    assert (code, out.out) == (main(["verify", *read]), capsys.readouterr().out)
 
 
 @pytest.mark.parametrize("samples", ["0", "-5", "abc", "2.5", "nan"])

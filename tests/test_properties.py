@@ -53,6 +53,7 @@ from deletion_lab.online import (
     transmit,
 )
 from deletion_lab.words import (
+    MIN_STRETCH,
     DeletionPattern,
     Word,
     apply_pattern,
@@ -577,6 +578,135 @@ def test_word_runs_are_cached_and_carried_over():
     a, b = Word("0110"), Word("010110")
     assert is_subsequence(a, b)
     assert a._runs == (1, 2, 1) and b._runs == (1, 1, 1, 2, 1)  # filled on the callers' words
+
+
+@PROPS
+@given(st.text(alphabet="01", max_size=200))
+def test_word_text_maps_each_character_to_its_bit(text):
+    w = Word(text)
+    assert w.bits == bytes(1 if c == "1" else 0 for c in text)
+    assert w.to01() == text
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(st.tuples(st.text("01", max_size=4), st.characters(blacklist_characters="01"), st.text(max_size=4)).map("".join))
+@example("01é0")
+@example("0 1")
+def test_word_text_off_0_1_keeps_its_error(text):
+    with pytest.raises(ValueError) as err:
+        Word(text)
+    assert str(err.value) == f"word text must be over 0/1, got {text!r}"
+
+
+def width1_stretches(runs) -> list[tuple[int, int]]:
+    """Reference: the maximal stretches of at least MIN_STRETCH width-1 runs, one run at a time."""
+    found, first = [], None
+    for k, width in enumerate([*runs, 0]):
+        if width == 1 and first is None:
+            first = k
+        elif width != 1 and first is not None:
+            if k - first >= MIN_STRETCH:
+                found.append((first, k))
+            first = None
+    return found
+
+
+def needles_of(host: bytes, rng: random.Random) -> list[bytes]:
+    """Deletions of ``host`` at several rates, each also with one bit flipped, and an independent word."""
+    found = []
+    for keep in (0.4, 0.8, 1.0):
+        kept = bytearray(bit for bit in host if rng.random() < keep)
+        found.append(bytes(kept))
+        if kept:
+            kept[rng.randrange(len(kept))] ^= 1
+            found.append(bytes(kept))
+    found.append(bytes(rng.randrange(2) for _ in range(rng.randint(0, len(host)))))
+    return found
+
+
+# a width-1 stretch one run short of the minimum, at it, or far above it, then a wider run
+stretch_pieces = st.lists(st.tuples(st.sampled_from([MIN_STRETCH - 1, MIN_STRETCH, 4 * MIN_STRETCH]),
+                                    st.integers(2, 6)), min_size=1, max_size=4)
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(st.integers(0, 1), st.integers(0, 3), stretch_pieces,
+       st.sampled_from([0, MIN_STRETCH - 1, MIN_STRETCH, 4 * MIN_STRETCH]), st.integers(0, 2**32 - 1))
+def test_is_subsequence_jumps_across_stretches_as_the_bytewise_greedy(first, lead, pieces, tail, seed):
+    rng = random.Random(seed)
+    runs = [2] * lead + [width for ones, wide in pieces for width in [1] * ones + [wide]] + [1] * tail
+    b = Word(from_runs(first, runs))
+    assert list(b.stretches) == width1_stretches(runs)
+    # shrinking b's runs, some to nothing, gives needle runs that span several b-runs and so
+    # cross a stretch's end
+    shrunk = from_runs(first, [rng.randint(0, n) for n in runs])
+    # b's last 2c bits replaced by c + 1 copies of the first of them: over a stretch at b's end,
+    # that last run needs one b-run past it
+    over = [b.bits[:-2 * c] + bytes([b.bits[-2 * c]]) * (c + 1) for c in (1, 2)]
+    for a in (*needles_of(b.bits, rng), shrunk, shrunk + bytes([rng.randrange(2)]), *over):
+        assert is_subsequence(a, b) == bytewise_is_subsequence(a, b)
+
+
+@pytest.mark.parametrize("ones, wide, need", [
+    (MIN_STRETCH, 3, 2), (MIN_STRETCH, 3, 4), (MIN_STRETCH + 1, 5, 3), (MIN_STRETCH, 2, 7),
+])
+def test_is_subsequence_walks_a_needle_run_across_a_stretch_end(ones, wide, need):
+    # b: a stretch of width-1 runs, a wider run, and the stretch again; a: all but the last bit
+    # of the first stretch, then a run of `need` equal bits that crosses its end, then the same again
+    for first in (0, 1):
+        b = from_runs(first, [1] * ones + [wide] + [1] * ones)
+        assert Word(b).stretches == ((0, ones), (ones + 1, 2 * ones + 1))
+        head = from_runs(first, [1] * (ones - 1))
+        for bit in (0, 1):
+            a = head + bytes([bit]) * need + head
+            assert is_subsequence(a, b) == bytewise_is_subsequence(a, b)
+
+
+def cut_parts(words, picks, cuts) -> list[Word]:
+    """``words[i]`` for each pick, some cut at the front or back, so boundary runs merge or not."""
+    parts = []
+    for i, cut in zip(picks, cuts):
+        w = words[i]
+        parts.append(w[cut:] if cut > 0 else w[:len(w) + cut] if cut < 0 else w)
+    return parts
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(st.sampled_from([(2, 8), (3, 4)]), st.data())
+def test_is_subsequence_agrees_on_concatenated_inner_codewords(shape, data):
+    # g_1 of these codes has L = 128 width-1 runs; cuts of one bit make boundary runs merge
+    params = toy_params(*shape, 1, Fraction(1, 2), 4)
+    count = data.draw(st.integers(1, 6))
+    picks = data.draw(st.lists(st.integers(0, params.K - 1), min_size=count, max_size=count))
+    cuts = data.draw(st.lists(st.sampled_from([0, 0, 1, -1, 3]), min_size=count, max_size=count))
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    parts = cut_parts(params.inner_words, picks, cuts)
+    b = concatenate(parts)
+    other = concatenate(parts[::-1])
+    assert list(b.stretches) == width1_stretches(b.runs)
+    for a in (*needles_of(b.bits, rng), *needles_of(other.bits, rng)):
+        assert is_subsequence(a, b) == bytewise_is_subsequence(a, b)
+
+
+# a part: runs of width 1 about the minimum, or a wider run, so stretches may meet at a boundary
+part_runs = st.lists(st.one_of(st.sampled_from([[1] * (MIN_STRETCH // 2), [1] * (MIN_STRETCH - 1),
+                                                [1] * MIN_STRETCH, [1]]),
+                               st.integers(2, 4).map(lambda width: [width])), max_size=4)
+
+
+@PROPS
+@given(st.lists(st.tuples(st.integers(0, 1), part_runs), max_size=5), st.integers(0, 4))
+# two halves of a stretch meet at the boundary of the nested concatenation
+@example([(0, [[2], [1] * (MIN_STRETCH // 2)]), (1, [[1] * (MIN_STRETCH // 2), [2]])], 1)
+def test_concatenate_stretches_are_those_of_the_joined_bits(parts, split):
+    words = [Word(from_runs(first, sum(runs, []))) for first, runs in parts]
+    joined = concatenate(words)
+    nested = concatenate([concatenate(words[:split]), concatenate(words[split:])])
+    alone = Word(joined.bits)
+    assert joined.stretches == nested.stretches == alone.stretches
+    assert list(alone.stretches) == width1_stretches(alone.runs)
+    assert joined.runs == nested.runs == alone.runs
+    assert Word(joined).stretches is joined.stretches  # Word(w) keeps them
 
 
 def table_lcs(a, b):
